@@ -89,16 +89,17 @@ from .model import (
     student_choice,
 )
 from .verification import (
+    ChoiceTable,
     PropertyCheck,
     StabilityReport,
     check_completion,
     check_irc,
     check_lad,
     check_substitutability,
-    choice_handle,
-    completion_handle,
     find_blocking_set,
     is_stable,
+    tabulate,
+    tabulate_school,
 )
 
 __version__ = "0.1.0"

@@ -190,14 +190,23 @@ class Compiled:
     def default_order_rank(self) -> tuple[int, ...]:
         """Proposal ranks for the canonical order: students sorted by id and,
         within a student, acceptable contracts best first, then the rest."""
-        order: list[Contract] = []
+        order: list[int] = []
         for s in sorted(self.students):
             si = self.student_index[s]
-            listed = [self.contracts[ci] for ci in self.acceptable[si]]
-            rest = sorted(c for c in self.contracts if c.student == s and c not in set(listed))
+            listed = self.acceptable[si]
+            rest = self.student_mask[si]
+            for ci in listed:
+                rest &= ~(1 << ci)
             order.extend(listed)
-            order.extend(rest)
-        return self.order_rank(order)
+            order.extend(bits(rest))  # index order is contract order
+        # every contract is in some student's mask, so only a preference that
+        # lists another student's contract can make the order too long
+        if len(order) != len(self.contracts):
+            raise InvalidInputError("proposal order must be a permutation of all contracts")
+        rank = [0] * len(order)
+        for pos, ci in enumerate(order):
+            rank[ci] = pos
+        return tuple(rank)
 
     def order_rank(self, order: Sequence[Contract]) -> tuple[int, ...]:
         if sorted(order) != list(self.contracts):

@@ -18,12 +18,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
 from .cop import check_order_independence, default_proposal_order, run_cop, run_cop_default
-from .errors import ReserveMatchError, SearchCapExceededError
+from .errors import InvalidInputError, ReserveMatchError, SearchCapExceededError
 from .fileio import (
     load_allocation,
     load_instance,
@@ -50,9 +51,9 @@ from .verification import (
     check_irc,
     check_lad,
     check_substitutability,
-    choice_handle,
-    completion_handle,
     is_stable,
+    tabulate,
+    tabulate_school,
 )
 
 WORKERS_ENV = "REserve_MATCH_WORKERS"
@@ -194,14 +195,14 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
         if len(pool) > max_contracts:
             continue
         checked += 1
-        base = choice_handle(cfg)
-        comp = completion_handle(cfg)
+        base = tabulate_school(cfg, pool)
+        comp = tabulate_school(cfg, pool, completion=True)
         axioms_ok = (
             axioms_ok
-            and check_completion(base, comp, pool).holds
-            and check_irc(comp, pool).holds
-            and check_substitutability(comp, pool).holds
-            and check_lad(comp, pool).holds
+            and check_completion(base, comp).holds
+            and check_irc(comp).holds
+            and check_substitutability(comp).holds
+            and check_lad(comp).holds
         )
     row["completion_axioms"] = axioms_ok
     row["schools_axiom_checked"] = checked
@@ -233,7 +234,11 @@ def _cmd_audit(args) -> int:
             (n, args.seed + n, args.students, args.schools, args.types, args.max_contracts)
             for n in range(args.count)
         ]
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InvalidInputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = sorted(pool.map(_audit_generated, tasks), key=lambda r: r["index"])
@@ -269,8 +274,6 @@ def _constant_baseline(instance: ProblemInstance) -> ProblemInstance:
     out = instance
     for cfg in instance.schools:
         frozen = ForwardSumScheme(((),) * cfg.group_count)
-        from dataclasses import replace
-
         out = out.with_school(replace(cfg, scheme=frozen))
     return out
 
@@ -342,10 +345,12 @@ def _cmd_convert(args) -> int:
     if args.check:
         pool = sorted(school.contracts)
         if len(pool) <= args.max_contracts:
-            for mask in range(1 << len(pool)):
-                offers = frozenset(pool[i] for i in range(len(pool)) if (mask >> i) & 1)
-                if converted.choice(offers) != slot_specific_choice(offers, school):
-                    mismatch = sorted(_cid(c) for c in offers)
+            cap = 1 << args.max_contracts
+            want = tabulate(lambda offers: slot_specific_choice(offers, school), pool, cap=cap)
+            got = tabulate(converted.choice, pool, cap=cap)
+            for mask, (a, b) in enumerate(zip(got.chosen, want.chosen)):
+                if a != b:
+                    mismatch = sorted(_cid(c) for c in got.subset(mask))
                     break
         else:
             mismatch = f"skipped: {len(pool)} contracts exceed --max-contracts"
@@ -432,10 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="flexible vs rigid capacity transfers")
     p.add_argument("instance", help="the (more flexible) instance file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--against", help="rigid instance file to compare with")
-    group.add_argument("--rigid", action="store_true",
-                       help="compare against the no-transfers baseline (default)")
+    p.add_argument("--against",
+                   help="rigid instance file to compare with (default: the no-transfers baseline)")
     _add_common(p)
     p.set_defaults(func=_cmd_compare)
 

@@ -72,7 +72,7 @@ def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
     """Run the cumulative offer process under an explicit proposal order.
 
     ``order`` must be a permutation of the instance's contract set; at every
-    step the order-maximal proposable contract is offered. Returns the final
+    step the order-minimal proposable contract (the lowest rank) is offered. Returns the final
     allocation together with a step-by-step transcript.
     """
     compiled = _validated(instance)
@@ -146,21 +146,3 @@ def check_order_independence(
             )
     return OrderIndependenceResult(True, trials, compiled.to_set(baseline))
 
-
-def allocation_is_feasible(instance: ProblemInstance, allocation: frozenset) -> list[str]:
-    """Check the allocation invariants: contracts drawn from the instance,
-    one per student, school totals within physical capacity."""
-    problems = []
-    stray = allocation - instance.contracts
-    if stray:
-        problems.append(f"contracts outside the instance: {sorted(stray)}")
-    seen: dict[str, Contract] = {}
-    for c in sorted(allocation):
-        if c.student in seen:
-            problems.append(f"student {c.student} holds both {seen[c.student]} and {c}")
-        seen[c.student] = c
-    for cfg in instance.schools:
-        load = sum(1 for c in allocation if c.school == cfg.school)
-        if load > cfg.capacity:
-            problems.append(f"school {cfg.school} holds {load} contracts, capacity {cfg.capacity}")
-    return problems

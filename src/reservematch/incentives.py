@@ -17,9 +17,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ._engine import Compiled
 from .choice import SchoolConfig, TableScheme, check_monotonic, dynamic_reserves_choice
-from .cop import run_cop_default
-from .errors import InvalidInputError, SearchCapExceededError, ValidationError
-from .instance import ProblemInstance, validate_instance
+from .cop import _validated, run_cop_default
+from .errors import InvalidInputError, SearchCapExceededError
+from .instance import ProblemInstance
 from .model import Contract, PreferenceOrder, PriorityOrder
 
 __all__ = [
@@ -70,13 +70,6 @@ def preference_space_size(n: int) -> int:
     return total
 
 
-def _compiled_valid(instance: ProblemInstance) -> Compiled:
-    violations = validate_instance(instance)
-    if violations:
-        raise ValidationError(violations)
-    return Compiled.from_instance(instance)
-
-
 def _held_contract(compiled: Compiled, mask: int, student_index: int) -> Optional[Contract]:
     own = mask & compiled.student_mask[student_index]
     if not own:
@@ -97,7 +90,7 @@ def find_profitable_misreport(
     Returns the first profitable misreport in enumeration order, or ``None``
     after exhausting the space. Refuses if the space exceeds ``cap``.
     """
-    compiled = _compiled_valid(instance)
+    compiled = _validated(instance)
     si = compiled.student_index[student]
     truth = instance.preferences[student]
     truth_held = _held_contract(compiled, _outcome_under(compiled), si)
@@ -137,7 +130,7 @@ def find_group_misreport(
     if len(members) > max_coalition:
         raise SearchCapExceededError(len(members), max_coalition, "coalition size")
 
-    compiled = _compiled_valid(instance)
+    compiled = _validated(instance)
     indices = [compiled.student_index[s] for s in members]
     truths = [instance.preferences[s] for s in members]
     truth_mask = _outcome_under(compiled)

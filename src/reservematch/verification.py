@@ -5,8 +5,9 @@ contracts, schools would re-choose exactly what they hold, and no school can
 assemble a blocking set of contracts that it would accept and whose students
 would all take. The axiom checkers run a choice function over every subset of
 a contract pool and verify rejection irrelevance, substitutability, the law
-of aggregate demand, and the completion relationship; they are exhaustive or
-they refuse, never sampled.
+of aggregate demand, and the completion relationship. They read a
+:class:`ChoiceTable`, built once per choice function and pool, and the
+builders are exhaustive or they refuse, never sampled.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from ._engine import Compiled
-from .choice import SchoolConfig, completion_choice, dynamic_reserves_choice
+from ._engine import Compiled, bits
+from .choice import SchoolConfig, dynamic_reserves_choice
 from .errors import InvalidInputError, SearchCapExceededError
 from .instance import ProblemInstance
 from .model import Contract
@@ -31,20 +32,10 @@ __all__ = [
     "check_substitutability",
     "check_lad",
     "check_completion",
-    "choice_handle",
-    "completion_handle",
+    "ChoiceTable",
+    "tabulate",
+    "tabulate_school",
 ]
-
-ChoiceHandle = Callable[[frozenset], frozenset]
-
-
-def choice_handle(config: SchoolConfig) -> ChoiceHandle:
-    """Wrap a school config's overall choice as a plain set-to-set function."""
-    return lambda offers: dynamic_reserves_choice(offers, config)[0]
-
-
-def completion_handle(config: SchoolConfig) -> ChoiceHandle:
-    return lambda offers: completion_choice(offers, config)[0]
 
 
 @dataclass(frozen=True)
@@ -196,117 +187,128 @@ class PropertyCheck:
         return self.holds
 
 
-def _tabulate(
-    choice: ChoiceHandle, contracts: Iterable[Contract], mode: str, cap: int
-) -> tuple[list[Contract], list[frozenset]]:
+@dataclass(frozen=True)
+class ChoiceTable:
+    """A choice function evaluated on every subset of a contract pool.
+
+    ``pool`` is sorted; bit ``i`` of a subset mask stands for ``pool[i]``, and
+    ``chosen[m]`` is the mask of the contracts chosen from subset ``m``. Build
+    one with :func:`tabulate_school` or :func:`tabulate` and hand the same
+    table to every axiom check.
+    """
+
+    pool: tuple[Contract, ...]
+    chosen: tuple[int, ...]
+
+    def subset(self, mask: int) -> frozenset:
+        return frozenset(self.pool[i] for i in bits(mask))
+
+
+def _sorted_pool(contracts: Iterable[Contract], mode: str, cap: int) -> tuple[Contract, ...]:
     if mode != "exhaustive":
         raise InvalidInputError(f"unsupported mode {mode!r}; only exhaustive runs are sound")
-    pool = sorted(set(contracts))
-    n = len(pool)
-    if 2**n > cap:
-        raise SearchCapExceededError(2**n, cap, "subset enumeration")
-    table = []
-    for mask in range(2**n):
-        offers = frozenset(pool[i] for i in range(n) if (mask >> i) & 1)
-        table.append(frozenset(choice(offers)))
-    return pool, table
+    pool = tuple(sorted(set(contracts)))
+    if 2 ** len(pool) > cap:
+        raise SearchCapExceededError(2 ** len(pool), cap, "subset enumeration")
+    return pool
 
 
-def check_irc(
-    choice: ChoiceHandle,
+def tabulate_school(
+    config: SchoolConfig,
+    contracts: Iterable[Contract],
+    completion: bool = False,
+    mode: str = "exhaustive",
+    cap: int = 1 << 14,
+) -> ChoiceTable:
+    """Tabulate a school's overall choice (or, with ``completion``, its
+    completion) over every subset of ``contracts`` on the bitmask engine.
+    The engine compiles the sorted pool, so a subset mask is an engine mask."""
+    pool = _sorted_pool(contracts, mode, cap)
+    if any(c.school != config.school for c in pool):
+        raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
+    students = sorted({c.student for c in pool})
+    school = Compiled(pool, students, [config], {}).schools[0]
+    return ChoiceTable(
+        pool, tuple(school.choose(m, completion)[0] for m in range(1 << len(pool)))
+    )
+
+
+def tabulate(
+    choice: Callable[[frozenset], Iterable[Contract]],
     contracts: Iterable[Contract],
     mode: str = "exhaustive",
     cap: int = 1 << 14,
-) -> PropertyCheck:
+) -> ChoiceTable:
+    """Tabulate any set-to-set choice function over every subset of
+    ``contracts``. A choice may only pick from its offer set."""
+    pool = _sorted_pool(contracts, mode, cap)
+    index = {c: i for i, c in enumerate(pool)}
+    table = []
+    for mask in range(1 << len(pool)):
+        offers = frozenset(pool[i] for i in bits(mask))
+        picked = frozenset(choice(offers))
+        if not picked <= offers:
+            raise InvalidInputError(
+                f"choice picked {sorted(picked - offers)} from outside its offers"
+            )
+        table.append(sum(1 << index[c] for c in picked))
+    return ChoiceTable(pool, tuple(table))
+
+
+def check_irc(table: ChoiceTable) -> PropertyCheck:
     """Irrelevance of rejected contracts: dropping a rejected contract from
     the offer set never changes what is chosen. Counterexample: (Y, z) with
     z rejected from Y + z yet C(Y) != C(Y + z)."""
-    pool, table = _tabulate(choice, contracts, mode, cap)
-    n = len(pool)
-    for mask in range(2**n):
-        chosen = table[mask]
-        for z in range(n):
-            if not (mask >> z) & 1:
-                continue
-            if pool[z] in chosen:
-                continue
+    chosen = table.chosen
+    for mask, picked in enumerate(chosen):
+        for z in bits(mask & ~picked):
             without = mask & ~(1 << z)
-            if table[without] != chosen:
-                y = frozenset(pool[i] for i in range(n) if (without >> i) & 1)
-                return PropertyCheck(False, (y, pool[z]))
+            if chosen[without] != picked:
+                return PropertyCheck(False, (table.subset(without), table.pool[z]))
     return PropertyCheck(True)
 
 
-def check_substitutability(
-    choice: ChoiceHandle,
-    contracts: Iterable[Contract],
-    mode: str = "exhaustive",
-    cap: int = 1 << 14,
-) -> PropertyCheck:
+def check_substitutability(table: ChoiceTable) -> PropertyCheck:
     """A contract rejected from an offer set stays rejected when the set
     grows. Counterexample: (Y, z, z2) with z rejected from Y + z but chosen
     from Y + z + z2."""
-    pool, table = _tabulate(choice, contracts, mode, cap)
-    n = len(pool)
-    for mask in range(2**n):
-        chosen = table[mask]
-        for z in range(n):
-            if not (mask >> z) & 1 or pool[z] in chosen:
-                continue
-            for extra in range(n):
-                if (mask >> extra) & 1:
-                    continue
-                if pool[z] in table[mask | (1 << extra)]:
-                    y = frozenset(
-                        pool[i] for i in range(n) if (mask >> i) & 1 and i != z
-                    )
+    chosen, pool = table.chosen, table.pool
+    full = len(chosen) - 1
+    for mask, picked in enumerate(chosen):
+        for z in bits(mask & ~picked):
+            for extra in bits(full & ~mask):
+                if (chosen[mask | (1 << extra)] >> z) & 1:
+                    y = table.subset(mask & ~(1 << z))
                     return PropertyCheck(False, (y, pool[z], pool[extra]))
     return PropertyCheck(True)
 
 
-def check_lad(
-    choice: ChoiceHandle,
-    contracts: Iterable[Contract],
-    mode: str = "exhaustive",
-    cap: int = 1 << 14,
-) -> PropertyCheck:
+def check_lad(table: ChoiceTable) -> PropertyCheck:
     """Law of aggregate demand: larger offer sets never yield fewer chosen
     contracts. Single-element extensions are checked, which covers every
     nested pair by chaining. Counterexample: (Y, Y + z)."""
-    pool, table = _tabulate(choice, contracts, mode, cap)
-    n = len(pool)
-    for mask in range(2**n):
-        size = len(table[mask])
-        for z in range(n):
-            if (mask >> z) & 1:
-                continue
-            if len(table[mask | (1 << z)]) < size:
-                y = frozenset(pool[i] for i in range(n) if (mask >> i) & 1)
-                return PropertyCheck(False, (y, y | {pool[z]}))
+    chosen = table.chosen
+    full = len(chosen) - 1
+    for mask, picked in enumerate(chosen):
+        size = picked.bit_count()
+        for z in bits(full & ~mask):
+            if chosen[mask | (1 << z)].bit_count() < size:
+                y = table.subset(mask)
+                return PropertyCheck(False, (y, y | {table.pool[z]}))
     return PropertyCheck(True)
 
 
-def check_completion(
-    base: ChoiceHandle,
-    candidate: ChoiceHandle,
-    contracts: Iterable[Contract],
-    mode: str = "exhaustive",
-    cap: int = 1 << 14,
-) -> PropertyCheck:
+def check_completion(base: ChoiceTable, candidate: ChoiceTable) -> PropertyCheck:
     """``candidate`` completes ``base`` when, on every offer set, it either
     agrees with ``base`` exactly or selects two contracts of one student.
     Counterexample: the offending offer set."""
-    pool, base_table = _tabulate(base, contracts, mode, cap)
-    _, cand_table = _tabulate(candidate, contracts, mode, cap)
-    n = len(pool)
-    for mask in range(2**n):
-        picked = cand_table[mask]
-        if picked == base_table[mask]:
+    if base.pool != candidate.pool:
+        raise InvalidInputError("completion check needs two tables over the same pool")
+    for mask, (picked, expected) in enumerate(zip(candidate.chosen, base.chosen)):
+        if picked == expected:
             continue
-        students = [c.student for c in picked]
+        students = [base.pool[i].student for i in bits(picked)]
         if len(set(students)) < len(students):
             continue
-        return PropertyCheck(
-            False, (frozenset(pool[i] for i in range(n) if (mask >> i) & 1),)
-        )
+        return PropertyCheck(False, (base.subset(mask),))
     return PropertyCheck(True)

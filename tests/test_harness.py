@@ -237,6 +237,16 @@ def test_cli_audit_parallel_workers_match_sequential(capsys, tmp_path, monkeypat
     assert seq.read_bytes() == par.read_bytes()
 
 
+def test_cli_audit_rejects_a_non_integer_worker_count(capsys, monkeypatch):
+    from reservematch.cli import WORKERS_ENV
+
+    monkeypatch.setenv(WORKERS_ENV, "two")
+    code, out, err = run_cli(capsys, "audit", "--seed", "5", "--count", "2")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {WORKERS_ENV} must be an integer, got 'two'"]
+
+
 def test_cli_compare_against_the_rigid_baseline(capsys, tmp_path, ex1, X):
     # demand only for third-type seats: the baseline wastes both reserved slots
     prefs = {s: rm.PreferenceOrder(s, ()) for s in ex1.students}

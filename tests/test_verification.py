@@ -92,18 +92,33 @@ def _drop_on_growth(offers):
     return frozenset(offers[: max(0, 2 - len(offers) + 1)])
 
 
+def _reference_table(cfg, pool, completion):
+    choice = rm.completion_choice if completion else rm.dynamic_reserves_choice
+    return rm.tabulate(lambda offers: choice(offers, cfg)[0], pool)
+
+
+def test_engine_tables_match_the_reference_choice_on_every_subset(ex1, ex1_config):
+    schools = [(ex1_config, sorted(ex1.contracts))]
+    schools += [rm.generate_school_pool(seed) for seed in range(1000, 1100)]
+    schools += [rm.generate_school_pool(seed) for seed in range(9100, 9120)]
+    for cfg, pool in schools:
+        for completion in (False, True):
+            assert rm.tabulate_school(cfg, pool, completion) == _reference_table(
+                cfg, pool, completion
+            ), (cfg, completion)
+
+
 def test_completion_satisfies_the_three_axioms_on_the_worked_example(ex1, ex1_config):
-    pool = sorted(ex1.contracts)
-    comp = rm.completion_handle(ex1_config)
-    assert rm.check_irc(comp, pool).holds
-    assert rm.check_substitutability(comp, pool).holds
-    assert rm.check_lad(comp, pool).holds
+    comp = rm.tabulate_school(ex1_config, ex1.contracts, completion=True)
+    assert rm.check_irc(comp).holds
+    assert rm.check_substitutability(comp).holds
+    assert rm.check_lad(comp).holds
 
 
 def test_completion_relationship_holds_on_the_worked_example(ex1, ex1_config, X):
     pool = sorted(ex1.contracts)
     check = rm.check_completion(
-        rm.choice_handle(ex1_config), rm.completion_handle(ex1_config), pool
+        rm.tabulate_school(ex1_config, pool), rm.tabulate_school(ex1_config, pool, completion=True)
     )
     assert check.holds
     # the two-contracts-for-one-student branch is really exercised
@@ -113,26 +128,26 @@ def test_completion_relationship_holds_on_the_worked_example(ex1, ex1_config, X)
 
 
 def test_overall_choice_satisfies_irc_on_the_worked_example(ex1, ex1_config):
-    assert rm.check_irc(rm.choice_handle(ex1_config), sorted(ex1.contracts)).holds
+    assert rm.check_irc(rm.tabulate_school(ex1_config, ex1.contracts)).holds
 
 
 def test_overall_choice_satisfies_irc_on_generated_schools():
     for k in range(20):
         cfg, contracts = rm.generate_school_pool(9100 + k)
-        assert rm.check_irc(rm.choice_handle(cfg), contracts).holds, k
+        assert rm.check_irc(rm.tabulate_school(cfg, contracts)).holds, k
 
 
 def test_overall_choice_substitutability_is_recorded_not_asserted(ex1, ex1_config):
     # the overall choice is only claimed to be substitutable after completion;
     # record what the worked example does either way
-    result = rm.check_substitutability(rm.choice_handle(ex1_config), sorted(ex1.contracts))
+    result = rm.check_substitutability(rm.tabulate_school(ex1_config, ex1.contracts))
     assert isinstance(result.holds, bool)
     print(f"overall-choice substitutability on the worked example: {result.holds}")
 
 
 def test_parity_choice_fails_irc_with_a_counterexample(ex1):
     pool = sorted(ex1.contracts)[:4]
-    check = rm.check_irc(_parity_choice, pool)
+    check = rm.check_irc(rm.tabulate(_parity_choice, pool))
     assert not check.holds
     y, z = check.counterexample
     assert z not in _parity_choice(y | {z})
@@ -141,7 +156,7 @@ def test_parity_choice_fails_irc_with_a_counterexample(ex1):
 
 def test_parity_choice_fails_substitutability_with_a_counterexample(ex1):
     pool = sorted(ex1.contracts)[:4]
-    check = rm.check_substitutability(_parity_choice, pool)
+    check = rm.check_substitutability(rm.tabulate(_parity_choice, pool))
     assert not check.holds
     y, z, extra = check.counterexample
     assert z not in _parity_choice(y | {z})
@@ -150,7 +165,7 @@ def test_parity_choice_fails_substitutability_with_a_counterexample(ex1):
 
 def test_shrinking_choice_fails_lad_with_the_pair(ex1):
     pool = sorted(ex1.contracts)[:4]
-    check = rm.check_lad(_drop_on_growth, pool)
+    check = rm.check_lad(rm.tabulate(_drop_on_growth, pool))
     assert not check.holds
     smaller, bigger = check.counterexample
     assert smaller < bigger
@@ -158,37 +173,50 @@ def test_shrinking_choice_fails_lad_with_the_pair(ex1):
 
 
 def test_empty_pool_is_vacuously_clean():
-    assert rm.check_irc(_parity_choice, []).holds
-    assert rm.check_substitutability(_parity_choice, []).holds
-    assert rm.check_lad(_parity_choice, []).holds
+    table = rm.tabulate(_parity_choice, [])
+    assert rm.check_irc(table).holds
+    assert rm.check_substitutability(table).holds
+    assert rm.check_lad(table).holds
 
 
 def test_constant_empty_choice_satisfies_lad(ex1):
-    assert rm.check_lad(lambda offers: frozenset(), sorted(ex1.contracts)).holds
+    assert rm.check_lad(rm.tabulate(lambda offers: frozenset(), ex1.contracts)).holds
 
 
 def test_single_contract_domain_is_vacuously_substitutable(X):
-    assert rm.check_substitutability(lambda offers: frozenset(), [X.x1]).holds
+    assert rm.check_substitutability(rm.tabulate(lambda offers: frozenset(), [X.x1])).holds
 
 
 def test_broken_completion_candidate_is_rejected(ex1, ex1_config):
-    base = rm.choice_handle(ex1_config)
-
     def pruned(offers):  # one contract per student but not the base choice
-        full = base(offers)
+        full, _ = rm.dynamic_reserves_choice(offers, ex1_config)
         return frozenset(sorted(full)[:1])
 
-    check = rm.check_completion(base, pruned, sorted(ex1.contracts))
+    base = rm.tabulate_school(ex1_config, ex1.contracts)
+    check = rm.check_completion(base, rm.tabulate(pruned, ex1.contracts))
     assert not check.holds
 
 
 def test_identical_choices_complete_trivially(ex1, ex1_config):
-    base = rm.choice_handle(ex1_config)
-    assert rm.check_completion(base, base, sorted(ex1.contracts)).holds
+    base = rm.tabulate_school(ex1_config, ex1.contracts)
+    assert rm.check_completion(base, base).holds
 
 
-def test_axiom_checkers_refuse_oversized_pools(ex1):
-    with pytest.raises(rm.SearchCapExceededError):
-        rm.check_irc(_parity_choice, sorted(ex1.contracts), cap=16)
+def test_table_builders_refuse_choices_outside_their_domain(ex1, ex1_config, X):
     with pytest.raises(rm.InvalidInputError):
-        rm.check_irc(_parity_choice, sorted(ex1.contracts), mode="sampled")
+        rm.tabulate(lambda offers: frozenset({X.x1}), [X.y2])  # picks an unoffered contract
+    other = rm.Contract("i", "elsewhere", "t1")
+    with pytest.raises(rm.InvalidInputError):
+        rm.tabulate_school(ex1_config, [X.x1, other])
+
+
+def test_axiom_checkers_refuse_oversized_pools(ex1, ex1_config):
+    pool = sorted(ex1.contracts)
+    with pytest.raises(rm.SearchCapExceededError):
+        rm.tabulate(_parity_choice, pool, cap=16)
+    with pytest.raises(rm.InvalidInputError):
+        rm.tabulate(_parity_choice, pool, mode="sampled")
+    with pytest.raises(rm.SearchCapExceededError):
+        rm.tabulate_school(ex1_config, pool, cap=16)
+    with pytest.raises(rm.InvalidInputError):
+        rm.tabulate_school(ex1_config, pool, mode="sampled")
