@@ -20,6 +20,7 @@ from .choice import (
     SchoolConfig,
     SlotSpecificSchool,
     TableScheme,
+    capacity_table,
     check_monotonic,
     completion_choice,
     convert_slot_specific,

@@ -27,6 +27,7 @@ __all__ = [
     "GroupRecord",
     "ChoiceTrace",
     "MonotonicityReport",
+    "capacity_table",
     "check_monotonic",
     "sub_choice",
     "dynamic_reserves_choice",
@@ -114,6 +115,18 @@ class TableScheme:
                 if any(r < 0 for r in vec) or cap < 0:
                     raise InvalidInputError(f"group {k}: negative entry in {vec} -> {cap}")
 
+    @classmethod
+    def pinned(
+        cls, table: Mapping[tuple[int, ...], int], targets: tuple[int, ...]
+    ) -> TableScheme:
+        """The scheme granting a :func:`capacity_table`, listing only the
+        entries that differ from the group's target."""
+        entries: dict[int, dict[tuple[int, ...], int]] = {}
+        for vec, cap in table.items():
+            if cap != targets[len(vec)]:
+                entries.setdefault(len(vec), {})[vec] = cap
+        return cls(entries)
+
     def capacity(self, k: int, residuals: tuple[int, ...], targets: tuple[int, ...]) -> int:
         if k == 0:
             return targets[0]
@@ -185,6 +198,11 @@ class ChoiceTrace:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
+    """Verdict of :func:`check_monotonic`. On failure, ``low`` and ``high``
+    are the first violating unit step (``high`` raises one coordinate of
+    ``low`` by one) for ``group``, and ``condition`` names the condition
+    that fails there."""
+
     ok: bool
     group: Optional[int] = None
     low: Optional[tuple[int, ...]] = None
@@ -195,9 +213,48 @@ class MonotonicityReport:
         return self.ok
 
 
-def _pair_count(groups: int, bound: int) -> int:
-    per_coordinate = (bound + 1) * (bound + 2) // 2
-    return sum(per_coordinate ** (k - 1) for k in range(2, groups + 1))
+def capacity_table(
+    scheme: CapacityTransferScheme, targets: tuple[int, ...], bound: int
+) -> dict[tuple[int, ...], int]:
+    """The scheme read over its bounded residual domain.
+
+    Maps every residual vector ``v`` in ``[0, bound]^k`` to the capacity of
+    group ``k = len(v)``, for groups 1 to G-1 (group 0 always runs at its
+    target). Keys run in group order, then lexicographically, so every
+    vector's prefixes come before it.
+    """
+    return {
+        vec: scheme.capacity(k, vec, targets)
+        for k in range(1, len(targets))
+        for vec in itertools.product(range(bound + 1), repeat=k)
+    }
+
+
+def _require_steps(groups: int, bound: int, cap: int = 2_000_000) -> None:
+    """Refuse a check of more than ``cap`` unit steps ``(v, v + e_i)``
+    inside ``[0, bound]^k``, over groups 1 to G-1."""
+    needed = sum(k * bound * (bound + 1) ** (k - 1) for k in range(1, groups))
+    if needed > cap:
+        raise SearchCapExceededError(needed, cap, "monotonicity step enumeration")
+
+
+def _table_report(table: Mapping[tuple[int, ...], int], bound: int) -> MonotonicityReport:
+    """Check both monotonicity conditions on a :func:`capacity_table`, one
+    unit step at a time, and return the first violating step.
+    ``cumulative[v]`` is ``sum_{m<=len(v)} cap_m(v[:m])``."""
+    cumulative = {(): 0}
+    for vec, cap in table.items():
+        cumulative[vec] = cumulative[vec[:-1]] + cap
+    for low, cap in table.items():
+        for i, r in enumerate(low):
+            if r == bound:
+                continue
+            high = low[:i] + (r + 1,) + low[i + 1 :]
+            if table[high] < cap:
+                return MonotonicityReport(False, len(low), low, high, condition=1)
+            if cumulative[high] - cumulative[low] > 1:
+                return MonotonicityReport(False, len(low), low, high, condition=2)
+    return MonotonicityReport(True)
 
 
 def check_monotonic(
@@ -208,37 +265,32 @@ def check_monotonic(
 ) -> MonotonicityReport:
     """Exhaustively verify both monotonicity conditions over ``[0, bound]``.
 
-    For every group and every componentwise-ordered pair of residual vectors
-    the dynamic capacity must not shrink, and the cumulative capacity gain up
-    to any group must not exceed the extra vacancies feeding it. Returns the
-    first violating pair, scanning vectors in lexicographic order. Raises
-    :class:`SearchCapExceededError` rather than sampling when the pair space
-    is too large to enumerate.
+    For every group ``k`` and every componentwise-ordered pair ``low <= high``
+    of residual vectors, (1) the dynamic capacity ``cap_k`` must not shrink,
+    and (2) the cumulative capacity gain ``sum_{m<=k} cap_m`` must not exceed
+    the extra vacancies ``sum(high) - sum(low)`` feeding it.
+
+    It suffices to check the unit steps ``(v, v + e_i)`` inside the box.
+    Condition 1 says ``cap_k`` is non-decreasing on the grid, and condition 2
+    says ``g_k(v) = sum_{m<=k} cap_m(v[:m]) - sum(v)`` is non-increasing.
+    Any ``low <= high`` in the box is joined by a chain of unit steps that
+    stays in the box (raise one coordinate at a time), and the change of
+    either function along the chain telescopes into the sum of its step
+    changes, so a function that moves the right way on every step moves the
+    right way between every ordered pair. On a step that raises coordinate
+    ``i`` the groups ``m <= i`` see the same prefix, so condition 2 reads
+    ``sum_{m=i+1..k} (cap_m(high[:m]) - cap_m(low[:m])) <= 1``.
+
+    Returns the first violating unit step as the witness (``low`` and
+    ``high = low + e_i``), scanning groups in order, vectors in lexicographic
+    order and coordinates left to right. Raises
+    :class:`SearchCapExceededError` rather than sampling when there are more
+    than ``pair_cap`` steps to check.
     """
-    groups = len(targets)
     if bound < 0:
         raise InvalidInputError("bound must be non-negative")
-    needed = _pair_count(groups, bound)
-    if needed > pair_cap:
-        raise SearchCapExceededError(needed, pair_cap, "monotonicity pair enumeration")
-
-    cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def cap(k: int, vec: tuple[int, ...]) -> int:
-        key = (k, vec)
-        if key not in cache:
-            cache[key] = scheme.capacity(k, vec, targets)
-        return cache[key]
-
-    for k in range(1, groups):
-        for low in itertools.product(range(bound + 1), repeat=k):
-            for high in itertools.product(*(range(r, bound + 1) for r in low)):
-                if cap(k, high) < cap(k, low):
-                    return MonotonicityReport(False, k, low, high, condition=1)
-                gain = sum(cap(m, high[:m]) - cap(m, low[:m]) for m in range(1, k + 1))
-                if gain > sum(high) - sum(low):
-                    return MonotonicityReport(False, k, low, high, condition=2)
-    return MonotonicityReport(True)
+    _require_steps(len(targets), bound, pair_cap)
+    return _table_report(capacity_table(scheme, targets, bound), bound)
 
 
 def _ranked_by_priority(

@@ -92,6 +92,14 @@ def _scheme_to_doc(scheme) -> dict:
     raise InstanceFormatError(f"unserializable scheme {type(scheme).__name__}")
 
 
+def _int_tuple(value: object, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise InstanceFormatError("expected a list of integers", where)
+    return tuple(value)
+
+
 def _scheme_from_doc(doc: dict, groups: int, where: str):
     kind = _expect(doc, "kind", str, where)
     if kind == "forward_sum":
@@ -100,14 +108,15 @@ def _scheme_from_doc(doc: dict, groups: int, where: str):
             raise InstanceFormatError(
                 f"donor list covers {len(donors)} groups, school has {groups}", f"{where}.donors"
             )
-        return ForwardSumScheme(tuple(tuple(sorted(d)) for d in donors))
+        rows = [_int_tuple(d, f"{where}.donors[{k}]") for k, d in enumerate(donors)]
+        return ForwardSumScheme(tuple(tuple(sorted(d)) for d in rows))
     if kind == "table":
         rows = _expect(doc, "entries", list, where)
         entries: dict[int, dict[tuple[int, ...], int]] = {}
         for n, row in enumerate(rows):
             here = f"{where}.entries[{n}]"
             k = _expect(row, "group", int, here)
-            vec = tuple(_expect(row, "residuals", list, here))
+            vec = _int_tuple(_expect(row, "residuals", list, here), f"{here}.residuals")
             cap = _expect(row, "capacity", int, here)
             if k < 1 or k >= groups:
                 raise InstanceFormatError(f"group {k} out of range", here)

@@ -7,7 +7,6 @@ donor group feeds at most one recipient) and re-verified anyway.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -17,7 +16,8 @@ from .choice import (
     SchoolConfig,
     SlotSpecificSchool,
     TableScheme,
-    check_monotonic,
+    _table_report,
+    capacity_table,
 )
 from .errors import InvalidInputError
 from .instance import ProblemInstance, validate_instance
@@ -58,20 +58,6 @@ class GeneratorParams:
             raise InvalidInputError("acceptability must be a probability")
 
 
-def _tableize(capacity_fn, targets: tuple[int, ...], bound: int, groups: int) -> TableScheme:
-    """Pin a capacity rule pointwise over the bounded residual domain."""
-    entries = {}
-    for k in range(1, groups):
-        table = {}
-        for vec in itertools.product(range(bound + 1), repeat=k):
-            cap = capacity_fn(k, vec)
-            if cap != targets[k]:
-                table[vec] = cap
-        if table:
-            entries[k] = table
-    return TableScheme(entries)
-
-
 def _random_scheme(rng: random.Random, groups: int, targets: tuple[int, ...], family: str):
     if family == "mixed":
         family = rng.choice(("forward_sum", "table", "constant"))
@@ -85,8 +71,7 @@ def _random_scheme(rng: random.Random, groups: int, targets: tuple[int, ...], fa
     scheme = ForwardSumScheme(tuple(tuple(sorted(d)) for d in donors))
     if family == "forward_sum":
         return scheme
-    bound = sum(targets)
-    return _tableize(lambda k, vec: scheme.capacity(k, vec, targets), targets, bound, groups)
+    return TableScheme.pinned(capacity_table(scheme, targets, sum(targets)), targets)
 
 
 def _random_precedence(rng: random.Random, types: tuple[str, ...], extra_groups: int) -> list[str]:
@@ -144,9 +129,8 @@ def generate_random_instance(params: GeneratorParams) -> ProblemInstance:
         claims[s] = frozenset(rng.sample(types, size))
     profile = TypeProfile(types, claims)
 
-    contracts = frozenset(
-        Contract(s, sc, t) for s in students for sc in schools for t in sorted(claims[s])
-    )
+    own = {s: sorted(Contract(s, sc, t) for sc in schools for t in claims[s]) for s in students}
+    contracts = frozenset(c for s in students for c in own[s])
 
     configs = tuple(
         _random_school(
@@ -157,8 +141,7 @@ def generate_random_instance(params: GeneratorParams) -> ProblemInstance:
 
     preferences = {}
     for s in students:
-        own = sorted(c for c in contracts if c.student == s)
-        liked = [c for c in own if rng.random() < params.acceptability]
+        liked = [c for c in own[s] if rng.random() < params.acceptability]
         rng.shuffle(liked)
         preferences[s] = PreferenceOrder(s, tuple(liked))
 
@@ -248,28 +231,21 @@ def unit_flexibility_pair(
         bound = cfg.capacity
         receivers = list(range(1, cfg.group_count))
         rng.shuffle(receivers)
+        constant = capacity_table(TableScheme({}), cfg.targets, bound)
         for receiver in receivers:
-
-            def rigid_cap(k, vec, receiver=receiver):
-                if k == receiver:
-                    return cfg.targets[k] + max(0, sum(vec) - 1)
-                return cfg.targets[k]
-
-            rigid_scheme = _tableize(rigid_cap, cfg.targets, bound, cfg.group_count)
-            if not check_monotonic(rigid_scheme, cfg.targets, bound).ok:
+            rigid = {
+                vec: (cap + max(0, sum(vec) - 1)) if len(vec) == receiver else cap
+                for vec, cap in constant.items()
+            }
+            if not _table_report(rigid, bound).ok:
                 continue
             donor_coords = list(range(receiver))
             rng.shuffle(donor_coords)
             for j in donor_coords:
                 bump = tuple(1 if i == j else 0 for i in range(receiver))
-
-                def flex_cap(k, vec, receiver=receiver, bump=bump):
-                    extra = 1 if (k == receiver and vec == bump) else 0
-                    return rigid_cap(k, vec, receiver) + extra
-
-                flex_scheme = _tableize(flex_cap, cfg.targets, bound, cfg.group_count)
-                if check_monotonic(flex_scheme, cfg.targets, bound).ok:
-                    rigid = instance.with_school(replace(cfg, scheme=rigid_scheme))
-                    flexible = instance.with_school(replace(cfg, scheme=flex_scheme))
-                    return rigid, flexible
+                flexible = {**rigid, bump: rigid[bump] + 1}
+                if _table_report(flexible, bound).ok:
+                    rigid_cfg = replace(cfg, scheme=TableScheme.pinned(rigid, cfg.targets))
+                    flex_cfg = replace(cfg, scheme=TableScheme.pinned(flexible, cfg.targets))
+                    return instance.with_school(rigid_cfg), instance.with_school(flex_cfg)
     return None

@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._engine import Compiled
-from .choice import SchoolConfig, TableScheme, check_monotonic, dynamic_reserves_choice
+from .choice import (
+    SchoolConfig,
+    TableScheme,
+    _require_steps,
+    _table_report,
+    capacity_table,
+    dynamic_reserves_choice,
+)
 from .cop import _validated, run_cop_default
 from .errors import InvalidInputError, SearchCapExceededError
 from .instance import ProblemInstance
@@ -241,35 +248,13 @@ def _assignment_of(allocation: frozenset, student: str) -> Optional[Contract]:
 # flexibility comparison and the vacancy-chain algorithm
 
 
-def _domain(groups: int, bound: int):
-    for k in range(1, groups):
-        for vec in itertools.product(range(bound + 1), repeat=k):
-            yield k, vec
-
-
 def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> bool:
     """True when ``first`` grants every group at least the capacity ``second``
     does at every residual vector in the bounded domain, with at least one
     strict gain. Both schemes are assumed monotone with matching targets."""
-    strict = False
-    for k, vec in _domain(len(targets), bound):
-        a = first.capacity(k, vec, targets)
-        b = second.capacity(k, vec, targets)
-        if a < b:
-            return False
-        if a > b:
-            strict = True
-    return strict
-
-
-def _single_scheme_change(
-    rigid: ProblemInstance, flexible: ProblemInstance
-) -> tuple[str, SchoolConfig, SchoolConfig]:
-    changed = _changed_schools(rigid, flexible)
-    if len(changed) != 1:
-        raise InvalidInputError(f"expected exactly one school to change, got {changed}")
-    sid = changed[0]
-    return sid, rigid.school(sid), flexible.school(sid)
+    a = capacity_table(first, targets, bound)
+    b = capacity_table(second, targets, bound)
+    return a != b and all(a[vec] >= b[vec] for vec in a)
 
 
 def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> list[str]:
@@ -280,6 +265,8 @@ def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> list[
     ids = [cfg.school for cfg in rigid.schools]
     if ids != [cfg.school for cfg in flexible.schools]:
         raise InvalidInputError("instances list different schools")
+    # a school changes when its scheme grants a different capacity somewhere
+    # in the residual domain, not merely when the scheme is written otherwise
     changed = []
     for a, b in zip(rigid.schools, flexible.schools):
         if (a.priority, a.precedence, a.targets, a.capacity) != (
@@ -289,31 +276,13 @@ def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> list[
             b.capacity,
         ):
             raise InvalidInputError(f"school {a.school}: only the scheme may differ")
-        if a.scheme != b.scheme:
+        if a.scheme != b.scheme and _school_table(a) != _school_table(b):
             changed.append(a.school)
     return changed
 
 
-def _unit_increment_point(
-    rigid_cfg: SchoolConfig, flex_cfg: SchoolConfig
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The single residual-domain point where the flexible scheme grants one
-    extra seat; ``None`` when the schemes agree on the whole domain."""
-    bound = rigid_cfg.capacity
-    diffs = []
-    for k, vec in _domain(rigid_cfg.group_count, bound):
-        a = rigid_cfg.scheme.capacity(k, vec, rigid_cfg.targets)
-        b = flex_cfg.scheme.capacity(k, vec, flex_cfg.targets)
-        if b != a:
-            diffs.append((k, vec, b - a))
-    if not diffs:
-        return None
-    if len(diffs) > 1 or diffs[0][2] != 1:
-        raise InvalidInputError(
-            "schemes must differ by a single unit increment; found "
-            + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
-        )
-    return diffs[0][0], diffs[0][1]
+def _school_table(cfg: SchoolConfig) -> dict[tuple[int, ...], int]:
+    return capacity_table(cfg.scheme, cfg.targets, cfg.capacity)
 
 
 def improvement_chains(
@@ -339,9 +308,16 @@ def improvement_chains(
     result equals the mechanism outcome under ``flexible``.
     """
     z = frozenset(z)
-    _, rigid_cfg, flex_cfg = _single_scheme_change(rigid, flexible)
-    if _unit_increment_point(rigid_cfg, flex_cfg) is None:
-        return z
+    changed = _changed_schools(rigid, flexible)
+    if len(changed) != 1:
+        raise InvalidInputError(f"expected exactly one school to change, got {changed}")
+    a, b = (_school_table(inst.school(changed[0])) for inst in (rigid, flexible))
+    diffs = [(len(vec), vec, b[vec] - a[vec]) for vec in a if b[vec] != a[vec]]
+    if len(diffs) != 1 or diffs[0][2] != 1:
+        raise InvalidInputError(
+            "schemes must differ by a single unit increment; found "
+            + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
+        )
 
     floor = {c.student: c for c in z}
     trimmed = {}
@@ -435,60 +411,38 @@ def check_flexibility_pareto(
     )
 
 
-def _full_table(cfg: SchoolConfig) -> dict[int, dict[tuple[int, ...], int]]:
-    bound = cfg.capacity
-    return {
-        k: {
-            vec: cfg.scheme.capacity(k, vec, cfg.targets)
-            for vec in itertools.product(range(bound + 1), repeat=k)
-        }
-        for k in range(1, cfg.group_count)
-    }
-
-
 def _unit_instances(
     working: ProblemInstance, target: ProblemInstance, sid: str
 ) -> Optional[list[ProblemInstance]]:
     """Instances stepping one seat at a time from ``working`` to ``target`` at
     school ``sid``; the last entry is ``target`` itself. Each round bumps the
-    first candidate point that keeps the intermediate table monotone (upper
+    first candidate point that keeps the capacity table monotone (upper
     corners of the gap first, necessarily, since a bump below an unlifted
     point would overshoot it). ``None`` when no monotone bump order exists.
+    Refuses, as :func:`check_monotonic` does, when one monotonicity check
+    would take more than 2 000 000 steps.
     """
     base_cfg = working.school(sid)
-    goal_cfg = target.school(sid)
-    table = _full_table(base_cfg)
-    goal = _full_table(goal_cfg)
-
-    def as_scheme(tab):
-        entries = {
-            k: {vec: cap for vec, cap in rows.items() if cap != base_cfg.targets[k]}
-            for k, rows in tab.items()
-        }
-        return TableScheme({k: rows for k, rows in entries.items() if rows})
+    bound = base_cfg.capacity
+    _require_steps(base_cfg.group_count, bound)
+    table = _school_table(base_cfg)
+    goal = _school_table(target.school(sid))
 
     intermediates: list[ProblemInstance] = []
     while table != goal:
-        candidates = [
-            (k, vec)
-            for k in sorted(goal)
-            for vec in sorted(goal[k])
-            if table[k][vec] < goal[k][vec]
-        ]
-        placed = None
-        for k, vec in candidates:
-            table[k][vec] += 1
-            scheme = as_scheme(table)
-            if check_monotonic(scheme, base_cfg.targets, base_cfg.capacity).ok:
-                placed = scheme
-                break
-            table[k][vec] -= 1
-        if placed is None:
+        for vec in goal:
+            if table[vec] < goal[vec]:
+                table[vec] += 1
+                if _table_report(table, bound).ok:
+                    break
+                table[vec] -= 1
+        else:
             return None
         if table == goal:
             intermediates.append(target)
         else:
-            intermediates.append(working.with_school(replace(base_cfg, scheme=placed)))
+            scheme = TableScheme.pinned(table, base_cfg.targets)
+            intermediates.append(working.with_school(replace(base_cfg, scheme=scheme)))
     return intermediates
 
 

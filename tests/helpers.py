@@ -64,3 +64,21 @@ def brute_is_stable(y: frozenset, instance: rm.ProblemInstance) -> bool:
 
 def brute_stable_set(instance: rm.ProblemInstance) -> list:
     return [y for y in enumerate_allocations(instance) if brute_is_stable(y, instance)]
+
+
+def brute_monotonic(scheme, targets: tuple, bound: int) -> rm.MonotonicityReport:
+    """Both monotonicity conditions checked on every componentwise-ordered
+    pair of residual vectors in ``[0, bound]^k``, for every group ``k``."""
+
+    def cap(k, vec):
+        return scheme.capacity(k, vec, targets)
+
+    for k in range(1, len(targets)):
+        for low in itertools.product(range(bound + 1), repeat=k):
+            for high in itertools.product(*(range(r, bound + 1) for r in low)):
+                if cap(k, high) < cap(k, low):
+                    return rm.MonotonicityReport(False, k, low, high, condition=1)
+                gain = sum(cap(m, high[:m]) - cap(m, low[:m]) for m in range(1, k + 1))
+                if gain > sum(high) - sum(low):
+                    return rm.MonotonicityReport(False, k, low, high, condition=2)
+    return rm.MonotonicityReport(True)

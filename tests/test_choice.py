@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import reservematch as rm
+from helpers import brute_monotonic
 from reservematch._engine import Compiled
 
 
@@ -97,6 +99,73 @@ def test_double_donation_is_not_certified_and_checked_exhaustively():
     # the second grant only forwards what the first recipient left unused
     assert scheme.capacity(2, (3, 5), (0, 0, 0)) == 3
     assert scheme.capacity(2, (3, 1), (0, 0, 0)) == 1
+
+
+def _perturbed_table_scheme(rng: random.Random):
+    """A forward-sum scheme pinned to a table, then nudged at a few points."""
+    groups = rng.randint(2, 4)
+    bound = rng.randint(0, 3)
+    targets = tuple(rng.randint(0, 2) for _ in range(groups))
+    donors = [()] + [
+        tuple(d for d in range(k) if rng.random() < 0.5) for k in range(1, groups)
+    ]
+    table = rm.capacity_table(rm.ForwardSumScheme(tuple(donors)), targets, bound)
+    keys = list(table)
+    for _ in range(rng.randint(0, 2)):
+        vec = rng.choice(keys)
+        table[vec] = max(0, table[vec] + rng.choice((-1, 1)))
+    return rm.TableScheme.pinned(table, targets), targets, bound
+
+
+def test_unit_steps_agree_with_all_pairs():
+    rng = random.Random(4242)
+    failing = 0
+    for _ in range(2000):
+        scheme, targets, bound = _perturbed_table_scheme(rng)
+        report = rm.check_monotonic(scheme, targets, bound)
+        assert report.ok == brute_monotonic(scheme, targets, bound).ok
+        if report.ok:
+            continue
+        failing += 1
+        # the witness is a unit step that violates the named condition
+        k, low, high = report.group, report.low, report.high
+        assert len(low) == len(high) == k
+        assert sorted(h - lo for lo, h in zip(low, high)) == [0] * (k - 1) + [1]
+        assert max(high) <= bound
+
+        def cap(m, vec):
+            return scheme.capacity(m, vec, targets)
+
+        if report.condition == 1:
+            assert cap(k, high) < cap(k, low)
+        else:
+            assert sum(cap(m, high[:m]) - cap(m, low[:m]) for m in range(1, k + 1)) > 1
+    assert 200 < failing < 1800
+
+
+def test_larger_domains_now_verify(ex1, ex1_config):
+    # six groups at capacity six: 17 847 788 ordered pairs, 81 234 unit steps
+    targets = (1, 1, 1, 1, 1, 1)
+    chain = rm.ForwardSumScheme(((), (0,), (1,), (2,), (3,), (4,)))
+    scheme = rm.TableScheme.pinned(rm.capacity_table(chain, targets, 6), targets)
+    cfg = replace(
+        ex1_config, capacity=6, precedence=("t1", "t2", "t3") * 2, targets=targets, scheme=scheme
+    )
+    assert rm.validate_instance(ex1.with_school(cfg)) == []
+    assert rm.check_monotonic(scheme, targets, bound=6).ok
+    with pytest.raises(rm.SearchCapExceededError) as err:
+        rm.check_monotonic(scheme, targets, bound=6, pair_cap=81_233)
+    assert err.value.needed == 81_234
+
+
+def test_capacity_table_reads_the_scheme_and_pins_back(ex1_config):
+    table = rm.capacity_table(ex1_config.scheme, ex1_config.targets, 2)
+    assert list(table)[:4] == [(0,), (1,), (2,), (0, 0)]
+    assert len(table) == 3 + 9
+    assert table[(1, 1)] == 2 and table[(2,)] == 1
+    pinned = rm.TableScheme.pinned(table, ex1_config.targets)
+    assert pinned.entries == {2: {v: c for v, c in table.items() if len(v) == 2 and c != 0}}
+    assert rm.capacity_table(pinned, ex1_config.targets, 2) == table
 
 
 # ----------------------------------------------------------------------

@@ -265,6 +265,21 @@ def test_cli_compare_against_the_rigid_baseline(capsys, tmp_path, ex1, X):
     assert report["flexible_matched"] == 2
 
 
+def test_cli_compare_ignores_a_table_that_restates_the_targets(capsys, tmp_path):
+    # school s2 of this market has a table scheme with no entries: it grants
+    # exactly its targets, like the no-transfers baseline, so it is unchanged
+    code, _, _ = run_cli(
+        capsys, "gen", "--out-dir", str(tmp_path), "--seed", "27", "--students", "6",
+        "--schools", "3", "--scheme-family", "table",
+    )
+    assert code == 0
+    (market,) = tmp_path.glob("*.instance")
+    assert rm.load_instance(market).school("s2").scheme == rm.TableScheme({})
+    code, out, err = run_cli(capsys, "compare", str(market), "--format", "machine")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dominates"] is True
+
+
 def test_cli_convert_round_trips_through_match(capsys, tmp_path):
     school = rm.generate_slot_specific_school(5)
     students = sorted({c.student for c in school.contracts})
@@ -325,6 +340,32 @@ def test_cli_invalid_instance_exits_with_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "match", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "transfers, location",
+    [
+        (
+            {"kind": "table", "entries": [{"group": 2, "residuals": ["x", 0], "capacity": 1}]},
+            "schools[0].transfers.entries[0].residuals",
+        ),
+        (
+            {"kind": "table", "entries": [{"group": 2, "residuals": [0.5, 0], "capacity": 1}]},
+            "schools[0].transfers.entries[0].residuals",
+        ),
+        ({"kind": "forward_sum", "donors": [[], ["a"], []]}, "schools[0].transfers.donors[1]"),
+        ({"kind": "forward_sum", "donors": [[], 3, []]}, "schools[0].transfers.donors[1]"),
+    ],
+    ids=["string-residual", "float-residual", "string-donor", "scalar-donor-entry"],
+)
+def test_cli_malformed_transfers_exit_with_input_error(capsys, tmp_path, transfers, location):
+    doc = json.loads(rm.ex1_path().read_text())
+    doc["schools"][0]["transfers"] = transfers
+    bad = tmp_path / "bad.instance"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "match", str(bad))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {location}: expected a list of integers"]
 
 
 def test_cli_machine_format_prints_json(capsys):

@@ -178,6 +178,17 @@ def test_incomparable_schemes_are_not_ordered():
     assert not rm.is_more_flexible(second, first, targets, bound=3)
 
 
+def test_a_table_restating_the_targets_is_no_change(ex1, ex1_config):
+    frozen = rm.ForwardSumScheme(((), (), ()))
+    empty = rm.TableScheme({})  # grants every group its target everywhere
+    assert not rm.is_more_flexible(empty, frozen, ex1_config.targets, bound=2)
+    rigid = ex1.with_school(replace(ex1_config, scheme=frozen))
+    flexible = ex1.with_school(replace(ex1_config, scheme=empty))
+    comparison = rm.check_flexibility_pareto(rigid, flexible)
+    assert comparison.dominates and comparison.chain_agrees is True
+    assert comparison.rigid_outcome == comparison.flexible_outcome
+
+
 def _t3_market(ex1, X):
     """The worked-example school with demand only for third-type seats."""
     prefs = {s: rm.PreferenceOrder(s, ()) for s in ex1.students}
