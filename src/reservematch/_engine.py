@@ -149,29 +149,16 @@ class Compiled:
         return cls(sorted(instance.contracts), instance.students, instance.schools, instance.preferences)
 
     def _set_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> None:
-        self.preferences = preferences
         acc: list[tuple[int, ...]] = []
-        rank: list[dict[int, int]] = []
         for s in self.students:
             pref = preferences.get(s)
             ranked = pref.ranked if pref is not None else ()
-            idx = tuple(self.index[c] for c in ranked if c in self.index)
-            acc.append(idx)
-            rank.append({ci: n for n, ci in enumerate(idx)})
+            acc.append(tuple(self.index[c] for c in ranked if c in self.index))
         self.acceptable = tuple(acc)
-        self.pref_rank = tuple(rank)
 
     def with_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> "Compiled":
         clone = object.__new__(Compiled)
-        clone.contracts = self.contracts
-        clone.index = self.index
-        clone.students = self.students
-        clone.student_index = self.student_index
-        clone.student_bit = self.student_bit
-        clone.student_mask = self.student_mask
-        clone.schools = self.schools
-        clone.school_index = self.school_index
-        clone.school_of = self.school_of
+        clone.__dict__.update(self.__dict__)
         clone._set_preferences(preferences)
         return clone
 

@@ -67,7 +67,8 @@ def _expect(doc: object, key: str, kind, where: str):
     if key not in doc:
         raise InstanceFormatError(f"missing field {key!r}", where)
     value = doc[key]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true/false is never a count
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise InstanceFormatError(f"field {key!r} has the wrong type", f"{where}.{key}")
     return value
 
@@ -92,12 +93,56 @@ def _scheme_to_doc(scheme) -> dict:
     raise InstanceFormatError(f"unserializable scheme {type(scheme).__name__}")
 
 
-def _int_tuple(value: object, where: str) -> tuple[int, ...]:
+def _tuple_of(value: object, kind: type, where: str) -> tuple:
+    """A JSON list whose entries are all ``int`` or all ``str``, as a tuple;
+    booleans never count as integers."""
     if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
+        isinstance(x, kind) and not isinstance(x, bool) for x in value
     ):
-        raise InstanceFormatError("expected a list of integers", where)
+        noun = "integers" if kind is int else "strings"
+        raise InstanceFormatError(f"expected a list of {noun}", where)
     return tuple(value)
+
+
+def _contracts_from_doc(doc: object) -> dict[str, Contract]:
+    """The document's ``contracts`` list keyed by id; ids and (student,
+    school, type) triples must be unique."""
+    by_id: dict[str, Contract] = {}
+    triples: set[Contract] = set()
+    for n, row in enumerate(_expect(doc, "contracts", list, "$")):
+        where = f"contracts[{n}]"
+        cid = _expect(row, "id", str, where)
+        c = Contract(
+            _expect(row, "student", str, where),
+            _expect(row, "school", str, where),
+            _expect(row, "type", str, where),
+        )
+        if cid in by_id:
+            raise InstanceFormatError(f"duplicate contract id {cid!r}", where)
+        if c in triples:
+            raise InstanceFormatError(f"duplicate contract {c}", where)
+        by_id[cid] = c
+        triples.add(c)
+    return by_id
+
+
+def _ranked_contracts(ids: object, by_id: Mapping[str, Contract], where: str) -> tuple:
+    """A list of contract ids resolved against ``by_id``."""
+    if not isinstance(ids, list):
+        raise InstanceFormatError("expected a list of contract ids", where)
+    ranked = []
+    for n, cid in enumerate(ids):
+        if not isinstance(cid, str) or cid not in by_id:
+            raise InstanceFormatError(f"unknown contract id {cid!r}", f"{where}[{n}]")
+        ranked.append(by_id[cid])
+    return tuple(ranked)
+
+
+def _preferences_from_doc(doc: object, by_id: Mapping[str, Contract]) -> dict:
+    return {
+        sid: PreferenceOrder(sid, _ranked_contracts(ids, by_id, f"preferences.{sid}"))
+        for sid, ids in _expect(doc, "preferences", dict, "$").items()
+    }
 
 
 def _scheme_from_doc(doc: dict, groups: int, where: str):
@@ -108,7 +153,7 @@ def _scheme_from_doc(doc: dict, groups: int, where: str):
             raise InstanceFormatError(
                 f"donor list covers {len(donors)} groups, school has {groups}", f"{where}.donors"
             )
-        rows = [_int_tuple(d, f"{where}.donors[{k}]") for k, d in enumerate(donors)]
+        rows = [_tuple_of(d, int, f"{where}.donors[{k}]") for k, d in enumerate(donors)]
         return ForwardSumScheme(tuple(tuple(sorted(d)) for d in rows))
     if kind == "table":
         rows = _expect(doc, "entries", list, where)
@@ -116,7 +161,7 @@ def _scheme_from_doc(doc: dict, groups: int, where: str):
         for n, row in enumerate(rows):
             here = f"{where}.entries[{n}]"
             k = _expect(row, "group", int, here)
-            vec = _int_tuple(_expect(row, "residuals", list, here), f"{here}.residuals")
+            vec = _tuple_of(_expect(row, "residuals", list, here), int, f"{here}.residuals")
             cap = _expect(row, "capacity", int, here)
             if k < 1 or k >= groups:
                 raise InstanceFormatError(f"group {k} out of range", here)
@@ -166,7 +211,7 @@ def instance_to_document(instance: ProblemInstance) -> dict:
 
 def instance_from_document(doc: object) -> ProblemInstance:
     _check_schema(doc, INSTANCE_SCHEMA)
-    types = tuple(_expect(doc, "types", list, "$"))
+    types = _tuple_of(_expect(doc, "types", list, "$"), str, "types")
 
     students = []
     claims = {}
@@ -176,24 +221,10 @@ def instance_from_document(doc: object) -> ProblemInstance:
         if sid in claims:
             raise InstanceFormatError(f"duplicate student id {sid!r}", where)
         students.append(sid)
-        claims[sid] = frozenset(_expect(row, "types", list, where))
+        claimed = _tuple_of(_expect(row, "types", list, where), str, f"{where}.types")
+        claims[sid] = frozenset(claimed)
 
-    by_id: dict[str, Contract] = {}
-    triples: set[Contract] = set()
-    for n, row in enumerate(_expect(doc, "contracts", list, "$")):
-        where = f"contracts[{n}]"
-        cid = _expect(row, "id", str, where)
-        c = Contract(
-            _expect(row, "student", str, where),
-            _expect(row, "school", str, where),
-            _expect(row, "type", str, where),
-        )
-        if cid in by_id:
-            raise InstanceFormatError(f"duplicate contract id {cid!r}", where)
-        if c in triples:
-            raise InstanceFormatError(f"duplicate contract {c}", where)
-        by_id[cid] = c
-        triples.add(c)
+    by_id = _contracts_from_doc(doc)
 
     schools = []
     seen_schools = set()
@@ -213,29 +244,19 @@ def instance_from_document(doc: object) -> ProblemInstance:
         scheme = _scheme_from_doc(
             _expect(row, "transfers", dict, where), len(groups), f"{where}.transfers"
         )
+        ranked = _tuple_of(_expect(row, "priority", list, where), str, f"{where}.priority")
         schools.append(
             SchoolConfig(
                 school=sid,
                 capacity=_expect(row, "capacity", int, where),
-                priority=PriorityOrder(sid, tuple(_expect(row, "priority", list, where))),
+                priority=PriorityOrder(sid, ranked),
                 precedence=tuple(precedence),
                 targets=tuple(targets),
                 scheme=scheme,
             )
         )
 
-    preferences = {}
-    prefs_doc = _expect(doc, "preferences", dict, "$")
-    for sid, ranked_ids in prefs_doc.items():
-        where = f"preferences.{sid}"
-        if not isinstance(ranked_ids, list):
-            raise InstanceFormatError("expected a list of contract ids", where)
-        ranked = []
-        for cid in ranked_ids:
-            if cid not in by_id:
-                raise InstanceFormatError(f"unknown contract id {cid!r}", where)
-            ranked.append(by_id[cid])
-        preferences[sid] = PreferenceOrder(sid, tuple(ranked))
+    preferences = _preferences_from_doc(doc, by_id)
     for sid in students:
         preferences.setdefault(sid, PreferenceOrder(sid, ()))
 
@@ -243,7 +264,7 @@ def instance_from_document(doc: object) -> ProblemInstance:
         students=tuple(students),
         profile=TypeProfile(types, claims),
         schools=tuple(schools),
-        contracts=frozenset(triples),
+        contracts=frozenset(by_id.values()),
         preferences=preferences,
     )
 
@@ -275,12 +296,8 @@ def load_allocation(path, instance: ProblemInstance) -> frozenset:
     doc = _read_json(path)
     _check_schema(doc, ALLOCATION_SCHEMA)
     by_id = {_canonical_id(c): c for c in instance.contracts}
-    out = []
-    for n, cid in enumerate(_expect(doc, "contracts", list, "$")):
-        if cid not in by_id:
-            raise InstanceFormatError(f"unknown contract id {cid!r}", f"contracts[{n}]")
-        out.append(by_id[cid])
-    return frozenset(out)
+    ids = _expect(doc, "contracts", list, "$")
+    return frozenset(_ranked_contracts(ids, by_id, "contracts"))
 
 
 def save_slot_market(
@@ -310,32 +327,10 @@ def load_slot_market(path) -> tuple[SlotSpecificSchool, dict[str, PreferenceOrde
     doc = _read_json(path)
     _check_schema(doc, SLOTS_SCHEMA)
     school_id = _expect(doc, "school", str, "$")
-    by_id: dict[str, Contract] = {}
-    for n, row in enumerate(_expect(doc, "contracts", list, "$")):
-        where = f"contracts[{n}]"
-        cid = _expect(row, "id", str, where)
-        if cid in by_id:
-            raise InstanceFormatError(f"duplicate contract id {cid!r}", where)
-        by_id[cid] = Contract(
-            _expect(row, "student", str, where),
-            _expect(row, "school", str, where),
-            _expect(row, "type", str, where),
-        )
-    slots = []
-    for n, slot in enumerate(_expect(doc, "slots", list, "$")):
-        ranked = []
-        for cid in slot:
-            if cid not in by_id:
-                raise InstanceFormatError(f"unknown contract id {cid!r}", f"slots[{n}]")
-            ranked.append(by_id[cid])
-        slots.append(tuple(ranked))
-    preferences = {}
-    for sid, ranked_ids in _expect(doc, "preferences", dict, "$").items():
-        ranked = []
-        for cid in ranked_ids:
-            if cid not in by_id:
-                raise InstanceFormatError(f"unknown contract id {cid!r}", f"preferences.{sid}")
-            ranked.append(by_id[cid])
-        preferences[sid] = PreferenceOrder(sid, tuple(ranked))
-    school = SlotSpecificSchool(school_id, tuple(sorted(by_id.values())), tuple(slots))
-    return school, preferences
+    by_id = _contracts_from_doc(doc)
+    slots = tuple(
+        _ranked_contracts(slot, by_id, f"slots[{n}]")
+        for n, slot in enumerate(_expect(doc, "slots", list, "$"))
+    )
+    school = SlotSpecificSchool(school_id, tuple(sorted(by_id.values())), slots)
+    return school, _preferences_from_doc(doc, by_id)

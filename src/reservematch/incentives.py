@@ -92,32 +92,13 @@ def find_profitable_misreport(
     student: str, instance: ProblemInstance, cap: int = 200_000
 ) -> Optional[Misreport]:
     """Search the student's full strategy space for a report whose mechanism
-    outcome they truly prefer to the truthful outcome.
+    outcome they truly prefer to the truthful outcome: the coalition search
+    for a coalition of one.
 
     Returns the first profitable misreport in enumeration order, or ``None``
     after exhausting the space. Refuses if the space exceeds ``cap``.
     """
-    compiled = _validated(instance)
-    si = compiled.student_index[student]
-    truth = instance.preferences[student]
-    truth_held = _held_contract(compiled, _outcome_under(compiled), si)
-    truth_rank = truth.rank(truth_held)
-    if truth_rank == 0:
-        return None  # already holds their single most preferred contract
-
-    own = sorted(instance.contracts_of(student))
-    space = preference_space_size(len(own))
-    if space > cap:
-        raise SearchCapExceededError(space, cap, f"misreports for student {student}")
-
-    for reported in preference_space(student, own):
-        if reported.ranked == truth.ranked:
-            continue
-        trial = compiled.with_preferences({**instance.preferences, student: reported})
-        held = _held_contract(trial, _outcome_under(trial), si)
-        if truth.rank(held) < truth_rank:
-            return Misreport((student,), (reported,), (truth_held,), (held,))
-    return None
+    return find_group_misreport((student,), instance, cap)
 
 
 def find_group_misreport(
@@ -129,7 +110,8 @@ def find_group_misreport(
     """Search for a joint misreport that strictly benefits every coalition
     member. The joint space is the product of the members' strategy spaces;
     a member who already holds their top contract makes the coalition
-    hopeless, so those are dismissed without enumeration.
+    hopeless, so those are dismissed without enumeration. The first member's
+    space is streamed and only the others' are held in memory.
     """
     members = tuple(sorted(set(coalition)))
     if not members:
@@ -153,18 +135,20 @@ def find_group_misreport(
     if space > cap:
         raise SearchCapExceededError(space, cap, f"joint misreports for {members}")
 
-    spaces = [list(preference_space(s, pool)) for s, pool in zip(members, pools)]
-    for joint in itertools.product(*spaces):
-        if all(rep.ranked == t.ranked for rep, t in zip(joint, truths)):
-            continue
-        prefs = dict(instance.preferences)
-        for s, rep in zip(members, joint):
-            prefs[s] = rep
-        trial = compiled.with_preferences(prefs)
-        mask = _outcome_under(trial)
-        held = [_held_contract(trial, mask, si) for si in indices]
-        if all(p.rank(h) < r for p, h, r in zip(truths, held, truth_ranks)):
-            return Misreport(members, tuple(joint), tuple(truth_held), tuple(held))
+    others = [list(preference_space(s, pool)) for s, pool in zip(members[1:], pools[1:])]
+    for first in preference_space(members[0], pools[0]):
+        for rest in itertools.product(*others):
+            joint = (first, *rest)
+            if all(rep.ranked == t.ranked for rep, t in zip(joint, truths)):
+                continue
+            prefs = dict(instance.preferences)
+            for s, rep in zip(members, joint):
+                prefs[s] = rep
+            trial = compiled.with_preferences(prefs)
+            mask = _outcome_under(trial)
+            held = [_held_contract(trial, mask, si) for si in indices]
+            if all(p.rank(h) < r for p, h, r in zip(truths, held, truth_ranks)):
+                return Misreport(members, joint, tuple(truth_held), tuple(held))
     return None
 
 

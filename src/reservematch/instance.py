@@ -44,7 +44,7 @@ class ProblemInstance:
         return replace(self, schools=updated)
 
 
-def validate_instance(instance: ProblemInstance, monotonicity_pair_cap: int = 2_000_000) -> list[str]:
+def validate_instance(instance: ProblemInstance) -> list[str]:
     """Return every invariant violation found; an empty list means valid.
 
     Checks id uniqueness and cross-references, the type profile, preference
@@ -128,11 +128,11 @@ def validate_instance(instance: ProblemInstance, monotonicity_pair_cap: int = 2_
             v.append(
                 f"{where}: group targets sum to {sum(cfg.targets)}, capacity is {cfg.capacity}"
             )
-        v.extend(_scheme_violations(cfg, monotonicity_pair_cap))
+        v.extend(_scheme_violations(cfg))
     return v
 
 
-def _scheme_violations(cfg: SchoolConfig, pair_cap: int) -> list[str]:
+def _scheme_violations(cfg: SchoolConfig) -> list[str]:
     where = f"school {cfg.school}"
     scheme = cfg.scheme
     shape = getattr(scheme, "donors", None)
@@ -152,7 +152,7 @@ def _scheme_violations(cfg: SchoolConfig, pair_cap: int) -> list[str]:
     if scheme.certified_monotone():
         return []
     try:
-        report = check_monotonic(scheme, cfg.targets, bound=cfg.capacity, pair_cap=pair_cap)
+        report = check_monotonic(scheme, cfg.targets, bound=cfg.capacity)
     except SearchCapExceededError as exc:
         return [f"{where}: cannot verify scheme monotonicity ({exc})"]
     if not report.ok:

@@ -66,9 +66,7 @@ class StabilityReport:
         return self.passed
 
 
-def is_stable(
-    y: Iterable[Contract], instance: ProblemInstance, blocking_cap: int = 2_000_000
-) -> StabilityReport:
+def is_stable(y: Iterable[Contract], instance: ProblemInstance) -> StabilityReport:
     """Evaluate all three stability conditions for allocation ``y``."""
     y = frozenset(y)
     _require_allocation(y, instance)
@@ -87,7 +85,7 @@ def is_stable(
 
     blocking = None
     for cfg in instance.schools:
-        z = find_blocking_set(y, cfg.school, instance, cap=blocking_cap)
+        z = find_blocking_set(y, cfg.school, instance)
         if z is not None:
             blocking = (cfg.school, z)
             break
@@ -204,9 +202,7 @@ class ChoiceTable:
         return frozenset(self.pool[i] for i in bits(mask))
 
 
-def _sorted_pool(contracts: Iterable[Contract], mode: str, cap: int) -> tuple[Contract, ...]:
-    if mode != "exhaustive":
-        raise InvalidInputError(f"unsupported mode {mode!r}; only exhaustive runs are sound")
+def _sorted_pool(contracts: Iterable[Contract], cap: int) -> tuple[Contract, ...]:
     pool = tuple(sorted(set(contracts)))
     if 2 ** len(pool) > cap:
         raise SearchCapExceededError(2 ** len(pool), cap, "subset enumeration")
@@ -217,13 +213,12 @@ def tabulate_school(
     config: SchoolConfig,
     contracts: Iterable[Contract],
     completion: bool = False,
-    mode: str = "exhaustive",
     cap: int = 1 << 14,
 ) -> ChoiceTable:
     """Tabulate a school's overall choice (or, with ``completion``, its
     completion) over every subset of ``contracts`` on the bitmask engine.
     The engine compiles the sorted pool, so a subset mask is an engine mask."""
-    pool = _sorted_pool(contracts, mode, cap)
+    pool = _sorted_pool(contracts, cap)
     if any(c.school != config.school for c in pool):
         raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
     students = sorted({c.student for c in pool})
@@ -236,12 +231,11 @@ def tabulate_school(
 def tabulate(
     choice: Callable[[frozenset], Iterable[Contract]],
     contracts: Iterable[Contract],
-    mode: str = "exhaustive",
     cap: int = 1 << 14,
 ) -> ChoiceTable:
     """Tabulate any set-to-set choice function over every subset of
     ``contracts``. A choice may only pick from its offer set."""
-    pool = _sorted_pool(contracts, mode, cap)
+    pool = _sorted_pool(contracts, cap)
     index = {c: i for i, c in enumerate(pool)}
     table = []
     for mask in range(1 << len(pool)):

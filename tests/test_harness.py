@@ -218,6 +218,7 @@ def test_cli_audit_passes_on_generated_instances(capsys, tmp_path):
     report = json.loads(out_path.read_text())
     assert report["all_ok"] is True
     assert len(report["results"]) == 12
+    assert "unverified" not in report  # every check was fully covered
 
 
 def test_cli_audit_reports_are_byte_identical(capsys, tmp_path):
@@ -227,24 +228,65 @@ def test_cli_audit_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_audit_parallel_workers_match_sequential(capsys, tmp_path, monkeypatch):
-    from reservematch.cli import WORKERS_ENV
+def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
+    # with six schools a student who claims one type has 6 contracts (1 957
+    # reports) and one who claims two has 12, far over the 200 000 cap; the
+    # search refuses those unless the student already holds their top choice
+    code, out, err = run_cli(
+        capsys, "audit", "--seed", "0", "--count", "30", "--schools", "6",
+        "--students", "4", "--format", "machine",
+    )
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["all_ok"] is True
+    refused_rows = 0
+    for row in report["results"]:
+        instance = rm.generate_random_instance(
+            rm.GeneratorParams(
+                students=4, schools=6, types=3, seed=row["index"], claim_range=(1, 2)
+            )
+        )
+        held = {c.student: c for c in rm.run_cop_default(instance)}
+        refused = any(
+            rm.preference_space_size(len(instance.contracts_of(s))) > 200_000
+            and instance.preferences[s].rank(held.get(s)) != 0
+            for s in instance.students
+        )
+        refused_rows += refused
+        assert row["strategy_proof"] is (None if refused else True)
+        assert row["ok"] is True
+    assert refused_rows > 0
+    assert report["summary"]["strategy_proof"] == 30 - refused_rows
+    assert report["unverified"] == {"strategy_proof": refused_rows}
 
-    seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-    assert run_cli(capsys, "audit", "--seed", "5", "--count", "6", "--out", str(seq))[0] == 0
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    assert run_cli(capsys, "audit", "--seed", "5", "--count", "6", "--out", str(par))[0] == 0
-    assert seq.read_bytes() == par.read_bytes()
+
+def test_cli_audit_leaves_unchecked_axioms_unverified(capsys):
+    code, out, _ = run_cli(
+        capsys, "audit", "--seed", "7", "--count", "2", "--max-contracts", "0",
+        "--format", "machine",
+    )
+    assert code == 3
+    report = json.loads(out)
+    assert [r["schools_axiom_checked"] for r in report["results"]] == [0, 0]
+    assert [r["completion_axioms"] for r in report["results"]] == [None, None]
+    assert report["summary"]["completion_axioms"] == 0
+    assert report["unverified"] == {"completion_axioms": 2}
 
 
-def test_cli_audit_rejects_a_non_integer_worker_count(capsys, monkeypatch):
-    from reservematch.cli import WORKERS_ENV
-
-    monkeypatch.setenv(WORKERS_ENV, "two")
-    code, out, err = run_cli(capsys, "audit", "--seed", "5", "--count", "2")
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [f"error: {WORKERS_ENV} must be an integer, got 'two'"]
+def test_cli_verify_exits_3_when_the_blocking_search_is_refused(capsys, tmp_path):
+    # six seats and dozens of acceptable contracts: every blocking candidate
+    # set of up to six contracts would take over 2 000 000 re-choices
+    instance = rm.generate_random_instance(
+        rm.GeneratorParams(students=40, schools=1, types=2, seed=0, capacity_range=(6, 6))
+    )
+    market, empty = tmp_path / "market.instance", tmp_path / "empty.allocation"
+    rm.save_instance(instance, market)
+    rm.save_allocation(frozenset(), empty)
+    code, out, err = run_cli(capsys, "verify", str(market), "--allocation", str(empty))
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: blocking sets at school s1: ")
+    assert line.endswith("cases exceed the cap of 2000000")
 
 
 def test_cli_compare_against_the_rigid_baseline(capsys, tmp_path, ex1, X):
@@ -366,6 +408,57 @@ def test_cli_malformed_transfers_exit_with_input_error(capsys, tmp_path, transfe
     code, out, err = run_cli(capsys, "match", str(bad))
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: {location}: expected a list of integers"]
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, location",
+    [
+        ("instance", ("schools", 0, "groups", 0, "target"), True, "schools[0].groups[0].target"),
+        ("instance", ("schools", 0, "capacity"), True, "schools[0].capacity"),
+        (
+            "instance",
+            ("schools", 0, "transfers"),
+            {"kind": "table", "entries": [{"group": True, "residuals": [1], "capacity": 1}]},
+            "schools[0].transfers.entries[0].group",
+        ),
+        (
+            "instance",
+            ("schools", 0, "transfers"),
+            {"kind": "table", "entries": [{"group": 1, "residuals": [1], "capacity": True}]},
+            "schools[0].transfers.entries[0].capacity",
+        ),
+        ("instance", ("schools", 0, "priority"), [["i"], "j", "k", "l"], "schools[0].priority"),
+        ("instance", ("preferences", "i"), [["x1"]], "preferences.i[0]"),
+        ("slots", ("slots",), [5], "slots[0]"),
+        ("slots", ("preferences",), {"i": 5}, "preferences.i"),
+    ],
+    ids=[
+        "bool-target", "bool-capacity", "bool-table-group", "bool-table-capacity",
+        "nested-priority", "nested-preference-id", "scalar-slot", "scalar-preference",
+    ],
+)
+def test_cli_malformed_files_exit_with_input_error(capsys, tmp_path, kind, path, value, location):
+    if kind == "instance":
+        doc = json.loads(rm.ex1_path().read_text())
+        argv = ["match"]
+    else:
+        good = tmp_path / "market.slots"
+        rm.save_slot_market(rm.generate_slot_specific_school(5), {}, good)
+        doc = json.loads(good.read_text())
+        argv = ["convert", "--out-file", str(tmp_path / "converted.instance")]
+    _set(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {location}: ")
 
 
 def test_cli_machine_format_prints_json(capsys):

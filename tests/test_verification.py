@@ -214,9 +214,5 @@ def test_axiom_checkers_refuse_oversized_pools(ex1, ex1_config):
     pool = sorted(ex1.contracts)
     with pytest.raises(rm.SearchCapExceededError):
         rm.tabulate(_parity_choice, pool, cap=16)
-    with pytest.raises(rm.InvalidInputError):
-        rm.tabulate(_parity_choice, pool, mode="sampled")
     with pytest.raises(rm.SearchCapExceededError):
         rm.tabulate_school(ex1_config, pool, cap=16)
-    with pytest.raises(rm.InvalidInputError):
-        rm.tabulate_school(ex1_config, pool, mode="sampled")
