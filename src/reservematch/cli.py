@@ -15,6 +15,7 @@ not be completed (an exhaustive search was refused by its cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -204,8 +205,8 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
         if len(pool) > max_contracts:
             continue
         checked += 1
-        base = tabulate_school(cfg, pool)
-        comp = tabulate_school(cfg, pool, completion=True)
+        base = tabulate_school(cfg, pool, cap=1 << max_contracts)
+        comp = tabulate_school(cfg, pool, completion=True, cap=1 << max_contracts)
         axioms_ok = (
             axioms_ok
             and check_completion(base, comp).holds
@@ -475,8 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a parser is a web of reference
+    cycles, so one per call would leave garbage that only the rare full
+    collection frees, and in-process callers would keep growing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchCapExceededError as exc:

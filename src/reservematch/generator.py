@@ -152,22 +152,27 @@ def generate_random_instance(params: GeneratorParams) -> ProblemInstance:
     return instance
 
 
+def _random_pool(
+    rng: random.Random, max_contracts: int
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Contract, ...]]:
+    """Types, students and a sorted pool of at most ``max_contracts`` of
+    their contracts (one or two per student) at the single school ``s``."""
+    n_types = rng.randint(2, 3)
+    types = tuple(f"t{n + 1}" for n in range(n_types))
+    n_students = rng.randint(3, 5)
+    students = tuple(f"i{n + 1}" for n in range(n_students))
+    pool = [Contract(s, "s", t) for s in students for t in rng.sample(types, rng.randint(1, 2))]
+    rng.shuffle(pool)
+    return types, students, tuple(sorted(pool[:max_contracts]))
+
+
 def generate_school_pool(
     seed: int, max_contracts: int = 8
 ) -> tuple[SchoolConfig, tuple[Contract, ...]]:
     """A single random school plus a contract pool of bounded size, for
     exhaustive choice-function audits."""
     rng = random.Random(seed)
-    n_types = rng.randint(2, 3)
-    types = tuple(f"t{n + 1}" for n in range(n_types))
-    n_students = rng.randint(3, 5)
-    students = tuple(f"i{n + 1}" for n in range(n_students))
-    contracts = []
-    for s in students:
-        for t in rng.sample(types, rng.randint(1, 2)):
-            contracts.append(Contract(s, "s", t))
-    rng.shuffle(contracts)
-    contracts = tuple(sorted(contracts[:max_contracts]))
+    types, students, contracts = _random_pool(rng, max_contracts)
     cfg = _random_school(rng, "s", students, types, (1, 3), 1, "mixed")
     return cfg, contracts
 
@@ -175,22 +180,13 @@ def generate_school_pool(
 def generate_slot_specific_school(seed: int, max_contracts: int = 8) -> SlotSpecificSchool:
     """A random slot-specific school with a bounded contract universe."""
     rng = random.Random(seed)
-    n_types = rng.randint(2, 3)
-    types = tuple(f"t{n + 1}" for n in range(n_types))
-    n_students = rng.randint(3, 5)
-    students = tuple(f"i{n + 1}" for n in range(n_students))
-    pool = []
-    for s in students:
-        for t in rng.sample(types, rng.randint(1, 2)):
-            pool.append(Contract(s, "s", t))
-    rng.shuffle(pool)
-    pool = sorted(pool[:max_contracts])
+    _, _, pool = _random_pool(rng, max_contracts)
     slots = []
     for _ in range(rng.randint(1, 3)):
         ranked = [c for c in pool if rng.random() < 0.7]
         rng.shuffle(ranked)
         slots.append(tuple(ranked))
-    return SlotSpecificSchool("s", tuple(pool), tuple(slots))
+    return SlotSpecificSchool("s", pool, tuple(slots))
 
 
 def single_swap_improvement(

@@ -27,7 +27,7 @@ from .choice import (
 from .cop import _validated, run_cop_default
 from .errors import InvalidInputError, SearchCapExceededError
 from .instance import ProblemInstance
-from .model import Contract, PreferenceOrder, PriorityOrder
+from .model import Contract, PreferenceOrder, PriorityOrder, assignments
 
 __all__ = [
     "Misreport",
@@ -216,16 +216,9 @@ def check_respects_improvements(
         lifted = lifted.with_school(replace(cfg, priority=improved[cfg.school]))
 
     pref = instance.preferences[student]
-    before = _assignment_of(run_cop_default(instance), student)
-    after = _assignment_of(run_cop_default(lifted), student)
+    before = assignments(run_cop_default(instance)).get(student)
+    after = assignments(run_cop_default(lifted)).get(student)
     return ImprovementCheck(pref.rank(after) <= pref.rank(before), before, after)
-
-
-def _assignment_of(allocation: frozenset, student: str) -> Optional[Contract]:
-    for c in allocation:
-        if c.student == student:
-            return c
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -381,10 +374,12 @@ def check_flexibility_pareto(
 
     deltas = []
     dominates = True
+    rigid_seats = assignments(rigid_outcome)
+    flexible_seats = assignments(flexible_outcome)
     for student in rigid.students:
         pref = rigid.preferences[student]
-        before = _assignment_of(rigid_outcome, student)
-        after = _assignment_of(flexible_outcome, student)
+        before = rigid_seats.get(student)
+        after = flexible_seats.get(student)
         rb, ra = pref.rank(before), pref.rank(after)
         verdict = "same" if ra == rb else ("better" if ra < rb else "worse")
         if verdict == "worse":

@@ -12,13 +12,11 @@ builders are exhaustive or they refuse, never sampled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Iterable, Optional
 
 from ._engine import Compiled, bits
-from .choice import SchoolConfig, dynamic_reserves_choice
+from .choice import SchoolConfig
 from .errors import InvalidInputError, SearchCapExceededError
 from .instance import ProblemInstance
 from .model import Contract
@@ -75,17 +73,19 @@ def is_stable(y: Iterable[Contract], instance: ProblemInstance) -> StabilityRepo
         sorted(c for c in y if not instance.preferences[c.student].accepts(c))
     )
 
+    compiled = Compiled.from_instance(instance)
+    y_mask = compiled.to_mask(y)
     mismatch = None
-    for cfg in instance.schools:
-        held = frozenset(c for c in y if c.school == cfg.school)
-        chosen, _ = dynamic_reserves_choice(y, cfg)
+    for cfg, school in zip(instance.schools, compiled.schools):
+        held = y_mask & school.mask
+        chosen = school.choose(y_mask)[0]
         if chosen != held:
-            mismatch = (cfg.school, held, chosen)
+            mismatch = (cfg.school, compiled.to_set(held), compiled.to_set(chosen))
             break
 
     blocking = None
     for cfg in instance.schools:
-        z = find_blocking_set(y, cfg.school, instance)
+        z = find_blocking_set(y, cfg.school, instance, compiled=compiled)
         if z is not None:
             blocking = (cfg.school, z)
             break
@@ -97,7 +97,8 @@ def find_blocking_set(
     y: Iterable[Contract],
     school: str,
     instance: ProblemInstance,
-    cap: int = 2_000_000,
+    *,
+    compiled: Optional[Compiled] = None,
 ) -> Optional[frozenset]:
     """Search for a blocking set at one school.
 
@@ -107,49 +108,46 @@ def find_blocking_set(
     to their current assignment. (Equivalently: the school's re-chosen
     portfolio would differ from its current one and be chosen by everyone in
     it. Allowing the set to overlap ``y`` would make any subset of a school's
-    own held contracts "block", so blocking contracts must be new.)
-    Candidates are enumerated smallest first, in lexicographic contract
-    order, up to the school's capacity; the search refuses (rather than
-    truncates) if the candidate count exceeds ``cap``.
+    own held contracts "block", so blocking contracts must be new.) Call a
+    contract a candidate when it could be in a blocking set: the school's, not
+    in ``y``, its student ranked by the school and strictly preferring it.
+
+    A blocking set exists exactly when a single candidate blocks, so the
+    candidates are tried one at a time in contract order and the first that
+    blocks is returned as ``frozenset({c})``; ``None`` means no set blocks.
+    Proof: let ``Z`` block and run the overall choice on ``y | Z``. Let ``z``
+    be a contract of ``Z`` picked by the earliest group that picks any
+    contract of ``Z``. The groups before it pick no contract of ``Z``, and
+    dropping contracts a group does not pick changes neither its picks nor
+    its residual, so on ``y | {z}`` those groups pick the same contracts,
+    remove the same students and leave the same residuals. ``z``'s group then
+    has the same capacity and faces a subset of the competitors that ``z``
+    beat on ``y | Z``, which priority ranks strictly (a school has at most
+    one contract per student and type), so it picks ``z``. ``z`` is a
+    candidate because ``Z`` is, so ``{z}`` blocks; the converse is trivial.
+    The argument uses neither the school-choice condition nor monotonicity
+    of the scheme, so it holds for every allocation ``y``. (It has the shape
+    of Hatfield and Milgrom's (2005) singleton argument without their
+    substitutability.)
+
+    ``compiled`` is ``Compiled.from_instance(instance)``, given to share one
+    compilation across schools; it is built here when omitted.
     """
     y = frozenset(y)
-    compiled = Compiled.from_instance(instance)
+    if compiled is None:
+        compiled = Compiled.from_instance(instance)
     cfg = instance.school(school)
-    si = compiled.school_index[school]
-    engine_school = compiled.schools[si]
-
+    engine_school = compiled.schools[compiled.school_index[school]]
     y_mask = compiled.to_mask(y)
     current = {c.student: c for c in y}
-
-    # A contract can only belong to a blocking set if its student strictly
-    # prefers it to their current assignment and the school could ever pick
-    # it; filter before enumerating subsets.
-    candidates = []
-    for c in sorted(instance.contracts):
-        if c.school != school or c in y or not cfg.priority.accepts(c.student):
+    for ci in bits(engine_school.mask & ~y_mask):
+        c = compiled.contracts[ci]
+        if not cfg.priority.accepts(c.student):
             continue
-        pref = instance.preferences[c.student]
-        if not pref.accepts(c):
+        if not instance.preferences[c.student].prefers(c, current.get(c.student)):
             continue
-        if pref.rank(c) < pref.rank(current.get(c.student)):
-            candidates.append(compiled.index[c])
-
-    max_size = min(cfg.capacity, len(candidates))
-    total = sum(comb(len(candidates), k) for k in range(1, max_size + 1))
-    if total > cap:
-        raise SearchCapExceededError(total, cap, f"blocking sets at school {school}")
-
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(candidates, size):
-            students = {compiled.student_bit[ci] for ci in combo}
-            if len(students) != size:
-                continue
-            z_mask = 0
-            for ci in combo:
-                z_mask |= 1 << ci
-            rechosen = engine_school.choose(y_mask | z_mask)[0]
-            if rechosen & z_mask == z_mask:
-                return compiled.to_set(z_mask)
+        if engine_school.choose(y_mask | 1 << ci)[0] >> ci & 1:
+            return frozenset({c})
     return None
 
 

@@ -62,6 +62,30 @@ def brute_is_stable(y: frozenset, instance: rm.ProblemInstance) -> bool:
     return True
 
 
+def brute_blocking_set(y: frozenset, school: str, instance: rm.ProblemInstance):
+    """The first blocking set at ``school`` in smallest-first enumeration of
+    every subset of candidate contracts, each size in lexicographic contract
+    order, up to the school's capacity; ``None`` when none blocks."""
+    cfg = instance.school(school)
+    current = {c.student: c for c in y}
+    candidates = [
+        c
+        for c in sorted(instance.contracts)
+        if c.school == school
+        and c not in y
+        and cfg.priority.accepts(c.student)
+        and instance.preferences[c.student].prefers(c, current.get(c.student))
+    ]
+    for size in range(1, min(cfg.capacity, len(candidates)) + 1):
+        for z in itertools.combinations(candidates, size):
+            if len({c.student for c in z}) != size:
+                continue
+            z = frozenset(z)
+            if z <= rm.dynamic_reserves_choice(y | z, cfg)[0]:
+                return z
+    return None
+
+
 def brute_stable_set(instance: rm.ProblemInstance) -> list:
     return [y for y in enumerate_allocations(instance) if brute_is_stable(y, instance)]
 

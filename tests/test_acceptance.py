@@ -73,7 +73,7 @@ def test_mechanism_outcomes_are_stable(small_instances):
         if not rm.is_stable(outcome, instance).passed:
             failures += 1
     assert _verdict(
-        "mechanism outcomes stable on 200 instances (exhaustive blocking search)",
+        "mechanism outcomes stable on 200 instances",
         failures == 0,
         f"failures: {failures}",
     )

@@ -273,8 +273,20 @@ def test_cli_audit_leaves_unchecked_axioms_unverified(capsys):
     assert report["unverified"] == {"completion_axioms": 2}
 
 
-def test_cli_verify_exits_3_when_the_blocking_search_is_refused(capsys, tmp_path):
-    # six seats and dozens of acceptable contracts: every blocking candidate
+def test_cli_audit_tabulates_every_pool_that_max_contracts_admits(capsys):
+    # one school with 15 contracts: 2^15 subsets, over the tables' default cap
+    code, out, _ = run_cli(
+        capsys, "audit", "--seed", "10", "--count", "1", "--students", "10",
+        "--schools", "1", "--max-contracts", "20", "--format", "machine",
+    )
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert row["schools_axiom_checked"] == 1
+    assert row["completion_axioms"] is True
+
+
+def test_cli_verify_names_one_blocking_contract_in_a_large_search_space(capsys, tmp_path):
+    # six seats and dozens of acceptable contracts: searching every candidate
     # set of up to six contracts would take over 2 000 000 re-choices
     instance = rm.generate_random_instance(
         rm.GeneratorParams(students=40, schools=1, types=2, seed=0, capacity_range=(6, 6))
@@ -282,11 +294,28 @@ def test_cli_verify_exits_3_when_the_blocking_search_is_refused(capsys, tmp_path
     market, empty = tmp_path / "market.instance", tmp_path / "empty.allocation"
     rm.save_instance(instance, market)
     rm.save_allocation(frozenset(), empty)
-    code, out, err = run_cli(capsys, "verify", str(market), "--allocation", str(empty))
-    assert (code, out) == (3, "")
-    [line] = err.splitlines()
-    assert line.startswith("error: blocking sets at school s1: ")
-    assert line.endswith("cases exceed the cap of 2000000")
+    code, out, err = run_cli(
+        capsys, "verify", str(market), "--allocation", str(empty), "--format", "machine"
+    )
+    assert (code, err) == (1, "")
+    blocking = json.loads(out)["blocking"]
+    assert blocking["school"] == "s1"
+    [cid] = blocking["contracts"]
+    [c] = [c for c in instance.contracts if f"{c.student}@{c.school}:{c.privilege}" == cid]
+    assert rm.dynamic_reserves_choice({c}, instance.school("s1"))[0] == {c}
+    assert instance.preferences[c.student].accepts(c)
+
+
+def test_cli_verify_is_stable_on_a_200_student_market(capsys, tmp_path):
+    instance = rm.generate_random_instance(
+        rm.GeneratorParams(students=200, schools=5, types=3, seed=3, capacity_range=(20, 20))
+    )
+    market, alloc = tmp_path / "market.instance", tmp_path / "market.allocation"
+    rm.save_instance(instance, market)
+    assert run_cli(capsys, "match", str(market), "--save-allocation", str(alloc))[0] == 0
+    code, out, _ = run_cli(capsys, "verify", str(market), "--allocation", str(alloc))
+    assert code == 0
+    assert "stable: True" in out
 
 
 def test_cli_compare_against_the_rigid_baseline(capsys, tmp_path, ex1, X):

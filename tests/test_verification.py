@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import reservematch as rm
-from helpers import brute_is_stable, brute_stable_set
+from helpers import brute_blocking_set, brute_is_stable, brute_stable_set
 
 
 def test_empty_outcome_is_stable_when_nothing_is_acceptable(ex1):
@@ -59,9 +61,50 @@ def test_everyone_at_their_top_blocks_nothing(ex1, X):
     assert rm.find_blocking_set(top, "s", inst) is None
 
 
-def test_blocking_search_refuses_over_its_cap(ex1):
-    with pytest.raises(rm.SearchCapExceededError):
-        rm.find_blocking_set(frozenset(), "s", ex1, cap=1)
+def _random_allocation(instance: rm.ProblemInstance, rng: random.Random) -> frozenset:
+    """Each student in turn takes nothing or a random one of their contracts
+    whose school still has a free seat; school choices are not consulted."""
+    free = {cfg.school: cfg.capacity for cfg in instance.schools}
+    out = set()
+    for s in instance.students:
+        options = [c for c in sorted(instance.contracts_of(s)) if free[c.school] > 0]
+        c = rng.choice([None] + options)
+        if c is not None:
+            free[c.school] -= 1
+            out.add(c)
+    return frozenset(out)
+
+
+def _assert_same_witness(y: frozenset, instance: rm.ProblemInstance) -> bool:
+    found = False
+    for cfg in instance.schools:
+        z = rm.find_blocking_set(y, cfg.school, instance)
+        assert z == brute_blocking_set(y, cfg.school, instance)
+        found = found or z is not None
+    return found
+
+
+def test_single_contract_search_matches_the_subset_enumeration(small_instances):
+    for instance in small_instances:
+        _assert_same_witness(rm.run_cop_default(instance), instance)
+    rng = random.Random(5)
+    pairs = blocked = mismatched = 0
+    for seed in range(250):
+        instance = rm.generate_random_instance(
+            rm.GeneratorParams(
+                students=rng.randint(3, 6), schools=rng.randint(1, 3), types=3,
+                seed=seed, capacity_range=(1, 3), scheme_family="mixed",
+            )
+        )
+        allocations = [rm.run_cop_default(instance)]
+        allocations += [_random_allocation(instance, rng) for _ in range(3)]
+        for y in allocations:
+            pairs += 1
+            blocked += _assert_same_witness(y, instance)
+            mismatched += not rm.is_stable(y, instance).schools_ok
+    assert pairs == 1000
+    # the pairs cover blocked allocations and ones the schools would not choose
+    assert blocked > 300 and mismatched > 300
 
 
 def test_stability_agrees_with_the_brute_force_oracle(small_instances):
