@@ -1,15 +1,38 @@
 """Bitmask execution core.
 
-Instances are compiled once into dense integer indices: contracts become bit
-positions, contract sets become ints, and school choices become straight-line
-loops over precomputed priority arrays. The public modules keep the readable
-set-based semantics; everything that runs a choice function or the cumulative
-offer process thousands of times goes through here. An equivalence test pins
-this engine to the reference implementation in :mod:`reservematch.choice`.
+Instances are compiled once into dense integer indices. Every contract has a
+global index, its position in contract order, and each school gives its own
+contracts local bits as well: a dynamic reserves school orders them by
+(privilege type, priority rank) with unranked contracts last, and a
+slot-specific school keeps contract order. A school's ``choose`` reads and
+returns local masks, so a group's picks are the lowest set bits of
+``offered & type_mask`` and a choice never touches another school's
+contracts. ``Compiled.to_local`` and ``Compiled.to_global`` translate between
+the two spaces; ``local_bit`` (indexed by global index) and each school's
+``global_index`` (indexed by local bit) are the flat tables behind them.
+
+The cumulative offer process is event-driven. It keeps each school's offered
+and held local masks, a held-contract count per student, and a heap of
+``(order rank, student, pointer)`` entries for the students who may propose.
+A step pops the order-minimal entry, skipping stale ones, offers that
+contract, and lets only the proposee school re-choose. The counts change by
+the bits of ``old ^ new`` of that school's held mask. A student goes back on
+the heap when their proposal leaves them unheld or their count drops to 0,
+not on every rejection: the overall choice is not substitutable, so a school
+can take back a contract it rejected earlier, and only the count says
+whether some school still holds the student.
+
+The public modules keep the readable set-based semantics; everything that
+runs a choice function or the cumulative offer process thousands of times
+goes through here. Equivalence tests pin the choices to the reference
+implementation in :mod:`reservematch.choice`, and the process to a full-scan
+oracle written over it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import SchoolConfig, SlotSpecificSchool
@@ -26,89 +49,106 @@ def bits(mask: int):
         mask ^= low
 
 
+def _contract_key(c: Contract) -> tuple[str, str, str]:
+    """Contract order as a sort key (the dataclass order, compared in C)."""
+    return (c.student, c.school, c.privilege)
+
+
+def _local_space(owner: "Compiled", order: Sequence[int]):
+    """Give a school's contracts, listed by global index in ``order``, the
+    local bits 0, 1, ... and record each in the owner's ``local_bit``.
+
+    Returns the school's ``global_index`` (local bit -> global index),
+    ``student_of`` (local bit -> student index) and ``peer`` (local bit ->
+    local mask of that student's contracts at the school).
+    """
+    student_bit = owner.student_bit
+    peers: dict[int, int] = {}
+    for lb, ci in enumerate(order):
+        owner.local_bit[ci] = lb
+        peers[student_bit[ci]] = peers.get(student_bit[ci], 0) | 1 << lb
+    student_of = tuple(student_bit[ci] for ci in order)
+    return tuple(order), student_of, tuple(peers[si] for si in student_of)
+
+
 class CompiledSchool:
-    """A dynamic reserves choice function over contract bitmasks."""
+    """A dynamic reserves choice function over the school's local bits."""
 
-    __slots__ = ("config", "mask", "groups", "targets", "scheme", "student_bit", "student_mask")
+    __slots__ = ("config", "groups", "targets", "scheme", "global_index", "student_of", "peer")
 
-    def __init__(self, config: SchoolConfig, owner: "Compiled"):
+    def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
         self.config = config
         self.targets = config.targets
         self.scheme = config.scheme
-        self.student_bit = owner.student_bit
-        self.student_mask = owner.student_mask
-        mask = 0
-        by_type: dict[str, list[tuple[int, int]]] = {}
-        for ci, c in enumerate(owner.contracts):
-            if c.school != config.school:
-                continue
-            mask |= 1 << ci
+        # one position per privilege type, in order of first precedence; a
+        # type can head several groups, and each of them reads the same mask
+        position = {p: t for t, p in enumerate(dict.fromkeys(config.precedence))}
+        last = len(position)
+        contracts = owner.contracts
+        keyed = []
+        for ci in members:
+            c = contracts[ci]
             rank = config.priority.rank(c.student)
-            if rank is not None:
-                by_type.setdefault(c.privilege, []).append((rank, ci))
-        self.mask = mask
-        self.groups = []
-        for privilege in config.precedence:
-            ranked = tuple(ci for _, ci in sorted(by_type.get(privilege, ())))
-            self.groups.append(ranked)
+            t = position.get(c.privilege)
+            keyed.append((last, 0, ci) if rank is None or t is None else (t, rank, ci))
+        keyed.sort()
+        self.global_index, self.student_of, self.peer = _local_space(
+            owner, [ci for _, _, ci in keyed]
+        )
+        # each type's ranked contracts are a run of consecutive local bits
+        start = [bisect_left(keyed, (t,)) for t in range(last + 1)]
+        self.groups = tuple(
+            (1 << start[position[p] + 1]) - (1 << start[position[p]]) for p in config.precedence
+        )
 
     def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """Return (chosen mask, residuals, realized capacities)."""
-        avail = mask & self.mask
+        """Return (chosen local mask, residuals, realized capacities) for a
+        local offer mask."""
+        avail = mask
+        peer = self.peer
+        targets = self.targets
         residuals: list[int] = []
         caps: list[int] = []
         chosen = 0
-        for k, ranked in enumerate(self.groups):
-            cap = self.targets[0] if k == 0 else self.scheme.capacity(k, tuple(residuals), self.targets)
-            picked = 0
+        for k, type_mask in enumerate(self.groups):
+            cap = targets[0] if k == 0 else self.scheme.capacity(k, tuple(residuals), targets)
+            pool = avail & type_mask
             taken = 0
-            if cap > 0:
-                for ci in ranked:
-                    if (avail >> ci) & 1:
-                        picked |= 1 << ci
-                        taken += 1
-                        if taken >= cap:
-                            break
+            while pool and taken < cap:
+                low = pool & -pool
+                pool ^= low
+                chosen |= low
+                taken += 1
+                # one contract per student and type, so ``pool`` keeps no peer
+                avail &= ~low if completion else ~peer[low.bit_length() - 1]
             residuals.append(cap - taken)
             caps.append(cap)
-            chosen |= picked
-            if completion:
-                avail &= ~picked
-            else:
-                for ci in bits(picked):
-                    avail &= ~self.student_mask[self.student_bit[ci]]
         return chosen, tuple(residuals), tuple(caps)
 
 
 class CompiledSlotSchool:
-    """A slot-specific choice function over contract bitmasks."""
+    """A slot-specific choice function over the school's local bits, which
+    follow contract order."""
 
-    __slots__ = ("school", "mask", "slots", "student_bit", "student_mask")
+    __slots__ = ("school", "slots", "global_index", "student_of", "peer")
 
-    def __init__(self, school: SlotSpecificSchool, owner: "Compiled"):
+    def __init__(self, school: SlotSpecificSchool, owner: "Compiled", members: Sequence[int]):
         self.school = school
-        self.student_bit = owner.student_bit
-        self.student_mask = owner.student_mask
-        index = owner.index
-        self.mask = 0
-        for c in school.contracts:
-            self.mask |= 1 << index[c]
-        self.slots = tuple(tuple(index[c] for c in slot) for slot in school.slots)
+        self.global_index, self.student_of, self.peer = _local_space(owner, members)
+        index, local_bit = owner.index, owner.local_bit
+        self.slots = tuple(tuple(local_bit[index[c]] for c in slot) for slot in school.slots)
 
     def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        avail = mask & self.mask
+        avail = mask
         chosen = 0
         residuals: list[int] = []
         for slot in self.slots:
-            pick = -1
-            for ci in slot:
-                if (avail >> ci) & 1:
-                    pick = ci
+            for lb in slot:
+                if (avail >> lb) & 1:
+                    chosen |= 1 << lb
+                    avail &= ~self.peer[lb]
+                    residuals.append(0)
                     break
-            if pick >= 0:
-                chosen |= 1 << pick
-                avail &= ~self.student_mask[self.student_bit[pick]]
-                residuals.append(0)
             else:
                 residuals.append(1)
         return chosen, tuple(residuals), (1,) * len(self.slots)
@@ -119,41 +159,43 @@ class Compiled:
 
     def __init__(
         self,
-        contracts: Sequence[Contract],
+        contracts: Iterable[Contract],
         students: Sequence[str],
         schools: Sequence,
         preferences: Mapping[str, PreferenceOrder],
     ):
-        self.contracts = tuple(sorted(contracts))
+        self.contracts = tuple(sorted(contracts, key=_contract_key))
         self.index = {c: n for n, c in enumerate(self.contracts)}
         self.students = tuple(students)
         self.student_index = {s: n for n, s in enumerate(self.students)}
         self.student_bit = tuple(self.student_index[c.student] for c in self.contracts)
-        masks = [0] * len(self.students)
+        own: list[list[int]] = [[] for _ in self.students]
+        members: dict[str, list[int]] = {}
         for ci, c in enumerate(self.contracts):
-            masks[self.student_bit[ci]] |= 1 << ci
-        self.student_mask = tuple(masks)
+            own[self.student_bit[ci]].append(ci)
+            members.setdefault(c.school, []).append(ci)
+        self.student_contracts = tuple(map(tuple, own))
+        self.local_bit = [0] * len(self.contracts)
         self.schools = []
         self.school_index: dict[str, int] = {}
         for cfg in schools:
             self.school_index[cfg.school] = len(self.schools)
-            if isinstance(cfg, SlotSpecificSchool):
-                self.schools.append(CompiledSlotSchool(cfg, self))
-            else:
-                self.schools.append(CompiledSchool(cfg, self))
+            cls = CompiledSlotSchool if isinstance(cfg, SlotSpecificSchool) else CompiledSchool
+            self.schools.append(cls(cfg, self, members.get(cfg.school, ())))
+        self.local_bit = tuple(self.local_bit)
         self.school_of = tuple(self.school_index[c.school] for c in self.contracts)
         self._set_preferences(preferences)
 
     @classmethod
     def from_instance(cls, instance: ProblemInstance) -> "Compiled":
-        return cls(sorted(instance.contracts), instance.students, instance.schools, instance.preferences)
+        return cls(instance.contracts, instance.students, instance.schools, instance.preferences)
 
     def _set_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> None:
         acc: list[tuple[int, ...]] = []
         for s in self.students:
             pref = preferences.get(s)
-            ranked = pref.ranked if pref is not None else ()
-            acc.append(tuple(self.index[c] for c in ranked if c in self.index))
+            ranked = map(self.index.get, pref.ranked) if pref is not None else ()
+            acc.append(tuple(ci for ci in ranked if ci is not None))
         self.acceptable = tuple(acc)
 
     def with_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> "Compiled":
@@ -174,6 +216,22 @@ class Compiled:
     def to_set(self, mask: int) -> frozenset:
         return frozenset(self.contracts[ci] for ci in bits(mask))
 
+    def to_local(self, mask: int) -> list[int]:
+        """Split a global mask into one local mask per school."""
+        out = [0] * len(self.schools)
+        school_of, local_bit = self.school_of, self.local_bit
+        for ci in bits(mask):
+            out[school_of[ci]] |= 1 << local_bit[ci]
+        return out
+
+    def to_global(self, school: int, local: int) -> int:
+        """The global mask of a local mask of school number ``school``."""
+        index = self.schools[school].global_index
+        out = 0
+        for lb in bits(local):
+            out |= 1 << index[lb]
+        return out
+
     def default_order_rank(self) -> tuple[int, ...]:
         """Proposal ranks for the canonical order: students sorted by id and,
         within a student, acceptable contracts best first, then the rest."""
@@ -181,13 +239,11 @@ class Compiled:
         for s in sorted(self.students):
             si = self.student_index[s]
             listed = self.acceptable[si]
-            rest = self.student_mask[si]
-            for ci in listed:
-                rest &= ~(1 << ci)
             order.extend(listed)
-            order.extend(bits(rest))  # index order is contract order
-        # every contract is in some student's mask, so only a preference that
-        # lists another student's contract can make the order too long
+            listed_set = set(listed)
+            order.extend(ci for ci in self.student_contracts[si] if ci not in listed_set)
+        # every contract is some student's, so only a preference that lists
+        # another student's contract can make the order too long
         if len(order) != len(self.contracts):
             raise InvalidInputError("proposal order must be a permutation of all contracts")
         rank = [0] * len(order)
@@ -196,7 +252,7 @@ class Compiled:
         return tuple(rank)
 
     def order_rank(self, order: Sequence[Contract]) -> tuple[int, ...]:
-        if sorted(order) != list(self.contracts):
+        if sorted(order, key=_contract_key) != list(self.contracts):
             raise InvalidInputError("proposal order must be a permutation of all contracts")
         rank = [0] * len(self.contracts)
         for pos, c in enumerate(order):
@@ -207,55 +263,82 @@ class Compiled:
     # cumulative offer process
 
     def cop(self, order_rank: Sequence[int], transcript: Optional[list] = None) -> int:
-        """Run the cumulative offer process; returns the held-contract mask.
+        """Run the cumulative offer process; returns the global held mask.
 
-        Each step proposes the order-minimal contract among every unheld
+        Each step offers the order-minimal contract among every unheld
         student's best not-yet-proposed acceptable contract, then lets the
-        proposee school re-choose from everything it has accumulated.
+        proposee school re-choose from everything it has been offered.
+
+        The loop is event-driven. The heap holds ``(order rank, student,
+        pointer)`` for students who may propose; a popped entry is stale, and
+        skipped, when the student's pointer has moved on or the student holds
+        a contract. Only the proposee school re-chooses, and each student's
+        held-contract count changes by the bits of ``old ^ new`` of its held
+        mask. A student is pushed again when their own proposal leaves them
+        unheld, or when their count drops to 0.
+
+        A rejection alone does not free a student. The overall choice is not
+        substitutable, so a school can take back a contract it rejected
+        earlier, even while the student is held elsewhere or has a pending
+        heap entry; a student is unheld exactly when no school holds any
+        contract of theirs, which is what the count tracks. (No take-back
+        has shown up on generated markets, whose schemes are monotone; a
+        scheme that grants a later group a seat as an earlier group fills
+        makes one happen, and the count keeps the loop equal to the full
+        scan there too.)
+
+        With ``transcript``, appends ``(proposed, offered, held by school)``
+        per step, all as global masks (the proposal as its global index).
         """
-        n_students = len(self.students)
-        available = 0
-        held_by_school = [0] * len(self.schools)
-        held_students_by_school = [0] * len(self.schools)
-        held_students = 0
-        ptr = [0] * n_students
         acceptable = self.acceptable
-        while True:
-            best = -1
-            best_rank = len(self.contracts) + 1
-            for si in range(n_students):
-                if (held_students >> si) & 1:
-                    continue
-                lst = acceptable[si]
-                p = ptr[si]
-                while p < len(lst) and (available >> lst[p]) & 1:
-                    p += 1
-                ptr[si] = p
-                if p < len(lst):
-                    ci = lst[p]
-                    r = order_rank[ci]
-                    if r < best_rank:
-                        best_rank = r
-                        best = ci
-            if best < 0:
-                break
-            available |= 1 << best
-            s = self.school_of[best]
-            school = self.schools[s]
-            held = school.choose(available)[0]
-            held_by_school[s] = held
-            stu = 0
-            for ci in bits(held):
-                stu |= 1 << self.student_bit[ci]
-            held_students_by_school[s] = stu
-            held_students = 0
-            for m in held_students_by_school:
-                held_students |= m
+        schools = self.schools
+        school_of = self.school_of
+        local_bit = self.local_bit
+        offered = [0] * len(schools)
+        held = [0] * len(schools)
+        count = [0] * len(self.students)
+        ptr = [0] * len(self.students)
+        heap = [(order_rank[lst[0]], si, 0) for si, lst in enumerate(acceptable) if lst]
+        heapify(heap)
+        if transcript is not None:
+            available = 0
+            held_global = [0] * len(schools)
+        while heap:
+            _, si, p = heappop(heap)
+            if count[si] or ptr[si] != p:
+                continue
+            lst = acceptable[si]
+            ci = lst[p]
+            p += 1
+            ptr[si] = p
+            s = school_of[ci]
+            school = schools[s]
+            offer = offered[s] | 1 << local_bit[ci]
+            offered[s] = offer
+            new = school.choose(offer)[0]
+            old = held[s]
+            if new != old:
+                held[s] = new
+                student_of = school.student_of
+                for lb in bits(old ^ new):
+                    t = student_of[lb]
+                    if (new >> lb) & 1:
+                        count[t] += 1
+                        continue
+                    count[t] -= 1
+                    if not count[t]:
+                        q = ptr[t]
+                        if q < len(acceptable[t]):
+                            heappush(heap, (order_rank[acceptable[t][q]], t, q))
+            if not count[si] and p < len(lst):
+                heappush(heap, (order_rank[lst[p]], si, p))
             if transcript is not None:
-                transcript.append((best, available, tuple(held_by_school)))
+                available |= 1 << ci
+                held_global[s] = self.to_global(s, new)
+                transcript.append((ci, available, tuple(held_global)))
         out = 0
-        for m in held_by_school:
-            out |= m
+        for s, mask in enumerate(held):
+            out |= self.to_global(s, mask)
         return out
 
     def proposable(self, available: int, held_students: int) -> int:

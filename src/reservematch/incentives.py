@@ -78,10 +78,8 @@ def preference_space_size(n: int) -> int:
 
 
 def _held_contract(compiled: Compiled, mask: int, student_index: int) -> Optional[Contract]:
-    own = mask & compiled.student_mask[student_index]
-    if not own:
-        return None
-    return compiled.contracts[own.bit_length() - 1]
+    own = [ci for ci in compiled.student_contracts[student_index] if (mask >> ci) & 1]
+    return compiled.contracts[own[-1]] if own else None
 
 
 def _outcome_under(compiled: Compiled) -> int:

@@ -74,13 +74,17 @@ def is_stable(y: Iterable[Contract], instance: ProblemInstance) -> StabilityRepo
     )
 
     compiled = Compiled.from_instance(instance)
-    y_mask = compiled.to_mask(y)
     mismatch = None
-    for cfg, school in zip(instance.schools, compiled.schools):
-        held = y_mask & school.mask
-        chosen = school.choose(y_mask)[0]
+    y_local = compiled.to_local(compiled.to_mask(y))
+    for s, (cfg, school) in enumerate(zip(instance.schools, compiled.schools)):
+        held = y_local[s]
+        chosen = school.choose(held)[0]
         if chosen != held:
-            mismatch = (cfg.school, compiled.to_set(held), compiled.to_set(chosen))
+            mismatch = (
+                cfg.school,
+                compiled.to_set(compiled.to_global(s, held)),
+                compiled.to_set(compiled.to_global(s, chosen)),
+            )
             break
 
     blocking = None
@@ -137,16 +141,20 @@ def find_blocking_set(
     if compiled is None:
         compiled = Compiled.from_instance(instance)
     cfg = instance.school(school)
-    engine_school = compiled.schools[compiled.school_index[school]]
-    y_mask = compiled.to_mask(y)
+    s = compiled.school_index[school]
+    engine_school = compiled.schools[s]
+    y_local = compiled.to_local(compiled.to_mask(y))[s]
     current = {c.student: c for c in y}
-    for ci in bits(engine_school.mask & ~y_mask):
+    for ci in sorted(engine_school.global_index):
+        bit = 1 << compiled.local_bit[ci]
+        if y_local & bit:
+            continue
         c = compiled.contracts[ci]
         if not cfg.priority.accepts(c.student):
             continue
         if not instance.preferences[c.student].prefers(c, current.get(c.student)):
             continue
-        if engine_school.choose(y_mask | 1 << ci)[0] >> ci & 1:
+        if engine_school.choose(y_local | bit)[0] & bit:
             return frozenset({c})
     return None
 
@@ -215,15 +223,28 @@ def tabulate_school(
 ) -> ChoiceTable:
     """Tabulate a school's overall choice (or, with ``completion``, its
     completion) over every subset of ``contracts`` on the bitmask engine.
-    The engine compiles the sorted pool, so a subset mask is an engine mask."""
+    The engine compiles the sorted pool, so a subset mask is a global mask;
+    each is relabelled into the school's local bits and the choice back."""
     pool = _sorted_pool(contracts, cap)
     if any(c.school != config.school for c in pool):
         raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
     students = sorted({c.student for c in pool})
-    school = Compiled(pool, students, [config], {}).schools[0]
-    return ChoiceTable(
-        pool, tuple(school.choose(m, completion)[0] for m in range(1 << len(pool)))
-    )
+    compiled = Compiled(pool, students, [config], {})
+    school = compiled.schools[0]
+    to_local = _relabelled_subsets(compiled.local_bit)
+    to_pool = _relabelled_subsets(school.global_index)
+    return ChoiceTable(pool, tuple(to_pool[school.choose(m, completion)[0]] for m in to_local))
+
+
+def _relabelled_subsets(bit_of: tuple[int, ...]) -> list[int]:
+    """``out[m]`` sets bit ``bit_of[i]`` for every bit ``i`` of ``m``, for all
+    ``m`` below ``2 ** len(bit_of)``: one OR per subset, from ``m`` without
+    its lowest bit."""
+    out = [0] * (1 << len(bit_of))
+    for m in range(1, len(out)):
+        low = m & -m
+        out[m] = out[m ^ low] | 1 << bit_of[low.bit_length() - 1]
+    return out
 
 
 def tabulate(

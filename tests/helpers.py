@@ -106,3 +106,51 @@ def brute_monotonic(scheme, targets: tuple, bound: int) -> rm.MonotonicityReport
                 if gain > sum(high) - sum(low):
                     return rm.MonotonicityReport(False, k, low, high, condition=2)
     return rm.MonotonicityReport(True)
+
+
+def reference_choice(offers, school) -> frozenset:
+    """A school's set-based choice: slot-specific or dynamic reserves."""
+    if isinstance(school, rm.SlotSpecificSchool):
+        return rm.slot_specific_choice(offers, school)
+    return rm.dynamic_reserves_choice(offers, school)[0]
+
+
+def reference_cop(students, schools, preferences, order):
+    """The cumulative offer process by full scan, over the set-based choices.
+
+    Every step rescans all students, skips each one some school holds a
+    contract of, moves the others past their contracts already offered, and
+    offers the order-minimal next acceptable contract among them; the
+    proposee school then re-chooses from everything it has been offered.
+    Returns the held contracts and one ``(proposed, offered, held)`` tuple
+    per step, where ``held`` has one frozenset per school of ``schools``.
+    """
+    position = {c: n for n, c in enumerate(order)}
+    acceptable = {
+        s: [c for c in preferences[s].ranked if c in position] if s in preferences else []
+        for s in students
+    }
+    ptr = dict.fromkeys(students, 0)
+    offered: set = set()
+    held = {school.school: frozenset() for school in schools}
+    steps = []
+    while True:
+        held_students = {c.student for cs in held.values() for c in cs}
+        best = None
+        for s in students:
+            if s in held_students:
+                continue
+            lst = acceptable[s]
+            while ptr[s] < len(lst) and lst[ptr[s]] in offered:
+                ptr[s] += 1
+            if ptr[s] < len(lst) and (best is None or position[lst[ptr[s]]] < position[best]):
+                best = lst[ptr[s]]
+        if best is None:
+            break
+        offered.add(best)
+        school = next(x for x in schools if x.school == best.school)
+        held[school.school] = reference_choice(
+            frozenset(c for c in offered if c.school == school.school), school
+        )
+        steps.append((best, frozenset(offered), tuple(held[x.school] for x in schools)))
+    return frozenset().union(*held.values()), steps

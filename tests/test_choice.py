@@ -302,14 +302,15 @@ def test_engine_choices_match_reference(seed):
     subsets.append(frozenset(contracts))
     subsets.append(frozenset())
     for offers in subsets:
+        (local,) = compiled.to_local(compiled.to_mask(offers))
         want, trace = rm.dynamic_reserves_choice(offers, cfg)
-        got, residuals, caps = school.choose(compiled.to_mask(offers))
-        assert compiled.to_set(got) == want
+        got, residuals, caps = school.choose(local)
+        assert compiled.to_set(compiled.to_global(0, got)) == want
         assert residuals == trace.residuals
         assert caps == trace.capacities
         want_c, trace_c = rm.completion_choice(offers, cfg)
-        got_c, res_c, _ = school.choose(compiled.to_mask(offers), completion=True)
-        assert compiled.to_set(got_c) == want_c
+        got_c, res_c, _ = school.choose(local, completion=True)
+        assert compiled.to_set(compiled.to_global(0, got_c)) == want_c
         assert res_c == trace_c.residuals
 
 
@@ -322,5 +323,6 @@ def test_engine_slot_school_matches_reference():
         pool = sorted(school.contracts)
         for mask in range(1 << len(pool)):
             offers = frozenset(pool[i] for i in range(len(pool)) if (mask >> i) & 1)
-            got = compiled.to_set(engine.choose(compiled.to_mask(offers))[0])
+            (local,) = compiled.to_local(compiled.to_mask(offers))
+            got = compiled.to_set(compiled.to_global(0, engine.choose(local)[0]))
             assert got == rm.slot_specific_choice(offers, school)

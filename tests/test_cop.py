@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 import reservematch as rm
+from reservematch._engine import Compiled
+
+from helpers import reference_cop
 
 
 def test_nobody_acceptable_means_nobody_proposes(ex1):
@@ -153,3 +157,93 @@ def test_outcomes_are_feasible_allocations_on_random_instances(small_instances):
 
     for instance in small_instances[:60]:
         _require_allocation(rm.run_cop_default(instance), instance)  # raises if infeasible
+
+
+# ----------------------------------------------------------------------
+# the event-driven engine against the full-scan oracle
+
+
+def _orders(compiled: Compiled, seed: int, shuffles: int = 4):
+    """The canonical proposal order, then ``shuffles`` seeded random ones."""
+    rank = compiled.default_order_rank()
+    yield tuple(sorted(compiled.contracts, key=lambda c: rank[compiled.index[c]]))
+    rng = random.Random(seed)
+    for _ in range(shuffles):
+        order = list(compiled.contracts)
+        rng.shuffle(order)
+        yield tuple(order)
+
+
+def _assert_cop_matches_oracle(compiled: Compiled, schools, preferences, order):
+    raw: list = []
+    held = compiled.cop(compiled.order_rank(order), transcript=raw)
+    steps = [
+        (
+            compiled.contracts[ci],
+            compiled.to_set(offered),
+            tuple(compiled.to_set(mask) for mask in held_by_school),
+        )
+        for ci, offered, held_by_school in raw
+    ]
+    want_held, want_steps = reference_cop(compiled.students, schools, preferences, order)
+    assert compiled.to_set(held) == want_held
+    assert steps == want_steps
+
+
+def test_engine_cop_matches_the_full_scan_oracle(small_instances):
+    for n, instance in enumerate(small_instances):
+        compiled = Compiled.from_instance(instance)
+        for order in _orders(compiled, seed=n):
+            _assert_cop_matches_oracle(
+                compiled, instance.schools, instance.preferences, order
+            )
+
+
+def test_engine_cop_matches_the_oracle_on_slot_specific_markets():
+    for seed in range(10):
+        school = rm.generate_slot_specific_school(7000 + seed)
+        students = sorted({c.student for c in school.contracts})
+        rng = random.Random(seed)
+        prefs = {}
+        for s in students:
+            own = sorted(c for c in school.contracts if c.student == s)
+            rng.shuffle(own)
+            prefs[s] = rm.PreferenceOrder(s, tuple(own[: rng.randint(0, len(own))]))
+        compiled = Compiled(school.contracts, students, [school], prefs)
+        for order in _orders(compiled, seed=seed):
+            _assert_cop_matches_oracle(compiled, [school], prefs, order)
+
+
+def test_engine_cop_keeps_a_student_held_while_any_school_holds_them():
+    # School s seats group t2 only once group t1 has filled: a transfer that
+    # grows as vacancies shrink, which validation refuses. So s rejects a's
+    # t2 contract alone and takes it back once b fills group t1. Rejected
+    # students must not be treated as free: a stays held while s holds them.
+    a_s = rm.Contract("a", "s", "t2")
+    a_u = rm.Contract("a", "u", "t1")
+    a_v = rm.Contract("a", "v", "t1")
+    b_s = rm.Contract("b", "s", "t1")
+    c_u = rm.Contract("c", "u", "t1")
+    one_seat = rm.ForwardSumScheme(((),))
+    schools = [
+        rm.SchoolConfig(
+            "s", 2, rm.PriorityOrder("s", ("a", "b")), ("t1", "t2"), (1, 0),
+            rm.TableScheme({1: {(0,): 1}}),
+        ),
+        rm.SchoolConfig("u", 1, rm.PriorityOrder("u", ("c", "a")), ("t1",), (1,), one_seat),
+        rm.SchoolConfig("v", 1, rm.PriorityOrder("v", ("a",)), ("t1",), (1,), one_seat),
+    ]
+    prefs = {
+        "a": rm.PreferenceOrder("a", (a_s, a_u, a_v)),
+        "b": rm.PreferenceOrder("b", (b_s,)),
+        "c": rm.PreferenceOrder("c", (c_u,)),
+    }
+    compiled = Compiled([a_s, a_u, a_v, b_s, c_u], ("a", "b", "c"), schools, prefs)
+    for order in (
+        # a's offer to u is popped while s has taken a back
+        (a_s, b_s, a_u, c_u, a_v),
+        # u drops a while s still holds a, so a never reaches v
+        (a_s, a_u, b_s, c_u, a_v),
+    ):
+        _assert_cop_matches_oracle(compiled, schools, prefs, order)
+        assert compiled.to_set(compiled.cop(compiled.order_rank(order))) == {a_s, b_s, c_u}

@@ -9,6 +9,8 @@ import pytest
 import reservematch as rm
 from reservematch.cli import main
 
+from helpers import reference_cop
+
 
 # ----------------------------------------------------------------------
 # files
@@ -183,6 +185,44 @@ def test_cli_match_reports_the_worked_example(capsys, tmp_path):
     assert "matched 2 of 4" in out
     report = json.loads(out_path.read_text())
     assert report["allocation"] == ["i@s:t1", "j@s:t2"]
+
+
+def test_cli_match_transcript_is_the_oracles_on_a_60_student_market(capsys, tmp_path):
+    params = rm.GeneratorParams(
+        students=60, schools=6, types=3, seed=5, capacity_range=(2, 4), scheme_family="mixed"
+    )
+    instance = rm.generate_random_instance(params)
+    path = tmp_path / "market.instance"
+    rm.save_instance(instance, path)
+    code, out, _ = run_cli(capsys, "match", str(path), "--transcript", "--format", "machine")
+    assert code == 0
+
+    def cid(c):
+        return f"{c.student}@{c.school}:{c.privilege}"
+
+    order = rm.default_proposal_order(instance)
+    held, steps = reference_cop(instance.students, instance.schools, instance.preferences, order)
+    assert len(steps) > 100
+    expected = {
+        "command": "match",
+        "instance": str(path),
+        "allocation": sorted(cid(c) for c in held),
+        "matched": len(held),
+        "students": 60,
+        "transcript": [
+            {
+                "step": n,
+                "proposed": cid(proposed),
+                "held": {
+                    cfg.school: sorted(cid(c) for c in cs)
+                    for cfg, cs in zip(instance.schools, by_school)
+                    if cs
+                },
+            }
+            for n, (proposed, _, by_school) in enumerate(steps, start=1)
+        ],
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def test_cli_match_then_verify_is_stable(capsys, tmp_path):
