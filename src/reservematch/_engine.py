@@ -22,6 +22,13 @@ not on every rejection: the overall choice is not substitutable, so a school
 can take back a contract it rejected earlier, and only the count says
 whether some school still holds the student.
 
+A proposal is rejected without a re-choice when the school's last choice
+shows it cannot change (``CompiledSchool.keeps``): every group of the
+offered contract's type is full and the contract ranks below every held
+contract of that type, or no group admits the contract at all. The process
+keeps each school's residuals from its last ``choose`` for this test.
+Slot-specific schools always re-choose. ``Compiled.cop`` gives the proof.
+
 The public modules keep the readable set-based semantics; everything that
 runs a choice function or the cumulative offer process thousands of times
 goes through here. Equivalence tests pin the choices to the reference
@@ -31,7 +38,7 @@ oracle written over it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -47,11 +54,6 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _contract_key(c: Contract) -> tuple[str, str, str]:
-    """Contract order as a sort key (the dataclass order, compared in C)."""
-    return (c.student, c.school, c.privilege)
 
 
 def _local_space(owner: "Compiled", order: Sequence[int]):
@@ -74,7 +76,10 @@ def _local_space(owner: "Compiled", order: Sequence[int]):
 class CompiledSchool:
     """A dynamic reserves choice function over the school's local bits."""
 
-    __slots__ = ("config", "groups", "targets", "scheme", "global_index", "student_of", "peer")
+    __slots__ = (
+        "config", "groups", "targets", "scheme", "global_index", "student_of", "peer",
+        "start", "type_masks", "type_groups",
+    )
 
     def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
         self.config = config
@@ -96,9 +101,14 @@ class CompiledSchool:
             owner, [ci for _, _, ci in keyed]
         )
         # each type's ranked contracts are a run of consecutive local bits
-        start = [bisect_left(keyed, (t,)) for t in range(last + 1)]
-        self.groups = tuple(
-            (1 << start[position[p] + 1]) - (1 << start[position[p]]) for p in config.precedence
+        self.start = tuple(bisect_left(keyed, (t,)) for t in range(last + 1))
+        self.type_masks = tuple(
+            (1 << self.start[t + 1]) - (1 << self.start[t]) for t in range(last)
+        )
+        self.groups = tuple(self.type_masks[position[p]] for p in config.precedence)
+        self.type_groups = tuple(
+            tuple(k for k, p in enumerate(config.precedence) if position[p] == t)
+            for t in range(last)
         )
 
     def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -124,6 +134,20 @@ class CompiledSchool:
             residuals.append(cap - taken)
             caps.append(cap)
         return chosen, tuple(residuals), tuple(caps)
+
+    def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
+        """True when the offer of local bit ``bit`` is rejected and changes
+        nothing: ``choose(mask | 1 << bit)`` equals ``held``, the choice from
+        ``mask``, whose residuals are ``residuals``. It holds when no group
+        admits the bit (an unranked student, or a type outside the
+        precedence), or when every group of the bit's type is full and the
+        bit ranks below every contract of that type held. See ``Compiled.cop``
+        for the proof."""
+        t = bisect_right(self.start, bit) - 1
+        if t == len(self.type_masks):
+            return True
+        above = bit > (held & self.type_masks[t]).bit_length() - 1
+        return above and not any(residuals[k] for k in self.type_groups[t])
 
 
 class CompiledSlotSchool:
@@ -153,6 +177,10 @@ class CompiledSlotSchool:
                 residuals.append(1)
         return chosen, tuple(residuals), (1,) * len(self.slots)
 
+    def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
+        """Never: a slot-specific school always re-chooses."""
+        return False
+
 
 class Compiled:
     """A problem instance lowered to integer indices and bitmasks."""
@@ -164,7 +192,7 @@ class Compiled:
         schools: Sequence,
         preferences: Mapping[str, PreferenceOrder],
     ):
-        self.contracts = tuple(sorted(contracts, key=_contract_key))
+        self.contracts = tuple(sorted(contracts))
         self.index = {c: n for n, c in enumerate(self.contracts)}
         self.students = tuple(students)
         self.student_index = {s: n for n, s in enumerate(self.students)}
@@ -252,7 +280,7 @@ class Compiled:
         return tuple(rank)
 
     def order_rank(self, order: Sequence[Contract]) -> tuple[int, ...]:
-        if sorted(order, key=_contract_key) != list(self.contracts):
+        if sorted(order) != list(self.contracts):
             raise InvalidInputError("proposal order must be a permutation of all contracts")
         rank = [0] * len(self.contracts)
         for pos, c in enumerate(order):
@@ -287,6 +315,25 @@ class Compiled:
         makes one happen, and the count keeps the loop equal to the full
         scan there too.)
 
+        The full-group guard. The loop keeps, per school, the residuals of
+        its last ``choose``, and skips the re-choice when ``school.keeps``
+        holds for the offered contract's local bit ``b``: every group whose
+        type mask covers ``b`` has residual 0, and ``b`` lies above every
+        held bit of that type, or no group covers ``b``. Then
+        ``choose(offered | b)`` equals ``held``. Proof: run both choices
+        group by group. Before group ``k`` both have the same residuals
+        and the same available bits, apart from ``b``. A group of another
+        type reads the same pool, so it takes the same picks and removes
+        the same peers. A group of ``b``'s type takes the lowest ``cap``
+        bits of ``avail & type_mask``; it was full, so those ``cap`` bits
+        exist without ``b``, and they are held bits, all below ``b``. So
+        adding ``b`` to the pool changes neither its picks, nor its
+        residual, nor its peer removals. No group picks ``b``, so the
+        chosen masks, and every residual, are equal. The argument reads
+        only the one choice at hand, so it needs no monotone scheme; the
+        held mask and residuals kept after a skip are still those of
+        ``choose(offered)``.
+
         With ``transcript``, appends ``(proposed, offered, held by school)``
         per step, all as global masks (the proposal as its global index).
         """
@@ -296,6 +343,7 @@ class Compiled:
         local_bit = self.local_bit
         offered = [0] * len(schools)
         held = [0] * len(schools)
+        residuals: list = [None] * len(schools)
         count = [0] * len(self.students)
         ptr = [0] * len(self.students)
         heap = [(order_rank[lst[0]], si, 0) for si, lst in enumerate(acceptable) if lst]
@@ -313,10 +361,15 @@ class Compiled:
             ptr[si] = p
             s = school_of[ci]
             school = schools[s]
-            offer = offered[s] | 1 << local_bit[ci]
+            b = local_bit[ci]
+            offer = offered[s] | 1 << b
             offered[s] = offer
-            new = school.choose(offer)[0]
             old = held[s]
+            last = residuals[s]
+            if last is not None and school.keeps(b, old, last):
+                new = old
+            else:
+                new, residuals[s], _ = school.choose(offer)
             if new != old:
                 held[s] = new
                 student_of = school.student_of

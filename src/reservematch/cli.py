@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
-from .cop import check_order_independence, default_proposal_order, run_cop, run_cop_default
+from .cop import _run, check_order_independence, run_cop_default
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
     load_allocation,
@@ -100,10 +100,12 @@ def _alloc_rows(instance: ProblemInstance, allocation: frozenset) -> list[str]:
 
 
 def _cmd_match(args) -> int:
+    # the loader validates; the process runs on the canonical order
     instance = load_instance(args.instance)
+    result = _run(instance, None, args.transcript)
+    allocation = result.allocation
+    steps = None
     if args.transcript:
-        result = run_cop(instance, default_proposal_order(instance))
-        allocation = result.allocation
         steps = [
             {
                 "step": step.step,
@@ -112,9 +114,6 @@ def _cmd_match(args) -> int:
             }
             for step in result.steps
         ]
-    else:
-        allocation = run_cop_default(instance)
-        steps = None
     if args.save_allocation:
         save_allocation(allocation, args.save_allocation)
     report = {

@@ -53,10 +53,14 @@ class CopResult:
     steps: tuple[CopStep, ...]
 
 
-def _validated(instance: ProblemInstance) -> Compiled:
+def _check(instance: ProblemInstance) -> None:
     violations = validate_instance(instance)
     if violations:
         raise ValidationError(violations)
+
+
+def _validated(instance: ProblemInstance) -> Compiled:
+    _check(instance)
     return Compiled.from_instance(instance)
 
 
@@ -68,15 +72,20 @@ def default_proposal_order(instance: ProblemInstance) -> tuple[Contract, ...]:
     return tuple(sorted(compiled.contracts, key=lambda c: rank[compiled.index[c]]))
 
 
-def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
-    """Run the cumulative offer process under an explicit proposal order.
-
-    ``order`` must be a permutation of the instance's contract set; at every
-    step the order-minimal proposable contract (the lowest rank) is offered. Returns the final
-    allocation together with a step-by-step transcript.
-    """
-    compiled = _validated(instance)
-    order_rank = compiled.order_rank(order)
+def _run(
+    instance: ProblemInstance, order: Optional[Sequence[Contract]], transcript: bool
+) -> CopResult:
+    """Compile a valid instance once and run the process under ``order``, or
+    under the canonical order when it is None. The steps are built only with
+    ``transcript``; otherwise they are empty. The public functions validate
+    first; ``match`` calls this on an instance its loader validated."""
+    compiled = Compiled.from_instance(instance)
+    if order is None:
+        order_rank = compiled.default_order_rank()
+    else:
+        order_rank = compiled.order_rank(order)
+    if not transcript:
+        return CopResult(compiled.to_set(compiled.cop(order_rank)), ())
     raw_steps: list = []
     held_mask = compiled.cop(order_rank, transcript=raw_steps)
     steps = []
@@ -100,13 +109,24 @@ def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
     return CopResult(compiled.to_set(held_mask), tuple(steps))
 
 
+def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
+    """Run the cumulative offer process under an explicit proposal order.
+
+    ``order`` must be a permutation of the instance's contract set; at every
+    step the order-minimal proposable contract (the lowest rank) is offered. Returns the final
+    allocation together with a step-by-step transcript.
+    """
+    _check(instance)
+    return _run(instance, order, transcript=True)
+
+
 def run_cop_default(instance: ProblemInstance) -> frozenset:
     """The cumulative offer mechanism: the process under the canonical order.
 
     Fully deterministic given the instance.
     """
-    compiled = _validated(instance)
-    return compiled.to_set(compiled.cop(compiled.default_order_rank()))
+    _check(instance)
+    return _run(instance, None, transcript=False).allocation
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ share across threads and to use as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import InvalidInputError
 
@@ -26,9 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Contract:
-    """A possible match between a student and a school under one privilege type."""
+class Contract(NamedTuple):
+    """A possible match between a student and a school under one privilege type.
+
+    A named tuple, so hashing, equality and ordering (by student, school,
+    privilege) run in C: load, validation and compile hash every contract
+    several times.
+    """
 
     student: str
     school: str

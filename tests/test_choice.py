@@ -326,3 +326,43 @@ def test_engine_slot_school_matches_reference():
             (local,) = compiled.to_local(compiled.to_mask(offers))
             got = compiled.to_set(compiled.to_global(0, engine.choose(local)[0]))
             assert got == rm.slot_specific_choice(offers, school)
+
+
+def _guard_schools(small_instances):
+    """Every dynamic reserves school of the small instances and of a few
+    generated mixed-scheme markets, compiled."""
+    instances = list(small_instances)
+    for seed in range(8):
+        params = rm.GeneratorParams(
+            students=24, schools=3, types=3, seed=4100 + seed, capacity_range=(2, 5),
+            scheme_family="mixed",
+        )
+        instances.append(rm.generate_random_instance(params))
+    for instance in instances:
+        yield from Compiled.from_instance(instance).schools
+
+
+def test_the_full_group_guard_only_skips_offers_the_school_rejects(small_instances):
+    # ``keeps`` lets the cumulative offer process skip a re-choice; wherever
+    # it says yes, offering the bit must leave the choice as it is, with the
+    # bit rejected. Every bit is tried, offered or not.
+    rng = random.Random(41)
+    fired = fired_covered = 0
+    for school in _guard_schools(small_instances):
+        width = len(school.global_index)
+        covered = school.start[-1]  # bits below are ranked and of a precedence type
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(6):
+                mask = sum(1 << b for b in range(width) if rng.random() < density)
+                held, residuals, _ = school.choose(mask)
+                for b in range(width):
+                    if not school.keeps(b, held, residuals):
+                        continue
+                    fired += 1
+                    fired_covered += b < covered
+                    # the residuals too: the process keeps them after a skip
+                    assert school.choose(mask | 1 << b)[:2] == (held, residuals), (mask, b)
+                    assert not (held >> b) & 1, (mask, b)
+    # 24 115 firings, 20 137 of them on bits some group admits
+    assert fired >= 20_000
+    assert fired_covered >= 15_000

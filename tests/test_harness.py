@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,26 @@ def test_generated_instances_round_trip(tmp_path):
         path = tmp_path / f"gen{k}.instance"
         rm.save_instance(instance, path)
         assert rm.load_instance(path) == instance
+
+
+def _document_digest(instance) -> str:
+    doc = rm.fileio.instance_to_document(instance)
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_instance_documents_keep_their_bytes(ex1):
+    # digests of the canonical documents, pinned when contracts became named
+    # tuples; contract order and ids must not move
+    params = rm.GeneratorParams(
+        students=60, schools=6, types=3, seed=5, capacity_range=(2, 4), scheme_family="mixed"
+    )
+    assert _document_digest(ex1) == (
+        "61a8d6c0ec993d6d99cbd62f42c39675589c0268660b0b41d0c84ecfce46ff7f"
+    )
+    assert _document_digest(rm.generate_random_instance(params)) == (
+        "686c29319a1220bf645646c528dfe047184adf6aaad2ab068ca3ebb29f8a84a8"
+    )
 
 
 def test_duplicate_contract_id_is_a_parse_error(tmp_path):
@@ -223,6 +244,28 @@ def test_cli_match_transcript_is_the_oracles_on_a_60_student_market(capsys, tmp_
         ],
     }
     assert out == json.dumps(expected, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--transcript",)])
+def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
+    calls = {"validate": 0, "compile": 0}
+
+    def counting_validate(instance):
+        calls["validate"] += 1
+        return rm.validate_instance(instance)
+
+    compile_ = rm._engine.Compiled.__init__
+
+    def counting_compile(self, *args):
+        calls["compile"] += 1
+        compile_(self, *args)
+
+    for module in (rm.fileio, rm.cop, rm.instance):
+        monkeypatch.setattr(module, "validate_instance", counting_validate)
+    monkeypatch.setattr(rm._engine.Compiled, "__init__", counting_compile)
+    code, out, _ = run_cli(capsys, "match", str(rm.ex1_path()), *extra)
+    assert code == 0 and "matched 2 of 4" in out
+    assert calls == {"validate": 1, "compile": 1}
 
 
 def test_cli_match_then_verify_is_stable(capsys, tmp_path):

@@ -144,3 +144,28 @@ def test_validation_flags_stray_preferences(ex1):
 def test_assignments_rejects_double_matching(X):
     with pytest.raises(rm.InvalidInputError):
         rm.assignments({X.z2, X.z3})
+
+
+@given(st.lists(st.tuples(*[st.sampled_from(("a", "b", "s", "u")) for _ in range(3)]), max_size=12))
+def test_contracts_order_hash_and_compare_as_their_triples(triples):
+    contracts = [rm.Contract(*t) for t in triples]
+    assert sorted(contracts) == [rm.Contract(*t) for t in sorted(triples)]
+    for c, t in zip(contracts, triples):
+        assert (c.student, c.school, c.privilege) == t
+        assert c == rm.Contract(*t) and hash(c) == hash(rm.Contract(*t))
+    assert len(set(contracts)) == len(set(triples))
+
+
+def test_contract_repr_names_its_fields():
+    c = rm.Contract("i", "s", "t1")
+    assert repr(c) == str(c) == "<i@s:t1>"
+    assert rm.Contract("i", "s", "t1") != rm.Contract("i", "s", "t2")
+    assert rm.Contract("i", "s", "t2") < rm.Contract("j", "a", "t1")
+
+
+def test_contracts_are_immutable():
+    c = rm.Contract("i", "s", "t1")
+    with pytest.raises(AttributeError):
+        c.student = "j"
+    with pytest.raises(TypeError):
+        c[0] = "j"
