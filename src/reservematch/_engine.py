@@ -11,6 +11,17 @@ contracts. ``Compiled.to_local`` and ``Compiled.to_global`` translate between
 the two spaces; ``local_bit`` (indexed by global index) and each school's
 ``global_index`` (indexed by local bit) are the flat tables behind them.
 
+A dynamic reserves school reads group ``k``'s capacity from its
+``cap_table``, keyed by the residuals of groups ``0..k-1`` (the key's length
+names the group). An entry is read from the transfer scheme the first time
+a choice reaches its prefix and kept, so a scheme is called once per prefix
+rather than once per group per choice. The table is a memo of the scheme,
+which is a pure function of the residuals, so it assumes nothing about
+monotonicity, and the order in which it fills cannot change a choice. It is
+filled lazily because a market's choices reach few of the prefixes in
+``[0, capacity]^k``. Clones made by ``Compiled.with_preferences`` and
+``Compiled.with_acceptable`` share the schools, and so their tables.
+
 The cumulative offer process is event-driven. It keeps each school's offered
 and held local masks, a held-contract count per student, and a heap of
 ``(order rank, student, pointer)`` entries for the students who may propose.
@@ -78,7 +89,7 @@ class CompiledSchool:
 
     __slots__ = (
         "config", "groups", "targets", "scheme", "global_index", "student_of", "peer",
-        "start", "type_masks", "type_groups",
+        "start", "type_masks", "type_groups", "cap_table",
     )
 
     def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
@@ -110,18 +121,24 @@ class CompiledSchool:
             tuple(k for k, p in enumerate(config.precedence) if position[p] == t)
             for t in range(last)
         )
+        # group k's capacity keyed by the residuals of groups 0..k-1, read
+        # from the scheme the first time a choice reaches that prefix
+        self.cap_table: dict[tuple[int, ...], int] = {(): config.targets[0]}
 
     def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """Return (chosen local mask, residuals, realized capacities) for a
-        local offer mask."""
+        local offer mask. Capacities come from ``cap_table``."""
         avail = mask
         peer = self.peer
-        targets = self.targets
-        residuals: list[int] = []
+        table = self.cap_table
+        residuals: tuple[int, ...] = ()
         caps: list[int] = []
         chosen = 0
-        for k, type_mask in enumerate(self.groups):
-            cap = targets[0] if k == 0 else self.scheme.capacity(k, tuple(residuals), targets)
+        for type_mask in self.groups:
+            cap = table.get(residuals)
+            if cap is None:
+                k = len(residuals)
+                cap = table[residuals] = self.scheme.capacity(k, residuals, self.targets)
             pool = avail & type_mask
             taken = 0
             while pool and taken < cap:
@@ -131,9 +148,9 @@ class CompiledSchool:
                 taken += 1
                 # one contract per student and type, so ``pool`` keeps no peer
                 avail &= ~low if completion else ~peer[low.bit_length() - 1]
-            residuals.append(cap - taken)
+            residuals += (cap - taken,)
             caps.append(cap)
-        return chosen, tuple(residuals), tuple(caps)
+        return chosen, residuals, tuple(caps)
 
     def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
         """True when the offer of local bit ``bit`` is rejected and changes
@@ -212,24 +229,30 @@ class Compiled:
             self.schools.append(cls(cfg, self, members.get(cfg.school, ())))
         self.local_bit = tuple(self.local_bit)
         self.school_of = tuple(self.school_index[c.school] for c in self.contracts)
-        self._set_preferences(preferences)
+        self.acceptable = self._acceptable(preferences)
 
     @classmethod
     def from_instance(cls, instance: ProblemInstance) -> "Compiled":
         return cls(instance.contracts, instance.students, instance.schools, instance.preferences)
 
-    def _set_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> None:
+    def _acceptable(self, preferences: Mapping[str, PreferenceOrder]) -> tuple:
         acc: list[tuple[int, ...]] = []
         for s in self.students:
             pref = preferences.get(s)
             ranked = map(self.index.get, pref.ranked) if pref is not None else ()
             acc.append(tuple(ci for ci in ranked if ci is not None))
-        self.acceptable = tuple(acc)
+        return tuple(acc)
 
     def with_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> "Compiled":
+        return self.with_acceptable(self._acceptable(preferences))
+
+    def with_acceptable(self, acceptable: tuple[tuple[int, ...], ...]) -> "Compiled":
+        """A clone whose students report ``acceptable``: per student index,
+        global contract indices, best first. Everything else, the schools'
+        capacity tables included, is shared."""
         clone = object.__new__(Compiled)
         clone.__dict__.update(self.__dict__)
-        clone._set_preferences(preferences)
+        clone.acceptable = acceptable
         return clone
 
     # ------------------------------------------------------------------

@@ -110,17 +110,28 @@ def _contracts_from_doc(doc: object) -> dict[str, Contract]:
     by_id: dict[str, Contract] = {}
     triples: set[Contract] = set()
     for n, row in enumerate(_expect(doc, "contracts", list, "$")):
-        where = f"contracts[{n}]"
-        cid = _expect(row, "id", str, where)
-        c = Contract(
-            _expect(row, "student", str, where),
-            _expect(row, "school", str, where),
-            _expect(row, "type", str, where),
-        )
+        # one pass over a well-formed row; any other row is read field by
+        # field, so ``_expect`` names the first fault and its location
+        if (
+            type(row) is dict
+            and type(cid := row.get("id")) is str
+            and type(student := row.get("student")) is str
+            and type(school := row.get("school")) is str
+            and type(kind := row.get("type")) is str
+        ):
+            c = Contract(student, school, kind)
+        else:
+            where = f"contracts[{n}]"
+            cid = _expect(row, "id", str, where)
+            c = Contract(
+                _expect(row, "student", str, where),
+                _expect(row, "school", str, where),
+                _expect(row, "type", str, where),
+            )
         if cid in by_id:
-            raise InstanceFormatError(f"duplicate contract id {cid!r}", where)
+            raise InstanceFormatError(f"duplicate contract id {cid!r}", f"contracts[{n}]")
         if c in triples:
-            raise InstanceFormatError(f"duplicate contract {c}", where)
+            raise InstanceFormatError(f"duplicate contract {c}", f"contracts[{n}]")
         by_id[cid] = c
         triples.add(c)
     return by_id

@@ -63,10 +63,15 @@ class Misreport:
 def preference_space(student: str, contracts: Sequence[Contract]):
     """Every strict preference a student could report: each ordered subset of
     their contracts read as the acceptable prefix, including the empty report."""
-    pool = sorted(contracts)
+    for combo in _reports(sorted(contracts)):
+        yield PreferenceOrder(student, combo)
+
+
+def _reports(pool: Sequence):
+    """Every ordered subset of ``pool``, shortest first, each length in
+    ``itertools.permutations`` order: the order of :func:`preference_space`."""
     for k in range(len(pool) + 1):
-        for combo in itertools.permutations(pool, k):
-            yield PreferenceOrder(student, combo)
+        yield from itertools.permutations(pool, k)
 
 
 def preference_space_size(n: int) -> int:
@@ -80,10 +85,6 @@ def preference_space_size(n: int) -> int:
 def _held_contract(compiled: Compiled, mask: int, student_index: int) -> Optional[Contract]:
     own = [ci for ci in compiled.student_contracts[student_index] if (mask >> ci) & 1]
     return compiled.contracts[own[-1]] if own else None
-
-
-def _outcome_under(compiled: Compiled) -> int:
-    return compiled.cop(compiled.default_order_rank())
 
 
 def find_profitable_misreport(
@@ -116,38 +117,89 @@ def find_group_misreport(
         return None
     if len(members) > max_coalition:
         raise SearchCapExceededError(len(members), max_coalition, "coalition size")
+    return _search_misreports(_validated(instance), members, cap)
 
-    compiled = _validated(instance)
+
+def _search_misreports(
+    compiled: Compiled, members: tuple[str, ...], cap: int
+) -> Optional[Misreport]:
+    """The misreport search of :func:`find_group_misreport` on a compiled
+    market, whose ``acceptable`` lists are the truthful reports.
+
+    Each report is a tuple of global contract indices (``_reports`` of the
+    student's contracts, which are in contract order), run on a clone of
+    ``compiled`` whose ``acceptable`` differs only in the members' entries;
+    a :class:`PreferenceOrder` is built only for the misreport returned.
+
+    The proposal order rank is the truthful ``default_order_rank`` with each
+    member's block rewritten, and this equals ``default_order_rank`` of the
+    changed profile. That order lists students in sorted-id order, and each
+    student's block holds exactly their own contracts: the acceptable ones
+    in report order, then the rest in contract order. A report lists only
+    the student's own contracts, so the block keeps its size, every other
+    block keeps its contents, and each block keeps its offset, which is the
+    lowest rank among the student's contracts.
+    """
+    contracts = compiled.contracts
     indices = [compiled.student_index[s] for s in members]
-    truths = [instance.preferences[s] for s in members]
-    truth_mask = _outcome_under(compiled)
+    truthful = tuple(compiled.acceptable[si] for si in indices)
+    truths = [
+        PreferenceOrder(s, tuple(contracts[ci] for ci in t)) for s, t in zip(members, truthful)
+    ]
+    base = compiled.default_order_rank()
+    truth_mask = compiled.cop(base)
     truth_held = [_held_contract(compiled, truth_mask, si) for si in indices]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
     if any(r == 0 for r in truth_ranks):
         return None
 
-    pools = [sorted(instance.contracts_of(s)) for s in members]
+    pools = [compiled.student_contracts[si] for si in indices]
     space = 1
     for pool in pools:
         space *= preference_space_size(len(pool))
     if space > cap:
         raise SearchCapExceededError(space, cap, f"joint misreports for {members}")
 
-    others = [list(preference_space(s, pool)) for s, pool in zip(members[1:], pools[1:])]
-    for first in preference_space(members[0], pools[0]):
+    acceptable = list(compiled.acceptable)
+    others = [list(_reports(pool)) for pool in pools[1:]]
+    for first in _reports(pools[0]):
+        first_order = _rewrite(list(base), pools[0], first)
+        acceptable[indices[0]] = first
         for rest in itertools.product(*others):
             joint = (first, *rest)
-            if all(rep.ranked == t.ranked for rep, t in zip(joint, truths)):
+            if joint == truthful:
                 continue
-            prefs = dict(instance.preferences)
-            for s, rep in zip(members, joint):
-                prefs[s] = rep
-            trial = compiled.with_preferences(prefs)
-            mask = _outcome_under(trial)
+            order = first_order
+            if rest:
+                order = list(first_order)
+                for si, pool, report in zip(indices[1:], pools[1:], rest):
+                    _rewrite(order, pool, report)
+                    acceptable[si] = report
+            trial = compiled.with_acceptable(tuple(acceptable))
+            mask = trial.cop(order)
             held = [_held_contract(trial, mask, si) for si in indices]
             if all(p.rank(h) < r for p, h, r in zip(truths, held, truth_ranks)):
-                return Misreport(members, joint, tuple(truth_held), tuple(held))
+                reported = tuple(
+                    PreferenceOrder(s, tuple(contracts[ci] for ci in report))
+                    for s, report in zip(members, joint)
+                )
+                return Misreport(members, reported, tuple(truth_held), tuple(held))
     return None
+
+
+def _rewrite(rank: list, pool: Sequence[int], report: tuple) -> list:
+    """Reorder the block of ``rank`` that holds one student's contracts
+    ``pool`` to ``report``, then the rest of ``pool`` in contract order. The
+    block stays where it is: it starts at the lowest rank in it."""
+    pos = min(rank[ci] for ci in pool)
+    for ci in report:
+        rank[ci] = pos
+        pos += 1
+    for ci in pool:
+        if ci not in report:
+            rank[ci] = pos
+            pos += 1
+    return rank
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import reservematch as rm
+from reservematch._engine import Compiled
 
 
 def enumerate_allocations(instance: rm.ProblemInstance):
@@ -154,3 +155,53 @@ def reference_cop(students, schools, preferences, order):
         )
         steps.append((best, frozenset(offered), tuple(held[x.school] for x in schools)))
     return frozenset().union(*held.values()), steps
+
+
+def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int = 200_000):
+    """The misreport search by plain enumeration, with no validation.
+
+    Every joint report is a tuple of :class:`PreferenceOrder` from
+    ``preference_space``; each one runs on a fresh ``with_preferences``
+    clone under that clone's own ``default_order_rank``. Returns the first
+    :class:`Misreport` that strictly benefits every member, or ``None``;
+    refuses above ``cap`` after the truthful run, as the library does. It
+    runs the engine's process, which ``reference_cop`` checks on its own.
+    """
+    members = tuple(sorted(set(coalition)))
+    if not members:
+        return None
+    compiled = Compiled.from_instance(instance)
+
+    def outcome(clone):
+        return clone.to_set(clone.cop(clone.default_order_rank()))
+
+    def held(allocation, student):
+        # a market whose scheme is not monotone can leave a student held
+        # at two schools; the search reads the last in contract order
+        return max((c for c in allocation if c.student == student), default=None)
+
+    truths = [instance.preferences[s] for s in members]
+    truth_outcome = outcome(compiled)
+    truth_held = [held(truth_outcome, s) for s in members]
+    truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
+    if any(r == 0 for r in truth_ranks):
+        return None
+
+    pools = [sorted(instance.contracts_of(s)) for s in members]
+    space = 1
+    for pool in pools:
+        space *= rm.preference_space_size(len(pool))
+    if space > cap:
+        raise rm.SearchCapExceededError(space, cap, f"joint misreports for {members}")
+
+    spaces = [list(rm.preference_space(s, pool)) for s, pool in zip(members, pools)]
+    for joint in itertools.product(*spaces):
+        if all(rep.ranked == t.ranked for rep, t in zip(joint, truths)):
+            continue
+        prefs = dict(instance.preferences)
+        prefs.update(zip(members, joint))
+        got = outcome(compiled.with_preferences(prefs))
+        deviant = [held(got, s) for s in members]
+        if all(p.rank(h) < r for p, h, r in zip(truths, deviant, truth_ranks)):
+            return rm.Misreport(members, joint, tuple(truth_held), tuple(deviant))
+    return None

@@ -9,6 +9,7 @@ import pytest
 
 import reservematch as rm
 from reservematch.cli import main
+from reservematch.fileio import instance_from_document
 
 from helpers import reference_cop
 
@@ -82,6 +83,49 @@ def test_duplicate_contract_id_is_a_parse_error(tmp_path):
     with pytest.raises(rm.InstanceFormatError) as err:
         rm.load_instance(path)
     assert "x1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows.__setitem__(2, ["x1"]), "contracts[2]: expected an object"),
+        (lambda rows: rows[2].pop("id"), "contracts[2]: missing field 'id'"),
+        (
+            lambda rows: rows[2].__setitem__("id", 7),
+            "contracts[2].id: field 'id' has the wrong type",
+        ),
+        (
+            lambda rows: rows[2].__setitem__("student", True),
+            "contracts[2].student: field 'student' has the wrong type",
+        ),
+        (
+            lambda rows: rows[2].__setitem__("school", None),
+            "contracts[2].school: field 'school' has the wrong type",
+        ),
+        (lambda rows: rows[2].pop("type"), "contracts[2]: missing field 'type'"),
+        (
+            lambda rows: rows.append(dict(rows[0])),
+            "contracts[6]: duplicate contract id 'x1'",
+        ),
+        (
+            lambda rows: rows.append(dict(rows[0], id="again")),
+            "contracts[6]: duplicate contract <i@s:t1>",
+        ),
+    ],
+    ids=[
+        "not-an-object", "missing-id", "int-id", "bool-student", "null-school",
+        "missing-type", "duplicate-id", "duplicate-triple",
+    ],
+)
+def test_malformed_contract_rows_name_their_fault_and_location(edit, message):
+    # messages as the field-by-field reader gave them before rows were
+    # read in one pass
+    doc = json.loads(rm.ex1_path().read_text())
+    edit(doc["contracts"])
+    with pytest.raises(rm.InstanceFormatError) as err:
+        instance_from_document(doc)
+    assert str(err.value) == message
+    assert err.value.location == message.split(": ", 1)[0]
 
 
 def test_duplicate_triple_is_a_parse_error(tmp_path):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
 import reservematch as rm
 from conftest import small_params
+from helpers import reference_group_misreport
+from reservematch._engine import Compiled
+from reservematch.incentives import _search_misreports
 
 
 def _assignment(allocation, student):
@@ -87,6 +91,180 @@ def test_pairs_cannot_jointly_misreport_on_random_instances():
 def test_oversized_coalitions_are_refused(ex1):
     with pytest.raises(rm.SearchCapExceededError):
         rm.find_group_misreport(["i", "j", "k"], ex1, max_coalition=2)
+
+
+# ----------------------------------------------------------------------
+# the search against its enumeration oracle
+
+
+def _answer(search, *args):
+    """A search's result, or its refusal as ``("refused", needed, cap)``."""
+    try:
+        return search(*args)
+    except rm.SearchCapExceededError as exc:
+        return ("refused", exc.needed, exc.cap)
+
+
+def test_misreport_search_matches_the_oracle_on_every_small_instance(small_instances):
+    for instance in small_instances:
+        for student in instance.students:
+            assert _answer(rm.find_profitable_misreport, student, instance) == _answer(
+                reference_group_misreport, instance, (student,)
+            ), student
+
+
+def test_pair_search_matches_the_oracle_on_a_sample(small_instances):
+    for instance in small_instances[::4]:
+        for pair in itertools.combinations(instance.students, 2):
+            assert _answer(rm.find_group_misreport, pair, instance) == _answer(
+                reference_group_misreport, instance, pair
+            ), pair
+
+
+def test_each_report_runs_under_its_own_canonical_order(small_instances, monkeypatch):
+    # The search rewrites the truthful order rank instead of recomputing it.
+    # Outcomes cannot show a wrong order, because the process is order
+    # independent on these markets, so every run's rank is compared directly.
+    runs = []
+    cop = Compiled.cop
+
+    def checked(self, order_rank, transcript=None):
+        assert tuple(order_rank) == self.default_order_rank()
+        runs.append(len(order_rank))
+        return cop(self, order_rank, transcript)
+
+    monkeypatch.setattr(Compiled, "cop", checked)
+    for instance in small_instances[::4]:
+        for student in instance.students:
+            rm.find_profitable_misreport(student, instance)
+        for pair in itertools.combinations(instance.students, 2):
+            rm.find_group_misreport(pair, instance)
+    assert len(runs) > 2_000
+
+
+def test_misreport_search_refuses_with_the_oracles_count_and_cap(ex1):
+    for cap in (2, 4):
+        refused = _answer(rm.find_profitable_misreport, "k", ex1, cap)
+        assert refused == _answer(reference_group_misreport, ex1, ("k",), cap)
+        assert refused[0] == "refused" and refused[2] == cap
+
+
+def _market(schools, claims, preferences):
+    """A market whose schools are ``(id, capacity, priority, precedence,
+    targets, table entries)``. Every student holds one contract per school
+    and claimed type; ``preferences`` lists ``school:type`` labels."""
+    names = [row[0] for row in schools]
+    contracts = {
+        f"{s}@{school}:{t}": rm.Contract(s, school, t)
+        for s in claims
+        for school in names
+        for t in claims[s]
+    }
+    return rm.ProblemInstance(
+        students=tuple(claims),
+        profile=rm.TypeProfile(
+            tuple(sorted({t for ts in claims.values() for t in ts})),
+            {s: frozenset(ts) for s, ts in claims.items()},
+        ),
+        schools=tuple(
+            rm.SchoolConfig(sid, cap, rm.PriorityOrder(sid, prio), prec, targets, rm.TableScheme(e))
+            for sid, cap, prio, prec, targets, e in schools
+        ),
+        contracts=frozenset(contracts.values()),
+        preferences={
+            s: rm.PreferenceOrder(s, tuple(contracts[f"{s}@{x}"] for x in ranked))
+            for s, ranked in preferences.items()
+        },
+    )
+
+
+# Markets whose transfer tables are not monotone, so validation refuses
+# them and the mechanism can be manipulated. Found by searching random
+# tables over generated markets, then dropping every table entry the
+# manipulation does not need. Each lists the coalition and the expected
+# (reports, truthful outcomes, outcomes under the reports).
+MANIPULABLE = {
+    # group t1 gets no seat while group t2 is empty: i2 drops t2, so i4
+    # fills group t2 and group t1 opens for i2
+    "empty-group-closes-the-next": (
+        _market(
+            [("s1", 2, ("i2", "i4", "i1", "i3"), ("t2", "t1"), (1, 1), {1: {(1,): 0}})],
+            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t1",), "i4": ("t1", "t2")},
+            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t1",),
+             "i4": ("s1:t2", "s1:t1")},
+        ),
+        ("i2",),
+        (("s1:t1",),),
+        ("s1:t2",),
+        ("s1:t1",),
+    ),
+    # unmatched when truthful, seated by reporting only the second choice
+    "unmatched-student-is-seated": (
+        _market(
+            [("s1", 2, ("i2", "i1", "i3", "i4"), ("t2", "t1", "t1"), (1, 0, 1),
+              {1: {(1,): 2}, 2: {(0, 0): 0}})],
+            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t1", "t2"), "i4": ("t1", "t2")},
+            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t2", "s1:t1"),
+             "i4": ()},
+        ),
+        ("i3",),
+        (("s1:t1",),),
+        (None,),
+        ("s1:t1",),
+    ),
+    # a two-contract report that wins the contract it lists second
+    "two-contract-report": (
+        _market(
+            [
+                ("s1", 2, ("i3", "i1", "i2"), ("t1", "t3", "t2"), (0, 2, 0), {}),
+                ("s2", 1, ("i2", "i1"), ("t1", "t2", "t3", "t2"), (1, 0, 0, 0),
+                 {1: {(1,): 1}, 2: {(0, 0): 1}}),
+            ],
+            {"i1": ("t1", "t3"), "i2": ("t1", "t2"), "i3": ("t2", "t3")},
+            {"i1": ("s2:t3", "s1:t3", "s2:t1", "s1:t1"),
+             "i2": ("s1:t1", "s2:t2", "s1:t2", "s2:t1"),
+             "i3": ("s1:t2", "s2:t3", "s2:t2", "s1:t3")},
+        ),
+        ("i1",),
+        (("s2:t1", "s2:t3"),),
+        ("s1:t3",),
+        ("s2:t3",),
+    ),
+    # a pair: i2 moves to its first choice and frees a seat for i3
+    "pair": (
+        _market(
+            [("s1", 2, ("i2", "i1", "i4", "i3"), ("t2", "t1"), (2, 0), {1: {(0,): 1}})],
+            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t2",), "i4": ("t1", "t2")},
+            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t2",),
+             "i4": ("s1:t1", "s1:t2")},
+        ),
+        ("i2", "i3"),
+        (("s1:t1",), ("s1:t2",)),
+        ("s1:t2", None),
+        ("s1:t1", "s1:t2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIPULABLE))
+def test_misreport_search_matches_the_oracle_where_the_mechanism_is_manipulable(name):
+    instance, members, reports, truthful, deviant = MANIPULABLE[name]
+    assert rm.validate_instance(instance)  # refused, so run on a Compiled directly
+
+    def contract(student, label):
+        return None if label is None else rm.Contract(student, *label.split(":"))
+
+    expected = rm.Misreport(
+        members,
+        tuple(
+            rm.PreferenceOrder(s, tuple(contract(s, x) for x in report))
+            for s, report in zip(members, reports)
+        ),
+        tuple(contract(s, x) for s, x in zip(members, truthful)),
+        tuple(contract(s, x) for s, x in zip(members, deviant)),
+    )
+    assert reference_group_misreport(instance, members) == expected
+    assert _search_misreports(Compiled.from_instance(instance), members, 200_000) == expected
 
 
 # ----------------------------------------------------------------------
