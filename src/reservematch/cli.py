@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
-from .cop import _run, check_order_independence, run_cop_default
+from ._engine import Compiled
+from .cop import _order_independence, _run
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
     load_allocation,
@@ -39,10 +40,11 @@ from .generator import (
     unit_flexibility_pair,
 )
 from .incentives import (
+    MISREPORT_CAP,
+    _search_misreports,
     allocation_waste,
     check_flexibility_pareto,
     check_respects_improvements,
-    find_profitable_misreport,
 )
 from .instance import ProblemInstance
 from .model import Contract, PreferenceOrder
@@ -164,15 +166,18 @@ def _cmd_verify(args) -> int:
 
 
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
+    # the generator and the loader validate, so one compile serves the
+    # truthful run, order independence and every misreport search
+    compiled = Compiled.from_instance(instance)
     row: dict = {}
-    allocation = run_cop_default(instance)
+    allocation = compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
     row["stable"] = is_stable(allocation, instance).passed
-    row["order_independent"] = check_order_independence(instance, trials=10, seed=seed).ok
+    row["order_independent"] = _order_independence(compiled, trials=10, seed=seed).ok
 
     strategy_proof = True
     for student in instance.students:
         try:
-            found = find_profitable_misreport(student, instance)
+            found = _search_misreports(compiled, (student,), MISREPORT_CAP)
         except SearchCapExceededError:
             strategy_proof = None
             continue

@@ -85,9 +85,9 @@ def _run(
     else:
         order_rank = compiled.order_rank(order)
     if not transcript:
-        return CopResult(compiled.to_set(compiled.cop(order_rank)), ())
+        return CopResult(compiled.to_set(compiled.cop(order_rank)[0]), ())
     raw_steps: list = []
-    held_mask = compiled.cop(order_rank, transcript=raw_steps)
+    held_mask, _ = compiled.cop(order_rank, transcript=raw_steps)
     steps = []
     school_ids = [s.school for s in instance.schools]
     for n, (proposed, available, held_by_school) in enumerate(raw_steps, start=1):
@@ -148,8 +148,12 @@ def check_order_independence(
     canonical one and report the first order whose outcome differs."""
     if trials < 2:
         raise ValueError("need at least two trials to compare")
-    compiled = _validated(instance)
-    baseline = compiled.cop(compiled.default_order_rank())
+    return _order_independence(_validated(instance), trials, seed)
+
+
+def _order_independence(compiled: Compiled, trials: int, seed: int) -> OrderIndependenceResult:
+    """:func:`check_order_independence` on a compiled valid market."""
+    baseline, _ = compiled.cop(compiled.default_order_rank())
     rng = random.Random(seed)
     n = len(compiled.contracts)
     for _ in range(trials):
@@ -158,7 +162,7 @@ def check_order_independence(
         rank = [0] * n
         for pos, ci in enumerate(perm):
             rank[ci] = pos
-        outcome = compiled.cop(rank)
+        outcome, _ = compiled.cop(rank)
         if outcome != baseline:
             order = tuple(compiled.contracts[ci] for ci in perm)
             return OrderIndependenceResult(

@@ -1,8 +1,9 @@
 """Incentive audits and comparative statics for the cumulative offer mechanism.
 
-Three families of checks live here. Misreport search enumerates a student's
+Three families of checks live here. Misreport search covers a student's
 (or small coalition's) entire strategy space and looks for a report that beats
-truth-telling. Priority-improvement checks verify that cleanly rising in a
+truth-telling; it runs the process only for reports whose outcome no earlier
+run settles. Priority-improvement checks verify that cleanly rising in a
 school's ranking never hurts the student who rose. Flexibility comparison
 pits two capacity transfer schemes against each other: the more flexible one
 should weakly Pareto-improve the outcome, and the reseating chain rebuilds
@@ -87,8 +88,12 @@ def _held_contract(compiled: Compiled, mask: int, student_index: int) -> Optiona
     return compiled.contracts[own[-1]] if own else None
 
 
+# The largest joint strategy space a misreport search enumerates.
+MISREPORT_CAP = 200_000
+
+
 def find_profitable_misreport(
-    student: str, instance: ProblemInstance, cap: int = 200_000
+    student: str, instance: ProblemInstance, cap: int = MISREPORT_CAP
 ) -> Optional[Misreport]:
     """Search the student's full strategy space for a report whose mechanism
     outcome they truly prefer to the truthful outcome: the coalition search
@@ -103,14 +108,15 @@ def find_profitable_misreport(
 def find_group_misreport(
     coalition: Iterable[str],
     instance: ProblemInstance,
-    cap: int = 200_000,
+    cap: int = MISREPORT_CAP,
     max_coalition: int = 2,
 ) -> Optional[Misreport]:
     """Search for a joint misreport that strictly benefits every coalition
     member. The joint space is the product of the members' strategy spaces;
     a member who already holds their top contract makes the coalition
-    hopeless, so those are dismissed without enumeration. The first member's
-    space is streamed and only the others' are held in memory.
+    hopeless, so those are dismissed without enumeration. A report whose
+    outcome an earlier run already settles is not run (the prefix pruning
+    of ``_search_misreports``).
     """
     members = tuple(sorted(set(coalition)))
     if not members:
@@ -139,6 +145,47 @@ def _search_misreports(
     the student's own contracts, so the block keeps its size, every other
     block keeps its contents, and each block keeps its offset, which is the
     lowest rank among the student's contracts.
+
+    Prefix pruning. Let a joint report ``J`` run, and let ``J'`` extend the
+    report of every member outside ``J``'s dry set (``Compiled.cop``) and
+    keep the others' reports. Then ``J'`` runs exactly as ``J`` does, step
+    for step. Proof by induction over the loop, holding that both runs have
+    the same heap, pointers, counts and school masks. At the start the
+    heaps agree: a member who is not dry has a non-empty report, whose
+    first contract ``J'`` keeps, and a block rewrite gives a report's
+    contracts the ranks of their positions in it, so the contracts of the
+    prefix keep their ranks, and every other student's ranks are equal.
+    A step pops the same entry, makes the same stale test, offers the same
+    contract and re-chooses the same way. Its pushes are the same: a push
+    reads the pushed student's list at their pointer, and under ``J`` a
+    member's pointer reaches the end of their list only where ``J'`` would
+    push the next contract of the extension, which is the moment the member
+    runs dry. So the members outside the dry set never propose past their
+    prefix under ``J'``, and the held masks, hence every held contract,
+    are equal.
+
+    Call ``J`` decided by a run ``P`` when ``J`` extends ``P`` in this way.
+    ``J`` is decided exactly when, for some member ``i`` with a non-empty
+    report, the joint report with ``i``'s last contract dropped is decided
+    by (or is) a run in which ``i`` is not dry: if ``P`` decides ``J`` and
+    ``J != P``, some member ``i`` outside ``P``'s dry set has a longer
+    report in ``J`` than in ``P``, and ``P`` decides that shortened report
+    too; the converse is the lemma. That shortened report comes earlier in
+    the enumeration, which is the product of the members' spaces, so each
+    report's answer is known from the reports before it, and the process
+    runs once per joint report no run decides. A decided report is never
+    the first profitable one: its run ``P`` comes before it, and is either
+    the truthful report, which gains nothing, or was found unprofitable.
+    So the first witness, the refusals and the cap check on the full space
+    are those of the plain enumeration (``tests/helpers``).
+
+    The bookkeeping. ``covers`` holds, per joint report in enumeration
+    order, the dry set of the run that decides it. Member ``m``'s report at
+    position ``n`` of their space has its parent (the report less its last
+    contract) at position ``parents[m][n]``, so the joint report with that
+    member's report shortened lies ``strides[m] * (n - parents[m][n])``
+    places earlier. The first member's space is streamed; the others' are
+    held in memory.
     """
     contracts = compiled.contracts
     indices = [compiled.student_index[s] for s in members]
@@ -147,7 +194,7 @@ def _search_misreports(
         PreferenceOrder(s, tuple(contracts[ci] for ci in t)) for s, t in zip(members, truthful)
     ]
     base = compiled.default_order_rank()
-    truth_mask = compiled.cop(base)
+    truth_mask, truth_dry = compiled.cop(base)
     truth_held = [_held_contract(compiled, truth_mask, si) for si in indices]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
     if any(r == 0 for r in truth_ranks):
@@ -160,31 +207,59 @@ def _search_misreports(
     if space > cap:
         raise SearchCapExceededError(space, cap, f"joint misreports for {members}")
 
-    acceptable = list(compiled.acceptable)
     others = [list(_reports(pool)) for pool in pools[1:]]
-    for first in _reports(pools[0]):
-        first_order = _rewrite(list(base), pools[0], first)
-        acceptable[indices[0]] = first
-        for rest in itertools.product(*others):
-            joint = (first, *rest)
-            if joint == truthful:
-                continue
-            order = first_order
-            if rest:
-                order = list(first_order)
-                for si, pool, report in zip(indices[1:], pools[1:], rest):
-                    _rewrite(order, pool, report)
-                    acceptable[si] = report
-            trial = compiled.with_acceptable(tuple(acceptable))
-            mask = trial.cop(order)
-            held = [_held_contract(trial, mask, si) for si in indices]
-            if all(p.rank(h) < r for p, h, r in zip(truths, held, truth_ranks)):
-                reported = tuple(
-                    PreferenceOrder(s, tuple(contracts[ci] for ci in report))
-                    for s, report in zip(members, joint)
-                )
-                return Misreport(members, reported, tuple(truth_held), tuple(held))
+    parents = [_parents(len(pool)) for pool in pools]
+    strides = [1] * len(pools)
+    for m in range(len(pools) - 2, -1, -1):
+        strides[m] = strides[m + 1] * len(others[m])
+    tails = list(itertools.product(*(range(len(reports)) for reports in others)))
+
+    acceptable = list(compiled.acceptable)
+    covers: list[int] = []
+    for n0, first in enumerate(_reports(pools[0])):
+        for tail in tails:
+            dry = None
+            for m, n in enumerate((n0, *tail)):
+                parent = parents[m][n]
+                if parent >= 0:
+                    cover = covers[len(covers) - (n - parent) * strides[m]]
+                    if not cover >> indices[m] & 1:
+                        dry = cover
+                        break
+            if dry is None:
+                joint = (first, *(reports[n] for reports, n in zip(others, tail)))
+                if joint == truthful:
+                    dry = truth_dry
+                else:
+                    order = list(base)
+                    for si, pool, report in zip(indices, pools, joint):
+                        _rewrite(order, pool, report)
+                        acceptable[si] = report
+                    trial = compiled.with_acceptable(tuple(acceptable))
+                    mask, dry = trial.cop(order)
+                    held = [_held_contract(trial, mask, si) for si in indices]
+                    if all(p.rank(h) < k for p, h, k in zip(truths, held, truth_ranks)):
+                        reported = tuple(
+                            PreferenceOrder(s, tuple(contracts[ci] for ci in report))
+                            for s, report in zip(members, joint)
+                        )
+                        return Misreport(members, reported, tuple(truth_held), tuple(held))
+            covers.append(dry)
     return None
+
+
+def _parents(size: int) -> list[int]:
+    """For each report of a pool of ``size`` contracts, in ``_reports``
+    order, the position of its parent (the report less its last contract);
+    -1 for the empty report. Each length lists the extensions of the
+    reports one shorter in their order, ``size - length + 1`` of each."""
+    out = [-1]
+    start, count = 0, 1
+    for length in range(1, size + 1):
+        fan = size - length + 1
+        out.extend(start + j // fan for j in range(count * fan))
+        start, count = start + count, count * fan
+    return out
 
 
 def _rewrite(rank: list, pool: Sequence[int], report: tuple) -> list:
@@ -356,7 +431,7 @@ def improvement_chains(
         else:
             trimmed[s] = PreferenceOrder(s, pref.ranked[: pref.rank(current) + 1])
     compiled = Compiled.from_instance(flexible.with_preferences(trimmed))
-    return compiled.to_set(compiled.cop(compiled.default_order_rank()))
+    return compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +481,7 @@ def check_flexibility_pareto(
     for sid in changed:
         target = working.with_school(flexible.school(sid))
         steps = _unit_instances(working, target, sid)
-        direct = run_cop_default(target)
+        direct = flexible_outcome if target == flexible else run_cop_default(target)
         if steps is None or chain_agrees is None:
             decomposed = decomposed and steps is not None
             chain_agrees = None

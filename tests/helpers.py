@@ -157,6 +157,52 @@ def reference_cop(students, schools, preferences, order):
     return frozenset().union(*held.values()), steps
 
 
+def take_back_market() -> rm.ProblemInstance:
+    """A market where a school takes back a contract it rejected.
+
+    School s seats group t2 only once group t1 has filled: a transfer that
+    grows as vacancies shrink, which validation refuses. So s rejects a's
+    t2 contract alone and takes it back once b fills group t1. Each student
+    truly lists every contract of theirs, a's best first.
+    """
+    a_s = rm.Contract("a", "s", "t2")
+    a_u = rm.Contract("a", "u", "t1")
+    a_v = rm.Contract("a", "v", "t1")
+    b_s = rm.Contract("b", "s", "t1")
+    c_u = rm.Contract("c", "u", "t1")
+    one_seat = rm.ForwardSumScheme(((),))
+    schools = (
+        rm.SchoolConfig(
+            "s", 2, rm.PriorityOrder("s", ("a", "b")), ("t1", "t2"), (1, 0),
+            rm.TableScheme({1: {(0,): 1}}),
+        ),
+        rm.SchoolConfig("u", 1, rm.PriorityOrder("u", ("c", "a")), ("t1",), (1,), one_seat),
+        rm.SchoolConfig("v", 1, rm.PriorityOrder("v", ("a",)), ("t1",), (1,), one_seat),
+    )
+    return rm.ProblemInstance(
+        students=("a", "b", "c"),
+        profile=rm.TypeProfile(
+            ("t1", "t2"),
+            {"a": frozenset({"t1", "t2"}), "b": frozenset({"t1"}), "c": frozenset({"t1"})},
+        ),
+        schools=schools,
+        contracts=frozenset({a_s, a_u, a_v, b_s, c_u}),
+        preferences={
+            "a": rm.PreferenceOrder("a", (a_s, a_u, a_v)),
+            "b": rm.PreferenceOrder("b", (b_s,)),
+            "c": rm.PreferenceOrder("c", (c_u,)),
+        },
+    )
+
+
+def reference_run(compiled: Compiled, preferences) -> tuple[frozenset, int]:
+    """The outcome and the dry set of the process on a clone of ``compiled``
+    reporting ``preferences``, under the clone's own canonical order."""
+    clone = compiled.with_preferences(preferences)
+    held, dry = clone.cop(clone.default_order_rank())
+    return clone.to_set(held), dry
+
+
 def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int = 200_000):
     """The misreport search by plain enumeration, with no validation.
 
@@ -172,16 +218,13 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
         return None
     compiled = Compiled.from_instance(instance)
 
-    def outcome(clone):
-        return clone.to_set(clone.cop(clone.default_order_rank()))
-
     def held(allocation, student):
         # a market whose scheme is not monotone can leave a student held
         # at two schools; the search reads the last in contract order
         return max((c for c in allocation if c.student == student), default=None)
 
     truths = [instance.preferences[s] for s in members]
-    truth_outcome = outcome(compiled)
+    truth_outcome = reference_run(compiled, instance.preferences)[0]
     truth_held = [held(truth_outcome, s) for s in members]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
     if any(r == 0 for r in truth_ranks):
@@ -200,7 +243,7 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
             continue
         prefs = dict(instance.preferences)
         prefs.update(zip(members, joint))
-        got = outcome(compiled.with_preferences(prefs))
+        got = reference_run(compiled, prefs)[0]
         deviant = [held(got, s) for s in members]
         if all(p.rank(h) < r for p, h, r in zip(truths, deviant, truth_ranks)):
             return rm.Misreport(members, joint, tuple(truth_held), tuple(deviant))

@@ -11,7 +11,7 @@ import pytest
 import reservematch as rm
 from reservematch._engine import Compiled
 
-from helpers import reference_cop
+from helpers import reference_cop, take_back_market
 
 
 def test_nobody_acceptable_means_nobody_proposes(ex1):
@@ -176,7 +176,7 @@ def _orders(compiled: Compiled, seed: int, shuffles: int = 4):
 
 def _assert_cop_matches_oracle(compiled: Compiled, schools, preferences, order):
     raw: list = []
-    held = compiled.cop(compiled.order_rank(order), transcript=raw)
+    held, _ = compiled.cop(compiled.order_rank(order), transcript=raw)
     steps = [
         (
             compiled.contracts[ci],
@@ -215,30 +215,12 @@ def test_engine_cop_matches_the_oracle_on_slot_specific_markets():
 
 
 def test_engine_cop_keeps_a_student_held_while_any_school_holds_them():
-    # School s seats group t2 only once group t1 has filled: a transfer that
-    # grows as vacancies shrink, which validation refuses. So s rejects a's
-    # t2 contract alone and takes it back once b fills group t1. Rejected
-    # students must not be treated as free: a stays held while s holds them.
-    a_s = rm.Contract("a", "s", "t2")
-    a_u = rm.Contract("a", "u", "t1")
-    a_v = rm.Contract("a", "v", "t1")
-    b_s = rm.Contract("b", "s", "t1")
-    c_u = rm.Contract("c", "u", "t1")
-    one_seat = rm.ForwardSumScheme(((),))
-    schools = [
-        rm.SchoolConfig(
-            "s", 2, rm.PriorityOrder("s", ("a", "b")), ("t1", "t2"), (1, 0),
-            rm.TableScheme({1: {(0,): 1}}),
-        ),
-        rm.SchoolConfig("u", 1, rm.PriorityOrder("u", ("c", "a")), ("t1",), (1,), one_seat),
-        rm.SchoolConfig("v", 1, rm.PriorityOrder("v", ("a",)), ("t1",), (1,), one_seat),
-    ]
-    prefs = {
-        "a": rm.PreferenceOrder("a", (a_s, a_u, a_v)),
-        "b": rm.PreferenceOrder("b", (b_s,)),
-        "c": rm.PreferenceOrder("c", (c_u,)),
-    }
-    compiled = Compiled([a_s, a_u, a_v, b_s, c_u], ("a", "b", "c"), schools, prefs)
+    # Rejected students must not be treated as free: a stays held while the
+    # school that took a back holds them.
+    market = take_back_market()
+    a_s, a_u, a_v, b_s, c_u = sorted(market.contracts)
+    schools, prefs = market.schools, market.preferences
+    compiled = Compiled.from_instance(market)
     for order in (
         # a's offer to u is popped while s has taken a back
         (a_s, b_s, a_u, c_u, a_v),
@@ -246,4 +228,4 @@ def test_engine_cop_keeps_a_student_held_while_any_school_holds_them():
         (a_s, a_u, b_s, c_u, a_v),
     ):
         _assert_cop_matches_oracle(compiled, schools, prefs, order)
-        assert compiled.to_set(compiled.cop(compiled.order_rank(order))) == {a_s, b_s, c_u}
+        assert compiled.to_set(compiled.cop(compiled.order_rank(order))[0]) == {a_s, b_s, c_u}

@@ -505,7 +505,7 @@ def test_cli_convert_round_trips_through_match(capsys, tmp_path):
     from reservematch._engine import Compiled
 
     compiled = Compiled(sorted(school.contracts), students, [school], prefs)
-    direct = compiled.to_set(compiled.cop(compiled.default_order_rank()))
+    direct = compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
     conv = rm.convert_slot_specific(school)
     assert {conv.inverse[c] for c in via_dynamic} == set(direct)
 

@@ -9,9 +9,9 @@ import pytest
 
 import reservematch as rm
 from conftest import small_params
-from helpers import reference_group_misreport
+from helpers import reference_group_misreport, reference_run, take_back_market
 from reservematch._engine import Compiled
-from reservematch.incentives import _search_misreports
+from reservematch.incentives import _reports, _search_misreports
 
 
 def _assignment(allocation, student):
@@ -265,6 +265,112 @@ def test_misreport_search_matches_the_oracle_where_the_mechanism_is_manipulable(
     )
     assert reference_group_misreport(instance, members) == expected
     assert _search_misreports(Compiled.from_instance(instance), members, 200_000) == expected
+
+
+# ----------------------------------------------------------------------
+# prefix pruning
+
+
+def test_a_student_runs_dry_on_a_rejected_last_contract_though_taken_back():
+    market = take_back_market()
+    a_s = min(market.contracts)
+    compiled = Compiled.from_instance(market)
+    a = compiled.student_index["a"]
+    # under the truthful lists a is rejected by s, so a goes on to u
+    assert not compiled.cop(compiled.default_order_rank())[1] >> a & 1
+    prefs = dict(market.preferences, a=rm.PreferenceOrder("a", (a_s,)))
+    outcome, dry = reference_run(compiled, prefs)
+    assert a_s in outcome  # s takes a back once b fills group t1 ...
+    assert dry >> a & 1  # ... but a stood unheld with the report used up
+    # every truthful list of a, so that the searches get past the top check
+    for truth in rm.preference_space("a", sorted(market.contracts_of("a"))):
+        instance = market.with_preferences(dict(market.preferences, a=truth))
+        compiled = Compiled.from_instance(instance)
+        for size in (1, 2):
+            for coalition in itertools.combinations(instance.students, size):
+                assert _answer(_search_misreports, compiled, coalition, 200_000) == _answer(
+                    reference_group_misreport, instance, coalition
+                ), (truth, coalition)
+
+
+def _deciding_run(joint, runs, indices):
+    """A run in ``runs`` (joint report -> dry set) that ``joint`` extends,
+    past a member's report only for a member outside its dry set; ``None``
+    when there is none. Every run decides itself."""
+    for cut in itertools.product(*(range(len(report) + 1) for report in joint)):
+        prefix = tuple(report[:k] for report, k in zip(joint, cut))
+        dry = runs.get(prefix)
+        if dry is not None and all(
+            k == len(report) or not dry >> si & 1 for report, k, si in zip(joint, cut, indices)
+        ):
+            return prefix
+    return None
+
+
+def test_the_search_runs_exactly_the_reports_no_earlier_run_decides(small_instances, monkeypatch):
+    # Witnesses alone cannot show a search that prunes too much, because
+    # these markets have none, so every run of each search is recorded.
+    runs = []
+    cop = Compiled.cop
+
+    def recorded(self, order_rank, transcript=None):
+        held, dry = cop(self, order_rank, transcript)
+        runs.append((self.acceptable, dry))
+        return held, dry
+
+    monkeypatch.setattr(Compiled, "cop", recorded)
+    searches = 0
+    for n, instance in enumerate(small_instances):
+        compiled = Compiled.from_instance(instance)
+        for size in (1, 2) if n % 8 == 0 else (1,):
+            for coalition in itertools.combinations(instance.students, size):
+                runs.clear()
+                assert _search_misreports(compiled, coalition, 200_000) is None
+                if len(runs) == 1:
+                    continue  # a member holds their top contract
+                searches += 1
+                indices = [compiled.student_index[s] for s in coalition]
+                seen: dict = {}
+                for acceptable, dry in runs:
+                    joint = tuple(acceptable[si] for si in indices)
+                    assert _deciding_run(joint, seen, indices) is None, joint
+                    seen[joint] = dry
+                pools = [_reports(compiled.student_contracts[si]) for si in indices]
+                for joint in itertools.product(*pools):
+                    assert _deciding_run(joint, seen, indices) is not None, joint
+    assert searches > 300
+
+
+def _pruned_prefix_agreement(instance) -> int:
+    """For every student and every report of theirs, the outcome equals the
+    outcome of the report's pruned prefix: its shortest prefix whose run
+    leaves the student out of the dry set (the report itself when there is
+    none). Returns how many reports have a shorter pruned prefix."""
+    compiled = Compiled.from_instance(instance)
+    shorter = 0
+    for student in instance.students:
+        si = compiled.student_index[student]
+        runs = {
+            report.ranked: reference_run(
+                compiled, dict(instance.preferences, **{student: report})
+            )
+            for report in rm.preference_space(student, sorted(instance.contracts_of(student)))
+        }
+        for report, (outcome, _) in runs.items():
+            prefix = next(
+                (report[:k] for k in range(len(report)) if not runs[report[:k]][1] >> si & 1),
+                report,
+            )
+            assert runs[prefix][0] == outcome, (student, report, prefix)
+            shorter += prefix != report
+    return shorter
+
+
+def test_a_report_runs_as_its_pruned_prefix_over_whole_spaces(small_instances):
+    markets = small_instances[::4] + [entry[0] for entry in MANIPULABLE.values()]
+    shorter = sum(_pruned_prefix_agreement(instance) for instance in markets)
+    assert shorter > 1_000
+    assert _pruned_prefix_agreement(take_back_market())
 
 
 # ----------------------------------------------------------------------
