@@ -69,7 +69,6 @@ from .incentives import (
     check_flexibility_pareto,
     check_respects_improvements,
     find_group_misreport,
-    find_profitable_misreport,
     improvement_chains,
     is_more_flexible,
     is_unambiguous_improvement,

@@ -13,13 +13,14 @@ the two spaces; ``local_bit`` (indexed by global index) and each school's
 
 A dynamic reserves school reads group ``k``'s capacity from its
 ``cap_table``, keyed by the residuals of groups ``0..k-1`` (the key's length
-names the group). An entry is read from the transfer scheme the first time
-a choice reaches its prefix and kept, so a scheme is called once per prefix
-rather than once per group per choice. The table is a memo of the scheme,
-which is a pure function of the residuals, so it assumes nothing about
-monotonicity, and the order in which it fills cannot change a choice. It is
-filled lazily because a market's choices reach few of the prefixes in
-``[0, capacity]^k``. Clones made by ``Compiled.with_preferences`` and
+names the group), so a choice returns only its chosen mask and residuals:
+the capacity group ``k`` ran at is ``cap_table[residuals[:k]]``. An entry is
+read from the transfer scheme the first time a choice reaches its prefix and
+kept, so a scheme is called once per prefix rather than once per group per
+choice. The table is a memo of the scheme, which is a pure function of the
+residuals, so it assumes nothing about monotonicity, and the order in which
+it fills cannot change a choice. It is filled lazily because a market's
+choices reach few of the prefixes in ``[0, capacity]^k``. Clones made by ``Compiled.with_preferences`` and
 ``Compiled.with_acceptable`` share the schools, and so their tables.
 
 The cumulative offer process is event-driven. It keeps each school's offered
@@ -90,12 +91,11 @@ class CompiledSchool:
     """A dynamic reserves choice function over the school's local bits."""
 
     __slots__ = (
-        "config", "groups", "targets", "scheme", "global_index", "student_of", "peer",
-        "start", "type_masks", "type_groups", "cap_table",
+        "groups", "targets", "scheme", "global_index", "student_of", "peer", "start",
+        "type_masks", "type_groups", "cap_table",
     )
 
     def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
-        self.config = config
         self.targets = config.targets
         self.scheme = config.scheme
         # one position per privilege type, in order of first precedence; a
@@ -127,14 +127,14 @@ class CompiledSchool:
         # from the scheme the first time a choice reaches that prefix
         self.cap_table: dict[tuple[int, ...], int] = {(): config.targets[0]}
 
-    def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """Return (chosen local mask, residuals, realized capacities) for a
-        local offer mask. Capacities come from ``cap_table``."""
+    def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...]]:
+        """Return (chosen local mask, residuals) for a local offer mask.
+        Group ``k`` runs at ``cap_table[residuals[:k]]``, which this call
+        fills if it is the first to reach that prefix."""
         avail = mask
         peer = self.peer
         table = self.cap_table
         residuals: tuple[int, ...] = ()
-        caps: list[int] = []
         chosen = 0
         for type_mask in self.groups:
             cap = table.get(residuals)
@@ -151,8 +151,7 @@ class CompiledSchool:
                 # one contract per student and type, so ``pool`` keeps no peer
                 avail &= ~low if completion else ~peer[low.bit_length() - 1]
             residuals += (cap - taken,)
-            caps.append(cap)
-        return chosen, residuals, tuple(caps)
+        return chosen, residuals
 
     def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
         """True when the offer of local bit ``bit`` is rejected and changes
@@ -173,15 +172,15 @@ class CompiledSlotSchool:
     """A slot-specific choice function over the school's local bits, which
     follow contract order."""
 
-    __slots__ = ("school", "slots", "global_index", "student_of", "peer")
+    __slots__ = ("slots", "global_index", "student_of", "peer")
 
     def __init__(self, school: SlotSpecificSchool, owner: "Compiled", members: Sequence[int]):
-        self.school = school
         self.global_index, self.student_of, self.peer = _local_space(owner, members)
         index, local_bit = owner.index, owner.local_bit
         self.slots = tuple(tuple(local_bit[index[c]] for c in slot) for slot in school.slots)
 
-    def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...]]:
+        """Return (chosen local mask, residuals); every slot has capacity 1."""
         avail = mask
         chosen = 0
         residuals: list[int] = []
@@ -194,7 +193,7 @@ class CompiledSlotSchool:
                     break
             else:
                 residuals.append(1)
-        return chosen, tuple(residuals), (1,) * len(self.slots)
+        return chosen, tuple(residuals)
 
     def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
         """Never: a slot-specific school always re-chooses."""
@@ -411,7 +410,7 @@ class Compiled:
             if last is not None and school.keeps(b, old, last):
                 new = old
             else:
-                new, residuals[s], _ = school.choose(offer)
+                new, residuals[s] = school.choose(offer)
             if new != old:
                 held[s] = new
                 student_of = school.student_of

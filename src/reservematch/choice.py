@@ -293,28 +293,16 @@ def check_monotonic(
     return _table_report(capacity_table(scheme, targets, bound), bound)
 
 
-def _ranked_by_priority(
-    candidates: Iterable[Contract], priority: PriorityOrder
-) -> list[Contract]:
-    """Contracts of priority-acceptable students, best student first."""
-    keyed = []
-    for c in candidates:
-        r = priority.rank(c.student)
-        if r is not None:
-            keyed.append((r, c))
-    keyed.sort()
-    return [c for _, c in keyed]
-
-
 def sub_choice(
     offers: Iterable[Contract],
     capacity: int,
     privilege: str,
-    ranking: DerivedTypePriority,
+    ranking: Union[DerivedTypePriority, PriorityOrder],
 ) -> frozenset:
     """Pick up to ``capacity`` contracts naming ``privilege``, best-ranked
     students first; contracts of other schools, other types, or unranked
-    students are filtered out."""
+    students are filtered out. ``ranking`` is read only for its ``school``
+    and ``ranked``, so a school's whole priority order serves too."""
     pos = {s: n for n, s in enumerate(ranking.ranked)}
     keyed = sorted(
         (pos[c.student], c)
@@ -334,16 +322,9 @@ def _run_groups(
     for k, privilege in enumerate(config.precedence):
         capacity = config.dynamic_capacity(k, tuple(residuals))
         snapshot = frozenset(available)
-        picks: list[Contract] = []
-        if capacity > 0:
-            for c in _ranked_by_priority(
-                (c for c in available if c.privilege == privilege), config.priority
-            ):
-                picks.append(c)
-                if len(picks) >= capacity:
-                    break
+        picks = sub_choice(available, capacity, privilege, config.priority)
         records.append(
-            GroupRecord(k, privilege, snapshot, capacity, frozenset(picks), capacity - len(picks))
+            GroupRecord(k, privilege, snapshot, capacity, picks, capacity - len(picks))
         )
         residuals.append(capacity - len(picks))
         chosen_union.update(picks)

@@ -27,6 +27,7 @@ from ._engine import Compiled
 from .cop import _order_independence, _run
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
+    contract_id,
     load_allocation,
     load_instance,
     load_slot_market,
@@ -47,7 +48,7 @@ from .incentives import (
     check_respects_improvements,
 )
 from .instance import ProblemInstance
-from .model import Contract, PreferenceOrder
+from .model import PreferenceOrder
 from .verification import (
     check_completion,
     check_irc,
@@ -68,10 +69,6 @@ AUDIT_CHECKS = (
     "flexibility_pareto",
     "completion_axioms",
 )
-
-
-def _cid(c: Contract) -> str:
-    return f"{c.student}@{c.school}:{c.privilege}"
 
 
 def _emit(report: dict, lines: list[str], fmt: str, out: str | None) -> None:
@@ -111,8 +108,10 @@ def _cmd_match(args) -> int:
         steps = [
             {
                 "step": step.step,
-                "proposed": _cid(step.proposed),
-                "held": {s: sorted(_cid(c) for c in cs) for s, cs in sorted(step.held.items())},
+                "proposed": contract_id(step.proposed),
+                "held": {
+                    s: sorted(contract_id(c) for c in cs) for s, cs in sorted(step.held.items())
+                },
             }
             for step in result.steps
         ]
@@ -121,7 +120,7 @@ def _cmd_match(args) -> int:
     report = {
         "command": "match",
         "instance": str(args.instance),
-        "allocation": sorted(_cid(c) for c in allocation),
+        "allocation": sorted(contract_id(c) for c in allocation),
         "matched": len(allocation),
         "students": len(instance.students),
     }
@@ -142,15 +141,15 @@ def _cmd_verify(args) -> int:
     doc = {
         "command": "verify",
         "instance": str(args.instance),
-        "allocation": sorted(_cid(c) for c in allocation),
+        "allocation": sorted(contract_id(c) for c in allocation),
         "stable": report.passed,
         "students_individually_rational": report.students_ok,
         "schools_individually_rational": report.schools_ok,
         "unblocked": report.unblocked,
-        "unacceptable_assignments": sorted(_cid(c) for c in report.unacceptable_assignments),
+        "unacceptable_assignments": sorted(map(contract_id, report.unacceptable_assignments)),
         "blocking": None
         if report.blocking is None
-        else {"school": report.blocking[0], "contracts": sorted(_cid(c) for c in report.blocking[1])},
+        else {"school": report.blocking[0], "contracts": sorted(map(contract_id, report.blocking[1]))},
     }
     lines = [
         f"stable: {report.passed}",
@@ -160,19 +159,18 @@ def _cmd_verify(args) -> int:
     ]
     if report.blocking is not None:
         school, z = report.blocking
-        lines.append(f"  blocking set at {school}: {sorted(_cid(c) for c in z)}")
+        lines.append(f"  blocking set at {school}: {sorted(contract_id(c) for c in z)}")
     _emit(doc, lines, args.format, args.out)
     return 0 if report.passed else 1
 
 
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
     # the generator and the loader validate, so one compile serves the
-    # truthful run, order independence and every misreport search
+    # truthful run (order independence's baseline) and every misreport search
     compiled = Compiled.from_instance(instance)
-    row: dict = {}
-    allocation = compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
-    row["stable"] = is_stable(allocation, instance).passed
-    row["order_independent"] = _order_independence(compiled, trials=10, seed=seed).ok
+    independence = _order_independence(compiled, trials=10, seed=seed)
+    row: dict = {"stable": is_stable(independence.baseline, instance).passed}
+    row["order_independent"] = independence.ok
 
     strategy_proof = True
     for student in instance.students:
@@ -255,16 +253,14 @@ def _cmd_audit(args) -> int:
     summary = {k: sum(1 for r in rows if r[k] is True) for k in AUDIT_CHECKS}
     unverified = {k: n for k in AUDIT_CHECKS if (n := sum(1 for r in rows if r[k] is None))}
     all_ok = all(r["ok"] for r in rows)
+    # the generator's sizes shape generated inputs only, so files omit them
+    parameters = {"seed": args.seed, "max_contracts": args.max_contracts}
+    if not args.instances:
+        parameters.update(students=args.students, schools=args.schools, types=args.types)
     report = {
         "command": "audit",
         "count": len(rows),
-        "parameters": {
-            "seed": args.seed,
-            "students": args.students,
-            "schools": args.schools,
-            "types": args.types,
-            "max_contracts": args.max_contracts,
-        },
+        "parameters": parameters,
         "results": rows,
         "summary": summary,
         "all_ok": all_ok,
@@ -315,8 +311,8 @@ def _cmd_compare(args) -> int:
         "deltas": [
             {
                 "student": s,
-                "rigid": None if old is None else _cid(old),
-                "flexible": None if new is None else _cid(new),
+                "rigid": None if old is None else contract_id(old),
+                "flexible": None if new is None else contract_id(new),
                 "change": verdict,
             }
             for s, old, new, verdict in comparison.deltas
@@ -330,7 +326,8 @@ def _cmd_compare(args) -> int:
     ]
     for s, old, new, verdict in comparison.deltas:
         lines.append(
-            f"{s:<12} {(_cid(old) if old else '-'):<22} {(_cid(new) if new else '-'):<22} {verdict}"
+            f"{s:<12} {(contract_id(old) if old else '-'):<22} "
+            f"{(contract_id(new) if new else '-'):<22} {verdict}"
         )
     _emit(report, lines, args.format, args.out)
     return 0 if comparison.dominates and comparison.chain_agrees is not False else 1
@@ -364,7 +361,7 @@ def _cmd_convert(args) -> int:
             got = tabulate(converted.choice, pool, cap=cap)
             for mask, (a, b) in enumerate(zip(got.chosen, want.chosen)):
                 if a != b:
-                    mismatch = sorted(_cid(c) for c in got.subset(mask))
+                    mismatch = sorted(contract_id(c) for c in got.subset(mask))
                     break
         else:
             mismatch = f"skipped: {len(pool)} contracts exceed --max-contracts"
@@ -376,7 +373,7 @@ def _cmd_convert(args) -> int:
         "groups": len(converted.config.precedence),
         "capacity": converted.config.capacity,
         "artificial_types": {
-            _cid(c): converted.mapping[c].privilege for c in sorted(converted.mapping)
+            contract_id(c): converted.mapping[c].privilege for c in sorted(converted.mapping)
         },
         "equivalence_mismatch": mismatch,
     }

@@ -22,6 +22,7 @@ __all__ = [
     "INSTANCE_SCHEMA",
     "ALLOCATION_SCHEMA",
     "SLOTS_SCHEMA",
+    "contract_id",
     "load_instance",
     "save_instance",
     "instance_to_document",
@@ -183,7 +184,8 @@ def _scheme_from_doc(doc: dict, groups: int, where: str):
     raise InstanceFormatError(f"unknown scheme kind {kind!r}", f"{where}.kind")
 
 
-def _canonical_id(c: Contract) -> str:
+def contract_id(c: Contract) -> str:
+    """The canonical id ``student@school:type``, used in files and reports."""
     return f"{c.student}@{c.school}:{c.privilege}"
 
 
@@ -210,11 +212,11 @@ def instance_to_document(instance: ProblemInstance) -> dict:
             for cfg in instance.schools
         ],
         "contracts": [
-            {"id": _canonical_id(c), "student": c.student, "school": c.school, "type": c.privilege}
+            {"id": contract_id(c), "student": c.student, "school": c.school, "type": c.privilege}
             for c in contracts
         ],
         "preferences": {
-            s: [_canonical_id(c) for c in instance.preferences[s].ranked]
+            s: [contract_id(c) for c in instance.preferences[s].ranked]
             for s in instance.students
         },
     }
@@ -280,14 +282,14 @@ def instance_from_document(doc: object) -> ProblemInstance:
     )
 
 
-def load_instance(path, validate: bool = True) -> ProblemInstance:
-    """Parse an instance file; with ``validate`` (the default) every
-    structural violation is collected and raised as one error."""
+def load_instance(path) -> ProblemInstance:
+    """Parse and validate an instance file; every structural violation is
+    collected and raised as one error. :func:`instance_from_document` parses
+    without validating."""
     instance = instance_from_document(_read_json(path))
-    if validate:
-        violations = validate_instance(instance)
-        if violations:
-            raise ValidationError([f"{path}: {v}" for v in violations])
+    violations = validate_instance(instance)
+    if violations:
+        raise ValidationError([f"{path}: {v}" for v in violations])
     return instance
 
 
@@ -298,7 +300,7 @@ def save_instance(instance: ProblemInstance, path) -> None:
 def save_allocation(allocation: Iterable[Contract], path) -> None:
     doc = {
         "schema": ALLOCATION_SCHEMA,
-        "contracts": [_canonical_id(c) for c in sorted(allocation)],
+        "contracts": [contract_id(c) for c in sorted(allocation)],
     }
     _write_json(doc, path)
 
@@ -306,7 +308,7 @@ def save_allocation(allocation: Iterable[Contract], path) -> None:
 def load_allocation(path, instance: ProblemInstance) -> frozenset:
     doc = _read_json(path)
     _check_schema(doc, ALLOCATION_SCHEMA)
-    by_id = {_canonical_id(c): c for c in instance.contracts}
+    by_id = {contract_id(c): c for c in instance.contracts}
     ids = _expect(doc, "contracts", list, "$")
     return frozenset(_ranked_contracts(ids, by_id, "contracts"))
 
@@ -321,12 +323,12 @@ def save_slot_market(
         "schema": SLOTS_SCHEMA,
         "school": school.school,
         "contracts": [
-            {"id": _canonical_id(c), "student": c.student, "school": c.school, "type": c.privilege}
+            {"id": contract_id(c), "student": c.student, "school": c.school, "type": c.privilege}
             for c in contracts
         ],
-        "slots": [[_canonical_id(c) for c in slot] for slot in school.slots],
+        "slots": [[contract_id(c) for c in slot] for slot in school.slots],
         "preferences": {
-            s: [_canonical_id(c) for c in pref.ranked] for s, pref in sorted(preferences.items())
+            s: [contract_id(c) for c in pref.ranked] for s, pref in sorted(preferences.items())
         },
     }
     _write_json(doc, path)

@@ -45,7 +45,6 @@ class GeneratorParams:
     seed: int
     capacity_range: tuple[int, int] = (1, 3)
     claim_range: tuple[int, int] = (1, 2)
-    extra_groups: int = 1
     scheme_family: str = "forward_sum"
     acceptability: float = 0.8
 
@@ -74,10 +73,11 @@ def _random_scheme(rng: random.Random, groups: int, targets: tuple[int, ...], fa
     return TableScheme.pinned(capacity_table(scheme, targets, sum(targets)), targets)
 
 
-def _random_precedence(rng: random.Random, types: tuple[str, ...], extra_groups: int) -> list[str]:
+def _random_precedence(rng: random.Random, types: tuple[str, ...]) -> list[str]:
+    """Every type once, in random order, plus at most one extra group."""
     seq = list(types)
     rng.shuffle(seq)
-    for _ in range(rng.randint(0, extra_groups)):
+    for _ in range(rng.randint(0, 1)):
         seq.insert(rng.randrange(len(seq) + 1), rng.choice(types))
     return seq
 
@@ -95,13 +95,12 @@ def _random_school(
     students: tuple[str, ...],
     types: tuple[str, ...],
     capacity_range: tuple[int, int],
-    extra_groups: int,
     scheme_family: str,
 ) -> SchoolConfig:
     capacity = rng.randint(*capacity_range)
     acceptable = [s for s in students if rng.random() < 0.9]
     rng.shuffle(acceptable)
-    precedence = _random_precedence(rng, types, extra_groups)
+    precedence = _random_precedence(rng, types)
     targets = _split_capacity(rng, capacity, len(precedence))
     scheme = _random_scheme(rng, len(precedence), targets, scheme_family)
     return SchoolConfig(
@@ -133,9 +132,7 @@ def generate_random_instance(params: GeneratorParams) -> ProblemInstance:
     contracts = frozenset(c for s in students for c in own[s])
 
     configs = tuple(
-        _random_school(
-            rng, sc, students, types, params.capacity_range, params.extra_groups, params.scheme_family
-        )
+        _random_school(rng, sc, students, types, params.capacity_range, params.scheme_family)
         for sc in schools
     )
 
@@ -173,7 +170,7 @@ def generate_school_pool(
     exhaustive choice-function audits."""
     rng = random.Random(seed)
     types, students, contracts = _random_pool(rng, max_contracts)
-    cfg = _random_school(rng, "s", students, types, (1, 3), 1, "mixed")
+    cfg = _random_school(rng, "s", students, types, (1, 3), "mixed")
     return cfg, contracts
 
 

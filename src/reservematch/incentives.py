@@ -34,7 +34,6 @@ __all__ = [
     "Misreport",
     "preference_space",
     "preference_space_size",
-    "find_profitable_misreport",
     "find_group_misreport",
     "is_unambiguous_improvement",
     "ImprovementCheck",
@@ -88,41 +87,34 @@ def _held_contract(compiled: Compiled, mask: int, student_index: int) -> Optiona
     return compiled.contracts[own[-1]] if own else None
 
 
-# The largest joint strategy space a misreport search enumerates.
+# The largest joint strategy space a misreport search enumerates, and the
+# largest coalition it searches.
 MISREPORT_CAP = 200_000
-
-
-def find_profitable_misreport(
-    student: str, instance: ProblemInstance, cap: int = MISREPORT_CAP
-) -> Optional[Misreport]:
-    """Search the student's full strategy space for a report whose mechanism
-    outcome they truly prefer to the truthful outcome: the coalition search
-    for a coalition of one.
-
-    Returns the first profitable misreport in enumeration order, or ``None``
-    after exhausting the space. Refuses if the space exceeds ``cap``.
-    """
-    return find_group_misreport((student,), instance, cap)
+MAX_COALITION = 2
 
 
 def find_group_misreport(
     coalition: Iterable[str],
     instance: ProblemInstance,
     cap: int = MISREPORT_CAP,
-    max_coalition: int = 2,
 ) -> Optional[Misreport]:
     """Search for a joint misreport that strictly benefits every coalition
-    member. The joint space is the product of the members' strategy spaces;
-    a member who already holds their top contract makes the coalition
-    hopeless, so those are dismissed without enumeration. A report whose
-    outcome an earlier run already settles is not run (the prefix pruning
-    of ``_search_misreports``).
+    member; a coalition of one is a single student's search. The joint space
+    is the product of the members' strategy spaces; a member who already
+    holds their top contract makes the coalition hopeless, so those are
+    dismissed without enumeration. A report whose outcome an earlier run
+    already settles is not run (the prefix pruning of
+    ``_search_misreports``).
+
+    Returns the first profitable misreport in enumeration order, or ``None``
+    after exhausting the space. Refuses if the space exceeds ``cap`` or the
+    coalition has more than ``MAX_COALITION`` members.
     """
     members = tuple(sorted(set(coalition)))
     if not members:
         return None
-    if len(members) > max_coalition:
-        raise SearchCapExceededError(len(members), max_coalition, "coalition size")
+    if len(members) > MAX_COALITION:
+        raise SearchCapExceededError(len(members), MAX_COALITION, "coalition size")
     return _search_misreports(_validated(instance), members, cap)
 
 
@@ -320,10 +312,6 @@ class ImprovementCheck:
         return self.ok
 
 
-def school_priorities(instance: ProblemInstance) -> dict[str, PriorityOrder]:
-    return {cfg.school: cfg.priority for cfg in instance.schools}
-
-
 def check_respects_improvements(
     instance: ProblemInstance,
     improved: Mapping[str, PriorityOrder],
@@ -331,7 +319,7 @@ def check_respects_improvements(
 ) -> ImprovementCheck:
     """Run the mechanism before and after a priority improvement and verify
     the beneficiary is weakly better off under their true preferences."""
-    base = school_priorities(instance)
+    base = {cfg.school: cfg.priority for cfg in instance.schools}
     if not is_unambiguous_improvement(base, improved, student):
         raise InvalidInputError(
             f"priorities are not an unambiguous improvement for {student}"

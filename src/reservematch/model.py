@@ -55,10 +55,6 @@ class TypeProfile:
     types: tuple[str, ...]
     claims: Mapping[str, frozenset]
 
-    def claimants(self, privilege: str) -> frozenset:
-        """Students able to claim ``privilege``."""
-        return frozenset(s for s, ts in self.claims.items() if privilege in ts)
-
 
 def _index_map(items: tuple) -> dict:
     return {x: n for n, x in enumerate(items)}

@@ -47,7 +47,6 @@ def small_params(seed: int) -> rm.GeneratorParams:
         seed=seed,
         capacity_range=(1, 2),
         claim_range=(1, min(2, types)),
-        extra_groups=1,
         scheme_family="mixed",
         acceptability=0.75,
     )

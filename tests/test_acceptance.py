@@ -83,7 +83,7 @@ def test_no_student_or_pair_profits_from_misreporting(small_instances):
     solo_failures = []
     for n, instance in enumerate(small_instances):
         for student in instance.students:
-            found = rm.find_profitable_misreport(student, instance)
+            found = rm.find_group_misreport([student], instance)
             if found is not None:
                 solo_failures.append((n, student, found))
     pair_failures = []

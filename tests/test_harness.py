@@ -164,7 +164,7 @@ def test_validation_failures_surface_at_load(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(rm.ValidationError):
         rm.load_instance(path)
-    assert rm.load_instance(path, validate=False) is not None
+    assert instance_from_document(doc) is not None  # parsing alone does not validate
 
 
 def test_allocation_files_round_trip(ex1, tmp_path):
@@ -335,6 +335,20 @@ def test_cli_verify_flags_an_unstable_allocation(capsys, tmp_path, ex1, X):
     assert "stable: False" in out
 
 
+@pytest.mark.parametrize(
+    "held, problem",
+    [(("z2", "z3"), "several contracts"), (("x1", "y2", "z3"), "over capacity")],
+    ids=["one-student-twice", "school-over-capacity"],
+)
+def test_cli_verify_refuses_a_set_that_is_not_an_allocation(capsys, tmp_path, X, held, problem):
+    alloc = tmp_path / "bad.allocation"
+    rm.save_allocation({getattr(X, name) for name in held}, alloc)
+    code, out, err = run_cli(capsys, "verify", str(rm.ex1_path()), "--allocation", str(alloc))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: not an allocation: ") and problem in line
+
+
 def test_cli_audit_passes_on_generated_instances(capsys, tmp_path):
     out_path = tmp_path / "audit.json"
     code, out, _ = run_cli(
@@ -353,6 +367,35 @@ def test_cli_audit_reports_are_byte_identical(capsys, tmp_path):
     assert run_cli(capsys, "audit", "--seed", "3", "--count", "4", "--out", str(a))[0] == 0
     assert run_cli(capsys, "audit", "--seed", "3", "--count", "4", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_audit_on_files_reports_only_the_parameters_files_use(capsys, tmp_path):
+    # files audited at --seed 40 get the rows of the generated audit of the
+    # same instances; only the generator's sizes drop out of "parameters"
+    paths = []
+    for seed in (40, 41):
+        params = rm.GeneratorParams(students=4, schools=6, types=3, seed=seed)
+        paths.append(tmp_path / f"market-{seed}.instance")
+        rm.save_instance(rm.generate_random_instance(params), paths[-1])
+    code, out, err = run_cli(
+        capsys, "audit", *map(str, paths), "--seed", "40", "--format", "machine"
+    )
+    assert err == ""
+    from_files = json.loads(out)
+    assert from_files["parameters"] == {"seed": 40, "max_contracts": 8}
+    assert [r.pop("instance") for r in from_files["results"]] == list(map(str, paths))
+    generated_code, out, _ = run_cli(
+        capsys, "audit", "--seed", "40", "--count", "2", "--schools", "6", "--format", "machine"
+    )
+    generated = json.loads(out)
+    assert generated["parameters"] == {
+        "seed": 40, "students": 4, "schools": 6, "types": 3, "max_contracts": 8
+    }
+    assert [r.pop("instance") for r in generated["results"]] == ["seed-40", "seed-41"]
+    assert code == generated_code
+    assert {k: v for k, v in from_files.items() if k != "parameters"} == {
+        k: v for k, v in generated.items() if k != "parameters"
+    }
 
 
 def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
@@ -476,6 +519,28 @@ def test_cli_compare_ignores_a_table_that_restates_the_targets(capsys, tmp_path)
     code, out, err = run_cli(capsys, "compare", str(market), "--format", "machine")
     assert (code, err) == (0, "")
     assert json.loads(out)["dominates"] is True
+
+
+def test_cli_compare_against_a_rigid_file(capsys, tmp_path):
+    instance = rm.generate_random_instance(
+        rm.GeneratorParams(students=6, schools=2, types=3, seed=5)
+    )
+    rigid, flexible = rm.unit_flexibility_pair(instance, 5)
+    rigid_path, flexible_path = tmp_path / "rigid.instance", tmp_path / "flexible.instance"
+    rm.save_instance(rigid, rigid_path)
+    rm.save_instance(flexible, flexible_path)
+    code, out, err = run_cli(
+        capsys, "compare", str(flexible_path), "--against", str(rigid_path), "--format", "machine"
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["against"] == str(rigid_path)
+    assert report["dominates"] is report["chain_agrees"] is report["decomposed"] is True
+    # reversed, the "flexible" side is the less flexible one: bad input
+    code, out, err = run_cli(capsys, "compare", str(rigid_path), "--against", str(flexible_path))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "not more flexible" in line
 
 
 def test_cli_convert_round_trips_through_match(capsys, tmp_path):

@@ -40,43 +40,36 @@ def test_preference_space_counts_ordered_acceptable_prefixes():
 def test_student_at_their_top_has_no_profitable_misreport(ex1):
     # i's truthful outcome is their single listed contract
     assert rm.run_cop_default(ex1) >= {rm.Contract("i", "s", "t1")}
-    assert rm.find_profitable_misreport("i", ex1) is None
+    assert rm.find_group_misreport(["i"], ex1) is None
 
 
 def test_misreport_search_is_fruitless_on_random_instances():
     for k in range(30):
         instance = rm.generate_random_instance(small_params(6200 + k))
         for student in instance.students:
-            assert rm.find_profitable_misreport(student, instance) is None
+            assert rm.find_group_misreport([student], instance) is None
 
 
 def test_misreport_search_refuses_over_its_cap(ex1):
     with pytest.raises(rm.SearchCapExceededError):
-        rm.find_profitable_misreport("k", ex1, cap=2)
+        rm.find_group_misreport(["k"], ex1, cap=2)
 
 
 def test_misreport_search_requires_a_valid_instance(ex1, ex1_config):
     not_monotone = rm.TableScheme({2: {(1, 1): 0, (1, 0): 2}})
     broken = ex1.with_school(replace(ex1_config, scheme=not_monotone))
     with pytest.raises(rm.ValidationError):
-        rm.find_profitable_misreport("k", broken)
+        rm.find_group_misreport(["k"], broken)
 
 
 def test_rejected_student_cannot_game_the_worked_example(ex1):
     # k ends unmatched truthfully; no report of theirs changes that for the better
     assert _assignment(rm.run_cop_default(ex1), "k") is None
-    assert rm.find_profitable_misreport("k", ex1) is None
+    assert rm.find_group_misreport(["k"], ex1) is None
 
 
 def test_empty_coalition_has_no_deviation(ex1):
     assert rm.find_group_misreport([], ex1) is None
-
-
-def test_singleton_coalition_reduces_to_the_single_search(ex1):
-    for student in ex1.students:
-        single = rm.find_profitable_misreport(student, ex1)
-        joint = rm.find_group_misreport([student], ex1)
-        assert (single is None) == (joint is None)
 
 
 def test_pairs_cannot_jointly_misreport_on_random_instances():
@@ -90,7 +83,7 @@ def test_pairs_cannot_jointly_misreport_on_random_instances():
 
 def test_oversized_coalitions_are_refused(ex1):
     with pytest.raises(rm.SearchCapExceededError):
-        rm.find_group_misreport(["i", "j", "k"], ex1, max_coalition=2)
+        rm.find_group_misreport(["i", "j", "k"], ex1)
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +101,7 @@ def _answer(search, *args):
 def test_misreport_search_matches_the_oracle_on_every_small_instance(small_instances):
     for instance in small_instances:
         for student in instance.students:
-            assert _answer(rm.find_profitable_misreport, student, instance) == _answer(
+            assert _answer(rm.find_group_misreport, (student,), instance) == _answer(
                 reference_group_misreport, instance, (student,)
             ), student
 
@@ -136,7 +129,7 @@ def test_each_report_runs_under_its_own_canonical_order(small_instances, monkeyp
     monkeypatch.setattr(Compiled, "cop", checked)
     for instance in small_instances[::4]:
         for student in instance.students:
-            rm.find_profitable_misreport(student, instance)
+            rm.find_group_misreport([student], instance)
         for pair in itertools.combinations(instance.students, 2):
             rm.find_group_misreport(pair, instance)
     assert len(runs) > 2_000
@@ -144,7 +137,7 @@ def test_each_report_runs_under_its_own_canonical_order(small_instances, monkeyp
 
 def test_misreport_search_refuses_with_the_oracles_count_and_cap(ex1):
     for cap in (2, 4):
-        refused = _answer(rm.find_profitable_misreport, "k", ex1, cap)
+        refused = _answer(rm.find_group_misreport, ("k",), ex1, cap)
         assert refused == _answer(reference_group_misreport, ex1, ("k",), cap)
         assert refused[0] == "refused" and refused[2] == cap
 
