@@ -20,8 +20,11 @@ kept, so a scheme is called once per prefix rather than once per group per
 choice. The table is a memo of the scheme, which is a pure function of the
 residuals, so it assumes nothing about monotonicity, and the order in which
 it fills cannot change a choice. It is filled lazily because a market's
-choices reach few of the prefixes in ``[0, capacity]^k``. Clones made by ``Compiled.with_preferences`` and
-``Compiled.with_acceptable`` share the schools, and so their tables.
+choices reach few of the prefixes in ``[0, capacity]^k``. Clones made by
+``Compiled.with_preferences`` and ``Compiled.with_acceptable`` share the
+schools, and so every table. ``Compiled.with_school`` rebuilds one school,
+with a fresh table, from a changed configuration (a new priority or scheme)
+and shares the others.
 
 The cumulative offer process is event-driven. It keeps each school's offered
 and held local masks, a held-contract count per student, and a heap of
@@ -254,6 +257,20 @@ class Compiled:
         clone = object.__new__(Compiled)
         clone.__dict__.update(self.__dict__)
         clone.acceptable = acceptable
+        return clone
+
+    def with_school(self, config: SchoolConfig) -> "Compiled":
+        """A clone with school ``config.school`` rebuilt from ``config``: a
+        new :class:`CompiledSchool`, with its own local bits in a copy of
+        ``local_bit`` and a fresh capacity table. The other schools and
+        everything else are shared."""
+        s = self.school_index[config.school]
+        clone = object.__new__(Compiled)
+        clone.__dict__.update(self.__dict__)
+        clone.local_bit = list(self.local_bit)
+        clone.schools = list(self.schools)
+        clone.schools[s] = CompiledSchool(config, clone, self.schools[s].global_index)
+        clone.local_bit = tuple(clone.local_bit)
         return clone
 
     # ------------------------------------------------------------------

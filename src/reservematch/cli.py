@@ -165,17 +165,18 @@ def _cmd_verify(args) -> int:
 
 
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
-    # the generator and the loader validate, so one compile serves the
-    # truthful run (order independence's baseline) and every misreport search
+    # the generator and the loader validate, so one compile and one truthful
+    # run serve order independence (as its baseline) and every misreport search
     compiled = Compiled.from_instance(instance)
-    independence = _order_independence(compiled, trials=10, seed=seed)
+    truth = compiled.cop(compiled.default_order_rank())
+    independence = _order_independence(compiled, truth[0], trials=10, seed=seed)
     row: dict = {"stable": is_stable(independence.baseline, instance).passed}
     row["order_independent"] = independence.ok
 
     strategy_proof = True
     for student in instance.students:
         try:
-            found = _search_misreports(compiled, (student,), MISREPORT_CAP)
+            found = _search_misreports(compiled, truth, (student,), MISREPORT_CAP)
         except SearchCapExceededError:
             strategy_proof = None
             continue

@@ -148,12 +148,16 @@ def check_order_independence(
     canonical one and report the first order whose outcome differs."""
     if trials < 2:
         raise ValueError("need at least two trials to compare")
-    return _order_independence(_validated(instance), trials, seed)
-
-
-def _order_independence(compiled: Compiled, trials: int, seed: int) -> OrderIndependenceResult:
-    """:func:`check_order_independence` on a compiled valid market."""
+    compiled = _validated(instance)
     baseline, _ = compiled.cop(compiled.default_order_rank())
+    return _order_independence(compiled, baseline, trials, seed)
+
+
+def _order_independence(
+    compiled: Compiled, baseline: int, trials: int, seed: int
+) -> OrderIndependenceResult:
+    """:func:`check_order_independence` on a compiled valid market whose
+    canonical-order outcome is the held mask ``baseline``."""
     rng = random.Random(seed)
     n = len(compiled.contracts)
     for _ in range(trials):

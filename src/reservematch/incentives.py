@@ -25,7 +25,7 @@ from .choice import (
     capacity_table,
     dynamic_reserves_choice,
 )
-from .cop import _validated, run_cop_default
+from .cop import _validated
 from .errors import InvalidInputError, SearchCapExceededError
 from .instance import ProblemInstance
 from .model import Contract, PreferenceOrder, PriorityOrder, assignments
@@ -115,14 +115,16 @@ def find_group_misreport(
         return None
     if len(members) > MAX_COALITION:
         raise SearchCapExceededError(len(members), MAX_COALITION, "coalition size")
-    return _search_misreports(_validated(instance), members, cap)
+    compiled = _validated(instance)
+    return _search_misreports(compiled, compiled.cop(compiled.default_order_rank()), members, cap)
 
 
 def _search_misreports(
-    compiled: Compiled, members: tuple[str, ...], cap: int
+    compiled: Compiled, truth: tuple[int, int], members: tuple[str, ...], cap: int
 ) -> Optional[Misreport]:
     """The misreport search of :func:`find_group_misreport` on a compiled
-    market, whose ``acceptable`` lists are the truthful reports.
+    market, whose ``acceptable`` lists are the truthful reports; ``truth``
+    is the ``(held, dry)`` of its run under ``default_order_rank``.
 
     Each report is a tuple of global contract indices (``_reports`` of the
     student's contracts, which are in contract order), run on a clone of
@@ -186,7 +188,7 @@ def _search_misreports(
         PreferenceOrder(s, tuple(contracts[ci] for ci in t)) for s, t in zip(members, truthful)
     ]
     base = compiled.default_order_rank()
-    truth_mask, truth_dry = compiled.cop(base)
+    truth_mask, truth_dry = truth
     truth_held = [_held_contract(compiled, truth_mask, si) for si in indices]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
     if any(r == 0 for r in truth_ranks):
@@ -282,12 +284,15 @@ def is_unambiguous_improvement(
 
     At every school the other students keep their exact relative order and
     acceptability, every student the beneficiary used to beat is still
-    beaten, and the beneficiary never loses acceptability.
+    beaten, and the beneficiary never loses acceptability. A list that names
+    a student twice is no priority order, so it is no improvement either.
     """
     if set(base) != set(improved):
         return False
     for school, old in base.items():
         new = improved[school]
+        if any(len(set(p.ranked)) != len(p.ranked) for p in (old, new)):
+            return False
         others_old = tuple(s for s in old.ranked if s != student)
         others_new = tuple(s for s in new.ranked if s != student)
         if others_old != others_new:
@@ -318,19 +323,24 @@ def check_respects_improvements(
     student: str,
 ) -> ImprovementCheck:
     """Run the mechanism before and after a priority improvement and verify
-    the beneficiary is weakly better off under their true preferences."""
+    the beneficiary is weakly better off under their true preferences. An
+    unambiguous improvement of valid priorities is valid, so the lifted
+    market is a clone of the validated one."""
+    if student not in instance.students:
+        raise InvalidInputError(f"unknown student {student!r}")
     base = {cfg.school: cfg.priority for cfg in instance.schools}
     if not is_unambiguous_improvement(base, improved, student):
         raise InvalidInputError(
             f"priorities are not an unambiguous improvement for {student}"
         )
-    lifted = instance
+    compiled = lifted = _validated(instance)
     for cfg in instance.schools:
         lifted = lifted.with_school(replace(cfg, priority=improved[cfg.school]))
 
+    rank, si = compiled.default_order_rank(), compiled.student_index[student]
+    before = _held_contract(compiled, compiled.cop(rank)[0], si)
+    after = _held_contract(lifted, lifted.cop(rank)[0], si)
     pref = instance.preferences[student]
-    before = assignments(run_cop_default(instance)).get(student)
-    after = assignments(run_cop_default(lifted)).get(student)
     return ImprovementCheck(pref.rank(after) <= pref.rank(before), before, after)
 
 
@@ -359,12 +369,7 @@ def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> list[
     # in the residual domain, not merely when the scheme is written otherwise
     changed = []
     for a, b in zip(rigid.schools, flexible.schools):
-        if (a.priority, a.precedence, a.targets, a.capacity) != (
-            b.priority,
-            b.precedence,
-            b.targets,
-            b.capacity,
-        ):
+        if replace(a, scheme=b.scheme) != b:
             raise InvalidInputError(f"school {a.school}: only the scheme may differ")
         if a.scheme != b.scheme and _school_table(a) != _school_table(b):
             changed.append(a.school)
@@ -408,18 +413,20 @@ def improvement_chains(
             "schemes must differ by a single unit increment; found "
             + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
         )
+    compiled = Compiled.from_instance(flexible)
+    return compiled.to_set(_reseat(compiled, compiled.to_mask(z & flexible.contracts)))
 
-    floor = {c.student: c for c in z}
-    trimmed = {}
-    for s in flexible.students:
-        pref = flexible.preferences[s]
-        current = floor.get(s)
-        if current is None:
-            trimmed[s] = pref
-        else:
-            trimmed[s] = PreferenceOrder(s, pref.ranked[: pref.rank(current) + 1])
-    compiled = Compiled.from_instance(flexible.with_preferences(trimmed))
-    return compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
+
+def _reseat(compiled: Compiled, held: int) -> int:
+    """The reseating of :func:`improvement_chains` on a compiled market: cut
+    each student's list after their contract in the global mask ``held``,
+    and return the held mask of the process under the canonical order."""
+    trimmed = []
+    for lst in compiled.acceptable:
+        cut = next((p for p, ci in enumerate(lst) if held >> ci & 1), len(lst))
+        trimmed.append(lst[: cut + 1])
+    clone = compiled.with_acceptable(tuple(trimmed))
+    return clone.cop(clone.default_order_rank())[0]
 
 
 # ----------------------------------------------------------------------
@@ -451,6 +458,10 @@ def check_flexibility_pareto(
     seat at a time), the reseating chain is replayed along the decomposition
     and must land exactly on the rerun mechanism's outcome at each school
     boundary; ``chain_agrees`` is ``None`` when no such decomposition exists.
+
+    Each side is validated and compiled once, and every market in between
+    is a ``Compiled.with_school`` clone. The last school switched makes the
+    market ``flexible``: the unchanged schools grant the same capacities.
     """
     changed = _changed_schools(rigid, flexible)
     for sid in changed:
@@ -459,34 +470,28 @@ def check_flexibility_pareto(
         if not is_more_flexible(f_cfg.scheme, r_cfg.scheme, r_cfg.targets, r_cfg.capacity):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
 
-    rigid_outcome = run_cop_default(rigid)
-    flexible_outcome = run_cop_default(flexible)
+    working = _validated(rigid)
+    rank = working.default_order_rank()  # the sides share every preference
+    outcome = working.cop(rank)[0]
+    flexible_mask = _validated(flexible).cop(rank)[0]
+    rigid_outcome = working.to_set(outcome)
+    flexible_outcome = working.to_set(flexible_mask)
 
-    chain_agrees: Optional[bool] = True
-    decomposed = True
-    working = rigid
-    outcome = rigid_outcome
+    agrees = decomposed = True
     for sid in changed:
         target = working.with_school(flexible.school(sid))
-        steps = _unit_instances(working, target, sid)
-        direct = flexible_outcome if target == flexible else run_cop_default(target)
-        if steps is None or chain_agrees is None:
-            decomposed = decomposed and steps is not None
-            chain_agrees = None
-        else:
-            previous = working
+        steps = _unit_instances(rigid.school(sid), flexible.school(sid))
+        direct = flexible_mask if sid == changed[-1] else target.cop(rank)[0]
+        if steps is None:
+            decomposed = False
+        elif decomposed:
             replay = outcome
-            agreed = True
-            for inst in steps:
-                replay = improvement_chains(replay, previous, inst)
-                previous = inst
-            if replay != direct:
-                agreed = False
-            chain_agrees = chain_agrees and agreed
+            for cfg in steps:
+                replay = _reseat(working.with_school(cfg), replay)
+            agrees = agrees and replay == direct
         working, outcome = target, direct
 
     deltas = []
-    dominates = True
     rigid_seats = assignments(rigid_outcome)
     flexible_seats = assignments(flexible_outcome)
     for student in rigid.students:
@@ -495,32 +500,30 @@ def check_flexibility_pareto(
         after = flexible_seats.get(student)
         rb, ra = pref.rank(before), pref.rank(after)
         verdict = "same" if ra == rb else ("better" if ra < rb else "worse")
-        if verdict == "worse":
-            dominates = False
         deltas.append((student, before, after, verdict))
+    dominates = all(verdict != "worse" for *_, verdict in deltas)
+    chain_agrees = agrees if decomposed else None
     return FlexibilityComparison(
         dominates, rigid_outcome, flexible_outcome, tuple(deltas), chain_agrees, decomposed
     )
 
 
-def _unit_instances(
-    working: ProblemInstance, target: ProblemInstance, sid: str
-) -> Optional[list[ProblemInstance]]:
-    """Instances stepping one seat at a time from ``working`` to ``target`` at
-    school ``sid``; the last entry is ``target`` itself. Each round bumps the
-    first candidate point that keeps the capacity table monotone (upper
-    corners of the gap first, necessarily, since a bump below an unlifted
-    point would overshoot it). ``None`` when no monotone bump order exists.
-    Refuses, as :func:`check_monotonic` does, when one monotonicity check
-    would take more than 2 000 000 steps.
+def _unit_instances(base: SchoolConfig, target: SchoolConfig) -> Optional[list[SchoolConfig]]:
+    """Configurations of one school stepping one seat at a time from
+    ``base`` to ``target``, which differ only in their schemes; the last
+    entry grants ``target``'s capacity table. Each round bumps the first candidate point
+    that keeps the capacity table monotone (upper corners of the gap first,
+    necessarily, since a bump below an unlifted point would overshoot it).
+    ``None`` when no monotone bump order exists. Refuses, as
+    :func:`check_monotonic` does, when one monotonicity check would take
+    more than 2 000 000 steps.
     """
-    base_cfg = working.school(sid)
-    bound = base_cfg.capacity
-    _require_steps(base_cfg.group_count, bound)
-    table = _school_table(base_cfg)
-    goal = _school_table(target.school(sid))
+    bound = base.capacity
+    _require_steps(base.group_count, bound)
+    table = _school_table(base)
+    goal = _school_table(target)
 
-    intermediates: list[ProblemInstance] = []
+    steps: list[SchoolConfig] = []
     while table != goal:
         for vec in goal:
             if table[vec] < goal[vec]:
@@ -530,12 +533,8 @@ def _unit_instances(
                 table[vec] -= 1
         else:
             return None
-        if table == goal:
-            intermediates.append(target)
-        else:
-            scheme = TableScheme.pinned(table, base_cfg.targets)
-            intermediates.append(working.with_school(replace(base_cfg, scheme=scheme)))
-    return intermediates
+        steps.append(replace(base, scheme=TableScheme.pinned(table, base.targets)))
+    return steps
 
 
 def allocation_waste(instance: ProblemInstance, allocation: Iterable[Contract]) -> int:

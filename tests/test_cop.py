@@ -229,3 +229,45 @@ def test_engine_cop_keeps_a_student_held_while_any_school_holds_them():
     ):
         _assert_cop_matches_oracle(compiled, schools, prefs, order)
         assert compiled.to_set(compiled.cop(compiled.order_rank(order))[0]) == {a_s, b_s, c_u}
+
+
+def _runs(compiled: Compiled, orders):
+    """Held mask, dry set and transcript of a run under each order."""
+    out = []
+    for order in orders:
+        raw: list = []
+        out.append((*compiled.cop(compiled.order_rank(order), transcript=raw), raw))
+    return out
+
+
+def test_a_school_clone_runs_as_a_fresh_compile_of_the_changed_market(small_instances):
+    # the changed schools the audit's improvement and flexibility checks make
+    clones = 0
+    for n, instance in enumerate(small_instances):
+        configs = []
+        swap = rm.single_swap_improvement(instance, n)
+        if swap is not None:
+            improved = swap[1]
+            configs += [
+                replace(cfg, priority=improved[cfg.school])
+                for cfg in instance.schools
+                if improved[cfg.school] != cfg.priority
+            ]
+        pair = rm.unit_flexibility_pair(instance, n)
+        if pair is not None:
+            configs += [f for f, c in zip(pair[1].schools, instance.schools) if f != c]
+        compiled = Compiled.from_instance(instance)
+        orders = list(_orders(compiled, seed=n))
+        before = _runs(compiled, orders)
+        for cfg in configs:
+            clone = compiled.with_school(cfg)
+            fresh = Compiled.from_instance(instance.with_school(cfg))
+            assert _runs(clone, orders) == _runs(fresh, orders), (n, cfg)
+            s = compiled.school_index[cfg.school]
+            assert clone.schools is not compiled.schools
+            assert clone.local_bit is not compiled.local_bit
+            assert clone.schools[s].cap_table is not compiled.schools[s].cap_table
+            clones += 1
+        # the clones fill their own tables and bits: the parent runs as before
+        assert _runs(compiled, orders) == before
+    assert clones > 300

@@ -312,6 +312,37 @@ def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
     assert calls == {"validate": 1, "compile": 1}
 
 
+def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeypatch):
+    # Per instance: 1 generator validation and 3 more (the improvement check
+    # and each side of the flexibility check); 9 compiles; one truthful run
+    # shared by order independence and every misreport search.
+    calls = {"validate": 0, "compile": 0, "cop": 0}
+
+    def counting_validate(instance):
+        calls["validate"] += 1
+        return rm.validate_instance(instance)
+
+    compile_, cop = rm._engine.Compiled.__init__, rm._engine.Compiled.cop
+
+    def counting_compile(self, *args):
+        calls["compile"] += 1
+        compile_(self, *args)
+
+    def counting_cop(self, *args, **kwargs):
+        calls["cop"] += 1
+        return cop(self, *args, **kwargs)
+
+    for module in (rm.fileio, rm.cop, rm.instance, rm.generator):
+        monkeypatch.setattr(module, "validate_instance", counting_validate)
+    monkeypatch.setattr(rm._engine.Compiled, "__init__", counting_compile)
+    monkeypatch.setattr(rm._engine.Compiled, "cop", counting_cop)
+    code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "12")
+    assert code == 0 and "all checks passed: True" in out
+    assert calls["validate"] <= 48
+    assert calls["compile"] <= 108
+    assert calls["cop"] <= 743
+
+
 def test_cli_match_then_verify_is_stable(capsys, tmp_path):
     alloc = tmp_path / "ex1.allocation"
     code, _, _ = run_cli(

@@ -90,6 +90,11 @@ def test_oversized_coalitions_are_refused(ex1):
 # the search against its enumeration oracle
 
 
+def _truth(compiled):
+    """The truthful ``(held, dry)`` a misreport search starts from."""
+    return compiled.cop(compiled.default_order_rank())
+
+
 def _answer(search, *args):
     """A search's result, or its refusal as ``("refused", needed, cap)``."""
     try:
@@ -257,7 +262,8 @@ def test_misreport_search_matches_the_oracle_where_the_mechanism_is_manipulable(
         tuple(contract(s, x) for s, x in zip(members, deviant)),
     )
     assert reference_group_misreport(instance, members) == expected
-    assert _search_misreports(Compiled.from_instance(instance), members, 200_000) == expected
+    compiled = Compiled.from_instance(instance)
+    assert _search_misreports(compiled, _truth(compiled), members, 200_000) == expected
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +287,9 @@ def test_a_student_runs_dry_on_a_rejected_last_contract_though_taken_back():
         compiled = Compiled.from_instance(instance)
         for size in (1, 2):
             for coalition in itertools.combinations(instance.students, size):
-                assert _answer(_search_misreports, compiled, coalition, 200_000) == _answer(
+                assert _answer(
+                    _search_misreports, compiled, _truth(compiled), coalition, 200_000
+                ) == _answer(
                     reference_group_misreport, instance, coalition
                 ), (truth, coalition)
 
@@ -318,7 +326,8 @@ def test_the_search_runs_exactly_the_reports_no_earlier_run_decides(small_instan
         for size in (1, 2) if n % 8 == 0 else (1,):
             for coalition in itertools.combinations(instance.students, size):
                 runs.clear()
-                assert _search_misreports(compiled, coalition, 200_000) is None
+                truth = _truth(compiled)
+                assert _search_misreports(compiled, truth, coalition, 200_000) is None
                 if len(runs) == 1:
                     continue  # a member holds their top contract
                 searches += 1
@@ -391,6 +400,20 @@ def test_losing_acceptability_is_not_an_improvement(ex1):
     base = {cfg.school: cfg.priority for cfg in ex1.schools}
     dropped = {"s": rm.PriorityOrder("s", ("i", "j", "l"))}
     assert not rm.is_unambiguous_improvement(base, dropped, "k")
+
+
+def test_a_list_naming_the_beneficiary_twice_is_no_improvement(ex1):
+    base = {cfg.school: cfg.priority for cfg in ex1.schools}
+    doubled = {"s": rm.PriorityOrder("s", ("k", "i", "j", "k", "l"))}
+    assert not rm.is_unambiguous_improvement(base, doubled, "k")
+    with pytest.raises(rm.InvalidInputError):
+        rm.check_respects_improvements(ex1, doubled, "k")
+
+
+def test_improvement_check_refuses_an_unknown_beneficiary(ex1):
+    base = {cfg.school: cfg.priority for cfg in ex1.schools}
+    with pytest.raises(rm.InvalidInputError):
+        rm.check_respects_improvements(ex1, base, "zz")
 
 
 def test_improvement_check_rejects_ambiguous_changes(ex1):
@@ -619,6 +642,54 @@ def test_multi_school_gaps_are_compared_one_school_at_a_time(ex1, X):
     assert comparison.dominates
     assert comparison.chain_agrees is True
     assert comparison.flexible_outcome == rm.run_cop_default(flexible)
+
+
+def test_a_gap_the_greedy_bump_order_cannot_decompose_still_compares(ex1, ex1_config):
+    school = replace(
+        ex1_config,
+        capacity=3,
+        precedence=("t1", "t2", "t3", "t1"),
+        targets=(0, 1, 1, 1),
+        scheme=rm.ForwardSumScheme(((), (), (1,), (2,))),
+    )
+    flexible = ex1.with_school(school)
+    assert rm.validate_instance(flexible) == []
+    rigid = ex1.with_school(replace(school, scheme=rm.ForwardSumScheme(((),) * 4)))
+    comparison = rm.check_flexibility_pareto(rigid, flexible)
+    assert comparison.dominates
+    assert comparison.rigid_outcome == rm.run_cop_default(rigid)
+    assert comparison.flexible_outcome == rm.run_cop_default(flexible)
+    assert comparison.chain_agrees is not False
+
+
+def test_a_rewritten_unchanged_scheme_keeps_the_flexible_outcome(ex1, X):
+    # school r's scheme is written two ways with one capacity table, so only
+    # s changes; the flexible outcome must be the flexible market's own
+    forward = rm.ForwardSumScheme(((), (0,), ()))
+    second = rm.SchoolConfig(
+        school="r",
+        capacity=2,
+        priority=rm.PriorityOrder("r", ("l", "k")),
+        precedence=("t3", "t2", "t1"),
+        targets=(1, 1, 0),
+        scheme=forward,
+    )
+    contracts = ex1.contracts | {rm.Contract("k", "r", "t3"), rm.Contract("l", "r", "t3")}
+    prefs = dict(ex1.preferences)
+    prefs["k"] = rm.PreferenceOrder("k", (X.z2, rm.Contract("k", "r", "t3"), X.z3))
+    prefs["l"] = rm.PreferenceOrder("l", (X.w3, rm.Contract("l", "r", "t3")))
+    flexible = rm.ProblemInstance(
+        ex1.students, ex1.profile, ex1.schools + (second,), contracts, prefs
+    )
+    assert rm.validate_instance(flexible) == []
+    pinned = rm.TableScheme.pinned(rm.capacity_table(forward, (1, 1, 0), 2), (1, 1, 0))
+    rigid = flexible.with_school(replace(second, scheme=pinned)).with_school(
+        replace(ex1.schools[0], scheme=rm.ForwardSumScheme(((), (), ())))
+    )
+    comparison = rm.check_flexibility_pareto(rigid, flexible)
+    assert comparison.flexible_outcome == rm.run_cop_default(flexible)
+    assert comparison.rigid_outcome == rm.run_cop_default(rigid)
+    assert comparison.dominates and comparison.chain_agrees is True
 
 
 def test_comparison_rejects_less_flexible_changes(ex1, ex1_config):
