@@ -23,8 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
-from ._engine import Compiled
-from .cop import _order_independence, _run
+from ._engine import Compiled, bits
+from .cop import _order_independence
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
     contract_id,
@@ -99,21 +99,27 @@ def _alloc_rows(instance: ProblemInstance, allocation: frozenset) -> list[str]:
 
 
 def _cmd_match(args) -> int:
-    # the loader validates; the process runs on the canonical order
+    # the loader validates; a transcript step is read from the engine's
+    # masks, since it prints only the proposal and the held contracts
     instance = load_instance(args.instance)
-    result = _run(instance, None, args.transcript)
-    allocation = result.allocation
+    compiled = Compiled.from_instance(instance)
+    raw = [] if args.transcript else None
+    allocation = compiled.to_set(compiled.cop(compiled.default_order_rank(), transcript=raw)[0])
     steps = None
     if args.transcript:
+        ids = [contract_id(c) for c in compiled.contracts]
+        school_ids = [cfg.school for cfg in instance.schools]
         steps = [
             {
-                "step": step.step,
-                "proposed": contract_id(step.proposed),
+                "step": n,
+                "proposed": ids[proposed],
                 "held": {
-                    s: sorted(contract_id(c) for c in cs) for s, cs in sorted(step.held.items())
+                    school_ids[si]: sorted(ids[ci] for ci in bits(mask))
+                    for si, mask in enumerate(by_school)
+                    if mask
                 },
             }
-            for step in result.steps
+            for n, (proposed, _, by_school) in enumerate(raw, start=1)
         ]
     if args.save_allocation:
         save_allocation(allocation, args.save_allocation)

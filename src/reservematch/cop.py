@@ -77,8 +77,8 @@ def _run(
 ) -> CopResult:
     """Compile a valid instance once and run the process under ``order``, or
     under the canonical order when it is None. The steps are built only with
-    ``transcript``; otherwise they are empty. The public functions validate
-    first; ``match`` calls this on an instance its loader validated."""
+    ``transcript``; otherwise they are empty. The public functions that
+    call this validate first."""
     compiled = Compiled.from_instance(instance)
     if order is None:
         order_rank = compiled.default_order_rank()

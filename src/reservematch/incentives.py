@@ -335,7 +335,8 @@ def check_respects_improvements(
         )
     compiled = lifted = _validated(instance)
     for cfg in instance.schools:
-        lifted = lifted.with_school(replace(cfg, priority=improved[cfg.school]))
+        if improved[cfg.school] != cfg.priority:
+            lifted = lifted.with_school(replace(cfg, priority=improved[cfg.school]))
 
     rank, si = compiled.default_order_rank(), compiled.student_index[student]
     before = _held_contract(compiled, compiled.cop(rank)[0], si)
@@ -357,7 +358,9 @@ def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> boo
     return a != b and all(a[vec] >= b[vec] for vec in a)
 
 
-def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> list[str]:
+def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> dict:
+    """The schools whose schemes grant different capacities, in school order,
+    each mapped to its rigid and its flexible :func:`capacity_table`."""
     if rigid.contracts != flexible.contracts or rigid.students != flexible.students:
         raise InvalidInputError("instances describe different markets")
     if rigid.preferences != flexible.preferences:
@@ -367,17 +370,15 @@ def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> list[
         raise InvalidInputError("instances list different schools")
     # a school changes when its scheme grants a different capacity somewhere
     # in the residual domain, not merely when the scheme is written otherwise
-    changed = []
+    changed = {}
     for a, b in zip(rigid.schools, flexible.schools):
         if replace(a, scheme=b.scheme) != b:
             raise InvalidInputError(f"school {a.school}: only the scheme may differ")
-        if a.scheme != b.scheme and _school_table(a) != _school_table(b):
-            changed.append(a.school)
+        if a.scheme != b.scheme:
+            before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
+            if before != after:
+                changed[a.school] = before, after
     return changed
-
-
-def _school_table(cfg: SchoolConfig) -> dict[tuple[int, ...], int]:
-    return capacity_table(cfg.scheme, cfg.targets, cfg.capacity)
 
 
 def improvement_chains(
@@ -405,8 +406,8 @@ def improvement_chains(
     z = frozenset(z)
     changed = _changed_schools(rigid, flexible)
     if len(changed) != 1:
-        raise InvalidInputError(f"expected exactly one school to change, got {changed}")
-    a, b = (_school_table(inst.school(changed[0])) for inst in (rigid, flexible))
+        raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
+    ((a, b),) = changed.values()
     diffs = [(len(vec), vec, b[vec] - a[vec]) for vec in a if b[vec] != a[vec]]
     if len(diffs) != 1 or diffs[0][2] != 1:
         raise InvalidInputError(
@@ -459,15 +460,20 @@ def check_flexibility_pareto(
     and must land exactly on the rerun mechanism's outcome at each school
     boundary; ``chain_agrees`` is ``None`` when no such decomposition exists.
 
+    Refusals come first: after both sides validate, the comparison refuses,
+    as :func:`check_monotonic` does, when one monotonicity check of a changed
+    school would take more than 2 000 000 steps. The changed schools are
+    then decomposed in order, stopping at the first one without a
+    decomposition, since ``chain_agrees`` is ``None`` whatever the later
+    ones give; chains are replayed only when every school decomposed.
+
     Each side is validated and compiled once, and every market in between
     is a ``Compiled.with_school`` clone. The last school switched makes the
     market ``flexible``: the unchanged schools grant the same capacities.
     """
     changed = _changed_schools(rigid, flexible)
-    for sid in changed:
-        r_cfg = rigid.school(sid)
-        f_cfg = flexible.school(sid)
-        if not is_more_flexible(f_cfg.scheme, r_cfg.scheme, r_cfg.targets, r_cfg.capacity):
+    for sid, (table, goal) in changed.items():
+        if any(goal[vec] < cap for vec, cap in table.items()):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
 
     working = _validated(rigid)
@@ -476,20 +482,24 @@ def check_flexibility_pareto(
     flexible_mask = _validated(flexible).cop(rank)[0]
     rigid_outcome = working.to_set(outcome)
     flexible_outcome = working.to_set(flexible_mask)
+    for cfg in map(rigid.school, changed):
+        _require_steps(cfg.group_count, cfg.capacity)
 
-    agrees = decomposed = True
-    for sid in changed:
-        target = working.with_school(flexible.school(sid))
-        steps = _unit_instances(rigid.school(sid), flexible.school(sid))
-        direct = flexible_mask if sid == changed[-1] else target.cop(rank)[0]
-        if steps is None:
-            decomposed = False
-        elif decomposed:
+    chains = []
+    for sid, (table, goal) in changed.items():
+        if (steps := _unit_instances(rigid.school(sid), table, goal)) is None:
+            chain_agrees = None
+            break
+        chains.append((sid, steps))
+    else:
+        chain_agrees = True
+        for sid, steps in chains:
             replay = outcome
             for cfg in steps:
                 replay = _reseat(working.with_school(cfg), replay)
-            agrees = agrees and replay == direct
-        working, outcome = target, direct
+            working = working.with_school(flexible.school(sid))
+            outcome = flexible_mask if sid == chains[-1][0] else working.cop(rank)[0]
+            chain_agrees = chain_agrees and replay == outcome
 
     deltas = []
     rigid_seats = assignments(rigid_outcome)
@@ -502,33 +512,27 @@ def check_flexibility_pareto(
         verdict = "same" if ra == rb else ("better" if ra < rb else "worse")
         deltas.append((student, before, after, verdict))
     dominates = all(verdict != "worse" for *_, verdict in deltas)
-    chain_agrees = agrees if decomposed else None
+    decomposed = chain_agrees is not None
     return FlexibilityComparison(
         dominates, rigid_outcome, flexible_outcome, tuple(deltas), chain_agrees, decomposed
     )
 
 
-def _unit_instances(base: SchoolConfig, target: SchoolConfig) -> Optional[list[SchoolConfig]]:
+def _unit_instances(base: SchoolConfig, table: dict, goal: dict) -> Optional[list[SchoolConfig]]:
     """Configurations of one school stepping one seat at a time from
-    ``base`` to ``target``, which differ only in their schemes; the last
-    entry grants ``target``'s capacity table. Each round bumps the first candidate point
-    that keeps the capacity table monotone (upper corners of the gap first,
-    necessarily, since a bump below an unlifted point would overshoot it).
-    ``None`` when no monotone bump order exists. Refuses, as
-    :func:`check_monotonic` does, when one monotonicity check would take
-    more than 2 000 000 steps.
+    ``base``, whose capacity table is ``table``, to the capacity table
+    ``goal``; the last entry grants ``goal``. Each round bumps the first
+    candidate point that keeps the capacity table monotone (upper corners of
+    the gap first, necessarily, since a bump below an unlifted point would
+    overshoot it). ``None`` when no monotone bump order exists.
     """
-    bound = base.capacity
-    _require_steps(base.group_count, bound)
-    table = _school_table(base)
-    goal = _school_table(target)
-
+    table = dict(table)
     steps: list[SchoolConfig] = []
     while table != goal:
         for vec in goal:
             if table[vec] < goal[vec]:
                 table[vec] += 1
-                if _table_report(table, bound).ok:
+                if _table_report(table, base.capacity).ok:
                     break
                 table[vec] -= 1
         else:

@@ -292,7 +292,9 @@ def test_cli_match_transcript_is_the_oracles_on_a_60_student_market(capsys, tmp_
 
 @pytest.mark.parametrize("extra", [(), ("--transcript",)])
 def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
-    calls = {"validate": 0, "compile": 0}
+    # a transcript step prints the proposal and the held contracts, so the
+    # proposable sets of run_cop's transcript are never built
+    calls = {"validate": 0, "compile": 0, "proposable": 0}
 
     def counting_validate(instance):
         calls["validate"] += 1
@@ -304,12 +306,19 @@ def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
         calls["compile"] += 1
         compile_(self, *args)
 
+    proposable = rm._engine.Compiled.proposable
+
+    def counting_proposable(self, *args):
+        calls["proposable"] += 1
+        return proposable(self, *args)
+
     for module in (rm.fileio, rm.cop, rm.instance):
         monkeypatch.setattr(module, "validate_instance", counting_validate)
     monkeypatch.setattr(rm._engine.Compiled, "__init__", counting_compile)
+    monkeypatch.setattr(rm._engine.Compiled, "proposable", counting_proposable)
     code, out, _ = run_cli(capsys, "match", str(rm.ex1_path()), *extra)
     assert code == 0 and "matched 2 of 4" in out
-    assert calls == {"validate": 1, "compile": 1}
+    assert calls == {"validate": 1, "compile": 1, "proposable": 0}
 
 
 def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeypatch):

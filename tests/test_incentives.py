@@ -11,6 +11,7 @@ import reservematch as rm
 from conftest import small_params
 from helpers import reference_group_misreport, reference_run, take_back_market
 from reservematch._engine import Compiled
+from reservematch.cli import main
 from reservematch.incentives import _reports, _search_misreports
 
 
@@ -429,6 +430,32 @@ def test_identical_priorities_keep_the_outcome(ex1):
     assert check.base_assignment == check.improved_assignment
 
 
+def test_the_improvement_check_rebuilds_only_the_schools_whose_priority_changed(
+    ex1, X, monkeypatch
+):
+    second = rm.SchoolConfig(
+        school="r",
+        capacity=2,
+        priority=rm.PriorityOrder("r", ("l", "k")),
+        precedence=("t3", "t2", "t1"),
+        targets=(1, 1, 0),
+        scheme=rm.ForwardSumScheme(((), (0,), ())),
+    )
+    market = _with_school_r(ex1, X, second)
+    improved = {cfg.school: cfg.priority for cfg in market.schools}
+    improved["r"] = rm.PriorityOrder("r", ("k", "l"))  # k past l at r only
+    built = []
+    school_init = rm._engine.CompiledSchool.__init__
+
+    def counting(self, config, *args):
+        built.append(config.school)
+        school_init(self, config, *args)
+
+    monkeypatch.setattr(rm._engine.CompiledSchool, "__init__", counting)
+    assert rm.check_respects_improvements(market, improved, "k").ok
+    assert built == ["s", "r", "r"]  # the market's compile, then the lifted r
+
+
 def test_rising_in_priority_never_hurts_on_random_instances():
     done = 0
     k = 0
@@ -662,6 +689,19 @@ def test_a_gap_the_greedy_bump_order_cannot_decompose_still_compares(ex1, ex1_co
     assert comparison.chain_agrees is not False
 
 
+def _with_school_r(ex1, X, second):
+    """ex1 plus a second school ``r`` (the config ``second``) at which k and
+    l each hold a t3 contract, ranked between their ex1 contracts."""
+    contracts = ex1.contracts | {rm.Contract("k", "r", "t3"), rm.Contract("l", "r", "t3")}
+    prefs = dict(ex1.preferences)
+    prefs["k"] = rm.PreferenceOrder("k", (X.z2, rm.Contract("k", "r", "t3"), X.z3))
+    prefs["l"] = rm.PreferenceOrder("l", (X.w3, rm.Contract("l", "r", "t3")))
+    schools = ex1.schools + (second,)
+    market = rm.ProblemInstance(ex1.students, ex1.profile, schools, contracts, prefs)
+    assert rm.validate_instance(market) == []
+    return market
+
+
 def test_a_rewritten_unchanged_scheme_keeps_the_flexible_outcome(ex1, X):
     # school r's scheme is written two ways with one capacity table, so only
     # s changes; the flexible outcome must be the flexible market's own
@@ -674,14 +714,7 @@ def test_a_rewritten_unchanged_scheme_keeps_the_flexible_outcome(ex1, X):
         targets=(1, 1, 0),
         scheme=forward,
     )
-    contracts = ex1.contracts | {rm.Contract("k", "r", "t3"), rm.Contract("l", "r", "t3")}
-    prefs = dict(ex1.preferences)
-    prefs["k"] = rm.PreferenceOrder("k", (X.z2, rm.Contract("k", "r", "t3"), X.z3))
-    prefs["l"] = rm.PreferenceOrder("l", (X.w3, rm.Contract("l", "r", "t3")))
-    flexible = rm.ProblemInstance(
-        ex1.students, ex1.profile, ex1.schools + (second,), contracts, prefs
-    )
-    assert rm.validate_instance(flexible) == []
+    flexible = _with_school_r(ex1, X, second)
     pinned = rm.TableScheme.pinned(rm.capacity_table(forward, (1, 1, 0), 2), (1, 1, 0))
     rigid = flexible.with_school(replace(second, scheme=pinned)).with_school(
         replace(ex1.schools[0], scheme=rm.ForwardSumScheme(((), (), ())))
@@ -690,6 +723,69 @@ def test_a_rewritten_unchanged_scheme_keeps_the_flexible_outcome(ex1, X):
     assert comparison.flexible_outcome == rm.run_cop_default(flexible)
     assert comparison.rigid_outcome == rm.run_cop_default(rigid)
     assert comparison.dominates and comparison.chain_agrees is True
+
+
+def _gap_then_r(ex1, X, ex1_config):
+    """Two changed schools: first ex1's school as the gap the greedy bump
+    order cannot decompose (171 monotonicity steps), then a school ``r``
+    with 4 seats and 4 groups (344 steps) gaining one forward transfer.
+    Returns the rigid (no transfers) and the flexible market."""
+    gap = replace(
+        ex1_config,
+        capacity=3,
+        precedence=("t1", "t2", "t3", "t1"),
+        targets=(0, 1, 1, 1),
+        scheme=rm.ForwardSumScheme(((), (), (1,), (2,))),
+    )
+    second = rm.SchoolConfig(
+        school="r",
+        capacity=4,
+        priority=rm.PriorityOrder("r", ("l", "k")),
+        precedence=("t3", "t2", "t1", "t3"),
+        targets=(1, 1, 1, 1),
+        scheme=rm.ForwardSumScheme(((), (0,), (), ())),
+    )
+    flexible = _with_school_r(ex1, X, second).with_school(gap)
+    rigid = flexible
+    for cfg in flexible.schools:
+        rigid = rigid.with_school(replace(cfg, scheme=rm.ForwardSumScheme(((),) * 4)))
+    return rigid, flexible
+
+
+def test_decomposition_stops_at_the_first_school_without_one(ex1, X, ex1_config, monkeypatch):
+    rigid, flexible = _gap_then_r(ex1, X, ex1_config)
+    decompositions = []
+    unit_instances = rm.incentives._unit_instances
+
+    def counting(base, *args):
+        decompositions.append(base.school)
+        return unit_instances(base, *args)
+
+    monkeypatch.setattr(rm.incentives, "_unit_instances", counting)
+    comparison = rm.check_flexibility_pareto(rigid, flexible)
+    assert decompositions == ["s"]  # r is not decomposed once s has no decomposition
+    assert comparison.dominates
+    assert comparison.rigid_outcome == rm.run_cop_default(rigid)
+    assert comparison.flexible_outcome == rm.run_cop_default(flexible)
+    assert comparison.chain_agrees is None and not comparison.decomposed
+
+
+def test_a_refusal_after_a_school_without_decomposition_still_refuses(
+    ex1, X, ex1_config, monkeypatch, tmp_path, capsys
+):
+    # a cap between s's 171 monotonicity steps and r's 344 refuses r only
+    rigid, flexible = _gap_then_r(ex1, X, ex1_config)
+    require_steps = rm.incentives._require_steps
+    monkeypatch.setattr(
+        rm.incentives, "_require_steps", lambda groups, bound: require_steps(groups, bound, 200)
+    )
+    with pytest.raises(rm.SearchCapExceededError) as refused:
+        rm.check_flexibility_pareto(rigid, flexible)
+    assert (refused.value.needed, refused.value.cap) == (344, 200)
+    path = tmp_path / "flexible.instance"
+    rm.save_instance(flexible, path)
+    assert main(["compare", str(path)]) == 3
+    assert "monotonicity step enumeration" in capsys.readouterr().err
 
 
 def test_comparison_rejects_less_flexible_changes(ex1, ex1_config):
