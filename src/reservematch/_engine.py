@@ -2,14 +2,24 @@
 
 Instances are compiled once into dense integer indices. Every contract has a
 global index, its position in contract order, and each school gives its own
-contracts local bits as well: a dynamic reserves school orders them by
-(privilege type, priority rank) with unranked contracts last, and a
-slot-specific school keeps contract order. A school's ``choose`` reads and
-returns local masks, so a group's picks are the lowest set bits of
-``offered & type_mask`` and a choice never touches another school's
-contracts. ``Compiled.to_local`` and ``Compiled.to_global`` translate between
-the two spaces; ``local_bit`` (indexed by global index) and each school's
-``global_index`` (indexed by local bit) are the flat tables behind them.
+contracts local bits as well. A slot-specific school keeps contract order. A
+dynamic reserves school lays its bits out in blocks: its ``R`` ranked
+students who hold contracts there get positions ``0..R-1`` in priority
+order, and its contract of precedence type ``t`` sits at local bit
+``t*R + position``. Unranked contracts and types outside the precedence
+come after the blocks. A student's contracts share one offset in every
+block, and a bit that no contract owns (a gap: a ranked student without a
+contract of that type) is never set. A choice works a group at a time:
+group ``k``'s pool is its block of the offered mask, shifted down, less the
+positions already chosen; the group takes the whole pool when it fits its
+capacity, else the pool's ``cap`` lowest bits; and dropping the chosen
+students from every later group is one XOR out of the mask of free
+positions (the completion choice drops only the chosen bits). A school's
+``choose`` reads and returns local masks, so a choice never touches another
+school's contracts. ``Compiled.to_local`` and ``Compiled.to_global``
+translate between the two spaces; ``local_bit`` (indexed by global index)
+and each school's ``global_index`` (indexed by local bit, ``None`` at gaps)
+are the flat tables behind them.
 
 A dynamic reserves school reads group ``k``'s capacity from its
 ``cap_table``, keyed by the residuals of groups ``0..k-1`` (the key's length
@@ -55,7 +65,6 @@ oracle written over it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -73,58 +82,50 @@ def bits(mask: int):
         mask ^= low
 
 
-def _local_space(owner: "Compiled", order: Sequence[int]):
-    """Give a school's contracts, listed by global index in ``order``, the
-    local bits 0, 1, ... and record each in the owner's ``local_bit``.
-
-    Returns the school's ``global_index`` (local bit -> global index),
-    ``student_of`` (local bit -> student index) and ``peer`` (local bit ->
-    local mask of that student's contracts at the school).
-    """
-    student_bit = owner.student_bit
-    peers: dict[int, int] = {}
-    for lb, ci in enumerate(order):
-        owner.local_bit[ci] = lb
-        peers[student_bit[ci]] = peers.get(student_bit[ci], 0) | 1 << lb
-    student_of = tuple(student_bit[ci] for ci in order)
-    return tuple(order), student_of, tuple(peers[si] for si in student_of)
-
-
 class CompiledSchool:
-    """A dynamic reserves choice function over the school's local bits."""
+    """A dynamic reserves choice function over the school's local bits, laid
+    out in one block per privilege type (see the module docstring)."""
 
     __slots__ = (
-        "groups", "targets", "scheme", "global_index", "student_of", "peer", "start",
-        "type_masks", "type_groups", "cap_table",
+        "offsets", "targets", "scheme", "global_index", "student_of", "span", "block",
+        "block_end", "type_groups", "cap_table",
     )
 
     def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
         self.targets = config.targets
         self.scheme = config.scheme
-        # one position per privilege type, in order of first precedence; a
-        # type can head several groups, and each of them reads the same mask
-        position = {p: t for t, p in enumerate(dict.fromkeys(config.precedence))}
-        last = len(position)
+        # one block per privilege type, in order of first precedence; a type
+        # can head several groups, and each of them reads the same block
+        block_of = {p: t for t, p in enumerate(dict.fromkeys(config.precedence))}
         contracts = owner.contracts
-        keyed = []
-        for ci in members:
-            c = contracts[ci]
-            rank = config.priority.rank(c.student)
-            t = position.get(c.privilege)
-            keyed.append((last, 0, ci) if rank is None or t is None else (t, rank, ci))
-        keyed.sort()
-        self.global_index, self.student_of, self.peer = _local_space(
-            owner, [ci for _, _, ci in keyed]
-        )
-        # each type's ranked contracts are a run of consecutive local bits
-        self.start = tuple(bisect_left(keyed, (t,)) for t in range(last + 1))
-        self.type_masks = tuple(
-            (1 << self.start[t + 1]) - (1 << self.start[t]) for t in range(last)
-        )
-        self.groups = tuple(self.type_masks[position[p]] for p in config.precedence)
+        rank = config.priority.rank
+        ranks = [rank(contracts[ci].student) for ci in members]
+        # the ranked students holding contracts here, in priority order
+        position = {r: n for n, r in enumerate(sorted({r for r in ranks if r is not None}))}
+        span = len(position)
+        end = span * len(block_of)
+        index: list[Optional[int]] = [None] * end
+        for ci, r in zip(members, ranks):
+            t = block_of.get(contracts[ci].privilege)
+            if r is None or t is None:
+                index.append(ci)  # no group admits it: after the blocks
+            else:
+                index[t * span + position[r]] = ci
+        local_bit, student_bit = owner.local_bit, owner.student_bit
+        for lb, ci in enumerate(index):
+            if ci is not None:
+                local_bit[ci] = lb
+        # gap bits (a ranked student without a contract of the block's
+        # type) have no contract and no student
+        self.global_index = tuple(index)
+        self.student_of = tuple(None if ci is None else student_bit[ci] for ci in index)
+        self.span = span
+        self.block = (1 << span) - 1
+        self.block_end = end
+        self.offsets = tuple(block_of[p] * span for p in config.precedence)
         self.type_groups = tuple(
-            tuple(k for k, p in enumerate(config.precedence) if position[p] == t)
-            for t in range(last)
+            tuple(k for k, p in enumerate(config.precedence) if block_of[p] == t)
+            for t in range(len(block_of))
         )
         # group k's capacity keyed by the residuals of groups 0..k-1, read
         # from the scheme the first time a choice reaches that prefix
@@ -134,26 +135,31 @@ class CompiledSchool:
         """Return (chosen local mask, residuals) for a local offer mask.
         Group ``k`` runs at ``cap_table[residuals[:k]]``, which this call
         fills if it is the first to reach that prefix."""
-        avail = mask
-        peer = self.peer
         table = self.cap_table
+        free = self.block  # positions of the students not yet chosen
         residuals: tuple[int, ...] = ()
         chosen = 0
-        for type_mask in self.groups:
+        for off in self.offsets:
             cap = table.get(residuals)
             if cap is None:
                 k = len(residuals)
                 cap = table[residuals] = self.scheme.capacity(k, residuals, self.targets)
-            pool = avail & type_mask
-            taken = 0
-            while pool and taken < cap:
-                low = pool & -pool
-                pool ^= low
-                chosen |= low
-                taken += 1
-                # one contract per student and type, so ``pool`` keeps no peer
-                avail &= ~low if completion else ~peer[low.bit_length() - 1]
-            residuals += (cap - taken,)
+            if cap > 0 and (pool := mask >> off & free):
+                n = pool.bit_count()
+                if n > cap:  # over-demanded: keep the pool's ``cap`` lowest bits
+                    rest = pool
+                    for _ in range(cap):
+                        rest &= rest - 1
+                    pool ^= rest
+                    n = cap
+                residuals += (cap - n,)
+                chosen |= pool << off
+                if completion:
+                    mask ^= pool << off
+                else:
+                    free ^= pool
+            else:  # no seat, or no claimant left
+                residuals += (cap,)
         return chosen, residuals
 
     def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
@@ -164,11 +170,13 @@ class CompiledSchool:
         precedence), or when every group of the bit's type is full and the
         bit ranks below every contract of that type held. See ``Compiled.cop``
         for the proof."""
-        t = bisect_right(self.start, bit) - 1
-        if t == len(self.type_masks):
+        if bit >= self.block_end:
             return True
-        above = bit > (held & self.type_masks[t]).bit_length() - 1
-        return above and not any(residuals[k] for k in self.type_groups[t])
+        t, pos = divmod(bit, self.span)
+        if any(residuals[k] for k in self.type_groups[t]):
+            return False
+        # no held bit of the block at ``bit``'s position or after it
+        return not held >> bit & self.block >> pos
 
 
 class CompiledSlotSchool:
@@ -178,8 +186,16 @@ class CompiledSlotSchool:
     __slots__ = ("slots", "global_index", "student_of", "peer")
 
     def __init__(self, school: SlotSpecificSchool, owner: "Compiled", members: Sequence[int]):
-        self.global_index, self.student_of, self.peer = _local_space(owner, members)
-        index, local_bit = owner.index, owner.local_bit
+        student_bit, local_bit = owner.student_bit, owner.local_bit
+        peers: dict[int, int] = {}
+        for lb, ci in enumerate(members):
+            local_bit[ci] = lb
+            peers[student_bit[ci]] = peers.get(student_bit[ci], 0) | 1 << lb
+        self.global_index = tuple(members)
+        self.student_of = tuple(student_bit[ci] for ci in members)
+        # local bit -> local mask of that student's contracts at the school
+        self.peer = tuple(peers[si] for si in self.student_of)
+        index = owner.index
         self.slots = tuple(tuple(local_bit[index[c]] for c in slot) for slot in school.slots)
 
     def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...]]:
@@ -213,26 +229,37 @@ class Compiled:
         schools: Sequence,
         preferences: Mapping[str, PreferenceOrder],
     ):
-        self.contracts = tuple(sorted(contracts))
-        self.index = {c: n for n, c in enumerate(self.contracts)}
         self.students = tuple(students)
         self.student_index = {s: n for n, s in enumerate(self.students)}
-        self.student_bit = tuple(self.student_index[c.student] for c in self.contracts)
-        own: list[list[int]] = [[] for _ in self.students]
-        members: dict[str, list[int]] = {}
-        for ci, c in enumerate(self.contracts):
-            own[self.student_bit[ci]].append(ci)
-            members.setdefault(c.school, []).append(ci)
-        self.student_contracts = tuple(map(tuple, own))
+        # contract order is ``sorted(contracts)``: contracts sort by student
+        # first, so each student's few contracts are sorted under the sorted ids
+        by_student: dict[str, list[Contract]] = {}
+        for c in contracts:
+            by_student.setdefault(c.student, []).append(c)
+        ordered: list[Contract] = []
+        student_bit: list[int] = []
+        own: list[tuple[int, ...]] = [()] * len(self.students)
+        for s in sorted(by_student):
+            mine = sorted(by_student[s])
+            si = self.student_index[s]
+            own[si] = tuple(range(len(ordered), len(ordered) + len(mine)))
+            student_bit += [si] * len(mine)
+            ordered += mine
+        self.contracts = tuple(ordered)
+        self.index = {c: n for n, c in enumerate(self.contracts)}
+        self.student_bit = tuple(student_bit)
+        self.student_contracts = tuple(own)
+        self.school_index = {cfg.school: n for n, cfg in enumerate(schools)}
+        self.school_of = tuple(self.school_index[c.school] for c in self.contracts)
+        members: list[list[int]] = [[] for _ in schools]
+        for ci, s in enumerate(self.school_of):
+            members[s].append(ci)
         self.local_bit = [0] * len(self.contracts)
         self.schools = []
-        self.school_index: dict[str, int] = {}
-        for cfg in schools:
-            self.school_index[cfg.school] = len(self.schools)
+        for cfg, mine in zip(schools, members):
             cls = CompiledSlotSchool if isinstance(cfg, SlotSpecificSchool) else CompiledSchool
-            self.schools.append(cls(cfg, self, members.get(cfg.school, ())))
+            self.schools.append(cls(cfg, self, mine))
         self.local_bit = tuple(self.local_bit)
-        self.school_of = tuple(self.school_index[c.school] for c in self.contracts)
         self.acceptable = self._acceptable(preferences)
 
     @classmethod
@@ -269,7 +296,8 @@ class Compiled:
         clone.__dict__.update(self.__dict__)
         clone.local_bit = list(self.local_bit)
         clone.schools = list(self.schools)
-        clone.schools[s] = CompiledSchool(config, clone, self.schools[s].global_index)
+        members = sorted(ci for ci in self.schools[s].global_index if ci is not None)
+        clone.schools[s] = CompiledSchool(config, clone, members)
         clone.local_bit = tuple(clone.local_bit)
         return clone
 
@@ -360,21 +388,21 @@ class Compiled:
         The full-group guard. The loop keeps, per school, the residuals of
         its last ``choose``, and skips the re-choice when ``school.keeps``
         holds for the offered contract's local bit ``b``: every group whose
-        type mask covers ``b`` has residual 0, and ``b`` lies above every
-        held bit of that type, or no group covers ``b``. Then
-        ``choose(offered | b)`` equals ``held``. Proof: run both choices
-        group by group. Before group ``k`` both have the same residuals
-        and the same available bits, apart from ``b``. A group of another
-        type reads the same pool, so it takes the same picks and removes
-        the same peers. A group of ``b``'s type takes the lowest ``cap``
-        bits of ``avail & type_mask``; it was full, so those ``cap`` bits
-        exist without ``b``, and they are held bits, all below ``b``. So
-        adding ``b`` to the pool changes neither its picks, nor its
-        residual, nor its peer removals. No group picks ``b``, so the
-        chosen masks, and every residual, are equal. The argument reads
-        only the one choice at hand, so it needs no monotone scheme; the
-        held mask and residuals kept after a skip are still those of
-        ``choose(offered)``.
+        type's block holds ``b`` has residual 0, and ``b`` lies above every
+        held bit of that block, or ``b`` lies after the blocks, where no
+        group reads. Then ``choose(offered | b)`` equals ``held``. Proof:
+        run both choices group by group. Before group ``k`` both have the
+        same residuals and the same chosen positions, and their offered
+        masks differ only in ``b``. A group of another type reads another
+        block, so it reads the same pool, takes the same picks and chooses
+        the same positions. A group of ``b``'s type takes its pool's lowest
+        ``cap`` bits; it was full, so those ``cap`` bits exist without
+        ``b``, and they are held bits, all below ``b``. So adding ``b`` to
+        the pool changes neither its picks, nor its residual, nor the
+        positions it chooses. No group picks ``b``, so the chosen masks,
+        and every residual, are equal. The argument reads only the one
+        choice at hand, so it needs no monotone scheme; the held mask and
+        residuals kept after a skip are still those of ``choose(offered)``.
 
         The dry set. A student runs dry when they stand unheld with their
         list used up: at the start when their list is empty, after their own

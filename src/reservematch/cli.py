@@ -50,13 +50,14 @@ from .incentives import (
 from .instance import ProblemInstance
 from .model import PreferenceOrder
 from .verification import (
+    _compile_pool,
+    _tabulate,
     check_completion,
     check_irc,
     check_lad,
     check_substitutability,
     is_stable,
     tabulate,
-    tabulate_school,
 )
 
 # The checks every audit row records, in report order. Each is true (passed),
@@ -176,7 +177,7 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
     compiled = Compiled.from_instance(instance)
     truth = compiled.cop(compiled.default_order_rank())
     independence = _order_independence(compiled, truth[0], trials=10, seed=seed)
-    row: dict = {"stable": is_stable(independence.baseline, instance).passed}
+    row: dict = {"stable": is_stable(independence.baseline, instance, compiled=compiled).passed}
     row["order_independent"] = independence.ok
 
     strategy_proof = True
@@ -214,8 +215,9 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
         if len(pool) > max_contracts:
             continue
         checked += 1
-        base = tabulate_school(cfg, pool, cap=1 << max_contracts)
-        comp = tabulate_school(cfg, pool, completion=True, cap=1 << max_contracts)
+        school = _compile_pool(cfg, pool, 1 << max_contracts)
+        base = _tabulate(*school, completion=False)
+        comp = _tabulate(*school, completion=True)
         axioms_ok = (
             axioms_ok
             and check_completion(base, comp).holds

@@ -358,9 +358,13 @@ def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> boo
     return a != b and all(a[vec] >= b[vec] for vec in a)
 
 
-def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> dict:
-    """The schools whose schemes grant different capacities, in school order,
-    each mapped to its rigid and its flexible :func:`capacity_table`."""
+def _differing_schemes(
+    rigid: ProblemInstance, flexible: ProblemInstance
+) -> list[tuple[SchoolConfig, SchoolConfig]]:
+    """The (rigid, flexible) configurations of every school whose scheme is
+    written differently, in school order, after checking that the two
+    instances describe one market and differ only in schemes. Reads no
+    capacity table."""
     if rigid.contracts != flexible.contracts or rigid.students != flexible.students:
         raise InvalidInputError("instances describe different markets")
     if rigid.preferences != flexible.preferences:
@@ -368,16 +372,23 @@ def _changed_schools(rigid: ProblemInstance, flexible: ProblemInstance) -> dict:
     ids = [cfg.school for cfg in rigid.schools]
     if ids != [cfg.school for cfg in flexible.schools]:
         raise InvalidInputError("instances list different schools")
-    # a school changes when its scheme grants a different capacity somewhere
-    # in the residual domain, not merely when the scheme is written otherwise
-    changed = {}
     for a, b in zip(rigid.schools, flexible.schools):
         if replace(a, scheme=b.scheme) != b:
             raise InvalidInputError(f"school {a.school}: only the scheme may differ")
-        if a.scheme != b.scheme:
-            before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
-            if before != after:
-                changed[a.school] = before, after
+    return [(a, b) for a, b in zip(rigid.schools, flexible.schools) if a.scheme != b.scheme]
+
+
+def _changed_schools(pairs: Iterable[tuple[SchoolConfig, SchoolConfig]]) -> dict:
+    """The schools of :func:`_differing_schemes` whose schemes grant
+    different capacities, in school order, each mapped to its rigid and its
+    flexible :func:`capacity_table`. A school changes when its scheme grants
+    a different capacity somewhere in the residual domain, not merely when
+    the scheme is written otherwise."""
+    changed = {}
+    for a, b in pairs:
+        before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
+        if before != after:
+            changed[a.school] = before, after
     return changed
 
 
@@ -404,7 +415,7 @@ def improvement_chains(
     result equals the mechanism outcome under ``flexible``.
     """
     z = frozenset(z)
-    changed = _changed_schools(rigid, flexible)
+    changed = _changed_schools(_differing_schemes(rigid, flexible))
     if len(changed) != 1:
         raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
     ((a, b),) = changed.values()
@@ -460,30 +471,34 @@ def check_flexibility_pareto(
     and must land exactly on the rerun mechanism's outcome at each school
     boundary; ``chain_agrees`` is ``None`` when no such decomposition exists.
 
-    Refusals come first: after both sides validate, the comparison refuses,
-    as :func:`check_monotonic` does, when one monotonicity check of a changed
-    school would take more than 2 000 000 steps. The changed schools are
-    then decomposed in order, stopping at the first one without a
-    decomposition, since ``chain_agrees`` is ``None`` whatever the later
+    Refusals come first. After the preconditions that read no capacity
+    table (one market, only schemes differ, both sides valid), the
+    comparison refuses, as :func:`check_monotonic` does, when one
+    monotonicity check of a school whose scheme differs would take more
+    than 2 000 000 steps, before it builds any capacity table. The changed
+    schools are then decomposed in order, stopping at the first one without
+    a decomposition, since ``chain_agrees`` is ``None`` whatever the later
     ones give; chains are replayed only when every school decomposed.
 
     Each side is validated and compiled once, and every market in between
     is a ``Compiled.with_school`` clone. The last school switched makes the
     market ``flexible``: the unchanged schools grant the same capacities.
     """
-    changed = _changed_schools(rigid, flexible)
+    differing = _differing_schemes(rigid, flexible)
+    working = _validated(rigid)
+    flexible_compiled = _validated(flexible)
+    for cfg, _ in differing:
+        _require_steps(cfg.group_count, cfg.capacity)
+    changed = _changed_schools(differing)
     for sid, (table, goal) in changed.items():
         if any(goal[vec] < cap for vec, cap in table.items()):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
 
-    working = _validated(rigid)
     rank = working.default_order_rank()  # the sides share every preference
     outcome = working.cop(rank)[0]
-    flexible_mask = _validated(flexible).cop(rank)[0]
+    flexible_mask = flexible_compiled.cop(rank)[0]
     rigid_outcome = working.to_set(outcome)
     flexible_outcome = working.to_set(flexible_mask)
-    for cfg in map(rigid.school, changed):
-        _require_steps(cfg.group_count, cfg.capacity)
 
     chains = []
     for sid, (table, goal) in changed.items():

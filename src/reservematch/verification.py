@@ -64,8 +64,12 @@ class StabilityReport:
         return self.passed
 
 
-def is_stable(y: Iterable[Contract], instance: ProblemInstance) -> StabilityReport:
-    """Evaluate all three stability conditions for allocation ``y``."""
+def is_stable(
+    y: Iterable[Contract], instance: ProblemInstance, *, compiled: Optional[Compiled] = None
+) -> StabilityReport:
+    """Evaluate all three stability conditions for allocation ``y``.
+    ``compiled`` is ``Compiled.from_instance(instance)``, given to share a
+    compilation the caller already has; it is built here when omitted."""
     y = frozenset(y)
     _require_allocation(y, instance)
 
@@ -73,7 +77,8 @@ def is_stable(y: Iterable[Contract], instance: ProblemInstance) -> StabilityRepo
         sorted(c for c in y if not instance.preferences[c.student].accepts(c))
     )
 
-    compiled = Compiled.from_instance(instance)
+    if compiled is None:
+        compiled = Compiled.from_instance(instance)
     mismatch = None
     y_local = compiled.to_local(compiled.to_mask(y))
     for s, (cfg, school) in enumerate(zip(instance.schools, compiled.schools)):
@@ -145,7 +150,7 @@ def find_blocking_set(
     engine_school = compiled.schools[s]
     y_local = compiled.to_local(compiled.to_mask(y))[s]
     current = {c.student: c for c in y}
-    for ci in sorted(engine_school.global_index):
+    for ci in sorted(ci for ci in engine_school.global_index if ci is not None):
         bit = 1 << compiled.local_bit[ci]
         if y_local & bit:
             continue
@@ -222,18 +227,31 @@ def tabulate_school(
     cap: int = 1 << 14,
 ) -> ChoiceTable:
     """Tabulate a school's overall choice (or, with ``completion``, its
-    completion) over every subset of ``contracts`` on the bitmask engine.
-    The engine compiles the sorted pool, so a subset mask is a global mask;
-    each is relabelled into the school's local bits and the choice back."""
+    completion) over every subset of ``contracts`` on the bitmask engine."""
+    return _tabulate(*_compile_pool(config, contracts, cap), completion)
+
+
+def _compile_pool(
+    config: SchoolConfig, contracts: Iterable[Contract], cap: int
+) -> tuple[Compiled, list[int]]:
+    """The sorted pool compiled as a market of one school, so a subset mask
+    of the pool is a global mask, and every subset as a local mask (the
+    subset's index is its pool mask). Both tabulations of a school can read
+    one compile."""
     pool = _sorted_pool(contracts, cap)
     if any(c.school != config.school for c in pool):
         raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
-    students = sorted({c.student for c in pool})
-    compiled = Compiled(pool, students, [config], {})
-    school = compiled.schools[0]
-    to_local = _relabelled_subsets(compiled.local_bit)
-    to_pool = _relabelled_subsets(school.global_index)
-    return ChoiceTable(pool, tuple(to_pool[school.choose(m, completion)[0]] for m in to_local))
+    compiled = Compiled(pool, sorted({c.student for c in pool}), [config], {})
+    return compiled, _relabelled_subsets(compiled.local_bit)
+
+
+def _tabulate(compiled: Compiled, subsets: list[int], completion: bool) -> ChoiceTable:
+    """The choice table of the school of a :func:`_compile_pool` market;
+    each distinct choice is relabelled back to pool bits once."""
+    choose = compiled.schools[0].choose
+    local = [choose(m, completion)[0] for m in subsets]
+    to_pool = {c: compiled.to_global(0, c) for c in set(local)}
+    return ChoiceTable(compiled.contracts, tuple(map(to_pool.__getitem__, local)))
 
 
 def _relabelled_subsets(bit_of: tuple[int, ...]) -> list[int]:

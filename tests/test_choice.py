@@ -10,7 +10,7 @@ import pytest
 
 import reservematch as rm
 from helpers import brute_monotonic
-from reservematch._engine import Compiled
+from reservematch._engine import Compiled, bits
 
 
 def rows(X):
@@ -321,6 +321,70 @@ def test_engine_choices_match_reference(seed):
         assert res_c == trace_c.residuals
 
 
+def _layout_market():
+    """A hand-built pool and three schools over it whose local bits have
+    every feature of the block layout: ranked students who lack a type (gap
+    bits), an unranked student, a type outside the precedence, and a type
+    heading two groups. Their groups are over-demanded at capacity 1 and
+    above, and the second scheme's capacities jump with the residuals."""
+    claims = {
+        "a": ("t1", "t2"),
+        "b": ("t1", "t3"),
+        "c": ("t2", "t4"),  # t4 heads no group
+        "d": ("t1", "t2", "t3"),
+        "e": ("t3",),
+        "f": ("t1", "t2"),  # unranked
+    }
+    pool = sorted(rm.Contract(s, "s", t) for s, types in claims.items() for t in types)
+    priority = rm.PriorityOrder("s", ("d", "b", "e", "a", "c"))
+    configs = [
+        rm.SchoolConfig(
+            "s", 5, priority, ("t1", "t2", "t1", "t3"), (2, 1, 1, 1),
+            rm.ForwardSumScheme(((), (0,), (), (1, 2))),
+        ),
+        rm.SchoolConfig(
+            "s", 4, priority, ("t2", "t1", "t3", "t2"), (1, 1, 1, 1),
+            rm.TableScheme({1: {(0,): 2}, 2: {(1, 0): 0, (0, 0): 3}, 3: {(0, 1, 0): 2}}),
+        ),
+        rm.SchoolConfig("s", 3, priority, ("t3", "t1"), (1, 2), rm.ForwardSumScheme(((), (0,)))),
+    ]
+    return pool, configs
+
+
+def test_block_layout_choices_match_reference_on_every_subset():
+    # every subset of the pool, chosen plain and as a completion, mask and
+    # residuals; ``over`` counts the groups that ran over-demanded, by
+    # whether their capacity was 1 or more
+    pool, configs = _layout_market()
+    students = sorted({c.student for c in pool})
+    over = {1: 0, 2: 0}
+    for cfg in configs:
+        compiled = Compiled(pool, students, [cfg], {})
+        school = compiled.schools[0]
+        assert None in school.global_index  # gap bits
+        assert school.block_end < len(school.global_index)  # bits after the blocks
+        for mask in range(1 << len(pool)):
+            offers = frozenset(pool[i] for i in bits(mask))
+            (local,) = compiled.to_local(mask)
+            for choice, completion in (
+                (rm.dynamic_reserves_choice, False),
+                (rm.completion_choice, True),
+            ):
+                want, trace = choice(offers, cfg)
+                got, residuals = school.choose(local, completion)
+                assert compiled.to_set(compiled.to_global(0, got)) == want, (cfg, offers)
+                assert residuals == trace.residuals, (cfg, offers)
+                for g in trace.groups:
+                    claimants = [
+                        c for c in g.available
+                        if c.privilege == g.privilege and cfg.priority.accepts(c.student)
+                    ]
+                    if 0 < g.capacity < len(claimants):
+                        over[min(g.capacity, 2)] += 1
+    # 12 440 at capacity 1, 2 584 above
+    assert over[1] >= 12_000 and over[2] >= 2_500, over
+
+
 def test_engine_slot_school_matches_reference():
     for seed in range(10):
         school = rm.generate_slot_specific_school(7000 + seed)
@@ -352,17 +416,17 @@ def _guard_schools(small_instances):
 def test_the_full_group_guard_only_skips_offers_the_school_rejects(small_instances):
     # ``keeps`` lets the cumulative offer process skip a re-choice; wherever
     # it says yes, offering the bit must leave the choice as it is, with the
-    # bit rejected. Every bit is tried, offered or not.
+    # bit rejected. Every bit a contract owns is tried, offered or not.
     rng = random.Random(41)
     fired = fired_covered = 0
     for school in _guard_schools(small_instances):
-        width = len(school.global_index)
-        covered = school.start[-1]  # bits below are ranked and of a precedence type
+        owned = [b for b, ci in enumerate(school.global_index) if ci is not None]
+        covered = school.block_end  # bits below are ranked and of a precedence type
         for density in (0.2, 0.5, 0.8):
             for _ in range(6):
-                mask = sum(1 << b for b in range(width) if rng.random() < density)
+                mask = sum(1 << b for b in owned if rng.random() < density)
                 held, residuals = school.choose(mask)
-                for b in range(width):
+                for b in owned:
                     if not school.keeps(b, held, residuals):
                         continue
                     fired += 1

@@ -84,6 +84,16 @@ def test_contract_listing_order_does_not_matter(ex1, tmp_path):
     assert rm.run_cop_default(rm.load_instance(shuffled)) == rm.run_cop_default(ex1)
 
 
+def test_contract_order_is_the_sorted_order_whatever_the_listing(small_instances):
+    # the engine sorts each student's contracts under the sorted student ids
+    rng = random.Random(7)
+    for instance in small_instances[:40]:
+        listed = list(instance.contracts)
+        rng.shuffle(listed)
+        compiled = Compiled(listed, instance.students, instance.schools, instance.preferences)
+        assert compiled.contracts == tuple(sorted(instance.contracts))
+
+
 def test_relabelling_students_relabels_the_outcome(ex1):
     relabel = {"i": "pd", "j": "pc", "k": "pb", "l": "pa"}  # reverses the id order
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import replace
 
 import pytest
@@ -786,6 +787,29 @@ def test_a_refusal_after_a_school_without_decomposition_still_refuses(
     rm.save_instance(flexible, path)
     assert main(["compare", str(path)]) == 3
     assert "monotonicity step enumeration" in capsys.readouterr().err
+
+
+def test_an_oversize_comparison_refuses_before_it_builds_a_table(tmp_path, capsys):
+    # one school, 7 groups at 10 seats: each capacity table of its two
+    # schemes has about 11 million entries, so the refusal must come first
+    params = rm.GeneratorParams(
+        students=30, schools=1, types=6, seed=3, capacity_range=(10, 10), claim_range=(1, 3)
+    )
+    flexible = rm.generate_random_instance(params)
+    assert flexible.schools[0].group_count == 7
+    path = tmp_path / "flexible.instance"
+    rm.save_instance(flexible, path)
+    started = time.perf_counter()
+    assert main(["compare", str(path)]) == 3
+    assert time.perf_counter() - started < 2
+    err = capsys.readouterr().err
+    assert "monotonicity step enumeration: 10452210 cases exceed the cap of 2000000" in err
+    rigid = flexible.with_school(
+        replace(flexible.schools[0], scheme=rm.ForwardSumScheme(((),) * 7))
+    )
+    with pytest.raises(rm.SearchCapExceededError) as refused:
+        rm.check_flexibility_pareto(rigid, flexible)
+    assert (refused.value.needed, refused.value.cap) == (10_452_210, 2_000_000)
 
 
 def test_comparison_rejects_less_flexible_changes(ex1, ex1_config):
