@@ -485,8 +485,13 @@ class Compiled:
             out |= self.to_global(s, mask)
         return out, dry
 
-    def proposable(self, available: int, held_students: int) -> int:
-        """Mask of contracts currently proposable (used for transcripts)."""
+    def proposable(self, available: int, held: int) -> int:
+        """Mask of contracts currently proposable: the first listed contract
+        not in ``available`` of each student with no contract in the global
+        mask ``held`` (used for transcripts and the order-independence walk)."""
+        held_students = 0
+        for ci in bits(held):
+            held_students |= 1 << self.student_bit[ci]
         out = 0
         for si in range(len(self.students)):
             if (held_students >> si) & 1:

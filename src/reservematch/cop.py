@@ -5,17 +5,17 @@ have ever received and hold their choice from that growing set. The process
 stops when no student can propose, and the held contracts are the outcome.
 A proposal order decides who moves at each step; with dynamic reserves choice
 functions the outcome does not depend on it, and ``check_order_independence``
-verifies that empirically on any given instance.
+decides that on a given instance by walking every state the process can
+reach, under every order at once.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ._engine import Compiled, bits
-from .errors import ValidationError
+from .errors import SearchCapExceededError, ValidationError
 from .instance import ProblemInstance, validate_instance
 from .model import Contract
 
@@ -53,14 +53,10 @@ class CopResult:
     steps: tuple[CopStep, ...]
 
 
-def _check(instance: ProblemInstance) -> None:
+def _validated(instance: ProblemInstance) -> Compiled:
     violations = validate_instance(instance)
     if violations:
         raise ValidationError(violations)
-
-
-def _validated(instance: ProblemInstance) -> Compiled:
-    _check(instance)
     return Compiled.from_instance(instance)
 
 
@@ -72,22 +68,16 @@ def default_proposal_order(instance: ProblemInstance) -> tuple[Contract, ...]:
     return tuple(sorted(compiled.contracts, key=lambda c: rank[compiled.index[c]]))
 
 
-def _run(
-    instance: ProblemInstance, order: Optional[Sequence[Contract]], transcript: bool
-) -> CopResult:
-    """Compile a valid instance once and run the process under ``order``, or
-    under the canonical order when it is None. The steps are built only with
-    ``transcript``; otherwise they are empty. The public functions that
-    call this validate first."""
-    compiled = Compiled.from_instance(instance)
-    if order is None:
-        order_rank = compiled.default_order_rank()
-    else:
-        order_rank = compiled.order_rank(order)
-    if not transcript:
-        return CopResult(compiled.to_set(compiled.cop(order_rank)[0]), ())
+def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
+    """Run the cumulative offer process under an explicit proposal order.
+
+    ``order`` must be a permutation of the instance's contract set; at every
+    step the order-minimal proposable contract (the lowest rank) is offered. Returns the final
+    allocation together with a step-by-step transcript.
+    """
+    compiled = _validated(instance)
     raw_steps: list = []
-    held_mask, _ = compiled.cop(order_rank, transcript=raw_steps)
+    held_mask, _ = compiled.cop(compiled.order_rank(order), transcript=raw_steps)
     steps = []
     school_ids = [s.school for s in instance.schools]
     for n, (proposed, available, held_by_school) in enumerate(raw_steps, start=1):
@@ -96,11 +86,8 @@ def _run(
             for si, mask in enumerate(held_by_school)
             if mask
         }
-        held_students = 0
-        for mask in held_by_school:
-            for ci in bits(mask):
-                held_students |= 1 << compiled.student_bit[ci]
-        proposable = compiled.to_set(compiled.proposable(available, held_students))
+        # schools hold disjoint masks, so their sum is their union
+        proposable = compiled.to_set(compiled.proposable(available, sum(held_by_school)))
         steps.append(
             CopStep(
                 n, compiled.contracts[proposed], compiled.to_set(available), held, proposable
@@ -109,30 +96,23 @@ def _run(
     return CopResult(compiled.to_set(held_mask), tuple(steps))
 
 
-def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
-    """Run the cumulative offer process under an explicit proposal order.
-
-    ``order`` must be a permutation of the instance's contract set; at every
-    step the order-minimal proposable contract (the lowest rank) is offered. Returns the final
-    allocation together with a step-by-step transcript.
-    """
-    _check(instance)
-    return _run(instance, order, transcript=True)
-
-
 def run_cop_default(instance: ProblemInstance) -> frozenset:
     """The cumulative offer mechanism: the process under the canonical order.
 
     Fully deterministic given the instance.
     """
-    _check(instance)
-    return _run(instance, None, transcript=False).allocation
+    compiled = _validated(instance)
+    return compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
+
+
+# The most process states the order-independence walk visits; a market
+# with more is refused, not sampled.
+ORDER_STATE_CAP = 100_000
 
 
 @dataclass(frozen=True)
 class OrderIndependenceResult:
     ok: bool
-    trials: int
     baseline: frozenset
     divergent_order: Optional[tuple[Contract, ...]] = None
     divergent_outcome: Optional[frozenset] = None
@@ -141,36 +121,65 @@ class OrderIndependenceResult:
         return self.ok
 
 
-def check_order_independence(
-    instance: ProblemInstance, trials: int, seed: int
-) -> OrderIndependenceResult:
-    """Run the process under ``trials`` random proposal orders plus the
-    canonical one and report the first order whose outcome differs."""
-    if trials < 2:
-        raise ValueError("need at least two trials to compare")
+def check_order_independence(instance: ProblemInstance) -> OrderIndependenceResult:
+    """Decide whether every proposal order gives the canonical order's
+    outcome, by walking every state the process can reach. Reports a
+    proposal order whose outcome differs, if one exists; raises
+    ``SearchCapExceededError`` when the market has more than
+    ``ORDER_STATE_CAP`` states."""
     compiled = _validated(instance)
     baseline, _ = compiled.cop(compiled.default_order_rank())
-    return _order_independence(compiled, baseline, trials, seed)
+    return _order_independence(compiled, baseline)
 
 
-def _order_independence(
-    compiled: Compiled, baseline: int, trials: int, seed: int
-) -> OrderIndependenceResult:
-    """:func:`check_order_independence` on a compiled valid market whose
-    canonical-order outcome is the held mask ``baseline``."""
-    rng = random.Random(seed)
-    n = len(compiled.contracts)
-    for _ in range(trials):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rank = [0] * n
-        for pos, ci in enumerate(perm):
-            rank[ci] = pos
-        outcome, _ = compiled.cop(rank)
-        if outcome != baseline:
-            order = tuple(compiled.contracts[ci] for ci in perm)
+def _order_independence(compiled: Compiled, baseline: int) -> OrderIndependenceResult:
+    """:func:`check_order_independence` on a compiled market whose
+    canonical-order outcome is the held mask ``baseline``.
+
+    A state of the process is the global mask of the contracts proposed so
+    far: each school holds ``choose`` of what it was offered, and each
+    student no school holds can propose their first listed contract not yet
+    proposed. A proposal order picks one of these moves at each step, so the
+    outcome is order independent exactly when every terminal state (one
+    with no move left) holds ``baseline``. The walk is a depth-first search
+    from the empty state that visits each state once, with one ``choose``
+    per new state, at the school proposed to.
+
+    The witness needs no constraint solving. Take the path ``c_1, ..., c_T``
+    by which the walk first reached a divergent terminal state, and put its
+    contracts first, in path order, then the rest in contract order. Under
+    that order the process follows the path: before step ``t`` it stands
+    at the path's state ``t - 1``, where ``c_t`` is proposable and every
+    other proposable contract is a later path contract or off the path, so
+    ranks after ``c_t``. After step ``T`` nothing is proposable, and the
+    process stops at the divergent state.
+    """
+    schools = compiled.schools
+    seen = {0}
+    # a state, each school's held global mask there, and the path that
+    # first reached it
+    stack: list = [(0, (0,) * len(schools), ())]
+    while stack:
+        proposed, held, path = stack.pop()
+        holding = sum(held)  # schools hold disjoint masks
+        moves = compiled.proposable(proposed, holding)
+        if not moves and holding != baseline:
+            rest = sorted(set(range(len(compiled.contracts))) - set(path))
+            order = tuple(compiled.contracts[ci] for ci in path + tuple(rest))
             return OrderIndependenceResult(
-                False, trials, compiled.to_set(baseline), order, compiled.to_set(outcome)
+                False, compiled.to_set(baseline), order, compiled.to_set(holding)
             )
-    return OrderIndependenceResult(True, trials, compiled.to_set(baseline))
-
+        for ci in bits(moves):
+            state = proposed | 1 << ci
+            if state in seen:
+                continue
+            if len(seen) >= ORDER_STATE_CAP:
+                raise SearchCapExceededError(
+                    len(seen) + 1, ORDER_STATE_CAP, "proposal-order states"
+                )
+            seen.add(state)
+            s = compiled.school_of[ci]
+            chosen, _ = schools[s].choose(compiled.to_local(state)[s])
+            held_now = held[:s] + (compiled.to_global(s, chosen),) + held[s + 1 :]
+            stack.append((state, held_now, path + (ci,)))
+    return OrderIndependenceResult(True, compiled.to_set(baseline))

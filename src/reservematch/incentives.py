@@ -378,12 +378,16 @@ def _differing_schemes(
     return [(a, b) for a, b in zip(rigid.schools, flexible.schools) if a.scheme != b.scheme]
 
 
-def _changed_schools(pairs: Iterable[tuple[SchoolConfig, SchoolConfig]]) -> dict:
+def _changed_schools(pairs: Sequence[tuple[SchoolConfig, SchoolConfig]]) -> dict:
     """The schools of :func:`_differing_schemes` whose schemes grant
     different capacities, in school order, each mapped to its rigid and its
     flexible :func:`capacity_table`. A school changes when its scheme grants
     a different capacity somewhere in the residual domain, not merely when
-    the scheme is written otherwise."""
+    the scheme is written otherwise. Refuses, as :func:`check_monotonic`
+    does, when one monotonicity check of a school would take more than
+    2 000 000 steps, before it builds any table."""
+    for cfg, _ in pairs:
+        _require_steps(cfg.group_count, cfg.capacity)
     changed = {}
     for a, b in pairs:
         before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
@@ -412,7 +416,9 @@ def improvement_chains(
     the expansion can never push them below), and the offer process re-runs
     on the flexible profile within that restricted market. No student ends
     worse than ``z``, reseated students are strictly better off, and the
-    result equals the mechanism outcome under ``flexible``.
+    result equals the mechanism outcome under ``flexible``. Like
+    :func:`check_flexibility_pareto`, it refuses a school whose monotonicity
+    check would take more than 2 000 000 steps before it builds any table.
     """
     z = frozenset(z)
     changed = _changed_schools(_differing_schemes(rigid, flexible))
@@ -487,8 +493,6 @@ def check_flexibility_pareto(
     differing = _differing_schemes(rigid, flexible)
     working = _validated(rigid)
     flexible_compiled = _validated(flexible)
-    for cfg, _ in differing:
-        _require_steps(cfg.group_count, cfg.capacity)
     changed = _changed_schools(differing)
     for sid, (table, goal) in changed.items():
         if any(goal[vec] < cap for vec, cap in table.items()):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -9,9 +10,12 @@ from dataclasses import replace
 import pytest
 
 import reservematch as rm
+from reservematch import cop
 from reservematch._engine import Compiled
+from reservematch.cop import _order_independence
 
 from helpers import reference_cop, take_back_market
+from test_incentives import MANIPULABLE
 
 
 def test_nobody_acceptable_means_nobody_proposes(ex1):
@@ -138,11 +142,11 @@ def test_order_independence_is_trivial_with_one_student(X):
         contracts=frozenset({X.z2, X.z3}),
         preferences={"k": rm.PreferenceOrder("k", (X.z2, X.z3))},
     )
-    assert rm.check_order_independence(inst, trials=5, seed=1).ok
+    assert rm.check_order_independence(inst).ok
 
 
 def test_worked_example_outcome_is_order_independent(ex1):
-    result = rm.check_order_independence(ex1, trials=50, seed=7)
+    result = rm.check_order_independence(ex1)
     assert result.ok
     assert result.baseline == rm.run_cop_default(ex1)
 
@@ -154,7 +158,57 @@ def test_validation_guards_the_process_against_broken_schemes(ex1, ex1_config):
     with pytest.raises(rm.ValidationError):
         rm.run_cop_default(broken)
     with pytest.raises(rm.ValidationError):
-        rm.check_order_independence(broken, trials=5, seed=1)
+        rm.check_order_independence(broken)
+
+
+def _brute_force_independent(compiled: Compiled, baseline: int) -> bool:
+    """True when every order of the listed contracts gives ``baseline``;
+    the unlisted contracts trail, since no student ever proposes them."""
+    listed = sorted({ci for lst in compiled.acceptable for ci in lst})
+    rest = sorted(set(range(len(compiled.contracts))) - set(listed))
+    for perm in itertools.permutations(listed):
+        order = [compiled.contracts[ci] for ci in (*perm, *rest)]
+        if compiled.cop(compiled.order_rank(order))[0] != baseline:
+            return False
+    return True
+
+
+def test_order_walk_agrees_with_every_permutation_of_the_listed_contracts(small_instances):
+    markets = [(Compiled.from_instance(i), True) for i in small_instances]
+    markets.append((Compiled.from_instance(take_back_market()), False))
+    markets += [(Compiled.from_instance(entry[0]), False) for entry in MANIPULABLE.values()]
+    checked = dependent = 0
+    for compiled, valid in markets:
+        if sum(map(len, compiled.acceptable)) > 6:
+            continue
+        baseline = compiled.cop(compiled.default_order_rank())[0]
+        result = _order_independence(compiled, baseline)
+        assert result.ok == _brute_force_independent(compiled, baseline)
+        assert result.ok or not valid
+        checked += 1
+        dependent += not result.ok
+    # 150 generated markets, the take-back market and three manipulable
+    # ones; the take-back market and two manipulable ones depend on order
+    assert (checked, dependent) == (154, 3)
+
+
+def test_order_walk_witness_reproduces_the_divergent_outcome():
+    # validation refuses the take-back market's scheme, so run it compiled
+    compiled = Compiled.from_instance(take_back_market())
+    baseline = compiled.cop(compiled.default_order_rank())[0]
+    result = _order_independence(compiled, baseline)
+    assert not result.ok
+    assert result.baseline == compiled.to_set(baseline)
+    assert sorted(result.divergent_order) == list(compiled.contracts)
+    outcome = compiled.cop(compiled.order_rank(result.divergent_order))[0]
+    assert compiled.to_set(outcome) == result.divergent_outcome != result.baseline
+
+
+def test_order_walk_refuses_over_its_state_cap(ex1, monkeypatch):
+    monkeypatch.setattr(cop, "ORDER_STATE_CAP", 3)
+    with pytest.raises(rm.SearchCapExceededError) as refused:
+        rm.check_order_independence(ex1)
+    assert (refused.value.needed, refused.value.cap) == (4, 3)
 
 
 def test_proposal_order_must_cover_all_contracts(ex1):

@@ -351,7 +351,7 @@ def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeyp
     assert code == 0 and "all checks passed: True" in out
     assert calls["validate"] <= 48
     assert calls["compile"] <= 72
-    assert calls["cop"] <= 743
+    assert calls["cop"] <= 623
 
 
 def test_cli_match_then_verify_is_stable(capsys, tmp_path):
@@ -470,6 +470,19 @@ def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
     assert refused_rows > 0
     assert report["summary"]["strategy_proof"] == 30 - refused_rows
     assert report["unverified"] == {"strategy_proof": refused_rows}
+
+
+def test_cli_audit_leaves_refused_order_walks_unverified(capsys, monkeypatch):
+    monkeypatch.setattr(rm.cop, "ORDER_STATE_CAP", 1)
+    code, out, err = run_cli(
+        capsys, "audit", "--seed", "120", "--count", "3", "--format", "machine"
+    )
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert [r["order_independent"] for r in report["results"]] == [None] * 3
+    assert all(r["ok"] for r in report["results"])
+    assert report["summary"]["order_independent"] == 0
+    assert report["unverified"] == {"order_independent": 3}
 
 
 def test_cli_audit_leaves_unchecked_axioms_unverified(capsys):
@@ -615,6 +628,22 @@ def test_cli_convert_round_trips_through_match(capsys, tmp_path):
     direct = compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
     conv = rm.convert_slot_specific(school)
     assert {conv.inverse[c] for c in via_dynamic} == set(direct)
+
+
+def test_cli_convert_check_refuses_a_pool_over_max_contracts(capsys, tmp_path):
+    school = rm.generate_slot_specific_school(5)
+    assert len(school.contracts) > 3
+    students = sorted({c.student for c in school.contracts})
+    prefs = {s: rm.PreferenceOrder(s, ()) for s in students}
+    slots_path = tmp_path / "market.slots"
+    rm.save_slot_market(school, prefs, slots_path)
+    code, out, err = run_cli(
+        capsys, "convert", str(slots_path), "--out-file", str(tmp_path / "out.instance"),
+        "--check", "--max-contracts", "3",
+    )
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: subset enumeration: ") and "cap of 8" in line
 
 
 def test_cli_gen_writes_deterministic_files(capsys, tmp_path):
