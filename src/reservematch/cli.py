@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from ._engine import Compiled, bits
 from .cop import _order_independence
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
+    _canonical_json,
     contract_id,
     load_allocation,
     load_instance,
@@ -73,7 +73,7 @@ AUDIT_CHECKS = (
 
 
 def _emit(report: dict, lines: list[str], fmt: str, out: str | None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    payload = _canonical_json(report) + "\n"
     if out:
         Path(out).write_text(payload, encoding="utf-8")
     if fmt == "machine":

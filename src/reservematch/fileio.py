@@ -4,7 +4,9 @@ One self-describing JSON format per object kind, each schema-versioned.
 Parsing is strict: unknown schema versions, duplicate ids, and dangling
 references are errors that name the offending location. Serialization is
 canonical, so `parse -> serialize` is a fixed point and byte-identical
-reports are reproducible.
+reports are reproducible: one writer, `_canonical_json`, gives every file
+and CLI report the bytes of `json.dumps(doc, indent=2, sort_keys=True,
+ensure_ascii=False)`, most of them from CPython's C encoder.
 """
 
 from __future__ import annotations
@@ -55,11 +57,140 @@ def _read_json(path) -> object:
         raise InstanceFormatError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from exc
 
 
+# Value types the C encoder writes exactly as the pure-Python one does. With
+# the sets below, ``issuperset(map(type, items))`` checks a container in C.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+_DICT = frozenset((dict,))
+_LIST = frozenset((list, tuple))
+
+
+class _Fallback(Exception):
+    """The document holds something the canonical writer leaves to
+    ``json.dumps``: a non-``str`` key, a type it does not know, or no usable
+    C encoder."""
+
+
+class _Encoders(dict):
+    """CPython's C encoder keyed by ``(depth, key separator)``: it writes a
+    container without indentation, its items separated by ``,`` and a newline
+    indented to the depth."""
+
+    def __init__(self):
+        super().__init__()
+        self.make = json.encoder.c_make_encoder
+        if self.make is None:
+            raise _Fallback
+
+    def __missing__(self, key: tuple[int, str]):
+        depth, key_separator = key
+        try:
+            encoder = self.make(
+                None, None, json.encoder.encode_basestring, None,
+                key_separator, ",\n" + "  " * depth, True, False, True,
+            )
+        except (TypeError, ValueError) as exc:
+            raise _Fallback from exc
+        self[key] = encoder
+        return encoder
+
+
+def _write(obj: object, depth: int, out: list, encoders: _Encoders) -> None:
+    """Append the canonical text of ``obj``, whose brackets sit at ``depth``,
+    to ``out``.
+
+    Only ``indent=None`` runs the C encoder in ``json.dumps``, so the indented
+    text is rebuilt from compact C output. A flat container (every child a
+    scalar; a dict's keys all ``str``) is one C call with the item separator
+    of its children's depth; only the newline and indent inside its brackets
+    are added here.
+
+    Two shapes of non-empty flat containers are also one C call, at the
+    depth of the grandchildren, and their raw newlines anchor the rewrite:
+    every raw newline in C output is a separator, since a newline inside a
+    string is escaped, and a scalar never ends in ``]`` or ``}``.
+
+    - A list of flat dicts, such as an instance's ``contracts`` rows: each
+      row boundary ``},\n<indent>{`` is rewritten to the rows' indent.
+    - A dict of flat lists, such as an instance's ``preferences``: the key
+      separator is ``:\n``, so ``:\n[`` marks where each list opens, and
+      each boundary ``],\n<indent>"`` is rewritten to the keys' indent.
+
+    Every other container is walked here.
+    """
+    kind = type(obj)
+    if kind in _SCALARS:
+        out.append("".join(encoders[0, ": "](obj, 0)))
+        return
+    if kind is dict:
+        if not _STR.issuperset(map(type, obj)):
+            raise _Fallback
+        children = obj.values()
+    elif kind is list or kind is tuple:
+        children = obj
+    else:
+        raise _Fallback
+    if not obj:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    item = "\n" + "  " * (depth + 2)
+    if _SCALARS.issuperset(map(type, children)):
+        text = "".join(encoders[depth + 1, ": "](obj, 0))
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+    elif (
+        kind is not dict
+        and _DICT.issuperset(map(type, obj))
+        and all(obj)
+        and _STR.issuperset({type(key) for row in obj for key in row})
+        and _SCALARS.issuperset({type(value) for row in obj for value in row.values()})
+    ):
+        text = "".join(encoders[depth + 2, ": "](obj, 0))
+        rows = text[2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
+        out += ("[", inner, "{", item, rows, inner, "}", outer, "]")
+    elif (
+        kind is dict
+        and _LIST.issuperset(map(type, children))
+        and all(children)
+        and _SCALARS.issuperset({type(value) for row in children for value in row})
+    ):
+        text = "".join(encoders[depth + 2, ":\n"](obj, 0))
+        rows = text[1:-2].replace(":\n[", ": [" + item)
+        rows = rows.replace("]," + item + '"', inner + "]," + inner + '"')
+        out += ("{", inner, rows, inner, "]", outer, "}")
+    elif kind is dict:
+        quote = json.encoder.encode_basestring
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            out += (separator, quote(key), ": ")
+            _write(value, depth + 1, out, encoders)
+            separator = "," + inner
+        out += (outer, "}")
+    else:
+        separator = "[" + inner
+        for value in obj:
+            out.append(separator)
+            _write(value, depth + 1, out, encoders)
+            separator = "," + inner
+        out += (outer, "]")
+
+
+def _canonical_json(doc: object) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)``,
+    built mostly by CPython's C encoder (see :func:`_write`). A document the
+    writer does not handle goes to ``json.dumps`` itself, and so do cyclic
+    and over-deep ones, so errors are ``json.dumps``'s own."""
+    try:
+        out: list[str] = []
+        _write(doc, 0, out, _Encoders())
+        return "".join(out)
+    except (_Fallback, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def _write_json(doc: object, path) -> None:
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(_canonical_json(doc) + "\n", encoding="utf-8")
 
 
 def _expect(doc: object, key: str, kind, where: str):
@@ -310,7 +441,12 @@ def load_allocation(path, instance: ProblemInstance) -> frozenset:
     _check_schema(doc, ALLOCATION_SCHEMA)
     by_id = {contract_id(c): c for c in instance.contracts}
     ids = _expect(doc, "contracts", list, "$")
-    return frozenset(_ranked_contracts(ids, by_id, "contracts"))
+    allocation: set[Contract] = set()
+    for n, c in enumerate(_ranked_contracts(ids, by_id, "contracts")):
+        if c in allocation:
+            raise InstanceFormatError(f"duplicate contract id {ids[n]!r}", f"contracts[{n}]")
+        allocation.add(c)
+    return frozenset(allocation)
 
 
 def save_slot_market(

@@ -174,6 +174,18 @@ def test_allocation_files_round_trip(ex1, tmp_path):
     assert rm.load_allocation(path, ex1) == allocation
 
 
+def test_an_allocation_listing_a_contract_twice_is_refused(capsys, tmp_path, ex1):
+    path = tmp_path / "twice.allocation"
+    doc = {"schema": "reservematch-allocation/1", "contracts": ["i@s:t1", "j@s:t2", "i@s:t1"]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(rm.InstanceFormatError, match=r"contracts\[2\]"):
+        rm.load_allocation(path, ex1)
+    code, out, err = run_cli(capsys, "verify", str(rm.ex1_path()), "--allocation", str(path))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "duplicate contract id 'i@s:t1'" in line
+
+
 def test_slot_market_files_round_trip(tmp_path):
     school = rm.generate_slot_specific_school(42)
     prefs = {
