@@ -50,7 +50,6 @@ from .incentives import (
 from .instance import ProblemInstance
 from .model import PreferenceOrder
 from .verification import (
-    _compile_pool,
     _tabulate,
     check_completion,
     check_irc,
@@ -101,7 +100,8 @@ def _alloc_rows(instance: ProblemInstance, allocation: frozenset) -> list[str]:
 
 def _cmd_match(args) -> int:
     # the loader validates; a transcript step is read from the engine's
-    # masks, since it prints only the proposal and the held contracts
+    # masks, since it prints only the proposal and the held contracts, and a
+    # school's held list is rebuilt only when its mask changes
     instance = load_instance(args.instance)
     compiled = Compiled.from_instance(instance)
     raw = [] if args.transcript else None
@@ -110,18 +110,14 @@ def _cmd_match(args) -> int:
     if args.transcript:
         ids = [contract_id(c) for c in compiled.contracts]
         school_ids = [cfg.school for cfg in instance.schools]
-        steps = [
-            {
-                "step": n,
-                "proposed": ids[proposed],
-                "held": {
-                    school_ids[si]: sorted(ids[ci] for ci in bits(mask))
-                    for si, mask in enumerate(by_school)
-                    if mask
-                },
-            }
-            for n, (proposed, _, by_school) in enumerate(raw, start=1)
-        ]
+        masks, lists = [0] * len(school_ids), [[] for _ in school_ids]
+        steps = []
+        for n, (proposed, _, by_school) in enumerate(raw, start=1):
+            for si, mask in enumerate(by_school):
+                if mask != masks[si]:
+                    masks[si], lists[si] = mask, sorted(ids[ci] for ci in bits(mask))
+            held = {school_ids[si]: lists[si] for si, mask in enumerate(by_school) if mask}
+            steps.append({"step": n, "proposed": ids[proposed], "held": held})
     if args.save_allocation:
         save_allocation(allocation, args.save_allocation)
     report = {
@@ -172,9 +168,9 @@ def _cmd_verify(args) -> int:
 
 
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
-    # the generator and the loader validate, so one compile and one truthful
-    # run serve stability, order independence (as its baseline) and every
-    # misreport search
+    # the generator and the loader validate, so one compile serves all but
+    # the improvement and flexibility checks, and one truthful run serves
+    # stability, order independence (as its baseline) and every misreport search
     compiled = Compiled.from_instance(instance)
     truth = compiled.cop(compiled.default_order_rank())
     stable = is_stable(compiled.to_set(truth[0]), instance, compiled=compiled)
@@ -214,14 +210,12 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
 
     axioms_ok = True
     checked = 0
-    for cfg in instance.schools:
-        pool = sorted(c for c in instance.contracts if c.school == cfg.school)
-        if len(pool) > max_contracts:
+    for s in range(len(compiled.schools)):
+        if compiled.school_of.count(s) > max_contracts:
             continue
         checked += 1
-        school = _compile_pool(cfg, pool, 1 << max_contracts)
-        base = _tabulate(*school, completion=False)
-        comp = _tabulate(*school, completion=True)
+        base = _tabulate(compiled, s, completion=False)
+        comp = _tabulate(compiled, s, completion=True)
         axioms_ok = (
             axioms_ok
             and check_completion(base, comp).holds

@@ -402,7 +402,8 @@ def instance_from_document(doc: object) -> ProblemInstance:
 
     preferences = _preferences_from_doc(doc, by_id)
     for sid in students:
-        preferences.setdefault(sid, PreferenceOrder(sid, ()))
+        if sid not in preferences:
+            preferences[sid] = PreferenceOrder(sid, ())
 
     return ProblemInstance(
         students=tuple(students),

@@ -26,8 +26,8 @@ from .choice import (
     dynamic_reserves_choice,
 )
 from .cop import _validated
-from .errors import InvalidInputError, SearchCapExceededError
-from .instance import ProblemInstance
+from .errors import InvalidInputError, SearchCapExceededError, ValidationError
+from .instance import ProblemInstance, _scheme_violations
 from .model import Contract, PreferenceOrder, PriorityOrder, assignments
 
 __all__ = [
@@ -358,15 +358,28 @@ def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> boo
     return a != b and all(a[vec] >= b[vec] for vec in a)
 
 
-def _differing_schemes(
+def _compiled_pair(
     rigid: ProblemInstance, flexible: ProblemInstance
-) -> list[tuple[SchoolConfig, SchoolConfig]]:
-    """The (rigid, flexible) configurations of every school whose scheme is
-    written differently, in school order, after checking that the two
-    instances describe one market and differ only in schemes. Reads no
-    capacity table."""
+) -> tuple[Compiled, Compiled, dict]:
+    """The prelude of both comparisons. The two instances must describe one
+    market: the same contracts, students, type profile, preferences and
+    schools, which may differ only in their schemes.
+
+    ``rigid`` is validated and compiled once. The rest of ``flexible``
+    equals it, so only the schemes that differ are checked, and their
+    violations are exactly those of ``validate_instance(flexible)``. Returns
+    the compiled rigid market, the flexible one as its ``Compiled.with_school``
+    clone, and the changed schools in school order, each mapped to its rigid
+    and its flexible :func:`capacity_table`. A school changes when its
+    scheme grants a different capacity somewhere in the residual domain, not
+    merely when it is written otherwise. Refuses, as :func:`check_monotonic`
+    does, when one monotonicity check of a school whose scheme differs would
+    take more than 2 000 000 steps, before it builds any table.
+    """
     if rigid.contracts != flexible.contracts or rigid.students != flexible.students:
         raise InvalidInputError("instances describe different markets")
+    if rigid.profile != flexible.profile:
+        raise InvalidInputError("instances must share one type profile")
     if rigid.preferences != flexible.preferences:
         raise InvalidInputError("instances must share one preference profile")
     ids = [cfg.school for cfg in rigid.schools]
@@ -375,25 +388,20 @@ def _differing_schemes(
     for a, b in zip(rigid.schools, flexible.schools):
         if replace(a, scheme=b.scheme) != b:
             raise InvalidInputError(f"school {a.school}: only the scheme may differ")
-    return [(a, b) for a, b in zip(rigid.schools, flexible.schools) if a.scheme != b.scheme]
+    pairs = [(a, b) for a, b in zip(rigid.schools, flexible.schools) if a.scheme != b.scheme]
 
-
-def _changed_schools(pairs: Sequence[tuple[SchoolConfig, SchoolConfig]]) -> dict:
-    """The schools of :func:`_differing_schemes` whose schemes grant
-    different capacities, in school order, each mapped to its rigid and its
-    flexible :func:`capacity_table`. A school changes when its scheme grants
-    a different capacity somewhere in the residual domain, not merely when
-    the scheme is written otherwise. Refuses, as :func:`check_monotonic`
-    does, when one monotonicity check of a school would take more than
-    2 000 000 steps, before it builds any table."""
-    for cfg, _ in pairs:
-        _require_steps(cfg.group_count, cfg.capacity)
+    compiled = switched = _validated(rigid)
+    if violations := [v for _, b in pairs for v in _scheme_violations(b)]:
+        raise ValidationError(violations)
+    for a, _ in pairs:
+        _require_steps(a.group_count, a.capacity)
     changed = {}
     for a, b in pairs:
+        switched = switched.with_school(b)
         before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
         if before != after:
             changed[a.school] = before, after
-    return changed
+    return compiled, switched, changed
 
 
 def improvement_chains(
@@ -416,12 +424,13 @@ def improvement_chains(
     the expansion can never push them below), and the offer process re-runs
     on the flexible profile within that restricted market. No student ends
     worse than ``z``, reseated students are strictly better off, and the
-    result equals the mechanism outcome under ``flexible``. Like
-    :func:`check_flexibility_pareto`, it refuses a school whose monotonicity
-    check would take more than 2 000 000 steps before it builds any table.
+    result equals the mechanism outcome under ``flexible``. As in
+    :func:`check_flexibility_pareto`, only ``rigid`` is compiled, the
+    flexible side is a clone of it, and an oversize school is refused
+    before any table is built.
     """
     z = frozenset(z)
-    changed = _changed_schools(_differing_schemes(rigid, flexible))
+    _, compiled, changed = _compiled_pair(rigid, flexible)
     if len(changed) != 1:
         raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
     ((a, b),) = changed.values()
@@ -431,7 +440,6 @@ def improvement_chains(
             "schemes must differ by a single unit increment; found "
             + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
         )
-    compiled = Compiled.from_instance(flexible)
     return compiled.to_set(_reseat(compiled, compiled.to_mask(z & flexible.contracts)))
 
 
@@ -458,7 +466,10 @@ class FlexibilityComparison:
     flexible_outcome: frozenset
     deltas: tuple[tuple[str, Optional[Contract], Optional[Contract], str], ...]
     chain_agrees: Optional[bool]
-    decomposed: bool
+
+    @property
+    def decomposed(self) -> bool:
+        return self.chain_agrees is not None
 
     def __bool__(self) -> bool:
         return self.dominates
@@ -486,14 +497,12 @@ def check_flexibility_pareto(
     a decomposition, since ``chain_agrees`` is ``None`` whatever the later
     ones give; chains are replayed only when every school decomposed.
 
-    Each side is validated and compiled once, and every market in between
-    is a ``Compiled.with_school`` clone. The last school switched makes the
-    market ``flexible``: the unchanged schools grant the same capacities.
+    Only ``rigid`` is validated and compiled; the flexible side and every
+    market in between are ``Compiled.with_school`` clones of it. The last
+    school switched makes the market ``flexible``: the unchanged schools
+    grant the same capacities.
     """
-    differing = _differing_schemes(rigid, flexible)
-    working = _validated(rigid)
-    flexible_compiled = _validated(flexible)
-    changed = _changed_schools(differing)
+    working, flexible_compiled, changed = _compiled_pair(rigid, flexible)
     for sid, (table, goal) in changed.items():
         if any(goal[vec] < cap for vec, cap in table.items()):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
@@ -531,9 +540,8 @@ def check_flexibility_pareto(
         verdict = "same" if ra == rb else ("better" if ra < rb else "worse")
         deltas.append((student, before, after, verdict))
     dominates = all(verdict != "worse" for *_, verdict in deltas)
-    decomposed = chain_agrees is not None
     return FlexibilityComparison(
-        dominates, rigid_outcome, flexible_outcome, tuple(deltas), chain_agrees, decomposed
+        dominates, rigid_outcome, flexible_outcome, tuple(deltas), chain_agrees
     )
 
 

@@ -13,7 +13,7 @@ builders are exhaustive or they refuse, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._engine import Compiled, bits
 from .choice import SchoolConfig
@@ -227,34 +227,30 @@ def tabulate_school(
     cap: int = 1 << 14,
 ) -> ChoiceTable:
     """Tabulate a school's overall choice (or, with ``completion``, its
-    completion) over every subset of ``contracts`` on the bitmask engine."""
-    return _tabulate(*_compile_pool(config, contracts, cap), completion)
-
-
-def _compile_pool(
-    config: SchoolConfig, contracts: Iterable[Contract], cap: int
-) -> tuple[Compiled, list[int]]:
-    """The sorted pool compiled as a market of one school, so a subset mask
-    of the pool is a global mask, and every subset as a local mask (the
-    subset's index is its pool mask). Both tabulations of a school can read
-    one compile."""
+    completion) over every subset of ``contracts`` on the bitmask engine:
+    the pool is compiled as a market of one school."""
     pool = _sorted_pool(contracts, cap)
     if any(c.school != config.school for c in pool):
         raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
-    compiled = Compiled(pool, sorted({c.student for c in pool}), [config], {})
-    return compiled, _relabelled_subsets(compiled.local_bit)
+    return _tabulate(Compiled(pool, sorted({c.student for c in pool}), [config], {}), 0, completion)
 
 
-def _tabulate(compiled: Compiled, subsets: list[int], completion: bool) -> ChoiceTable:
-    """The choice table of the school of a :func:`_compile_pool` market;
-    each distinct choice is relabelled back to pool bits once."""
-    choose = compiled.schools[0].choose
-    local = [choose(m, completion)[0] for m in subsets]
-    to_pool = {c: compiled.to_global(0, c) for c in set(local)}
-    return ChoiceTable(compiled.contracts, tuple(map(to_pool.__getitem__, local)))
+def _tabulate(compiled: Compiled, s: int, completion: bool) -> ChoiceTable:
+    """The choice table of school ``s`` of a compiled market over all of
+    that school's contracts. The caller bounds the pool. Every subset is
+    relabelled to local bits with one OR, and each distinct choice back to
+    pool bits once."""
+    school = compiled.schools[s]
+    members = sorted(ci for ci in school.global_index if ci is not None)
+    bit_of = [compiled.local_bit[ci] for ci in members]
+    local = [school.choose(m, completion)[0] for m in _relabelled_subsets(bit_of)]
+    position = {lb: i for i, lb in enumerate(bit_of)}
+    to_pool = {c: sum(1 << position[lb] for lb in bits(c)) for c in set(local)}
+    pool = tuple(compiled.contracts[ci] for ci in members)
+    return ChoiceTable(pool, tuple(map(to_pool.__getitem__, local)))
 
 
-def _relabelled_subsets(bit_of: tuple[int, ...]) -> list[int]:
+def _relabelled_subsets(bit_of: Sequence[int]) -> list[int]:
     """``out[m]`` sets bit ``bit_of[i]`` for every bit ``i`` of ``m``, for all
     ``m`` below ``2 ** len(bit_of)``: one OR per subset, from ``m`` without
     its lowest bit."""

@@ -195,6 +195,26 @@ def take_back_market() -> rm.ProblemInstance:
     )
 
 
+def count_builds(monkeypatch) -> dict:
+    """Count ``validate_instance`` calls, through every module that imports
+    it, and ``Compiled.__init__`` calls; the counts fill the returned dict."""
+    calls = {"validate": 0, "compile": 0}
+    validate, compile_ = rm.validate_instance, Compiled.__init__
+
+    def counting_validate(instance):
+        calls["validate"] += 1
+        return validate(instance)
+
+    def counting_compile(self, *args):
+        calls["compile"] += 1
+        compile_(self, *args)
+
+    for module in (rm.fileio, rm.cop, rm.instance, rm.generator):
+        monkeypatch.setattr(module, "validate_instance", counting_validate)
+    monkeypatch.setattr(Compiled, "__init__", counting_compile)
+    return calls
+
+
 def reference_run(compiled: Compiled, preferences) -> tuple[frozenset, int]:
     """The outcome and the dry set of the process on a clone of ``compiled``
     reporting ``preferences``, under the clone's own canonical order."""

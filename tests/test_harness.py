@@ -11,7 +11,7 @@ import reservematch as rm
 from reservematch.cli import main
 from reservematch.fileio import instance_from_document
 
-from helpers import reference_cop
+from helpers import count_builds, reference_cop
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +165,24 @@ def test_validation_failures_surface_at_load(tmp_path):
     with pytest.raises(rm.ValidationError):
         rm.load_instance(path)
     assert instance_from_document(doc) is not None  # parsing alone does not validate
+
+
+def test_a_student_the_preferences_leave_out_ranks_nothing(ex1, monkeypatch):
+    # one order per student: the empty one only for the student left out
+    doc = json.loads(rm.ex1_path().read_text())
+    del doc["preferences"]["k"]
+    built = []
+
+    def counting(student, ranked):
+        built.append(student)
+        return rm.PreferenceOrder(student, ranked)
+
+    monkeypatch.setattr(rm.fileio, "PreferenceOrder", counting)
+    instance = instance_from_document(doc)
+    assert sorted(built) == ["i", "j", "k", "l"]
+    assert instance.preferences["k"] == rm.PreferenceOrder("k", ())
+    assert {s: instance.preferences[s] for s in "ijl"} == {s: ex1.preferences[s] for s in "ijl"}
+    assert rm.validate_instance(instance) == []
 
 
 def test_allocation_files_round_trip(ex1, tmp_path):
@@ -334,36 +352,34 @@ def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
 
 
 def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeypatch):
-    # Per instance: 1 generator validation and 3 more (the improvement check
-    # and each side of the flexibility check); 6 compiles (the instance's own
-    # serves the stability check, and each school's pool one compile serves
-    # both tabulations); one truthful run shared by order independence and
-    # every misreport search.
-    calls = {"validate": 0, "compile": 0, "cop": 0}
-
-    def counting_validate(instance):
-        calls["validate"] += 1
-        return rm.validate_instance(instance)
-
-    compile_, cop = rm._engine.Compiled.__init__, rm._engine.Compiled.cop
-
-    def counting_compile(self, *args):
-        calls["compile"] += 1
-        compile_(self, *args)
+    # Per instance: 1 generator validation and 2 more (the improvement check
+    # and the rigid side of the flexibility check); 3 compiles (the
+    # instance's own serves stability and both tables of every school, and
+    # each of the two checks compiles once and runs the rest as clones); one
+    # truthful run shared by order independence and every misreport search.
+    calls = count_builds(monkeypatch)
+    calls["cop"] = 0
+    cop = rm._engine.Compiled.cop
 
     def counting_cop(self, *args, **kwargs):
         calls["cop"] += 1
         return cop(self, *args, **kwargs)
 
-    for module in (rm.fileio, rm.cop, rm.instance, rm.generator):
-        monkeypatch.setattr(module, "validate_instance", counting_validate)
-    monkeypatch.setattr(rm._engine.Compiled, "__init__", counting_compile)
     monkeypatch.setattr(rm._engine.Compiled, "cop", counting_cop)
     code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "12")
     assert code == 0 and "all checks passed: True" in out
-    assert calls["validate"] <= 48
-    assert calls["compile"] <= 72
+    assert calls["validate"] <= 36
+    assert calls["compile"] <= 36
     assert calls["cop"] <= 623
+
+
+def test_cli_compare_validates_and_compiles_the_rigid_side_only(capsys, monkeypatch):
+    # the load validates the file; the comparison validates and compiles the
+    # constant baseline and runs the file's schemes as clones of it
+    calls = count_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "compare", str(rm.ex1_path()))
+    assert code == 0 and "dominates: True" in out
+    assert calls == {"validate": 2, "compile": 1}
 
 
 def test_cli_match_then_verify_is_stable(capsys, tmp_path):

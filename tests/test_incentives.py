@@ -10,7 +10,7 @@ import pytest
 
 import reservematch as rm
 from conftest import small_params
-from helpers import reference_group_misreport, reference_run, take_back_market
+from helpers import count_builds, reference_group_misreport, reference_run, take_back_market
 from reservematch._engine import Compiled
 from reservematch.cli import main
 from reservematch.incentives import _reports, _search_misreports
@@ -608,14 +608,51 @@ def test_reseating_matches_the_mechanism_on_random_instances():
 
 
 def test_reseating_requires_a_single_unit_increment(ex1, ex1_config):
-    doubled = replace(
-        ex1_config,
-        scheme=rm.TableScheme({2: {(1, 0): 3, (0, 1): 1, (1, 1): 2, (2, 0): 2, (2, 1): 3, (1, 2): 3, (0, 2): 2, (2, 2): 4}}),
+    # ex1's transfers grant several seats more than none at all: a valid
+    # increment, but not a single unit one
+    frozen = ex1.with_school(replace(ex1_config, scheme=rm.ForwardSumScheme(((), (), ()))))
+    z = rm.run_cop_default(frozen)
+    with pytest.raises(rm.InvalidInputError, match="single unit increment"):
+        rm.improvement_chains(z, frozen, ex1)
+
+
+def test_reseating_rejects_a_non_monotone_increment(ex1, ex1_config):
+    # one seat more at residuals (1, 0) than ex1's table grants: one vacancy
+    # upstream would then fund two seats, so the flexible side is invalid and
+    # no chain is built
+    table = rm.capacity_table(ex1_config.scheme, ex1_config.targets, ex1_config.capacity)
+    table[(1, 0)] += 1
+    bumped = ex1.with_school(
+        replace(ex1_config, scheme=rm.TableScheme.pinned(table, ex1_config.targets))
     )
-    inflated = ex1.with_school(doubled)
-    z = rm.run_cop_default(ex1)
-    with pytest.raises(rm.InvalidInputError):
-        rm.improvement_chains(z, ex1, inflated)
+    assert rm.validate_instance(bumped) != []
+    with pytest.raises(rm.ValidationError, match="not monotone"):
+        rm.improvement_chains(rm.run_cop_default(ex1), ex1, bumped)
+
+
+@pytest.mark.parametrize("compare", ["check_flexibility_pareto", "improvement_chains"])
+def test_comparisons_validate_and_compile_the_rigid_side_only(ex1, monkeypatch, compare):
+    # the flexible side is a clone of the rigid one, checked in its schemes
+    rigid, flexible = _lossy_pair(ex1, dict(ex1.preferences))
+    z, want = rm.run_cop_default(rigid), rm.run_cop_default(flexible)
+    calls = count_builds(monkeypatch)
+    if compare == "improvement_chains":
+        assert rm.improvement_chains(z, rigid, flexible) == want
+    else:
+        assert rm.check_flexibility_pareto(rigid, flexible).flexible_outcome == want
+    assert calls == {"validate": 1, "compile": 1}
+
+
+@pytest.mark.parametrize("compare", ["check_flexibility_pareto", "improvement_chains"])
+def test_comparisons_require_one_type_profile(ex1, compare):
+    claims = {**ex1.profile.claims, "i": frozenset({"t1", "t2"})}
+    widened = replace(ex1, profile=rm.TypeProfile(ex1.profile.types, claims))
+    assert rm.validate_instance(widened) == []
+    with pytest.raises(rm.InvalidInputError, match="type profile"):
+        if compare == "improvement_chains":
+            rm.improvement_chains(frozenset(), ex1, widened)
+        else:
+            rm.check_flexibility_pareto(ex1, widened)
 
 
 def test_identical_profiles_compare_as_equal(ex1):

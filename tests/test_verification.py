@@ -8,6 +8,8 @@ import pytest
 
 import reservematch as rm
 from helpers import brute_blocking_set, brute_is_stable, brute_stable_set
+from reservematch._engine import Compiled
+from reservematch.verification import _tabulate
 
 
 def test_empty_outcome_is_stable_when_nothing_is_acceptable(ex1):
@@ -149,6 +151,19 @@ def test_engine_tables_match_the_reference_choice_on_every_subset(ex1, ex1_confi
             assert rm.tabulate_school(cfg, pool, completion) == _reference_table(
                 cfg, pool, completion
             ), (cfg, completion)
+
+
+def test_a_market_school_tabulates_as_its_own_pool(small_instances):
+    # the audit reads a school's tables from the market's compile, not from
+    # a compile of the school's pool
+    for instance in small_instances:
+        compiled = Compiled.from_instance(instance)
+        for s, cfg in enumerate(instance.schools):
+            pool = [c for c in instance.contracts if c.school == cfg.school]
+            for completion in (False, True):
+                assert _tabulate(compiled, s, completion) == rm.tabulate_school(
+                    cfg, pool, completion
+                ), (cfg, completion)
 
 
 def test_completion_satisfies_the_three_axioms_on_the_worked_example(ex1, ex1_config):
