@@ -1,7 +1,10 @@
 """Bitmask execution core.
 
-Instances are compiled once into dense integer indices. Every contract has a
-global index, its position in contract order, and each school gives its own
+A market is compiled once into dense integer indices, from its flat index
+form (``instance.FlatMarket``): the loader parses a file straight into that
+form, and ``Compiled.from_instance`` flattens a ``ProblemInstance`` into it,
+so both build the engine through one path. Every contract has a global
+index, its position in contract order, and each school gives its own
 contracts local bits as well. A slot-specific school keeps contract order. A
 dynamic reserves school lays its bits out in blocks: its ``R`` ranked
 students who hold contracts there get positions ``0..R-1`` in priority
@@ -66,11 +69,13 @@ oracle written over it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import SchoolConfig, SlotSpecificSchool
 from .errors import InvalidInputError
-from .instance import ProblemInstance
+from .instance import FlatMarket, ProblemInstance
 from .model import Contract, PreferenceOrder
 
 
@@ -97,28 +102,31 @@ class CompiledSchool:
         # one block per privilege type, in order of first precedence; a type
         # can head several groups, and each of them reads the same block
         block_of = {p: t for t, p in enumerate(dict.fromkeys(config.precedence))}
-        contracts = owner.contracts
-        rank = config.priority.rank
-        ranks = [rank(contracts[ci].student) for ci in members]
+        mine = list(map(owner.contracts.__getitem__, members))
+        ranks = list(map(config.priority.rank, map(itemgetter(0), mine)))
         # the ranked students holding contracts here, in priority order
-        position = {r: n for n, r in enumerate(sorted({r for r in ranks if r is not None}))}
+        ranked = set(ranks)
+        ranked.discard(None)
+        position = dict(zip(sorted(ranked), range(len(ranked))))
         span = len(position)
         end = span * len(block_of)
-        index: list[Optional[int]] = [None] * end
-        for ci, r in zip(members, ranks):
-            t = block_of.get(contracts[ci].privilege)
-            if r is None or t is None:
-                index.append(ci)  # no group admits it: after the blocks
-            else:
-                index[t * span + position[r]] = ci
-        local_bit, student_bit = owner.local_bit, owner.student_bit
-        for lb, ci in enumerate(index):
-            if ci is not None:
-                local_bit[ci] = lb
         # gap bits (a ranked student without a contract of the block's
         # type) have no contract and no student
+        index: list[Optional[int]] = [None] * end
+        student_of: list[Optional[int]] = [None] * end
+        local_bit, student_bit = owner.local_bit, owner.student_bit
+        for ci, r, t in zip(members, ranks, map(block_of.get, map(itemgetter(2), mine))):
+            if r is None or t is None:  # no group admits it: after the blocks
+                lb = len(index)
+                index.append(None)
+                student_of.append(None)
+            else:
+                lb = t * span + position[r]
+            index[lb] = ci
+            student_of[lb] = student_bit[ci]
+            local_bit[ci] = lb
         self.global_index = tuple(index)
-        self.student_of = tuple(None if ci is None else student_bit[ci] for ci in index)
+        self.student_of = tuple(student_of)
         self.span = span
         self.block = (1 << span) - 1
         self.block_end = end
@@ -219,63 +227,51 @@ class CompiledSlotSchool:
         return False
 
 
-class Compiled:
-    """A problem instance lowered to integer indices and bitmasks."""
+def _acceptable(market: FlatMarket) -> tuple[tuple[int, ...], ...]:
+    """Each student's ranked global indices, in student order, less any
+    contract ranked outside the universe."""
+    listed = map(market.ranked.get, market.students, repeat(()))
+    if not market.strays:
+        return tuple(listed)
+    return tuple(tuple(ci for ci in lst if ci < len(market.contracts)) for lst in listed)
 
-    def __init__(
-        self,
-        contracts: Iterable[Contract],
-        students: Sequence[str],
-        schools: Sequence,
-        preferences: Mapping[str, PreferenceOrder],
-    ):
-        self.students = tuple(students)
+
+class Compiled:
+    """A market lowered to integer indices and bitmasks."""
+
+    def __init__(self, market: FlatMarket):
+        """Compile ``market``: its contract order and ranked global indices
+        become the engine's own."""
+        self.students = market.students
         self.student_index = {s: n for n, s in enumerate(self.students)}
-        # contract order is ``sorted(contracts)``: contracts sort by student
-        # first, so each student's few contracts are sorted under the sorted ids
-        by_student: dict[str, list[Contract]] = {}
-        for c in contracts:
-            by_student.setdefault(c.student, []).append(c)
-        ordered: list[Contract] = []
-        student_bit: list[int] = []
+        self.contracts = contracts = market.contracts
+        self.index = dict(zip(contracts, range(len(contracts))))
+        self.student_bit = tuple(map(self.student_index.__getitem__, map(itemgetter(0), contracts)))
+        # contract order sorts by student, so each student's contracts are one run
         own: list[tuple[int, ...]] = [()] * len(self.students)
-        for s in sorted(by_student):
-            mine = sorted(by_student[s])
-            si = self.student_index[s]
-            own[si] = tuple(range(len(ordered), len(ordered) + len(mine)))
-            student_bit += [si] * len(mine)
-            ordered += mine
-        self.contracts = tuple(ordered)
-        self.index = {c: n for n, c in enumerate(self.contracts)}
-        self.student_bit = tuple(student_bit)
+        for si, run in groupby(range(len(contracts)), self.student_bit.__getitem__):
+            own[si] = tuple(run)
         self.student_contracts = tuple(own)
-        self.school_index = {cfg.school: n for n, cfg in enumerate(schools)}
-        self.school_of = tuple(self.school_index[c.school] for c in self.contracts)
-        members: list[list[int]] = [[] for _ in schools]
+        self.school_index = {cfg.school: n for n, cfg in enumerate(market.schools)}
+        self.school_of = tuple(map(self.school_index.__getitem__, map(itemgetter(1), contracts)))
+        members: list[list[int]] = [[] for _ in market.schools]
         for ci, s in enumerate(self.school_of):
             members[s].append(ci)
-        self.local_bit = [0] * len(self.contracts)
+        self.local_bit = [0] * len(contracts)
         self.schools = []
-        for cfg, mine in zip(schools, members):
+        for cfg, mine in zip(market.schools, members):
             cls = CompiledSlotSchool if isinstance(cfg, SlotSpecificSchool) else CompiledSchool
             self.schools.append(cls(cfg, self, mine))
         self.local_bit = tuple(self.local_bit)
-        self.acceptable = self._acceptable(preferences)
+        self.acceptable = _acceptable(market)
 
     @classmethod
     def from_instance(cls, instance: ProblemInstance) -> "Compiled":
-        return cls(instance.contracts, instance.students, instance.schools, instance.preferences)
-
-    def _acceptable(self, preferences: Mapping[str, PreferenceOrder]) -> tuple:
-        acc: list[tuple[int, ...]] = []
-        for s in self.students:
-            pref = preferences.get(s)
-            ranked = map(self.index.get, pref.ranked) if pref is not None else ()
-            acc.append(tuple(ci for ci in ranked if ci is not None))
-        return tuple(acc)
+        return cls(instance.flat())
 
     def with_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> "Compiled":
-        return self.with_acceptable(self._acceptable(preferences))
+        market = FlatMarket.of(self.contracts, self.students, (), preferences)
+        return self.with_acceptable(_acceptable(market))
 
     def with_acceptable(self, acceptable: tuple[tuple[int, ...], ...]) -> "Compiled":
         """A clone whose students report ``acceptable``: per student index,

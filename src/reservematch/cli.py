@@ -27,6 +27,7 @@ from .cop import _order_independence
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
     _canonical_json,
+    _load_market,
     contract_id,
     load_allocation,
     load_instance,
@@ -82,10 +83,10 @@ def _emit(report: dict, lines: list[str], fmt: str, out: str | None) -> None:
             print(line)
 
 
-def _alloc_rows(instance: ProblemInstance, allocation: frozenset) -> list[str]:
+def _alloc_rows(students: tuple[str, ...], allocation: frozenset) -> list[str]:
     held = {c.student: c for c in allocation}
     lines = [f"{'student':<12} {'school':<10} {'privilege':<10}"]
-    for s in instance.students:
+    for s in students:
         c = held.get(s)
         if c is None:
             lines.append(f"{s:<12} {'-':<10} {'-':<10}")
@@ -99,17 +100,18 @@ def _alloc_rows(instance: ProblemInstance, allocation: frozenset) -> list[str]:
 
 
 def _cmd_match(args) -> int:
-    # the loader validates; a transcript step is read from the engine's
-    # masks, since it prints only the proposal and the held contracts, and a
+    # the file is parsed to flat form, validated once and compiled, with no
+    # instance built; a transcript step is read from the engine's masks,
+    # since it prints only the proposal and the held contracts, and a
     # school's held list is rebuilt only when its mask changes
-    instance = load_instance(args.instance)
-    compiled = Compiled.from_instance(instance)
+    market = _load_market(args.instance)
+    compiled = Compiled(market)
     raw = [] if args.transcript else None
     allocation = compiled.to_set(compiled.cop(compiled.default_order_rank(), transcript=raw)[0])
     steps = None
     if args.transcript:
         ids = [contract_id(c) for c in compiled.contracts]
-        school_ids = [cfg.school for cfg in instance.schools]
+        school_ids = [cfg.school for cfg in market.schools]
         masks, lists = [0] * len(school_ids), [[] for _ in school_ids]
         steps = []
         for n, (proposed, _, by_school) in enumerate(raw, start=1):
@@ -125,12 +127,12 @@ def _cmd_match(args) -> int:
         "instance": str(args.instance),
         "allocation": sorted(contract_id(c) for c in allocation),
         "matched": len(allocation),
-        "students": len(instance.students),
+        "students": len(market.students),
     }
     if steps is not None:
         report["transcript"] = steps
-    lines = [f"matched {len(allocation)} of {len(instance.students)} students"]
-    lines += _alloc_rows(instance, allocation)
+    lines = [f"matched {len(allocation)} of {len(market.students)} students"]
+    lines += _alloc_rows(market.students, allocation)
     if steps is not None:
         lines.append(f"{len(steps)} proposals made")
     _emit(report, lines, args.format, args.out)

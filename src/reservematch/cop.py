@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from ._engine import Compiled, bits
 from .errors import SearchCapExceededError, ValidationError
-from .instance import ProblemInstance, validate_instance
+from .instance import ProblemInstance
 from .model import Contract
 
 __all__ = [
@@ -54,10 +54,11 @@ class CopResult:
 
 
 def _validated(instance: ProblemInstance) -> Compiled:
-    violations = validate_instance(instance)
+    market = instance.flat()
+    violations = market.violations()
     if violations:
         raise ValidationError(violations)
-    return Compiled.from_instance(instance)
+    return Compiled(market)
 
 
 def default_proposal_order(instance: ProblemInstance) -> tuple[Contract, ...]:

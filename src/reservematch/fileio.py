@@ -2,7 +2,11 @@
 
 One self-describing JSON format per object kind, each schema-versioned.
 Parsing is strict: unknown schema versions, duplicate ids, and dangling
-references are errors that name the offending location. Serialization is
+references are errors that name the offending location. An instance file
+has one build path to the engine: it is parsed straight into the flat index
+form (``instance.FlatMarket``), the document is released, and the form is
+validated once and compiled; :func:`load_instance` builds a
+``ProblemInstance`` from the same form. Serialization is
 canonical, so `parse -> serialize` is a fixed point and byte-identical
 reports are reproducible: one writer, `_canonical_json`, gives every file
 and CLI report the bytes of `json.dumps(doc, indent=2, sort_keys=True,
@@ -12,12 +16,15 @@ ensure_ascii=False)`, most of them from CPython's C encoder.
 from __future__ import annotations
 
 import json
+import sys
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .choice import ForwardSumScheme, SchoolConfig, SlotSpecificSchool, TableScheme
 from .errors import InstanceFormatError, ValidationError
-from .instance import ProblemInstance, validate_instance
+from .instance import FlatMarket, ProblemInstance
 from .model import Contract, PreferenceOrder, PriorityOrder, TypeProfile
 
 __all__ = [
@@ -63,6 +70,8 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
 _DICT = frozenset((dict,))
 _LIST = frozenset((list, tuple))
+# an instance file's contract row, in the order its faults are named
+_CONTRACT_KEYS = ("id", "student", "school", "type")
 
 
 class _Fallback(Exception):
@@ -228,62 +237,65 @@ def _scheme_to_doc(scheme) -> dict:
 def _tuple_of(value: object, kind: type, where: str) -> tuple:
     """A JSON list whose entries are all ``int`` or all ``str``, as a tuple;
     booleans never count as integers."""
-    if not isinstance(value, list) or not all(
-        isinstance(x, kind) and not isinstance(x, bool) for x in value
-    ):
+    if type(value) is not list or not {kind}.issuperset(map(type, value)):
         noun = "integers" if kind is int else "strings"
         raise InstanceFormatError(f"expected a list of {noun}", where)
     return tuple(value)
 
 
-def _contracts_from_doc(doc: object) -> dict[str, Contract]:
-    """The document's ``contracts`` list keyed by id; ids and (student,
-    school, type) triples must be unique."""
-    by_id: dict[str, Contract] = {}
-    triples: set[Contract] = set()
-    for n, row in enumerate(_expect(doc, "contracts", list, "$")):
-        # one pass over a well-formed row; any other row is read field by
-        # field, so ``_expect`` names the first fault and its location
-        if (
-            type(row) is dict
-            and type(cid := row.get("id")) is str
-            and type(student := row.get("student")) is str
-            and type(school := row.get("school")) is str
-            and type(kind := row.get("type")) is str
-        ):
-            c = Contract(student, school, kind)
-        else:
-            where = f"contracts[{n}]"
-            cid = _expect(row, "id", str, where)
-            c = Contract(
-                _expect(row, "student", str, where),
-                _expect(row, "school", str, where),
-                _expect(row, "type", str, where),
-            )
-        if cid in by_id:
-            raise InstanceFormatError(f"duplicate contract id {cid!r}", f"contracts[{n}]")
-        if c in triples:
-            raise InstanceFormatError(f"duplicate contract {c}", f"contracts[{n}]")
-        by_id[cid] = c
-        triples.add(c)
-    return by_id
+def _contract_rows(doc: object) -> tuple[tuple[Contract, ...], dict[str, int]]:
+    """The document's ``contracts`` in contract order, and each row's id
+    mapped to its position there; ids and (student, school, type) triples
+    must be unique."""
+    rows = _expect(doc, "contracts", list, "$")
+    try:  # a well-formed list is read a column at a time, in C
+        ids, *columns = (list(map(itemgetter(key), rows)) for key in _CONTRACT_KEYS)
+        well_formed = all(_STR.issuperset(map(type, column)) for column in (ids, *columns))
+    except (KeyError, TypeError):  # a row that is not an object, or lacks a field
+        well_formed = False
+    if well_formed:
+        # one string object per id, shared by its contracts; ``tuple.__new__``
+        # builds each named tuple in C
+        columns = [map(sys.intern, column) for column in columns]
+        listed = list(map(tuple.__new__, repeat(Contract), zip(*columns)))
+        contracts = tuple(sorted(listed))  # one pass: files list them sorted
+        index = dict(zip(contracts, range(len(contracts))))
+        by_id = dict(zip(ids, map(index.__getitem__, listed)))
+        if len(by_id) == len(index) == len(rows):
+            return contracts, by_id
+    # any other is read row by row, so ``_expect`` names the first fault
+    seen_ids, seen = set(), set()
+    for n, row in enumerate(rows):
+        where = f"contracts[{n}]"
+        cid, *fields = (_expect(row, key, str, where) for key in _CONTRACT_KEYS)
+        if cid in seen_ids:
+            raise InstanceFormatError(f"duplicate contract id {cid!r}", where)
+        if (c := Contract(*fields)) in seen:
+            raise InstanceFormatError(f"duplicate contract {c}", where)
+        seen_ids.add(cid)
+        seen.add(c)
+    raise AssertionError("no faulty contract row found")
 
 
-def _ranked_contracts(ids: object, by_id: Mapping[str, Contract], where: str) -> tuple:
+def _ranked_contracts(ids: object, by_id: Mapping[str, object], where: str) -> tuple:
     """A list of contract ids resolved against ``by_id``."""
     if not isinstance(ids, list):
         raise InstanceFormatError("expected a list of contract ids", where)
-    ranked = []
-    for n, cid in enumerate(ids):
-        if not isinstance(cid, str) or cid not in by_id:
-            raise InstanceFormatError(f"unknown contract id {cid!r}", f"{where}[{n}]")
-        ranked.append(by_id[cid])
-    return tuple(ranked)
+    try:
+        # through a list: ``tuple(map(...))`` sizes a short tuple by guess
+        # and shrinks it, and that churn leaves the heap fragmented
+        return tuple([by_id[c] for c in ids])
+    except (KeyError, TypeError):
+        n, cid = next(
+            (n, cid) for n, cid in enumerate(ids) if not isinstance(cid, str) or cid not in by_id
+        )
+        raise InstanceFormatError(f"unknown contract id {cid!r}", f"{where}[{n}]") from None
 
 
-def _preferences_from_doc(doc: object, by_id: Mapping[str, Contract]) -> dict:
+def _preferences_from_doc(doc: object, by_id: Mapping[str, object]) -> dict:
+    """Each preference listing's contracts, resolved against ``by_id``."""
     return {
-        sid: PreferenceOrder(sid, _ranked_contracts(ids, by_id, f"preferences.{sid}"))
+        sid: _ranked_contracts(ids, by_id, f"preferences.{sid}")
         for sid, ids in _expect(doc, "preferences", dict, "$").items()
     }
 
@@ -353,22 +365,23 @@ def instance_to_document(instance: ProblemInstance) -> dict:
     }
 
 
-def instance_from_document(doc: object) -> ProblemInstance:
+def _market_from_document(doc: object) -> FlatMarket:
+    """Parse an instance document straight to flat form, without
+    validating. The form keeps none of the document's lists or objects, so a
+    caller that drops the document frees it before the engine is built."""
     _check_schema(doc, INSTANCE_SCHEMA)
     types = _tuple_of(_expect(doc, "types", list, "$"), str, "types")
 
-    students = []
     claims = {}
     for n, row in enumerate(_expect(doc, "students", list, "$")):
         where = f"students[{n}]"
         sid = _expect(row, "id", str, where)
         if sid in claims:
             raise InstanceFormatError(f"duplicate student id {sid!r}", where)
-        students.append(sid)
         claimed = _tuple_of(_expect(row, "types", list, where), str, f"{where}.types")
         claims[sid] = frozenset(claimed)
 
-    by_id = _contracts_from_doc(doc)
+    contracts, by_id = _contract_rows(doc)
 
     schools = []
     seen_schools = set()
@@ -401,28 +414,33 @@ def instance_from_document(doc: object) -> ProblemInstance:
         )
 
     preferences = _preferences_from_doc(doc, by_id)
-    for sid in students:
-        if sid not in preferences:
-            preferences[sid] = PreferenceOrder(sid, ())
+    for sid in claims:
+        preferences.setdefault(sid, ())
+    profile = TypeProfile(types, claims)
+    return FlatMarket(tuple(claims), profile, tuple(schools), contracts, preferences)
 
-    return ProblemInstance(
-        students=tuple(students),
-        profile=TypeProfile(types, claims),
-        schools=tuple(schools),
-        contracts=frozenset(by_id.values()),
-        preferences=preferences,
-    )
+
+def instance_from_document(doc: object) -> ProblemInstance:
+    """Parse an instance document without validating it."""
+    return _market_from_document(doc).instance()
+
+
+def _load_market(path) -> FlatMarket:
+    """Parse and validate an instance file into flat form; every structural
+    violation is collected and raised as one error. The parsed document is
+    released before validation."""
+    market = _market_from_document(_read_json(path))
+    violations = market.violations()
+    if violations:
+        raise ValidationError([f"{path}: {v}" for v in violations])
+    return market
 
 
 def load_instance(path) -> ProblemInstance:
     """Parse and validate an instance file; every structural violation is
     collected and raised as one error. :func:`instance_from_document` parses
     without validating."""
-    instance = instance_from_document(_read_json(path))
-    violations = validate_instance(instance)
-    if violations:
-        raise ValidationError([f"{path}: {v}" for v in violations])
-    return instance
+    return _load_market(path).instance()
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
@@ -477,10 +495,12 @@ def load_slot_market(path) -> tuple[SlotSpecificSchool, dict[str, PreferenceOrde
     doc = _read_json(path)
     _check_schema(doc, SLOTS_SCHEMA)
     school_id = _expect(doc, "school", str, "$")
-    by_id = _contracts_from_doc(doc)
+    contracts, index = _contract_rows(doc)
+    by_id = {cid: contracts[ci] for cid, ci in index.items()}
     slots = tuple(
         _ranked_contracts(slot, by_id, f"slots[{n}]")
         for n, slot in enumerate(_expect(doc, "slots", list, "$"))
     )
-    school = SlotSpecificSchool(school_id, tuple(sorted(by_id.values())), slots)
-    return school, _preferences_from_doc(doc, by_id)
+    school = SlotSpecificSchool(school_id, contracts, slots)
+    preferences = _preferences_from_doc(doc, by_id)
+    return school, {sid: PreferenceOrder(sid, ranked) for sid, ranked in preferences.items()}

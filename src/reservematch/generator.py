@@ -20,7 +20,7 @@ from .choice import (
     capacity_table,
 )
 from .errors import InvalidInputError
-from .instance import ProblemInstance, validate_instance
+from .instance import FlatMarket, ProblemInstance
 from .model import Contract, PreferenceOrder, PriorityOrder, TypeProfile
 
 __all__ = [
@@ -129,7 +129,8 @@ def generate_random_instance(params: GeneratorParams) -> ProblemInstance:
     profile = TypeProfile(types, claims)
 
     own = {s: sorted(Contract(s, sc, t) for sc in schools for t in claims[s]) for s in students}
-    contracts = frozenset(c for s in students for c in own[s])
+    # in sorted order, since the ids are zero-padded
+    ordered = [c for s in students for c in own[s]]
 
     configs = tuple(
         _random_school(rng, sc, students, types, params.capacity_range, params.scheme_family)
@@ -142,11 +143,12 @@ def generate_random_instance(params: GeneratorParams) -> ProblemInstance:
         rng.shuffle(liked)
         preferences[s] = PreferenceOrder(s, tuple(liked))
 
-    instance = ProblemInstance(students, profile, configs, contracts, preferences)
-    violations = validate_instance(instance)
-    if violations:  # generation is monotone by construction; this is a self-test
+    # generation is monotone by construction; this is a self-test, and the
+    # flat form sorts the contracts already in order in one pass
+    violations = FlatMarket.of(ordered, students, configs, preferences, profile).violations()
+    if violations:
         raise RuntimeError(f"generator produced an invalid instance: {violations}")
-    return instance
+    return ProblemInstance(students, profile, configs, frozenset(ordered), preferences)
 
 
 def _random_pool(

@@ -1,16 +1,20 @@
 """Problem instances: the full bundle of students, schools, contracts, and
-preferences, plus validation of every structural invariant."""
+preferences; the flat index form of a market, which the loader parses a file
+into and the engine is compiled from; and validation of every structural
+invariant, which runs on that form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .choice import SchoolConfig, check_monotonic
 from .errors import SearchCapExceededError
-from .model import PreferenceOrder, TypeProfile
+from .model import Contract, PreferenceOrder, TypeProfile
 
-__all__ = ["ProblemInstance", "validate_instance"]
+__all__ = ["ProblemInstance", "FlatMarket", "validate_instance"]
 
 
 @dataclass(frozen=True)
@@ -43,93 +47,170 @@ class ProblemInstance:
         updated = tuple(config if s.school == config.school else s for s in self.schools)
         return replace(self, schools=updated)
 
+    def flat(self) -> "FlatMarket":
+        """This instance in flat index form."""
+        return FlatMarket.of(
+            self.contracts, self.students, self.schools, self.preferences, self.profile
+        )
+
 
 def validate_instance(instance: ProblemInstance) -> list[str]:
-    """Return every invariant violation found; an empty list means valid.
+    """Return every invariant violation found; an empty list means valid:
+    :meth:`FlatMarket.violations` of the instance's flat form."""
+    return instance.flat().violations()
 
-    Checks id uniqueness and cross-references, the type profile, preference
-    and priority well-formedness, target accounting per school, and that each
-    transfer scheme is monotone over the bounded residual domain (by
-    structural certificate when available, exhaustively otherwise).
+
+class FlatMarket(NamedTuple):
+    """A market in flat index form: an instance file is parsed into it,
+    validation checks it, and the engine's ``Compiled`` is built from it.
+
+    ``contracts`` is in contract order, which is sorted order. ``ranked``
+    maps the student id of each preference listing to the contracts it
+    ranks, best first, as global indices: positions in ``contracts``. Two
+    faults only a :class:`ProblemInstance` can hold are kept for validation
+    to name: a ranked contract outside the universe is the index
+    ``len(contracts) + k`` of ``strays[k]``, and ``labels`` maps a listing
+    to the student its order is labelled with, where the two differ.
     """
-    v: list[str] = []
-    students = instance.students
-    if len(set(students)) != len(students):
-        v.append("duplicate student ids")
-    student_set = set(students)
 
-    profile = instance.profile
-    if len(set(profile.types)) != len(profile.types):
-        v.append("duplicate privilege type ids")
-    type_set = set(profile.types)
-    for s in students:
-        claimed = profile.claims.get(s)
-        if claimed is None:
-            v.append(f"student {s}: no claimable type set")
-        elif not claimed:
-            v.append(f"student {s}: claimable type set is empty")
-        elif not claimed <= type_set:
-            v.append(f"student {s}: claims unknown types {sorted(claimed - type_set)}")
-    for s in profile.claims:
-        if s not in student_set:
-            v.append(f"type profile names unknown student {s}")
+    students: tuple[str, ...]
+    profile: TypeProfile
+    schools: tuple
+    contracts: tuple[Contract, ...]
+    ranked: Mapping[str, tuple[int, ...]]
+    strays: tuple[Contract, ...] = ()
+    labels: Mapping[str, str] = MappingProxyType({})
 
-    school_ids = [cfg.school for cfg in instance.schools]
-    if len(set(school_ids)) != len(school_ids):
-        v.append("duplicate school ids")
-    school_set = set(school_ids)
+    @classmethod
+    def of(
+        cls,
+        contracts: Iterable[Contract],
+        students: Sequence[str],
+        schools: Sequence,
+        preferences: Mapping[str, PreferenceOrder],
+        profile: TypeProfile = TypeProfile((), MappingProxyType({})),
+    ) -> "FlatMarket":
+        """The flat form of a market given as sets and objects; only
+        validation reads ``profile``."""
+        ordered = tuple(sorted(contracts))
+        index = dict(zip(ordered, range(len(ordered))))
+        strays: dict[Contract, int] = {}
+        ranked = {}
+        for s, pref in preferences.items():
+            # through a list, as in ``fileio._ranked_contracts``
+            ranked[s] = tuple([
+                index[c] if c in index else len(ordered) + strays.setdefault(c, len(strays))
+                for c in pref.ranked
+            ])
+        labels = {s: p.student for s, p in preferences.items() if p.student != s}
+        return cls(tuple(students), profile, tuple(schools), ordered, ranked, tuple(strays), labels)
 
-    for c in instance.contracts:
-        if c.student not in student_set:
-            v.append(f"contract {c}: unknown student")
-        if c.school not in school_set:
-            v.append(f"contract {c}: unknown school")
-        if c.privilege not in type_set:
-            v.append(f"contract {c}: unknown privilege type")
-        elif c.privilege not in profile.claims.get(c.student, frozenset()):
-            v.append(f"contract {c}: student cannot claim this privilege")
+    def instance(self) -> ProblemInstance:
+        """The market as a :class:`ProblemInstance`."""
+        table = self.contracts + self.strays
+        preferences = {
+            s: PreferenceOrder(self.labels.get(s, s), tuple([table[ci] for ci in listed]))
+            for s, listed in self.ranked.items()
+        }
+        return ProblemInstance(
+            self.students, self.profile, self.schools, frozenset(self.contracts), preferences
+        )
 
-    for s in instance.preferences:
-        if s not in student_set:
-            v.append(f"preference order for unknown student {s}")
-    for s in students:
-        pref = instance.preferences.get(s)
-        if pref is None:
-            v.append(f"student {s}: no preference order")
-            continue
-        if pref.student != s:
-            v.append(f"student {s}: preference order labelled {pref.student}")
-        if len(set(pref.ranked)) != len(pref.ranked):
-            v.append(f"student {s}: duplicate entries in preference order")
-        for c in pref.ranked:
-            if c not in instance.contracts:
-                v.append(f"student {s}: ranks unknown contract {c}")
-            elif c.student != s:
-                v.append(f"student {s}: ranks another student's contract {c}")
+    def violations(self) -> list[str]:
+        """Return every invariant violation found; an empty list means valid.
 
-    for cfg in instance.schools:
-        where = f"school {cfg.school}"
-        if cfg.capacity < 0:
-            v.append(f"{where}: negative capacity")
-        if len(set(cfg.priority.ranked)) != len(cfg.priority.ranked):
-            v.append(f"{where}: duplicate students in priority order")
-        for s in cfg.priority.ranked:
-            if s not in student_set:
-                v.append(f"{where}: priority order names unknown student {s}")
-        missing = type_set - set(cfg.precedence)
-        if missing:
-            v.append(f"{where}: precedence sequence never covers types {sorted(missing)}")
-        for t in cfg.precedence:
-            if t not in type_set:
-                v.append(f"{where}: precedence names unknown type {t}")
-        if any(t < 0 for t in cfg.targets):
-            v.append(f"{where}: negative group target")
-        if sum(cfg.targets) != cfg.capacity:
-            v.append(
-                f"{where}: group targets sum to {sum(cfg.targets)}, capacity is {cfg.capacity}"
-            )
-        v.extend(_scheme_violations(cfg))
-    return v
+        Checks id uniqueness and cross-references, the type profile,
+        preference and priority well-formedness, target accounting per
+        school, and that each transfer scheme is monotone over the bounded
+        residual domain (by structural certificate when available,
+        exhaustively otherwise). A check over many items is first a set test
+        in C that passes exactly when no item is at fault; only a failed test
+        walks the items, in contract or student order, to name each fault.
+        """
+        v: list[str] = []
+        students, contracts, ranked = self.students, self.contracts, self.ranked
+        student_set = set(students)
+        if len(student_set) != len(students):
+            v.append("duplicate student ids")
+
+        types, claims = self.profile.types, self.profile.claims
+        type_set = set(types)
+        if len(type_set) != len(types):
+            v.append("duplicate privilege type ids")
+        for s in students:
+            claimed = claims.get(s)
+            if claimed is None:
+                v.append(f"student {s}: no claimable type set")
+            elif not claimed:
+                v.append(f"student {s}: claimable type set is empty")
+            elif not claimed <= type_set:
+                v.append(f"student {s}: claims unknown types {sorted(claimed - type_set)}")
+        v += [f"type profile names unknown student {s}" for s in claims if s not in student_set]
+
+        school_ids = [cfg.school for cfg in self.schools]
+        school_set = set(school_ids)
+        if len(school_set) != len(school_ids):
+            v.append("duplicate school ids")
+
+        # a contract's student, type and claim are sound exactly when its
+        # (student, type) pair is claimable
+        claimable = {(s, t) for s in student_set for t in claims.get(s) or () if t in type_set}
+        pairs = zip(map(itemgetter(0), contracts), map(itemgetter(2), contracts))
+        schools = map(itemgetter(1), contracts)
+        if not (claimable.issuperset(pairs) and school_set.issuperset(schools)):
+            for c in contracts:
+                if c.student not in student_set:
+                    v.append(f"contract {c}: unknown student")
+                if c.school not in school_set:
+                    v.append(f"contract {c}: unknown school")
+                if c.privilege not in type_set:
+                    v.append(f"contract {c}: unknown privilege type")
+                elif c.privilege not in claims.get(c.student, frozenset()):
+                    v.append(f"contract {c}: student cannot claim this privilege")
+
+        v += [f"preference order for unknown student {s}" for s in ranked if s not in student_set]
+        # each ranked index's student; a stray has none
+        owner = (*map(itemgetter(0), contracts), *[None] * len(self.strays))
+        for s in students:
+            listed = ranked.get(s)
+            if listed is None:
+                v.append(f"student {s}: no preference order")
+                continue
+            if s in self.labels:
+                v.append(f"student {s}: preference order labelled {self.labels[s]}")
+            if len(set(listed)) != len(listed):
+                v.append(f"student {s}: duplicate entries in preference order")
+            if not set(map(owner.__getitem__, listed)) <= {s}:
+                for ci in listed:
+                    if owner[ci] is None:
+                        stray = self.strays[ci - len(contracts)]
+                        v.append(f"student {s}: ranks unknown contract {stray}")
+                    elif owner[ci] != s:
+                        v.append(f"student {s}: ranks another student's contract {contracts[ci]}")
+
+        for cfg in self.schools:
+            where = f"school {cfg.school}"
+            if cfg.capacity < 0:
+                v.append(f"{where}: negative capacity")
+            priority = cfg.priority.ranked
+            if len(set(priority)) != len(priority):
+                v.append(f"{where}: duplicate students in priority order")
+            unknown = [s for s in priority if s not in student_set]
+            v += [f"{where}: priority order names unknown student {s}" for s in unknown]
+            missing = type_set - set(cfg.precedence)
+            if missing:
+                v.append(f"{where}: precedence sequence never covers types {sorted(missing)}")
+            for t in cfg.precedence:
+                if t not in type_set:
+                    v.append(f"{where}: precedence names unknown type {t}")
+            if any(t < 0 for t in cfg.targets):
+                v.append(f"{where}: negative group target")
+            if sum(cfg.targets) != cfg.capacity:
+                v.append(
+                    f"{where}: group targets sum to {sum(cfg.targets)}, capacity is {cfg.capacity}"
+                )
+            v.extend(_scheme_violations(cfg))
+        return v
 
 
 def _scheme_violations(cfg: SchoolConfig) -> list[str]:

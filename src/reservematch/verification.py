@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from ._engine import Compiled, bits
 from .choice import SchoolConfig
 from .errors import InvalidInputError, SearchCapExceededError
-from .instance import ProblemInstance
+from .instance import FlatMarket, ProblemInstance
 from .model import Contract
 
 __all__ = [
@@ -232,7 +232,8 @@ def tabulate_school(
     pool = _sorted_pool(contracts, cap)
     if any(c.school != config.school for c in pool):
         raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
-    return _tabulate(Compiled(pool, sorted({c.student for c in pool}), [config], {}), 0, completion)
+    market = FlatMarket.of(pool, sorted({c.student for c in pool}), [config], {})
+    return _tabulate(Compiled(market), 0, completion)
 
 
 def _tabulate(compiled: Compiled, s: int, completion: bool) -> ChoiceTable:

@@ -11,6 +11,7 @@ import itertools
 
 import reservematch as rm
 from reservematch._engine import Compiled
+from reservematch.instance import FlatMarket
 
 
 def enumerate_allocations(instance: rm.ProblemInstance):
@@ -196,21 +197,21 @@ def take_back_market() -> rm.ProblemInstance:
 
 
 def count_builds(monkeypatch) -> dict:
-    """Count ``validate_instance`` calls, through every module that imports
-    it, and ``Compiled.__init__`` calls; the counts fill the returned dict."""
+    """Count validations (``FlatMarket.violations``, which every validation
+    runs) and compiles (``Compiled.__init__``); the counts fill the returned
+    dict."""
     calls = {"validate": 0, "compile": 0}
-    validate, compile_ = rm.validate_instance, Compiled.__init__
+    violations, compile_ = FlatMarket.violations, Compiled.__init__
 
-    def counting_validate(instance):
+    def counting_violations(self):
         calls["validate"] += 1
-        return validate(instance)
+        return violations(self)
 
     def counting_compile(self, *args):
         calls["compile"] += 1
         compile_(self, *args)
 
-    for module in (rm.fileio, rm.cop, rm.instance, rm.generator):
-        monkeypatch.setattr(module, "validate_instance", counting_validate)
+    monkeypatch.setattr(FlatMarket, "violations", counting_violations)
     monkeypatch.setattr(Compiled, "__init__", counting_compile)
     return calls
 

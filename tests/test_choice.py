@@ -11,6 +11,7 @@ import pytest
 import reservematch as rm
 from helpers import brute_monotonic
 from reservematch._engine import Compiled, bits
+from reservematch.instance import FlatMarket
 
 
 def rows(X):
@@ -300,7 +301,7 @@ def _capacities(school, residuals):
 @pytest.mark.parametrize("seed", range(30))
 def test_engine_choices_match_reference(seed):
     cfg, contracts = rm.generate_school_pool(seed)
-    compiled = Compiled(contracts, sorted({c.student for c in contracts}), [cfg], {})
+    compiled = Compiled(FlatMarket.of(contracts, sorted({c.student for c in contracts}), [cfg], {}))
     school = compiled.schools[0]
     rng = random.Random(seed)
     subsets = [
@@ -359,7 +360,7 @@ def test_block_layout_choices_match_reference_on_every_subset():
     students = sorted({c.student for c in pool})
     over = {1: 0, 2: 0}
     for cfg in configs:
-        compiled = Compiled(pool, students, [cfg], {})
+        compiled = Compiled(FlatMarket.of(pool, students, [cfg], {}))
         school = compiled.schools[0]
         assert None in school.global_index  # gap bits
         assert school.block_end < len(school.global_index)  # bits after the blocks
@@ -389,7 +390,7 @@ def test_engine_slot_school_matches_reference():
     for seed in range(10):
         school = rm.generate_slot_specific_school(7000 + seed)
         students = sorted({c.student for c in school.contracts})
-        compiled = Compiled(school.contracts, students, [school], {})
+        compiled = Compiled(FlatMarket.of(school.contracts, students, [school], {}))
         engine = compiled.schools[0]
         pool = sorted(school.contracts)
         for mask in range(1 << len(pool)):
@@ -464,7 +465,7 @@ def test_capacity_table_answers_as_the_scheme_in_any_fill_order():
         shuffled = masks[:]
         rng.shuffle(shuffled)
         for order in (masks, shuffled):
-            compiled = Compiled(contracts, students, [cfg], {})
+            compiled = Compiled(FlatMarket.of(contracts, students, [cfg], {}))
             school = compiled.schools[0]
             for mask in order:
                 offers = frozenset(pool[i] for i in range(len(pool)) if (mask >> i) & 1)

@@ -13,6 +13,7 @@ import reservematch as rm
 from reservematch import cop
 from reservematch._engine import Compiled
 from reservematch.cop import _order_independence
+from reservematch.instance import FlatMarket
 
 from helpers import reference_cop, take_back_market
 from test_incentives import MANIPULABLE
@@ -94,7 +95,8 @@ def test_contract_order_is_the_sorted_order_whatever_the_listing(small_instances
     for instance in small_instances[:40]:
         listed = list(instance.contracts)
         rng.shuffle(listed)
-        compiled = Compiled(listed, instance.students, instance.schools, instance.preferences)
+        market = FlatMarket.of(listed, instance.students, instance.schools, instance.preferences)
+        compiled = Compiled(market)
         assert compiled.contracts == tuple(sorted(instance.contracts))
 
 
@@ -273,7 +275,7 @@ def test_engine_cop_matches_the_oracle_on_slot_specific_markets():
             own = sorted(c for c in school.contracts if c.student == s)
             rng.shuffle(own)
             prefs[s] = rm.PreferenceOrder(s, tuple(own[: rng.randint(0, len(own))]))
-        compiled = Compiled(school.contracts, students, [school], prefs)
+        compiled = Compiled(FlatMarket.of(school.contracts, students, [school], prefs))
         for order in _orders(compiled, seed=seed):
             _assert_cop_matches_oracle(compiled, [school], prefs, order)
 

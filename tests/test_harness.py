@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import reservematch as rm
 from reservematch.cli import main
-from reservematch.fileio import instance_from_document
+from reservematch._engine import Compiled
+from reservematch.fileio import _market_from_document, instance_from_document, instance_to_document
+from reservematch.instance import FlatMarket
 
 from helpers import count_builds, reference_cop
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ----------------------------------------------------------------------
@@ -85,38 +93,47 @@ def test_duplicate_contract_id_is_a_parse_error(tmp_path):
     assert "x1" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda rows: rows.__setitem__(2, ["x1"]), "contracts[2]: expected an object"),
-        (lambda rows: rows[2].pop("id"), "contracts[2]: missing field 'id'"),
-        (
-            lambda rows: rows[2].__setitem__("id", 7),
-            "contracts[2].id: field 'id' has the wrong type",
-        ),
-        (
-            lambda rows: rows[2].__setitem__("student", True),
-            "contracts[2].student: field 'student' has the wrong type",
-        ),
-        (
-            lambda rows: rows[2].__setitem__("school", None),
-            "contracts[2].school: field 'school' has the wrong type",
-        ),
-        (lambda rows: rows[2].pop("type"), "contracts[2]: missing field 'type'"),
-        (
-            lambda rows: rows.append(dict(rows[0])),
-            "contracts[6]: duplicate contract id 'x1'",
-        ),
-        (
-            lambda rows: rows.append(dict(rows[0], id="again")),
-            "contracts[6]: duplicate contract <i@s:t1>",
-        ),
-    ],
-    ids=[
-        "not-an-object", "missing-id", "int-id", "bool-student", "null-school",
-        "missing-type", "duplicate-id", "duplicate-triple",
-    ],
-)
+# One fault each in ex1's contract rows, and the message that names it.
+MALFORMED_CONTRACT_ROWS = [
+    pytest.param(
+        lambda rows: rows.__setitem__(2, ["x1"]), "contracts[2]: expected an object",
+        id="not-an-object",
+    ),
+    pytest.param(
+        lambda rows: rows[2].pop("id"), "contracts[2]: missing field 'id'", id="missing-id"
+    ),
+    pytest.param(
+        lambda rows: rows[2].__setitem__("id", 7),
+        "contracts[2].id: field 'id' has the wrong type",
+        id="int-id",
+    ),
+    pytest.param(
+        lambda rows: rows[2].__setitem__("student", True),
+        "contracts[2].student: field 'student' has the wrong type",
+        id="bool-student",
+    ),
+    pytest.param(
+        lambda rows: rows[2].__setitem__("school", None),
+        "contracts[2].school: field 'school' has the wrong type",
+        id="null-school",
+    ),
+    pytest.param(
+        lambda rows: rows[2].pop("type"), "contracts[2]: missing field 'type'", id="missing-type"
+    ),
+    pytest.param(
+        lambda rows: rows.append(dict(rows[0])),
+        "contracts[6]: duplicate contract id 'x1'",
+        id="duplicate-id",
+    ),
+    pytest.param(
+        lambda rows: rows.append(dict(rows[0], id="again")),
+        "contracts[6]: duplicate contract <i@s:t1>",
+        id="duplicate-triple",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_CONTRACT_ROWS)
 def test_malformed_contract_rows_name_their_fault_and_location(edit, message):
     # messages as the field-by-field reader gave them before rows were
     # read in one pass
@@ -126,6 +143,41 @@ def test_malformed_contract_rows_name_their_fault_and_location(edit, message):
         instance_from_document(doc)
     assert str(err.value) == message
     assert err.value.location == message.split(": ", 1)[0]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_CONTRACT_ROWS)
+def test_cli_match_names_a_malformed_contract_row(capsys, tmp_path, edit, message):
+    # match parses the file to flat form without load_instance, and names
+    # the same fault with the same location
+    doc = json.loads(rm.ex1_path().read_text())
+    edit(doc["contracts"])
+    path = tmp_path / "malformed.instance"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "match", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_contract_violations_are_reported_in_contract_order_under_every_hash_seed(tmp_path):
+    # four contracts of a type no one can claim; the error line must not
+    # depend on the string hash seed
+    doc = json.loads(rm.ex1_path().read_text())
+    for s in ("l", "k", "j", "i"):
+        doc["contracts"].append({"id": f"{s}9", "student": s, "school": "s", "type": "t9"})
+    path = tmp_path / "t9.instance"
+    path.write_text(json.dumps(doc))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "reservematch.cli", "match", str(path)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [run.returncode for run in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    faults = [f"{path}: contract <{s}@s:t9>: unknown privilege type" for s in "ijkl"]
+    assert runs[0].stderr.decode() == f"error: {'; '.join(faults)}\n"
 
 
 def test_duplicate_triple_is_a_parse_error(tmp_path):
@@ -167,8 +219,39 @@ def test_validation_failures_surface_at_load(tmp_path):
     assert instance_from_document(doc) is not None  # parsing alone does not validate
 
 
+def engine_tables(compiled: Compiled) -> tuple:
+    """Everything a fresh compile holds, each school's slots included."""
+    schools = [
+        {slot: getattr(school, slot) for slot in type(school).__slots__}
+        for school in compiled.schools
+    ]
+    return (
+        compiled.contracts, compiled.student_bit, compiled.student_contracts,
+        compiled.school_of, compiled.local_bit, compiled.acceptable, schools,
+    )
+
+
+def test_a_document_compiles_straight_to_the_engine_of_its_instance(small_instances):
+    # the loader's flat form and Compiled.from_instance of the parsed
+    # instance give equal engines, and so equal runs of the process
+    docs = [json.loads(rm.ex1_path().read_text())]
+    docs += [instance_to_document(instance) for instance in small_instances]
+    for family in ("forward_sum", "table"):
+        params = rm.GeneratorParams(200, 10, 3, seed=1, scheme_family=family)
+        docs.append(instance_to_document(rm.generate_random_instance(params)))
+    for n, doc in enumerate(docs):
+        if n % 2:  # rows out of contract order are sorted into it
+            doc["contracts"].reverse()
+        direct = Compiled(_market_from_document(doc))
+        via = Compiled.from_instance(instance_from_document(doc))
+        assert engine_tables(direct) == engine_tables(via)
+        assert direct.cop(direct.default_order_rank()) == via.cop(via.default_order_rank())
+    assert isinstance(direct.schools[0].scheme, rm.TableScheme)
+
+
 def test_a_student_the_preferences_leave_out_ranks_nothing(ex1, monkeypatch):
-    # one order per student: the empty one only for the student left out
+    # one order per student, built from the flat form: the empty one only
+    # for the student left out
     doc = json.loads(rm.ex1_path().read_text())
     del doc["preferences"]["k"]
     built = []
@@ -177,7 +260,7 @@ def test_a_student_the_preferences_leave_out_ranks_nothing(ex1, monkeypatch):
         built.append(student)
         return rm.PreferenceOrder(student, ranked)
 
-    monkeypatch.setattr(rm.fileio, "PreferenceOrder", counting)
+    monkeypatch.setattr(rm.instance, "PreferenceOrder", counting)
     instance = instance_from_document(doc)
     assert sorted(built) == ["i", "j", "k", "l"]
     assert instance.preferences["k"] == rm.PreferenceOrder("k", ())
@@ -322,29 +405,17 @@ def test_cli_match_transcript_is_the_oracles_on_a_60_student_market(capsys, tmp_
 
 @pytest.mark.parametrize("extra", [(), ("--transcript",)])
 def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
-    # a transcript step prints the proposal and the held contracts, so the
+    # the file is validated and compiled in flat form, once each; a
+    # transcript step prints the proposal and the held contracts, so the
     # proposable sets of run_cop's transcript are never built
-    calls = {"validate": 0, "compile": 0, "proposable": 0}
-
-    def counting_validate(instance):
-        calls["validate"] += 1
-        return rm.validate_instance(instance)
-
-    compile_ = rm._engine.Compiled.__init__
-
-    def counting_compile(self, *args):
-        calls["compile"] += 1
-        compile_(self, *args)
-
+    calls = count_builds(monkeypatch)
+    calls["proposable"] = 0
     proposable = rm._engine.Compiled.proposable
 
     def counting_proposable(self, *args):
         calls["proposable"] += 1
         return proposable(self, *args)
 
-    for module in (rm.fileio, rm.cop, rm.instance):
-        monkeypatch.setattr(module, "validate_instance", counting_validate)
-    monkeypatch.setattr(rm._engine.Compiled, "__init__", counting_compile)
     monkeypatch.setattr(rm._engine.Compiled, "proposable", counting_proposable)
     code, out, _ = run_cli(capsys, "match", str(rm.ex1_path()), *extra)
     assert code == 0 and "matched 2 of 4" in out
@@ -650,9 +721,7 @@ def test_cli_convert_round_trips_through_match(capsys, tmp_path):
     via_dynamic = rm.run_cop_default(converted)
 
     # matching with the original slot-specific school gives the same outcome
-    from reservematch._engine import Compiled
-
-    compiled = Compiled(sorted(school.contracts), students, [school], prefs)
+    compiled = Compiled(FlatMarket.of(sorted(school.contracts), students, [school], prefs))
     direct = compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
     conv = rm.convert_slot_specific(school)
     assert {conv.inverse[c] for c in via_dynamic} == set(direct)
