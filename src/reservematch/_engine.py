@@ -58,6 +58,8 @@ offered contract's type is full and the contract ranks below every held
 contract of that type, or no group admits the contract at all. The process
 keeps each school's residuals from its last ``choose`` for this test.
 Slot-specific schools always re-choose. ``Compiled.cop`` gives the proof.
+``CompiledSchool.pickable`` applies the same test to whole blocks at once:
+the stability check tries as blocking candidates only the bits it leaves.
 
 The public modules keep the readable set-based semantics; everything that
 runs a choice function or the cumulative offer process thousands of times
@@ -93,10 +95,11 @@ class CompiledSchool:
 
     __slots__ = (
         "offsets", "targets", "scheme", "global_index", "student_of", "span", "block",
-        "block_end", "type_groups", "cap_table",
+        "block_end", "type_groups", "cap_table", "capacity",
     )
 
     def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
+        self.capacity = config.capacity
         self.targets = config.targets
         self.scheme = config.scheme
         # one block per privilege type, in order of first precedence; a type
@@ -186,14 +189,31 @@ class CompiledSchool:
         # no held bit of the block at ``bit``'s position or after it
         return not held >> bit & self.block >> pos
 
+    def pickable(self, held: int, residuals: Sequence[int]) -> int:
+        """The local bits whose offer could change the choice ``held`` (with
+        ``residuals``): every bit for which :meth:`keeps` is false, a block at
+        a time. A block is open in full when some group of its type has a
+        residual seat, else up to its highest held bit; no bit after the
+        blocks is pickable."""
+        out = 0
+        span, block = self.span, self.block
+        for t, groups in enumerate(self.type_groups):
+            off = t * span
+            if any(residuals[k] for k in groups):
+                out |= block << off
+            else:
+                out |= (1 << (held >> off & block).bit_length()) - 1 << off
+        return out
+
 
 class CompiledSlotSchool:
     """A slot-specific choice function over the school's local bits, which
     follow contract order."""
 
-    __slots__ = ("slots", "global_index", "student_of", "peer")
+    __slots__ = ("slots", "global_index", "student_of", "peer", "capacity")
 
     def __init__(self, school: SlotSpecificSchool, owner: "Compiled", members: Sequence[int]):
+        self.capacity = len(school.slots)
         student_bit, local_bit = owner.student_bit, owner.local_bit
         peers: dict[int, int] = {}
         for lb, ci in enumerate(members):
@@ -225,6 +245,10 @@ class CompiledSlotSchool:
     def keeps(self, bit: int, held: int, residuals: Sequence[int]) -> bool:
         """Never: a slot-specific school always re-chooses."""
         return False
+
+    def pickable(self, held: int, residuals: Sequence[int]) -> int:
+        """Every local bit, as :meth:`keeps` is never true."""
+        return (1 << len(self.global_index)) - 1
 
 
 def _acceptable(market: FlatMarket) -> tuple[tuple[int, ...], ...]:

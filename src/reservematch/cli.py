@@ -27,9 +27,10 @@ from .cop import _order_independence
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
     _canonical_json,
+    _contract_ids,
     _load_market,
+    _read_allocation,
     contract_id,
-    load_allocation,
     load_instance,
     load_slot_market,
     save_allocation,
@@ -140,9 +141,12 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = load_instance(args.instance)
-    allocation = load_allocation(args.allocation, instance)
-    report = is_stable(allocation, instance)
+    # the build path of ``match``: one compile of the flat form, to which the
+    # allocation file resolves; the instance is built from the same form
+    market = _load_market(args.instance)
+    compiled = Compiled(market)
+    allocation = frozenset(_read_allocation(args.allocation, _contract_ids(compiled)))
+    report = is_stable(allocation, market.instance(), compiled=compiled)
     doc = {
         "command": "verify",
         "instance": str(args.instance),

@@ -6,11 +6,15 @@ references are errors that name the offending location. An instance file
 has one build path to the engine: it is parsed straight into the flat index
 form (``instance.FlatMarket``), the document is released, and the form is
 validated once and compiled; :func:`load_instance` builds a
-``ProblemInstance`` from the same form. Serialization is
-canonical, so `parse -> serialize` is a fixed point and byte-identical
-reports are reproducible: one writer, `_canonical_json`, gives every file
-and CLI report the bytes of `json.dumps(doc, indent=2, sort_keys=True,
-ensure_ascii=False)`, most of them from CPython's C encoder.
+``ProblemInstance`` from the same form. An allocation file resolves on the
+same path, to global contract indices of the compiled market: each id is
+split back into its contract where every id of the market splits at its
+first "@" and the first ":" after it, else looked up in one map built in
+contract order. Serialization is canonical, so `parse -> serialize` is a
+fixed point and byte-identical reports are reproducible: one writer,
+`_canonical_json`, gives every file and CLI report the bytes of
+`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)`, most of
+them from CPython's C encoder.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .choice import ForwardSumScheme, SchoolConfig, SlotSpecificSchool, TableScheme
 from .errors import InstanceFormatError, ValidationError
-from .instance import FlatMarket, ProblemInstance
+from .instance import FlatMarket, ProblemInstance, _ids_split
 from .model import Contract, PreferenceOrder, PriorityOrder, TypeProfile
 
 __all__ = [
@@ -456,16 +460,62 @@ def save_allocation(allocation: Iterable[Contract], path) -> None:
 
 
 def load_allocation(path, instance: ProblemInstance) -> frozenset:
+    contracts = sorted(instance.contracts)
+    return frozenset(_read_allocation(path, dict(zip(map(contract_id, contracts), contracts))))
+
+
+def _read_allocation(path, by_id: Mapping[str, object]) -> tuple:
+    """An allocation file's contracts, each id resolved through ``by_id``,
+    in file order."""
     doc = _read_json(path)
     _check_schema(doc, ALLOCATION_SCHEMA)
-    by_id = {contract_id(c): c for c in instance.contracts}
     ids = _expect(doc, "contracts", list, "$")
-    allocation: set[Contract] = set()
-    for n, c in enumerate(_ranked_contracts(ids, by_id, "contracts")):
-        if c in allocation:
-            raise InstanceFormatError(f"duplicate contract id {ids[n]!r}", f"contracts[{n}]")
-        allocation.add(c)
-    return frozenset(allocation)
+    resolved = _ranked_contracts(ids, by_id, "contracts")
+    if len(set(resolved)) != len(resolved):
+        seen = set()
+        for n, c in enumerate(resolved):
+            if c in seen:
+                raise InstanceFormatError(f"duplicate contract id {ids[n]!r}", f"contracts[{n}]")
+            seen.add(c)
+    return resolved
+
+
+def _contract_ids(compiled) -> Mapping[str, Contract]:
+    """Canonical id -> contract of a compiled market (``_engine.Compiled``).
+    Where every id splits back into its contract, each id is split and
+    looked up in ``compiled.index``; otherwise one map is built, in contract
+    order."""
+    if _ids_split(compiled.students, compiled.school_index):
+        return _SplitIds(compiled.index)
+    return {contract_id(c): c for c in compiled.contracts}
+
+
+class _SplitIds:
+    """Canonical ids resolved by splitting ``student@school:type`` at its
+    first "@" and the first ":" after it, exact for a market whose ids all
+    split back (``instance._ids_split``)."""
+
+    __slots__ = ("contracts",)
+
+    def __init__(self, contracts: Container[Contract]):
+        self.contracts = contracts
+
+    def __getitem__(self, cid: str) -> Contract:
+        if not isinstance(cid, str):
+            raise TypeError(f"contract id {cid!r} is not a string")
+        student, at, rest = cid.partition("@")
+        school, colon, privilege = rest.partition(":")
+        c = Contract(student, school, privilege)
+        if not (at and colon) or c not in self.contracts:
+            raise KeyError(cid)
+        return c
+
+    def __contains__(self, cid: str) -> bool:
+        try:
+            self[cid]
+        except KeyError:
+            return False
+        return True
 
 
 def save_slot_market(

@@ -157,7 +157,11 @@ class FlatMarket(NamedTuple):
         claimable = {(s, t) for s in student_set for t in claims.get(s) or () if t in type_set}
         pairs = zip(map(itemgetter(0), contracts), map(itemgetter(2), contracts))
         schools = map(itemgetter(1), contracts)
+        # the student and school ids the contracts name: the known ones,
+        # unless some contract names another
+        named: tuple[Iterable[str], Iterable[str]] = (student_set, school_set)
         if not (claimable.issuperset(pairs) and school_set.issuperset(schools)):
+            named = (map(itemgetter(0), contracts), map(itemgetter(1), contracts))
             for c in contracts:
                 if c.student not in student_set:
                     v.append(f"contract {c}: unknown student")
@@ -167,6 +171,8 @@ class FlatMarket(NamedTuple):
                     v.append(f"contract {c}: unknown privilege type")
                 elif c.privilege not in claims.get(c.student, frozenset()):
                     v.append(f"contract {c}: student cannot claim this privilege")
+        if not _ids_split(*named):
+            v += _shared_ids(contracts)
 
         v += [f"preference order for unknown student {s}" for s in ranked if s not in student_set]
         # each ranked index's student; a stray has none
@@ -211,6 +217,28 @@ class FlatMarket(NamedTuple):
                 )
             v.extend(_scheme_violations(cfg))
         return v
+
+
+def _ids_split(students: Iterable[str], schools: Iterable[str]) -> bool:
+    """Whether each canonical id ``student@school:type`` of these students
+    and schools splits back into its contract at its first "@" and the first
+    ":" after it: true when no student id holds "@" and no school id ":".
+    Only otherwise can two contracts share an id."""
+    return not any("@" in s for s in students) and not any(":" in s for s in schools)
+
+
+def _shared_ids(contracts: Sequence[Contract]) -> list[str]:
+    """Every pair of contracts with one canonical id ``student@school:type``,
+    the id that allocation files and reports name a contract by."""
+    by_id: dict[str, list[Contract]] = {}
+    for c in contracts:
+        by_id.setdefault("%s@%s:%s" % c, []).append(c)
+    return [
+        f"contracts {tuple(a)} and {tuple(b)} share the id {cid!r}"
+        for cid, same in by_id.items()
+        for n, a in enumerate(same)
+        for b in same[n + 1:]
+    ]
 
 
 def _scheme_violations(cfg: SchoolConfig) -> list[str]:

@@ -3,15 +3,18 @@
 ``is_stable`` tests the three stability conditions: students hold acceptable
 contracts, schools would re-choose exactly what they hold, and no school can
 assemble a blocking set of contracts that it would accept and whose students
-would all take. The axiom checkers run a choice function over every subset of
-a contract pool and verify rejection irrelevance, substitutability, the law
-of aggregate demand, and the completion relationship. They read a
-:class:`ChoiceTable`, built once per choice function and pool, and the
-builders are exhaustive or they refuse, never sampled.
+would all take; ``find_blocking_set`` searches one school for a blocking
+set. Both run on the engine's masks. The axiom checkers run a choice
+function over every subset of a contract pool and verify rejection
+irrelevance, substitutability, the law of aggregate demand, and the
+completion relationship. They read a :class:`ChoiceTable`, built once per
+choice function and pool, and the builders are exhaustive or they refuse,
+never sampled.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -67,38 +70,38 @@ class StabilityReport:
 def is_stable(
     y: Iterable[Contract], instance: ProblemInstance, *, compiled: Optional[Compiled] = None
 ) -> StabilityReport:
-    """Evaluate all three stability conditions for allocation ``y``.
-    ``compiled`` is ``Compiled.from_instance(instance)``, given to share a
-    compilation the caller already has; it is built here when omitted."""
-    y = frozenset(y)
-    _require_allocation(y, instance)
-
-    bad = tuple(
-        sorted(c for c in y if not instance.preferences[c.student].accepts(c))
-    )
-
+    """Evaluate all three stability conditions for allocation ``y``, each
+    with its first witness in contract and school order: the contracts
+    their students do not find acceptable, the first school that would not
+    choose exactly what it holds (with what it holds and what it would
+    choose), and the first school at which :func:`find_blocking_set` finds
+    a blocking set. A set that is not an allocation (a contract outside the
+    market, a student with several contracts, a school over capacity)
+    raises :class:`InvalidInputError`. ``compiled`` is
+    ``Compiled.from_instance(instance)``, given to share a compilation the
+    caller already has; it is built here when omitted."""
     if compiled is None:
         compiled = Compiled.from_instance(instance)
+    y = frozenset(y)
+    _require_allocation(compiled, y, True)
+    local, current = _held(compiled, y)
+    acceptable, student_bit = compiled.acceptable, compiled.student_bit
+    held_ci = sorted(current.values())
+    bad = tuple(compiled.contracts[ci] for ci in held_ci if ci not in acceptable[student_bit[ci]])
+    names = tuple(compiled.school_index)
     mismatch = None
-    y_local = compiled.to_local(compiled.to_mask(y))
-    for s, (cfg, school) in enumerate(zip(instance.schools, compiled.schools)):
-        held = y_local[s]
-        chosen = school.choose(held)[0]
+    for s, held in enumerate(local):
+        chosen = compiled.schools[s].choose(held)[0]
         if chosen != held:
-            mismatch = (
-                cfg.school,
-                compiled.to_set(compiled.to_global(s, held)),
-                compiled.to_set(compiled.to_global(s, chosen)),
-            )
+            held_set, chosen_set = (compiled.to_set(compiled.to_global(s, m)) for m in (held, chosen))
+            mismatch = (names[s], held_set, chosen_set)
             break
-
     blocking = None
-    for cfg in instance.schools:
-        z = find_blocking_set(y, cfg.school, instance, compiled=compiled)
+    for name in names:
+        z = find_blocking_set(y, name, instance, compiled=compiled)
         if z is not None:
-            blocking = (cfg.school, z)
+            blocking = (name, z)
             break
-
     return StabilityReport(bad, mismatch, blocking)
 
 
@@ -109,7 +112,12 @@ def find_blocking_set(
     *,
     compiled: Optional[Compiled] = None,
 ) -> Optional[frozenset]:
-    """Search for a blocking set at one school.
+    """Search for a blocking set at one school; ``None`` when no set blocks
+    there. A set holding a contract outside the market or a student with
+    several contracts is refused with :class:`InvalidInputError`, as by
+    :func:`is_stable`; capacities are not checked. ``compiled`` is
+    ``Compiled.from_instance(instance)``, given to share one compilation
+    across schools; it is built here when omitted.
 
     A blocking set is a nonempty set of the school's contracts from outside
     ``y``, at most one per student, that the school would keep in full when
@@ -118,69 +126,98 @@ def find_blocking_set(
     portfolio would differ from its current one and be chosen by everyone in
     it. Allowing the set to overlap ``y`` would make any subset of a school's
     own held contracts "block", so blocking contracts must be new.) Call a
-    contract a candidate when it could be in a blocking set: the school's, not
-    in ``y``, its student ranked by the school and strictly preferring it.
+    contract a candidate when it could be in a blocking set: the school's,
+    its student ranked by the school and strictly preferring it (so not in
+    ``y``).
 
     A blocking set exists exactly when a single candidate blocks, so the
     candidates are tried one at a time in contract order and the first that
-    blocks is returned as ``frozenset({c})``; ``None`` means no set blocks.
-    Proof: let ``Z`` block and run the overall choice on ``y | Z``. Let ``z``
-    be a contract of ``Z`` picked by the earliest group that picks any
-    contract of ``Z``. The groups before it pick no contract of ``Z``, and
-    dropping contracts a group does not pick changes neither its picks nor
-    its residual, so on ``y | {z}`` those groups pick the same contracts,
-    remove the same students and leave the same residuals. ``z``'s group then
-    has the same capacity and faces a subset of the competitors that ``z``
-    beat on ``y | Z``, which priority ranks strictly (a school has at most
-    one contract per student and type), so it picks ``z``. ``z`` is a
-    candidate because ``Z`` is, so ``{z}`` blocks; the converse is trivial.
-    The argument uses neither the school-choice condition nor monotonicity
-    of the scheme, so it holds for every allocation ``y``. (It has the shape
-    of Hatfield and Milgrom's (2005) singleton argument without their
-    substitutability.)
+    blocks is returned as ``frozenset({c})``. Proof: let ``Z`` block and run
+    the overall choice on ``y | Z``. Let ``z`` be a contract of ``Z`` picked
+    by the earliest group that picks any contract of ``Z``. The groups
+    before it pick no contract of ``Z``, and dropping contracts a group does
+    not pick changes neither its picks nor its residual, so on ``y | {z}``
+    those groups pick the same contracts, remove the same students and leave
+    the same residuals. ``z``'s group then has the same capacity and faces a
+    subset of the competitors that ``z`` beat on ``y | Z``, which priority
+    ranks strictly (a school has at most one contract per student and type),
+    so it picks ``z``. ``z`` is a candidate because ``Z`` is, so ``{z}``
+    blocks; the converse is trivial. The argument uses neither the
+    school-choice condition nor monotonicity of the scheme, so it holds for
+    every allocation ``y``. (It has the shape of Hatfield and Milgrom's
+    (2005) singleton argument without their substitutability.)
 
-    ``compiled`` is ``Compiled.from_instance(instance)``, given to share one
-    compilation across schools; it is built here when omitted.
+    The block guard. The school chooses once from what it holds, ``(chosen,
+    residuals) = choose(held)``, and only candidates in
+    ``pickable(chosen, residuals)`` are tried. A bit outside it satisfies
+    ``keeps(bit, chosen, residuals)``: it lies after the blocks, where no
+    group admits it (an unranked student, or a type outside the
+    precedence), or every group of its type has residual 0 and it lies above
+    every chosen bit of its block. ``Compiled.cop`` proves that then
+    ``choose(held | bit)`` equals ``chosen``, so the bit is not picked and
+    does not block. That proof reads only the one choice at hand, the choice
+    from ``held``, and neither its agreement with ``held`` nor a monotone
+    scheme, so the guard holds on every allocation. A slot-specific school
+    has no guard: every bit is pickable.
     """
-    y = frozenset(y)
     if compiled is None:
         compiled = Compiled.from_instance(instance)
-    cfg = instance.school(school)
     s = compiled.school_index[school]
-    engine_school = compiled.schools[s]
-    y_local = compiled.to_local(compiled.to_mask(y))[s]
-    current = {c.student: c for c in y}
-    for ci in sorted(ci for ci in engine_school.global_index if ci is not None):
+    y = frozenset(y)
+    _require_allocation(compiled, y, False)
+    local, current = _held(compiled, y)
+    here, held = compiled.schools[s], local[s]
+    chosen, residuals = here.choose(held)
+    acceptable, student_bit = compiled.acceptable, compiled.student_bit
+    candidates = []
+    for lb in bits(here.pickable(chosen, residuals) & ~held):
+        ci = here.global_index[lb]
+        if ci is None:
+            continue
+        # listed, and above the student's current contract if that is listed
+        listed = acceptable[student_bit[ci]]
+        now = current.get(student_bit[ci])
+        if ci in listed and (now not in listed or listed.index(ci) < listed.index(now)):
+            candidates.append(ci)
+    for ci in sorted(candidates):
         bit = 1 << compiled.local_bit[ci]
-        if y_local & bit:
-            continue
-        c = compiled.contracts[ci]
-        if not cfg.priority.accepts(c.student):
-            continue
-        if not instance.preferences[c.student].prefers(c, current.get(c.student)):
-            continue
-        if engine_school.choose(y_local | bit)[0] & bit:
-            return frozenset({c})
+        if here.choose(held | bit)[0] & bit:
+            return frozenset({compiled.contracts[ci]})
     return None
 
 
-def _require_allocation(y: frozenset, instance: ProblemInstance) -> None:
+def _require_allocation(compiled: Compiled, y: frozenset, capacities: bool) -> None:
+    """Raise :class:`InvalidInputError` naming every way ``y`` is not an
+    allocation: contracts outside the market, students with several
+    contracts and, with ``capacities``, schools holding more contracts than
+    their capacity."""
     problems = []
-    stray = y - instance.contracts
+    stray = y.difference(compiled.index)
     if stray:
         problems.append(f"unknown contracts {sorted(stray)}")
-    per_student: dict[str, int] = {}
-    for c in y:
-        per_student[c.student] = per_student.get(c.student, 0) + 1
-    doubled = [s for s, n in per_student.items() if n > 1]
+    doubled = sorted(s for s, n in Counter(c.student for c in y).items() if n > 1)
     if doubled:
-        problems.append(f"students with several contracts: {sorted(doubled)}")
-    for cfg in instance.schools:
-        load = sum(1 for c in y if c.school == cfg.school)
-        if load > cfg.capacity:
-            problems.append(f"school {cfg.school} over capacity ({load} > {cfg.capacity})")
+        problems.append(f"students with several contracts: {doubled}")
+    if capacities:
+        loads = Counter(c.school for c in y)
+        for name, school in zip(compiled.school_index, compiled.schools):
+            if loads[name] > school.capacity:
+                problems.append(f"school {name} over capacity ({loads[name]} > {school.capacity})")
     if problems:
         raise InvalidInputError("not an allocation: " + "; ".join(problems))
+
+
+def _held(compiled: Compiled, y: frozenset) -> tuple[list[int], dict[int, int]]:
+    """Each school's local mask of allocation ``y``, and each student's
+    held contract as student index -> global index. No global mask is
+    built: on a large market every step over one costs its whole length."""
+    local = [0] * len(compiled.schools)
+    current = {}
+    school_of, local_bit, student_bit = compiled.school_of, compiled.local_bit, compiled.student_bit
+    for ci in map(compiled.index.__getitem__, y):
+        local[school_of[ci]] |= 1 << local_bit[ci]
+        current[student_bit[ci]] = ci
+    return local, current
 
 
 # ----------------------------------------------------------------------

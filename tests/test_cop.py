@@ -219,10 +219,8 @@ def test_proposal_order_must_cover_all_contracts(ex1):
 
 
 def test_outcomes_are_feasible_allocations_on_random_instances(small_instances):
-    from reservematch.verification import _require_allocation
-
     for instance in small_instances[:60]:
-        _require_allocation(rm.run_cop_default(instance), instance)  # raises if infeasible
+        rm.is_stable(rm.run_cop_default(instance), instance)  # raises if infeasible
 
 
 # ----------------------------------------------------------------------

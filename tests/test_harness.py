@@ -180,6 +180,48 @@ def test_contract_violations_are_reported_in_contract_order_under_every_hash_see
     assert runs[0].stderr.decode() == f"error: {'; '.join(faults)}\n"
 
 
+def _two_school_document(second: str) -> dict:
+    """Students ``a`` and ``second``, schools ``b@c`` and ``c``, one type
+    ``d``; ``a`` lists its contract at ``b@c``, and ``second`` lists none."""
+    school = {
+        "capacity": 1, "priority": ["a", second], "groups": [{"type": "d", "target": 1}],
+        "transfers": {"kind": "forward_sum", "donors": [[]]},
+    }
+    return {
+        "schema": "reservematch/1",
+        "types": ["d"],
+        "students": [{"id": "a", "types": ["d"]}, {"id": second, "types": ["d"]}],
+        "schools": [{"id": "b@c", **school}, {"id": "c", **school}],
+        "contracts": [
+            {"id": "x", "student": "a", "school": "b@c", "type": "d"},
+            {"id": "y", "student": second, "school": "c", "type": "d"},
+        ],
+        "preferences": {"a": ["x"], second: []},
+    }
+
+
+def test_two_contracts_with_one_canonical_id_are_refused(capsys, tmp_path):
+    # (a, b@c, d) and (a@b, c, d) are both a@b@c:d, the id an allocation
+    # file names a contract by, so no allocation file could tell them apart
+    path, alloc = tmp_path / "collide.instance", tmp_path / "collide.allocation"
+    path.write_text(json.dumps(_two_school_document("a@b")))
+    alloc.write_text(json.dumps({"schema": "reservematch-allocation/1", "contracts": ["a@b@c:d"]}))
+    fault = "contracts ('a', 'b@c', 'd') and ('a@b', 'c', 'd') share the id 'a@b@c:d'"
+    assert rm.validate_instance(instance_from_document(_two_school_document("a@b"))) == [fault]
+    for argv in (["match", str(path)], ["verify", str(path), "--allocation", str(alloc)]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {path}: {fault}\n")
+    # an "@" in a student id alone makes no two ids equal; such ids do not
+    # split back at their first "@", and `verify` still resolves them
+    path.write_text(json.dumps(_two_school_document("a@e")))
+    assert run_cli(capsys, "match", str(path))[0] == 0
+    ids = ["a@b@c:d", "a@e@c:d"]
+    alloc.write_text(json.dumps({"schema": "reservematch-allocation/1", "contracts": ids}))
+    code, out, _ = run_cli(capsys, "verify", str(path), "--allocation", str(alloc), "--format", "machine")
+    report = json.loads(out)
+    assert code == 1 and report["allocation"] == ids
+    assert report["unacceptable_assignments"] == ["a@e@c:d"]
+
+
 def test_duplicate_triple_is_a_parse_error(tmp_path):
     doc = json.loads(rm.ex1_path().read_text())
     row = dict(doc["contracts"][0])
@@ -628,6 +670,82 @@ def test_cli_verify_names_one_blocking_contract_in_a_large_search_space(capsys, 
     [c] = [c for c in instance.contracts if f"{c.student}@{c.school}:{c.privilege}" == cid]
     assert rm.dynamic_reserves_choice({c}, instance.school("s1"))[0] == {c}
     assert instance.preferences[c.student].accepts(c)
+
+
+VERIFY_MARKETS = {
+    "ex1": lambda: rm.load_instance(rm.ex1_path()),
+    "sixty": lambda: rm.generate_random_instance(
+        rm.GeneratorParams(students=60, schools=6, types=3, seed=16, capacity_range=(3, 3))
+    ),
+    "forty": lambda: rm.generate_random_instance(
+        rm.GeneratorParams(students=40, schools=1, types=2, seed=0, capacity_range=(6, 6))
+    ),
+}
+
+# case -> (market, allocation file, exit code, SHA-256 of standard output,
+# standard error) of `verify --format machine`. An allocation of None is the
+# one `match` gives; a list is the file's contract ids.
+VERIFY_BYTES = {
+    "stable": (
+        "ex1", None, 0, "5dec5cb03bc581c1aa93ee869bf6153f5bee6d584246c0172cb3966f53ee090e", "",
+    ),
+    "stable-60": (
+        "sixty", None, 0, "c0c1970df36310a3588afb409c871ca9cd6accbbfcc8ba1592b7ceec3d9facec", "",
+    ),
+    "blocking-in-a-large-search-space": (
+        "forty", [], 1, "f480c8e2fb46a630ec7821a4cdb924630e2802342aae82570f35bd18c6ff6fa6", "",
+    ),
+    "school-mismatch": (
+        "ex1", ["j@s:t2", "k@s:t2"], 1,
+        "2394e053230d4b1c3c89e96ca4cf0aa9a003d4dbf04653ead5374d010caf4492", "",
+    ),
+    "one-student-twice": (
+        "ex1", ["k@s:t2", "k@s:t3"], 2, None,
+        "error: not an allocation: students with several contracts: ['k']\n",
+    ),
+    "school-over-capacity": (
+        "ex1", ["i@s:t1", "j@s:t2", "k@s:t3"], 2, None,
+        "error: not an allocation: school s over capacity (3 > 2)\n",
+    ),
+    "twice-and-over-capacity": (
+        "ex1", ["i@s:t1", "k@s:t2", "k@s:t3"], 2, None,
+        "error: not an allocation: students with several contracts: ['k']; "
+        "school s over capacity (3 > 2)\n",
+    ),
+    "unknown-id": (
+        "ex1", ["i@s:t1", "i@s:t9"], 2, None, "error: contracts[1]: unknown contract id 'i@s:t9'\n",
+    ),
+    "duplicate-id": (
+        "ex1", ["i@s:t1", "j@s:t2", "i@s:t1"], 2, None,
+        "error: contracts[2]: duplicate contract id 'i@s:t1'\n",
+    ),
+    "not-a-string": ("ex1", ["i@s:t1", 1], 2, None, "error: contracts[1]: unknown contract id 1\n"),
+    "wrong-schema": (
+        "ex1", {"schema": "reservematch/1", "contracts": []}, 2, None,
+        "error: schema: unsupported schema 'reservematch/1', expected 'reservematch-allocation/1'\n",
+    ),
+    "not-a-list": (
+        "ex1", {"schema": "reservematch-allocation/1", "contracts": "i@s:t1"}, 2, None,
+        "error: $.contracts: field 'contracts' has the wrong type\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_BYTES))
+def test_cli_verify_bytes_are_pinned(capsys, monkeypatch, tmp_path, case):
+    market, held, code, digest, err = VERIFY_BYTES[case]
+    monkeypatch.chdir(tmp_path)  # reports echo the paths they are given
+    instance = VERIFY_MARKETS[market]()
+    rm.save_instance(instance, f"{market}.instance")
+    if held is None:
+        held = sorted(rm.fileio.contract_id(c) for c in rm.run_cop_default(instance))
+    if not isinstance(held, dict):
+        held = {"schema": "reservematch-allocation/1", "contracts": held}
+    Path("y.allocation").write_text(json.dumps(held))
+    argv = ["verify", f"{market}.instance", "--allocation", "y.allocation", "--format", "machine"]
+    got = run_cli(capsys, *argv)
+    out_digest = hashlib.sha256(got[1].encode()).hexdigest() if got[1] else None
+    assert (got[0], out_digest, got[2]) == (code, digest, err)
 
 
 def test_cli_verify_is_stable_on_a_200_student_market(capsys, tmp_path):

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import reservematch as rm
-from helpers import brute_blocking_set, brute_is_stable, brute_stable_set
+from helpers import (
+    brute_blocking_set,
+    brute_is_stable,
+    brute_stable_set,
+    enumerate_allocations,
+    take_back_market,
+)
 from reservematch._engine import Compiled
+from reservematch.instance import FlatMarket
 from reservematch.verification import _tabulate
+from test_incentives import MANIPULABLE
 
 
 def test_empty_outcome_is_stable_when_nothing_is_acceptable(ex1):
@@ -77,18 +86,33 @@ def _random_allocation(instance: rm.ProblemInstance, rng: random.Random) -> froz
     return frozenset(out)
 
 
-def _assert_same_witness(y: frozenset, instance: rm.ProblemInstance) -> bool:
-    found = False
+def _assert_matches_the_oracle(y: frozenset, instance: rm.ProblemInstance) -> rm.StabilityReport:
+    """Check the stability report of ``y`` against the set-based choice and
+    the subset enumeration of blocking sets: the unacceptable contracts in
+    contract order, the first school that would not choose what it holds,
+    and the first school's first blocking set, which ``find_blocking_set``
+    must also give school by school."""
+    compiled = Compiled.from_instance(instance)
+    report = rm.is_stable(y, instance, compiled=compiled)
+    bad = tuple(sorted(c for c in y if not instance.preferences[c.student].accepts(c)))
+    mismatch = blocking = None
     for cfg in instance.schools:
-        z = rm.find_blocking_set(y, cfg.school, instance)
-        assert z == brute_blocking_set(y, cfg.school, instance)
-        found = found or z is not None
-    return found
+        held = frozenset(c for c in y if c.school == cfg.school)
+        chosen = rm.dynamic_reserves_choice(y, cfg)[0]
+        if mismatch is None and chosen != held:
+            mismatch = (cfg.school, held, chosen)
+        z = brute_blocking_set(y, cfg.school, instance)
+        assert rm.find_blocking_set(y, cfg.school, instance, compiled=compiled) == z
+        if blocking is None and z is not None:
+            blocking = (cfg.school, z)
+    assert report == rm.StabilityReport(bad, mismatch, blocking), y
+    assert report.passed == brute_is_stable(y, instance)
+    return report
 
 
 def test_single_contract_search_matches_the_subset_enumeration(small_instances):
     for instance in small_instances:
-        _assert_same_witness(rm.run_cop_default(instance), instance)
+        _assert_matches_the_oracle(rm.run_cop_default(instance), instance)
     rng = random.Random(5)
     pairs = blocked = mismatched = 0
     for seed in range(250):
@@ -102,11 +126,58 @@ def test_single_contract_search_matches_the_subset_enumeration(small_instances):
         allocations += [_random_allocation(instance, rng) for _ in range(3)]
         for y in allocations:
             pairs += 1
-            blocked += _assert_same_witness(y, instance)
-            mismatched += not rm.is_stable(y, instance).schools_ok
+            report = _assert_matches_the_oracle(y, instance)
+            blocked += not report.unblocked
+            mismatched += not report.schools_ok
     assert pairs == 1000
     # the pairs cover blocked allocations and ones the schools would not choose
     assert blocked > 300 and mismatched > 300
+
+
+def test_stability_matches_the_oracle_on_every_allocation_of_non_monotone_markets():
+    # non-monotone tables: the block guard's proof must not lean on monotonicity
+    markets = [take_back_market()] + [entry[0] for entry in MANIPULABLE.values()]
+    seen = set()
+    for instance in markets:
+        for y in enumerate_allocations(instance):
+            report = _assert_matches_the_oracle(y, instance)
+            seen.add((report.schools_ok, report.unblocked))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_slot_specific_school_tries_every_unheld_contract():
+    # no block guard: every contract its student prefers is a candidate,
+    # tried in contract order against the set-based slot choice
+    school = rm.generate_slot_specific_school(42)
+    students = sorted({c.student for c in school.contracts})
+    prefs = {
+        s: rm.PreferenceOrder(s, tuple(sorted(c for c in school.contracts if c.student == s)))
+        for s in students
+    }
+    market = FlatMarket.of(school.contracts, students, [school], prefs)
+    compiled, instance = Compiled(market), market.instance()
+    options = [[None] + list(prefs[s].ranked) for s in students]
+    blocked = 0
+    for combo in itertools.product(*options):
+        y = frozenset(c for c in combo if c is not None)
+        if len(y) > len(school.slots):
+            continue
+        current = {c.student: c for c in y}
+        chosen = rm.slot_specific_choice(y, school)
+        blocking = next(
+            (
+                (school.school, frozenset({c}))
+                for c in sorted(school.contracts)
+                if prefs[c.student].prefers(c, current.get(c.student))
+                and c in rm.slot_specific_choice(y | {c}, school)
+            ),
+            None,
+        )
+        mismatch = None if chosen == y else (school.school, y, chosen)
+        expected = rm.StabilityReport((), mismatch, blocking)
+        assert rm.is_stable(y, instance, compiled=compiled) == expected
+        blocked += blocking is not None
+    assert blocked
 
 
 def test_stability_agrees_with_the_brute_force_oracle(small_instances):
