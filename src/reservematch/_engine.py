@@ -184,8 +184,9 @@ class CompiledSchool:
         if bit >= self.block_end:
             return True
         t, pos = divmod(bit, self.span)
-        if any(residuals[k] for k in self.type_groups[t]):
-            return False
+        for k in self.type_groups[t]:
+            if residuals[k]:
+                return False
         # no held bit of the block at ``bit``'s position or after it
         return not held >> bit & self.block >> pos
 
@@ -337,16 +338,21 @@ class Compiled:
         """Split a global mask into one local mask per school."""
         out = [0] * len(self.schools)
         school_of, local_bit = self.school_of, self.local_bit
-        for ci in bits(mask):
+        while mask:
+            low = mask & -mask
+            ci = low.bit_length() - 1
             out[school_of[ci]] |= 1 << local_bit[ci]
+            mask ^= low
         return out
 
     def to_global(self, school: int, local: int) -> int:
         """The global mask of a local mask of school number ``school``."""
         index = self.schools[school].global_index
         out = 0
-        for lb in bits(local):
-            out |= 1 << index[lb]
+        while local:
+            low = local & -local
+            out |= 1 << index[low.bit_length() - 1]
+            local ^= low
         return out
 
     def default_order_rank(self) -> tuple[int, ...]:

@@ -38,16 +38,19 @@ from .fileio import (
 )
 from .generator import (
     GeneratorParams,
+    _flexibility_draw,
     generate_random_instance,
     single_swap_improvement,
-    unit_flexibility_pair,
 )
 from .incentives import (
     MISREPORT_CAP,
+    _flexibility_pareto,
+    _lifted,
+    _respects_improvement,
     _search_misreports,
+    _unit_pair,
     allocation_waste,
     check_flexibility_pareto,
-    check_respects_improvements,
 )
 from .instance import ProblemInstance
 from .model import PreferenceOrder
@@ -174,11 +177,13 @@ def _cmd_verify(args) -> int:
 
 
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
-    # the generator and the loader validate, so one compile serves all but
-    # the improvement and flexibility checks, and one truthful run serves
-    # stability, order independence (as its baseline) and every misreport search
+    # the generator and the loader validate, so one compile serves every
+    # check: the changed markets of the improvement and flexibility checks
+    # are its clones. One truthful run serves stability, order independence
+    # (as its baseline), every misreport search and the improvement check.
     compiled = Compiled.from_instance(instance)
-    truth = compiled.cop(compiled.default_order_rank())
+    rank = compiled.default_order_rank()
+    truth = compiled.cop(rank)
     stable = is_stable(compiled.to_set(truth[0]), instance, compiled=compiled)
     row: dict = {"stable": stable.passed}
     try:
@@ -203,15 +208,18 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
         row["respects_improvements"] = True
     else:
         student, improved = swap
-        row["respects_improvements"] = check_respects_improvements(
-            instance, improved, student
+        lifted = _lifted(compiled, instance.schools, improved)
+        pref = instance.preferences[student]
+        row["respects_improvements"] = _respects_improvement(
+            compiled, truth[0], lifted, rank, pref
         ).ok
 
-    pair = unit_flexibility_pair(instance, seed)
-    if pair is None:
+    draw = _flexibility_draw(instance, seed)
+    if draw is None:
         row["flexibility_pareto"] = True
     else:
-        comparison = check_flexibility_pareto(*pair)
+        pair = _unit_pair(compiled, *draw)
+        comparison = _flexibility_pareto(*pair, instance.preferences)
         row["flexibility_pareto"] = comparison.dominates and comparison.chain_agrees is not False
 
     axioms_ok = True

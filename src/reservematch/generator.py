@@ -219,6 +219,19 @@ def unit_flexibility_pair(
     single point. Both sides are re-verified monotone exhaustively. Returns
     ``None`` when no school has at least two groups of slots.
     """
+    draw = _flexibility_draw(instance, seed)
+    if draw is None:
+        return None
+    rigid_cfg, flex_cfg, _, _ = draw
+    return instance.with_school(rigid_cfg), instance.with_school(flex_cfg)
+
+
+def _flexibility_draw(
+    instance: ProblemInstance, seed: int
+) -> Optional[tuple[SchoolConfig, SchoolConfig, dict, dict]]:
+    """The draw of :func:`unit_flexibility_pair`: the school's rigid and
+    flexible configurations, then the :func:`capacity_table` of each, which
+    its pinned scheme grants exactly; ``None`` when no school qualifies."""
     rng = random.Random(seed)
     schools = [cfg for cfg in instance.schools if cfg.group_count >= 2 and cfg.capacity >= 1]
     rng.shuffle(schools)
@@ -242,5 +255,5 @@ def unit_flexibility_pair(
                 if _table_report(flexible, bound).ok:
                     rigid_cfg = replace(cfg, scheme=TableScheme.pinned(rigid, cfg.targets))
                     flex_cfg = replace(cfg, scheme=TableScheme.pinned(flexible, cfg.targets))
-                    return instance.with_school(rigid_cfg), instance.with_school(flex_cfg)
+                    return rigid_cfg, flex_cfg, rigid, flexible
     return None

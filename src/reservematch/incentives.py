@@ -333,15 +333,37 @@ def check_respects_improvements(
         raise InvalidInputError(
             f"priorities are not an unambiguous improvement for {student}"
         )
-    compiled = lifted = _validated(instance)
-    for cfg in instance.schools:
-        if improved[cfg.school] != cfg.priority:
-            lifted = lifted.with_school(replace(cfg, priority=improved[cfg.school]))
+    compiled = _validated(instance)
+    rank = compiled.default_order_rank()
+    lifted = _lifted(compiled, instance.schools, improved)
+    return _respects_improvement(
+        compiled, compiled.cop(rank)[0], lifted, rank, instance.preferences[student]
+    )
 
-    rank, si = compiled.default_order_rank(), compiled.student_index[student]
-    before = _held_contract(compiled, compiled.cop(rank)[0], si)
+
+def _lifted(
+    compiled: Compiled, schools: Iterable[SchoolConfig], improved: Mapping[str, PriorityOrder]
+) -> Compiled:
+    """The clone of ``compiled`` whose schools rank by ``improved``: every
+    school of ``schools`` whose priority changes is rebuilt with
+    ``Compiled.with_school``."""
+    for cfg in schools:
+        if improved[cfg.school] != cfg.priority:
+            compiled = compiled.with_school(replace(cfg, priority=improved[cfg.school]))
+    return compiled
+
+
+def _respects_improvement(
+    compiled: Compiled, held: int, lifted: Compiled, rank: Sequence[int], pref: PreferenceOrder
+) -> ImprovementCheck:
+    """The check of :func:`check_respects_improvements` on compiled markets:
+    ``held`` is the outcome of ``compiled`` under ``rank``, ``lifted`` is its
+    clone under the improved priorities, and ``pref`` is the beneficiary's
+    true preference. Only ``lifted`` runs; the clone shares every
+    preference, so ``rank`` is its canonical order too."""
+    si = compiled.student_index[pref.student]
+    before = _held_contract(compiled, held, si)
     after = _held_contract(lifted, lifted.cop(rank)[0], si)
-    pref = instance.preferences[student]
     return ImprovementCheck(pref.rank(after) <= pref.rank(before), before, after)
 
 
@@ -370,11 +392,12 @@ def _compiled_pair(
     violations are exactly those of ``validate_instance(flexible)``. Returns
     the compiled rigid market, the flexible one as its ``Compiled.with_school``
     clone, and the changed schools in school order, each mapped to its rigid
-    and its flexible :func:`capacity_table`. A school changes when its
-    scheme grants a different capacity somewhere in the residual domain, not
-    merely when it is written otherwise. Refuses, as :func:`check_monotonic`
-    does, when one monotonicity check of a school whose scheme differs would
-    take more than 2 000 000 steps, before it builds any table.
+    and flexible configurations, then its rigid and flexible
+    :func:`capacity_table`. A school changes when its scheme grants a
+    different capacity somewhere in the residual domain, not merely when it
+    is written otherwise. Refuses, as :func:`check_monotonic` does, when one
+    monotonicity check of a school whose scheme differs would take more than
+    2 000 000 steps, before it builds any table.
     """
     if rigid.contracts != flexible.contracts or rigid.students != flexible.students:
         raise InvalidInputError("instances describe different markets")
@@ -400,8 +423,30 @@ def _compiled_pair(
         switched = switched.with_school(b)
         before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
         if before != after:
-            changed[a.school] = before, after
+            changed[a.school] = a, b, before, after
     return compiled, switched, changed
+
+
+def _unit_pair(
+    compiled: Compiled, rigid: SchoolConfig, flexible: SchoolConfig, before: dict, after: dict
+) -> tuple[Compiled, Compiled, dict]:
+    """What :func:`_compiled_pair` returns for the two markets that replace
+    one school of the validated, compiled market ``compiled`` with
+    ``rigid`` and with ``flexible``: a draw of
+    ``generator._flexibility_draw``, whose table schemes grant the capacity
+    tables ``before`` and ``after``, which differ at one vector. Both
+    markets equal the validated one outside that school's scheme, so only
+    the two schemes are checked, the rigid one first: the violations raised
+    are those that validating the rigid market, then the flexible one,
+    would find. A table scheme is never certified, so that check runs
+    :func:`check_monotonic`, which applies the comparisons' step cap. Both
+    sides are clones of ``compiled``, and the tables are not built again."""
+    for cfg in (rigid, flexible):
+        if violations := _scheme_violations(cfg):
+            raise ValidationError(violations)
+    working = compiled.with_school(rigid)
+    changed = {rigid.school: (rigid, flexible, before, after)}
+    return working, working.with_school(flexible), changed
 
 
 def improvement_chains(
@@ -433,7 +478,7 @@ def improvement_chains(
     _, compiled, changed = _compiled_pair(rigid, flexible)
     if len(changed) != 1:
         raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
-    ((a, b),) = changed.values()
+    ((_, _, a, b),) = changed.values()
     diffs = [(len(vec), vec, b[vec] - a[vec]) for vec in a if b[vec] != a[vec]]
     if len(diffs) != 1 or diffs[0][2] != 1:
         raise InvalidInputError(
@@ -503,37 +548,51 @@ def check_flexibility_pareto(
     grant the same capacities.
     """
     working, flexible_compiled, changed = _compiled_pair(rigid, flexible)
-    for sid, (table, goal) in changed.items():
+    return _flexibility_pareto(working, flexible_compiled, changed, rigid.preferences)
+
+
+def _flexibility_pareto(
+    working: Compiled,
+    flexible: Compiled,
+    changed: dict,
+    preferences: Mapping[str, PreferenceOrder],
+) -> FlexibilityComparison:
+    """The comparison of :func:`check_flexibility_pareto` on compiled
+    markets: ``working`` is the rigid market, ``flexible`` its clone with
+    every changed school switched, ``changed`` maps each changed school as
+    :func:`_compiled_pair` does, and ``preferences`` are the true
+    preferences both sides share."""
+    for sid, (_, _, table, goal) in changed.items():
         if any(goal[vec] < cap for vec, cap in table.items()):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
 
     rank = working.default_order_rank()  # the sides share every preference
     outcome = working.cop(rank)[0]
-    flexible_mask = flexible_compiled.cop(rank)[0]
+    flexible_mask = flexible.cop(rank)[0]
     rigid_outcome = working.to_set(outcome)
     flexible_outcome = working.to_set(flexible_mask)
 
     chains = []
-    for sid, (table, goal) in changed.items():
-        if (steps := _unit_instances(rigid.school(sid), table, goal)) is None:
+    for a, b, table, goal in changed.values():
+        if (steps := _unit_instances(a, table, goal)) is None:
             chain_agrees = None
             break
-        chains.append((sid, steps))
+        chains.append((steps, b))
     else:
         chain_agrees = True
-        for sid, steps in chains:
+        for n, (steps, b) in enumerate(chains, 1):
             replay = outcome
             for cfg in steps:
                 replay = _reseat(working.with_school(cfg), replay)
-            working = working.with_school(flexible.school(sid))
-            outcome = flexible_mask if sid == chains[-1][0] else working.cop(rank)[0]
+            working = working.with_school(b)
+            outcome = flexible_mask if n == len(chains) else working.cop(rank)[0]
             chain_agrees = chain_agrees and replay == outcome
 
     deltas = []
     rigid_seats = assignments(rigid_outcome)
     flexible_seats = assignments(flexible_outcome)
-    for student in rigid.students:
-        pref = rigid.preferences[student]
+    for student in working.students:
+        pref = preferences[student]
         before = rigid_seats.get(student)
         after = flexible_seats.get(student)
         rb, ra = pref.rank(before), pref.rank(after)

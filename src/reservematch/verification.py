@@ -326,23 +326,42 @@ def check_irc(table: ChoiceTable) -> PropertyCheck:
     z rejected from Y + z yet C(Y) != C(Y + z)."""
     chosen = table.chosen
     for mask, picked in enumerate(chosen):
-        for z in bits(mask & ~picked):
-            without = mask & ~(1 << z)
-            if chosen[without] != picked:
-                return PropertyCheck(False, (table.subset(without), table.pool[z]))
+        rejected = mask & ~picked
+        while rejected:
+            low = rejected & -rejected
+            if chosen[mask ^ low] != picked:
+                z = low.bit_length() - 1
+                return PropertyCheck(False, (table.subset(mask ^ low), table.pool[z]))
+            rejected ^= low
     return PropertyCheck(True)
 
 
 def check_substitutability(table: ChoiceTable) -> PropertyCheck:
     """A contract rejected from an offer set stays rejected when the set
     grows. Counterexample: (Y, z, z2) with z rejected from Y + z but chosen
-    from Y + z + z2."""
+    from Y + z + z2; the first such triple by offer set, then z, then z2.
+
+    A set fails exactly when one of its one-contract extensions chooses some
+    contract the set rejects, so each extension is tested against all the
+    rejected contracts at once; the first set that fails is scanned again a
+    rejected contract at a time for the counterexample."""
     chosen, pool = table.chosen, table.pool
     full = len(chosen) - 1
     for mask, picked in enumerate(chosen):
-        for z in bits(mask & ~picked):
-            for extra in bits(full & ~mask):
-                if (chosen[mask | (1 << extra)] >> z) & 1:
+        rejected = mask & ~picked
+        if not rejected:
+            continue
+        free = full ^ mask
+        while free:
+            low = free & -free
+            if chosen[mask | low] & rejected:
+                break
+            free ^= low
+        else:
+            continue
+        for z in bits(rejected):
+            for extra in bits(full ^ mask):
+                if chosen[mask | 1 << extra] >> z & 1:
                     y = table.subset(mask & ~(1 << z))
                     return PropertyCheck(False, (y, pool[z], pool[extra]))
     return PropertyCheck(True)
@@ -352,14 +371,16 @@ def check_lad(table: ChoiceTable) -> PropertyCheck:
     """Law of aggregate demand: larger offer sets never yield fewer chosen
     contracts. Single-element extensions are checked, which covers every
     nested pair by chaining. Counterexample: (Y, Y + z)."""
-    chosen = table.chosen
-    full = len(chosen) - 1
-    for mask, picked in enumerate(chosen):
-        size = picked.bit_count()
-        for z in bits(full & ~mask):
-            if chosen[mask | (1 << z)].bit_count() < size:
+    sizes = [picked.bit_count() for picked in table.chosen]
+    full = len(sizes) - 1
+    for mask, size in enumerate(sizes):
+        free = full ^ mask
+        while free:
+            low = free & -free
+            if sizes[mask | low] < size:
                 y = table.subset(mask)
-                return PropertyCheck(False, (y, y | {table.pool[z]}))
+                return PropertyCheck(False, (y, y | {table.pool[low.bit_length() - 1]}))
+            free ^= low
     return PropertyCheck(True)
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 
 import reservematch as rm
-from reservematch._engine import Compiled
+from reservematch._engine import Compiled, bits
 from reservematch.instance import FlatMarket
+from reservematch.verification import PropertyCheck
 
 
 def enumerate_allocations(instance: rm.ProblemInstance):
@@ -269,3 +270,42 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
         if all(p.rank(h) < r for p, h, r in zip(truths, deviant, truth_ranks)):
             return rm.Misreport(members, joint, tuple(truth_held), tuple(deviant))
     return None
+
+
+# The axiom checks a contract pair at a time, as the library first wrote
+# them; the library's word-level scans must return the same verdict and
+# the same counterexample.
+
+
+def reference_irc(table: rm.ChoiceTable) -> PropertyCheck:
+    chosen = table.chosen
+    for mask, picked in enumerate(chosen):
+        for z in bits(mask & ~picked):
+            without = mask & ~(1 << z)
+            if chosen[without] != picked:
+                return PropertyCheck(False, (table.subset(without), table.pool[z]))
+    return PropertyCheck(True)
+
+
+def reference_substitutability(table: rm.ChoiceTable) -> PropertyCheck:
+    chosen, pool = table.chosen, table.pool
+    full = len(chosen) - 1
+    for mask, picked in enumerate(chosen):
+        for z in bits(mask & ~picked):
+            for extra in bits(full & ~mask):
+                if (chosen[mask | (1 << extra)] >> z) & 1:
+                    y = table.subset(mask & ~(1 << z))
+                    return PropertyCheck(False, (y, pool[z], pool[extra]))
+    return PropertyCheck(True)
+
+
+def reference_lad(table: rm.ChoiceTable) -> PropertyCheck:
+    chosen = table.chosen
+    full = len(chosen) - 1
+    for mask, picked in enumerate(chosen):
+        size = picked.bit_count()
+        for z in bits(full & ~mask):
+            if chosen[mask | (1 << z)].bit_count() < size:
+                y = table.subset(mask)
+                return PropertyCheck(False, (y, y | {table.pool[z]}))
+    return PropertyCheck(True)

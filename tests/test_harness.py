@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import reservematch as rm
+from reservematch import cli
 from reservematch.cli import main
 from reservematch._engine import Compiled
 from reservematch.fileio import _market_from_document, instance_from_document, instance_to_document
@@ -465,11 +468,12 @@ def test_cli_match_validates_and_compiles_once(capsys, monkeypatch, extra):
 
 
 def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeypatch):
-    # Per instance: 1 generator validation and 2 more (the improvement check
-    # and the rigid side of the flexibility check); 3 compiles (the
-    # instance's own serves stability and both tables of every school, and
-    # each of the two checks compiles once and runs the rest as clones); one
-    # truthful run shared by order independence and every misreport search.
+    # Per instance: the generator's validation and one compile. The compile
+    # serves stability and both tables of every school; the improvement and
+    # flexibility checks run their changed markets as clones of it, and the
+    # flexibility check validates only its two drawn schemes. One truthful
+    # run serves order independence, every misreport search and the
+    # improvement check, which runs only the lifted market.
     calls = count_builds(monkeypatch)
     calls["cop"] = 0
     cop = rm._engine.Compiled.cop
@@ -481,9 +485,95 @@ def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeyp
     monkeypatch.setattr(rm._engine.Compiled, "cop", counting_cop)
     code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "12")
     assert code == 0 and "all checks passed: True" in out
-    assert calls["validate"] <= 36
-    assert calls["compile"] <= 36
-    assert calls["cop"] <= 623
+    assert calls["validate"] == 12
+    assert calls["compile"] == 12
+    assert calls["cop"] <= 611
+
+
+def _audit_params(seed: int) -> rm.GeneratorParams:
+    """Audit-sized markets of every scheme family."""
+    rng = random.Random(seed)
+    return rm.GeneratorParams(
+        students=rng.randint(2, 5),
+        schools=rng.randint(1, 3),
+        types=rng.randint(1, 3),
+        seed=seed,
+        capacity_range=(1, 3),
+        scheme_family=rng.choice(("forward_sum", "table", "constant", "mixed")),
+    )
+
+
+def test_audit_rows_agree_with_the_public_checks_on_the_same_draws(monkeypatch):
+    # the audit runs the improvement and flexibility cores on clones of its
+    # own compile; the public checks validate and compile on their own, and
+    # must give the same row and the same whole result on every draw
+    results = {}
+    for name in ("_respects_improvement", "_flexibility_pareto"):
+        def recording(*args, _core=getattr(cli, name), _name=name):
+            results[_name] = _core(*args)
+            return results[_name]
+
+        monkeypatch.setattr(cli, name, recording)
+    drawn = 0
+    for k in range(200):
+        seed = 7100 + k
+        instance = rm.generate_random_instance(_audit_params(seed))
+        results.clear()
+        row = cli._audit_one(instance, seed, 0)
+
+        swap = rm.single_swap_improvement(instance, seed)
+        if swap is None:
+            assert row["respects_improvements"] is True
+            assert "_respects_improvement" not in results
+        else:
+            student, improved = swap
+            check = rm.check_respects_improvements(instance, improved, student)
+            assert results.pop("_respects_improvement") == check, seed
+            assert row["respects_improvements"] == check.ok, seed
+
+        pair = rm.unit_flexibility_pair(instance, seed)
+        if pair is None:
+            assert row["flexibility_pareto"] is True and not results
+        else:
+            drawn += 1
+            comparison = rm.check_flexibility_pareto(*pair)
+            assert results.pop("_flexibility_pareto") == comparison, seed
+            want = comparison.dominates and comparison.chain_agrees is not False
+            assert row["flexibility_pareto"] == want, seed
+    assert drawn >= 100
+
+
+def test_audit_refuses_a_non_monotone_drawn_scheme_as_the_public_check_does(
+    capsys, monkeypatch
+):
+    # the audit validates only the two drawn schemes; with one of them not
+    # monotone it must stop with the public check's error and exit code
+    drawn = []
+
+    def non_monotone_draw(instance, seed):
+        draw = rm.generator._flexibility_draw(instance, seed)
+        if draw is None:
+            return None
+        rigid_cfg, flexible_cfg, rigid, flexible = draw
+        # the bump grants one more seat at one residual vector; a second seat
+        # there gains 2 over the zero vector, one vacancy away
+        (bump,) = [vec for vec in rigid if flexible[vec] != rigid[vec]]
+        broken = {**flexible, bump: flexible[bump] + 1}
+        scheme = rm.TableScheme.pinned(broken, rigid_cfg.targets)
+        broken_cfg = replace(flexible_cfg, scheme=scheme)
+        drawn.append((instance, rigid_cfg, broken_cfg))
+        return rigid_cfg, broken_cfg, rigid, broken
+
+    monkeypatch.setattr(cli, "_flexibility_draw", non_monotone_draw)
+    code, out, err = run_cli(capsys, "audit", "--seed", "120", "--count", "3")
+    instance, rigid_cfg, broken_cfg = drawn[0]
+    with pytest.raises(rm.ValidationError) as public:
+        rm.check_flexibility_pareto(
+            instance.with_school(rigid_cfg), instance.with_school(broken_cfg)
+        )
+    assert "scheme not monotone (condition 2" in str(public.value)
+    # main exits 2 on a ValidationError, with its text as the error line
+    assert (code, out, err) == (2, "", f"error: {public.value}\n")
 
 
 def test_cli_compare_validates_and_compiles_the_rigid_side_only(capsys, monkeypatch):

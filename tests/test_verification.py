@@ -13,6 +13,9 @@ from helpers import (
     brute_is_stable,
     brute_stable_set,
     enumerate_allocations,
+    reference_irc,
+    reference_lad,
+    reference_substitutability,
     take_back_market,
 )
 from reservematch._engine import Compiled
@@ -299,6 +302,56 @@ def test_shrinking_choice_fails_lad_with_the_pair(ex1):
     smaller, bigger = check.counterexample
     assert smaller < bigger
     assert len(_drop_on_growth(bigger)) < len(_drop_on_growth(smaller))
+
+
+AXIOMS = (
+    (rm.check_irc, reference_irc),
+    (rm.check_substitutability, reference_substitutability),
+    (rm.check_lad, reference_lad),
+)
+
+
+def _random_table(rng: random.Random) -> rm.ChoiceTable:
+    """The responsive choice of up to ``cap`` contracts under one ranking,
+    which passes every axiom, with a few entries redrawn as random subsets
+    of their offer sets, which mostly breaks some."""
+    n = rng.randint(0, 6)
+    ranking = rng.sample(range(n), n)
+    cap = rng.randint(0, n)
+    chosen = []
+    for mask in range(1 << n):
+        best = [k for k in ranking if mask >> k & 1][:cap]
+        chosen.append(sum(1 << k for k in best))
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        mask = rng.randrange(1 << n)
+        chosen[mask] = mask & rng.getrandbits(max(n, 1))
+    pool = tuple(rm.Contract(f"i{k}", "s", "t1") for k in range(n))
+    return rm.ChoiceTable(pool, tuple(chosen))
+
+
+def test_word_level_axiom_checks_match_the_pairwise_scans(small_instances, ex1):
+    # same verdict and same counterexample as the scans a contract pair at a
+    # time, on market schools (both tables), non-monotone markets, broken
+    # choice functions and seeded random tables
+    markets = list(small_instances) + [take_back_market()]
+    markets += [entry[0] for entry in MANIPULABLE.values()]
+    tables = [
+        _tabulate(compiled, s, completion)
+        for compiled in map(Compiled.from_instance, markets)
+        for s in range(len(compiled.schools))
+        for completion in (False, True)
+    ]
+    pool = sorted(ex1.contracts)
+    for choice in (_parity_choice, _drop_on_growth):
+        tables += [rm.tabulate(choice, pool), rm.tabulate(choice, pool[:4])]
+    rng = random.Random(4200)
+    randoms = [_random_table(rng) for _ in range(600)]
+    for table in tables + randoms:
+        for check, reference in AXIOMS:
+            assert check(table) == reference(table), (check.__name__, table)
+    for check, _ in AXIOMS:
+        failing = sum(not check(table).holds for table in randoms)
+        assert 100 <= failing <= 500, (check.__name__, failing)
 
 
 def test_empty_pool_is_vacuously_clean():
