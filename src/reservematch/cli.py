@@ -27,7 +27,6 @@ from .cop import _order_independence
 from .errors import ReserveMatchError, SearchCapExceededError
 from .fileio import (
     _canonical_json,
-    _contract_ids,
     _load_market,
     _read_allocation,
     contract_id,
@@ -148,7 +147,7 @@ def _cmd_verify(args) -> int:
     # allocation file resolves; the instance is built from the same form
     market = _load_market(args.instance)
     compiled = Compiled(market)
-    allocation = frozenset(_read_allocation(args.allocation, _contract_ids(compiled)))
+    allocation = frozenset(_read_allocation(args.allocation, compiled.index, market))
     report = is_stable(allocation, market.instance(), compiled=compiled)
     doc = {
         "command": "verify",
@@ -214,10 +213,12 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
             compiled, truth[0], lifted, rank, pref
         ).ok
 
-    draw = _flexibility_draw(instance, seed)
-    if draw is None:
-        row["flexibility_pareto"] = True
-    else:
+    row["flexibility_pareto"] = True
+    try:
+        draw = _flexibility_draw(instance, seed)
+    except SearchCapExceededError:
+        draw = row["flexibility_pareto"] = None
+    if draw is not None:
         pair = _unit_pair(compiled, *draw)
         comparison = _flexibility_pareto(*pair, instance.preferences)
         row["flexibility_pareto"] = comparison.dominates and comparison.chain_agrees is not False
@@ -429,6 +430,18 @@ def _cmd_gen(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: a non-negative integer, with the message of
+    ``type=int`` for anything that is not an integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "machine"), default="table")
     p.add_argument("--out", help="write the machine-readable report to this path")
@@ -460,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--students", type=int, default=4)
     p.add_argument("--schools", type=int, default=2)
     p.add_argument("--types", type=int, default=3)
-    p.add_argument("--max-contracts", type=int, default=8,
+    p.add_argument("--max-contracts", type=_non_negative, default=8,
                    help="cap for the exhaustive per-school axiom checks")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
@@ -477,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", required=True, help="where to write the converted instance")
     p.add_argument("--check", action="store_true",
                    help="exhaustively verify choice equivalence after converting")
-    p.add_argument("--max-contracts", type=int, default=12)
+    p.add_argument("--max-contracts", type=_non_negative, default=12)
     _add_common(p)
     p.set_defaults(func=_cmd_convert)
 

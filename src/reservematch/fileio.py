@@ -7,12 +7,13 @@ has one build path to the engine: it is parsed straight into the flat index
 form (``instance.FlatMarket``), the document is released, and the form is
 validated once and compiled; :func:`load_instance` builds a
 ``ProblemInstance`` from the same form. An allocation file resolves on the
-same path, to global contract indices of the compiled market: each id is
-split back into its contract where every id of the market splits at its
-first "@" and the first ":" after it, else looked up in one map built in
-contract order. Serialization is canonical, so `parse -> serialize` is a
-fixed point and byte-identical reports are reproducible: one writer,
-`_canonical_json`, gives every file and CLI report the bytes of
+same path, each id cut back into the one contract of the market that it
+names (:func:`_contract_of`), with no map of the market's ids built. A file
+that cannot be read as UTF-8 JSON is an ``InstanceFormatError``, like every
+other fault of its format. Serialization is canonical, so
+`parse -> serialize` is a fixed point and byte-identical reports are
+reproducible: one writer, `_canonical_json`, gives every file and CLI
+report the bytes of
 `json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)`, most of
 them from CPython's C encoder.
 """
@@ -24,11 +25,11 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Container, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .choice import ForwardSumScheme, SchoolConfig, SlotSpecificSchool, TableScheme
 from .errors import InstanceFormatError, ValidationError
-from .instance import FlatMarket, ProblemInstance, _ids_split
+from .instance import FlatMarket, ProblemInstance
 from .model import Contract, PreferenceOrder, PriorityOrder, TypeProfile
 
 __all__ = [
@@ -60,12 +61,16 @@ def ex1_path() -> Path:
 def _read_json(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(str(exc)) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from exc
+    # nesting deeper than the recursion limit, or an integer literal longer
+    # than the interpreter converts
+    except (RecursionError, ValueError) as exc:
+        raise InstanceFormatError(str(exc)) from exc
 
 
 # Value types the C encoder writes exactly as the pure-Python one does. With
@@ -281,25 +286,28 @@ def _contract_rows(doc: object) -> tuple[tuple[Contract, ...], dict[str, int]]:
     raise AssertionError("no faulty contract row found")
 
 
-def _ranked_contracts(ids: object, by_id: Mapping[str, object], where: str) -> tuple:
-    """A list of contract ids resolved against ``by_id``."""
+def _ranked_contracts(ids: object, resolve: Callable[[str], object], where: str) -> tuple:
+    """A list of contract ids, each resolved by ``resolve``, which raises
+    ``KeyError`` or ``TypeError`` for an id it does not know."""
     if not isinstance(ids, list):
         raise InstanceFormatError("expected a list of contract ids", where)
     try:
         # through a list: ``tuple(map(...))`` sizes a short tuple by guess
         # and shrinks it, and that churn leaves the heap fragmented
-        return tuple([by_id[c] for c in ids])
+        return tuple([resolve(c) for c in ids])
     except (KeyError, TypeError):
-        n, cid = next(
-            (n, cid) for n, cid in enumerate(ids) if not isinstance(cid, str) or cid not in by_id
-        )
-        raise InstanceFormatError(f"unknown contract id {cid!r}", f"{where}[{n}]") from None
+        for n, cid in enumerate(ids):
+            try:
+                resolve(cid)
+            except (KeyError, TypeError):
+                raise InstanceFormatError(f"unknown contract id {cid!r}", f"{where}[{n}]") from None
+        raise
 
 
 def _preferences_from_doc(doc: object, by_id: Mapping[str, object]) -> dict:
     """Each preference listing's contracts, resolved against ``by_id``."""
     return {
-        sid: _ranked_contracts(ids, by_id, f"preferences.{sid}")
+        sid: _ranked_contracts(ids, by_id.__getitem__, f"preferences.{sid}")
         for sid, ids in _expect(doc, "preferences", dict, "$").items()
     }
 
@@ -460,17 +468,24 @@ def save_allocation(allocation: Iterable[Contract], path) -> None:
 
 
 def load_allocation(path, instance: ProblemInstance) -> frozenset:
-    contracts = sorted(instance.contracts)
-    return frozenset(_read_allocation(path, dict(zip(map(contract_id, contracts), contracts))))
+    """An allocation file's contracts, each id resolved by
+    :func:`_contract_of` among the instance's contracts."""
+    return frozenset(_read_allocation(path, instance.contracts, instance))
 
 
-def _read_allocation(path, by_id: Mapping[str, object]) -> tuple:
-    """An allocation file's contracts, each id resolved through ``by_id``,
-    in file order."""
+def _read_allocation(
+    path, contracts: Container[Contract], market: FlatMarket | ProblemInstance
+) -> tuple:
+    """An allocation file's contracts in file order, each id resolved by
+    :func:`_contract_of` among ``contracts``, the contracts of ``market``."""
     doc = _read_json(path)
     _check_schema(doc, ALLOCATION_SCHEMA)
     ids = _expect(doc, "contracts", list, "$")
-    resolved = _ranked_contracts(ids, by_id, "contracts")
+    ats = 1 + max((s.count("@") for s in market.students), default=0)
+    colons = 1 + max((cfg.school.count(":") for cfg in market.schools), default=0)
+    resolved = _ranked_contracts(
+        ids, lambda cid: _contract_of(cid, contracts, ats, colons), "contracts"
+    )
     if len(set(resolved)) != len(resolved):
         seen = set()
         for n, c in enumerate(resolved):
@@ -480,42 +495,34 @@ def _read_allocation(path, by_id: Mapping[str, object]) -> tuple:
     return resolved
 
 
-def _contract_ids(compiled) -> Mapping[str, Contract]:
-    """Canonical id -> contract of a compiled market (``_engine.Compiled``).
-    Where every id splits back into its contract, each id is split and
-    looked up in ``compiled.index``; otherwise one map is built, in contract
-    order."""
-    if _ids_split(compiled.students, compiled.school_index):
-        return _SplitIds(compiled.index)
-    return {contract_id(c): c for c in compiled.contracts}
+def _contract_of(cid: str, contracts: Container[Contract], ats: int, colons: int) -> Contract:
+    """The contract in ``contracts`` whose canonical id ``student@school:type``
+    is ``cid``; ``KeyError`` when there is none, ``TypeError`` when ``cid``
+    is not a string.
 
-
-class _SplitIds:
-    """Canonical ids resolved by splitting ``student@school:type`` at its
-    first "@" and the first ":" after it, exact for a market whose ids all
-    split back (``instance._ids_split``)."""
-
-    __slots__ = ("contracts",)
-
-    def __init__(self, contracts: Container[Contract]):
-        self.contracts = contracts
-
-    def __getitem__(self, cid: str) -> Contract:
-        if not isinstance(cid, str):
-            raise TypeError(f"contract id {cid!r} is not a string")
-        student, at, rest = cid.partition("@")
-        school, colon, privilege = rest.partition(":")
-        c = Contract(student, school, privilege)
-        if not (at and colon) or c not in self.contracts:
-            raise KeyError(cid)
-        return c
-
-    def __contains__(self, cid: str) -> bool:
-        try:
-            self[cid]
-        except KeyError:
-            return False
-        return True
+    ``cid`` is cut at each of its first ``ats`` "@" and, after each, at each
+    of the first ``colons`` ":" that follow it, in that order, and the first
+    cut that is a contract in ``contracts`` is returned. A contract's id is
+    cut back into it at the "@" after its student and the ":" after its
+    school, so every contract is reached when no student id holds ``ats``
+    "@" and no school id ``colons`` ":". The cut is exact on every validated
+    market, because ``FlatMarket.violations`` refuses two contracts that
+    share one id: any cut that is a contract has ``cid`` as that contract's
+    id. The bounds come from the market, so an id with many separators costs
+    no more cuts than the market's own ids can need."""
+    at = str.find(cid, "@")  # a TypeError when ``cid`` is not a string
+    while at >= 0 and ats:
+        ats -= 1
+        colon = cid.find(":", at + 1)
+        cuts = colons
+        while colon >= 0 and cuts:
+            cuts -= 1
+            c = tuple.__new__(Contract, (cid[:at], cid[at + 1 : colon], cid[colon + 1 :]))
+            if c in contracts:
+                return c
+            colon = cid.find(":", colon + 1)
+        at = cid.find("@", at + 1)
+    raise KeyError(cid)
 
 
 def save_slot_market(
@@ -548,7 +555,7 @@ def load_slot_market(path) -> tuple[SlotSpecificSchool, dict[str, PreferenceOrde
     contracts, index = _contract_rows(doc)
     by_id = {cid: contracts[ci] for cid, ci in index.items()}
     slots = tuple(
-        _ranked_contracts(slot, by_id, f"slots[{n}]")
+        _ranked_contracts(slot, by_id.__getitem__, f"slots[{n}]")
         for n, slot in enumerate(_expect(doc, "slots", list, "$"))
     )
     school = SlotSpecificSchool(school_id, contracts, slots)

@@ -2,7 +2,9 @@
 
 Everything here is deterministic in its seed. Generated instances always
 pass validation: transfer schemes are built monotone by construction (each
-donor group feeds at most one recipient) and re-verified anyway.
+donor group feeds at most one recipient) and re-verified anyway. The unit
+flexibility pair is monotone by construction too, proved in
+:func:`_unit_tables`, and is not checked again where it is drawn.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .choice import (
     SchoolConfig,
     SlotSpecificSchool,
     TableScheme,
-    _table_report,
+    _require_steps,
     capacity_table,
 )
 from .errors import InvalidInputError
@@ -216,8 +218,11 @@ def unit_flexibility_pair(
     The rigid side forwards upstream vacancies to one receiving group but
     loses the first vacancy; the flexible side forgives that loss at exactly
     one residual vector, so the two schemes differ by a unit increment at a
-    single point. Both sides are re-verified monotone exhaustively. Returns
-    ``None`` when no school has at least two groups of slots.
+    single point. Both sides are monotone by construction (see
+    :func:`_unit_tables`). Returns ``None`` when no school has at least two
+    groups of slots, and raises :class:`SearchCapExceededError`, as a
+    comparison of the pair would, when one monotonicity check of the drawn
+    school would take more than 2 000 000 steps.
     """
     draw = _flexibility_draw(instance, seed)
     if draw is None:
@@ -231,29 +236,57 @@ def _flexibility_draw(
 ) -> Optional[tuple[SchoolConfig, SchoolConfig, dict, dict]]:
     """The draw of :func:`unit_flexibility_pair`: the school's rigid and
     flexible configurations, then the :func:`capacity_table` of each, which
-    its pinned scheme grants exactly; ``None`` when no school qualifies."""
+    its pinned scheme grants exactly; ``None`` when no school qualifies.
+
+    Three shuffles pick the school, its receiving group and the donor
+    coordinate of the bump; every pick yields a monotone pair
+    (:func:`_unit_tables`), so the first of each is taken. The comparisons'
+    step cap is applied to the drawn school before any table is built.
+    """
     rng = random.Random(seed)
     schools = [cfg for cfg in instance.schools if cfg.group_count >= 2 and cfg.capacity >= 1]
+    if not schools:
+        return None
     rng.shuffle(schools)
-    for cfg in schools:
-        bound = cfg.capacity
-        receivers = list(range(1, cfg.group_count))
-        rng.shuffle(receivers)
-        constant = capacity_table(TableScheme({}), cfg.targets, bound)
-        for receiver in receivers:
-            rigid = {
-                vec: (cap + max(0, sum(vec) - 1)) if len(vec) == receiver else cap
-                for vec, cap in constant.items()
-            }
-            if not _table_report(rigid, bound).ok:
-                continue
-            donor_coords = list(range(receiver))
-            rng.shuffle(donor_coords)
-            for j in donor_coords:
-                bump = tuple(1 if i == j else 0 for i in range(receiver))
-                flexible = {**rigid, bump: rigid[bump] + 1}
-                if _table_report(flexible, bound).ok:
-                    rigid_cfg = replace(cfg, scheme=TableScheme.pinned(rigid, cfg.targets))
-                    flex_cfg = replace(cfg, scheme=TableScheme.pinned(flexible, cfg.targets))
-                    return rigid_cfg, flex_cfg, rigid, flexible
-    return None
+    cfg = schools[0]
+    receivers = list(range(1, cfg.group_count))
+    rng.shuffle(receivers)
+    donors = list(range(receivers[0]))
+    rng.shuffle(donors)
+    _require_steps(cfg.group_count, cfg.capacity)
+    rigid, flexible = _unit_tables(cfg.targets, cfg.capacity, receivers[0], donors[0])
+    rigid_cfg = replace(cfg, scheme=TableScheme.pinned(rigid, cfg.targets))
+    flex_cfg = replace(cfg, scheme=TableScheme.pinned(flexible, cfg.targets))
+    return rigid_cfg, flex_cfg, rigid, flexible
+
+
+def _unit_tables(
+    targets: tuple[int, ...], bound: int, receiver: int, donor: int
+) -> tuple[dict, dict]:
+    """The rigid and flexible capacity tables over ``[0, bound]``, for
+    ``bound >= 1``, of one school with these group ``targets``.
+
+    The rigid table grants every group its target, except the ``receiver``,
+    which gets ``t + max(0, sum(v) - 1)`` at residuals ``v``: every upstream
+    vacancy but the first. The flexible table adds one seat at the unit
+    vector ``e_donor``, where the rigid one grants ``t``.
+
+    Both are monotone for every choice of targets, bound, receiver and
+    donor (:func:`choice.check_monotonic` names the unit steps that decide
+    it). Rigid: a unit step raises ``max(0, sum(v) - 1)`` by 0 or 1 and
+    leaves every other group at its target, so no capacity shrinks and the
+    capacity gained over the groups past the raised coordinate is at most 1.
+    Flexible: the bump changes the receiver's capacity only where the
+    residuals before it are ``e_donor``. A step that raises them from the
+    zero vector to ``e_donor`` gains exactly that seat (1); a step that
+    raises them from ``e_donor`` reaches a sum of 2, where the rigid table
+    already grants ``t + 1`` (gain 0, no shrink); every other step gains
+    what it gains in the rigid table.
+    """
+    constant = capacity_table(TableScheme({}), targets, bound)
+    rigid = {
+        vec: (cap + max(0, sum(vec) - 1)) if len(vec) == receiver else cap
+        for vec, cap in constant.items()
+    }
+    bump = tuple(1 if i == donor else 0 for i in range(receiver))
+    return rigid, {**rigid, bump: rigid[bump] + 1}

@@ -436,7 +436,8 @@ def _unit_pair(
     ``generator._flexibility_draw``, whose table schemes grant the capacity
     tables ``before`` and ``after``, which differ at one vector. Both
     markets equal the validated one outside that school's scheme, so only
-    the two schemes are checked, the rigid one first: the violations raised
+    the two schemes are checked, here alone (the draw builds them monotone
+    and checks neither), the rigid one first: the violations raised
     are those that validating the rigid market, then the flexible one,
     would find. A table scheme is never certified, so that check runs
     :func:`check_monotonic`, which applies the comparisons' step cap. Both

@@ -8,10 +8,14 @@ blocking-set code cannot hide behind itself.
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 
 import reservematch as rm
 from reservematch._engine import Compiled, bits
-from reservematch.instance import FlatMarket
+from reservematch.choice import _table_report, capacity_table
+from reservematch.fileio import contract_id
+from reservematch.instance import FlatMarket, _ids_split
 from reservematch.verification import PropertyCheck
 
 
@@ -309,3 +313,47 @@ def reference_lad(table: rm.ChoiceTable) -> PropertyCheck:
                 y = table.subset(mask)
                 return PropertyCheck(False, (y, y | {table.pool[z]}))
     return PropertyCheck(True)
+
+
+def reference_contract_of(cid: str, market: rm.ProblemInstance):
+    """The contract an allocation file's id ``cid`` named before the reader
+    had one resolver, or ``None``: split at its first "@" and the first ":"
+    after it where every id of the market splits back, else looked up in a
+    map of every id built in contract order."""
+    if _ids_split(market.students, [cfg.school for cfg in market.schools]):
+        student, at, rest = cid.partition("@")
+        school, colon, privilege = rest.partition(":")
+        c = rm.Contract(student, school, privilege)
+        return c if at and colon and c in market.contracts else None
+    return {contract_id(c): c for c in sorted(market.contracts)}.get(cid)
+
+
+def reference_flexibility_draw(instance: rm.ProblemInstance, seed: int):
+    """The unit flexibility draw as first written: it re-checks both tables
+    of every candidate school, receiver and donor, in shuffled order, and
+    takes the first pair that passes."""
+    rng = random.Random(seed)
+    schools = [cfg for cfg in instance.schools if cfg.group_count >= 2 and cfg.capacity >= 1]
+    rng.shuffle(schools)
+    for cfg in schools:
+        bound = cfg.capacity
+        receivers = list(range(1, cfg.group_count))
+        rng.shuffle(receivers)
+        constant = capacity_table(rm.TableScheme({}), cfg.targets, bound)
+        for receiver in receivers:
+            rigid = {
+                vec: (cap + max(0, sum(vec) - 1)) if len(vec) == receiver else cap
+                for vec, cap in constant.items()
+            }
+            if not _table_report(rigid, bound).ok:
+                continue
+            donor_coords = list(range(receiver))
+            rng.shuffle(donor_coords)
+            for j in donor_coords:
+                bump = tuple(1 if i == j else 0 for i in range(receiver))
+                flexible = {**rigid, bump: rigid[bump] + 1}
+                if _table_report(flexible, bound).ok:
+                    rigid_cfg = replace(cfg, scheme=rm.TableScheme.pinned(rigid, cfg.targets))
+                    flex_cfg = replace(cfg, scheme=rm.TableScheme.pinned(flexible, cfg.targets))
+                    return rigid_cfg, flex_cfg, rigid, flexible
+    return None

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,10 +19,22 @@ import reservematch as rm
 from reservematch import cli
 from reservematch.cli import main
 from reservematch._engine import Compiled
-from reservematch.fileio import _market_from_document, instance_from_document, instance_to_document
+from reservematch.choice import _table_report
+from reservematch.fileio import (
+    _market_from_document,
+    contract_id,
+    instance_from_document,
+    instance_to_document,
+)
+from reservematch.generator import SCHEME_FAMILIES, _flexibility_draw, _unit_tables
 from reservematch.instance import FlatMarket
 
-from helpers import count_builds, reference_cop
+from helpers import (
+    count_builds,
+    reference_contract_of,
+    reference_cop,
+    reference_flexibility_draw,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -332,6 +346,70 @@ def test_an_allocation_listing_a_contract_twice_is_refused(capsys, tmp_path, ex1
     assert line.startswith("error: ") and "duplicate contract id 'i@s:t1'" in line
 
 
+def _relabelled(instance, student="", school="", privilege=""):
+    """``instance`` with a suffix on every student id, school id and type.
+    Generated labels are a letter and digits, so a whole-word rewrite of the
+    document renames each everywhere it appears."""
+    text = json.dumps(instance_to_document(instance))
+    for letter, suffix in (("i", student), ("s", school), ("t", privilege)):
+        text = re.sub(rf"\b({letter}\d+)\b", rf"\g<1>{suffix}", text)
+    relabelled = instance_from_document(json.loads(text))
+    assert rm.validate_instance(relabelled) == []
+    return relabelled
+
+
+def _resolver_markets(small_instances):
+    yield rm.load_instance(rm.ex1_path())
+    yield from small_instances
+    yield rm.generate_random_instance(
+        rm.GeneratorParams(students=200, schools=10, types=3, seed=1)
+    )
+    # ids that the first "@" and the first ":" after it do not cut back
+    for instance in small_instances[:20]:
+        yield _relabelled(instance, student="@a")
+        yield _relabelled(instance, school=":b")
+        yield _relabelled(instance, privilege=":c")
+        yield _relabelled(instance, student="@d:e", school=":f@g", privilege="@h:i")
+
+
+def test_allocation_ids_resolve_as_the_id_maps_did(capsys, monkeypatch, tmp_path, small_instances):
+    # every contract id of each market, read by `verify` and by
+    # `load_allocation`, names the contract the id maps named
+    resolved = []
+
+    def recording(*args, _read=rm.fileio._read_allocation):
+        resolved.append(_read(*args))
+        return resolved[-1]
+
+    monkeypatch.setattr(rm.fileio, "_read_allocation", recording)
+    monkeypatch.setattr(cli, "_read_allocation", recording)
+    path, alloc = tmp_path / "market.instance", tmp_path / "market.allocation"
+    markets = 0
+    for market in _resolver_markets(small_instances):
+        markets += 1
+        rm.save_instance(market, path)
+        ids = sorted(map(contract_id, market.contracts))
+        want = tuple(reference_contract_of(cid, market) for cid in ids)
+        assert None not in want and len(set(want)) == len(ids)
+        alloc.write_text(json.dumps({"schema": "reservematch-allocation/1", "contracts": ids}))
+        resolved.clear()
+        assert rm.load_allocation(alloc, market) == market.contracts
+        run_cli(capsys, "verify", str(path), "--allocation", str(alloc))
+        assert resolved == [want, want], ids[0]
+        # near misses of an id name no contract, on either path
+        cid = ids[0]
+        for miss in (cid + "@", cid + ":", cid.replace("@", ":", 1), cid[cid.index("@") + 1:]):
+            assert reference_contract_of(miss, market) is None
+            alloc.write_text(json.dumps({"schema": "reservematch-allocation/1", "contracts": [miss]}))
+            fault = f"contracts[0]: unknown contract id {miss!r}"
+            with pytest.raises(rm.InstanceFormatError) as err:
+                rm.load_allocation(alloc, market)
+            assert str(err.value) == fault
+            got = run_cli(capsys, "verify", str(path), "--allocation", str(alloc))
+            assert got == (2, "", f"error: {fault}\n")
+    assert markets == 1 + 200 + 1 + 80
+
+
 def test_slot_market_files_round_trip(tmp_path):
     school = rm.generate_slot_specific_school(42)
     prefs = {
@@ -380,6 +458,76 @@ def test_generator_self_test_over_a_thousand_seeds():
                 cfg.scheme.certified_monotone()
                 or rm.check_monotonic(cfg.scheme, cfg.targets, cfg.capacity).ok
             )
+
+
+def test_the_flexibility_draw_picks_what_the_looped_draw_picked():
+    # the looped draw re-checked every table and took the first that passed;
+    # every table passes, so the draw takes the first pick of each shuffle
+    drawn = 0
+    for k in range(600):
+        seed = 9100 + k
+        rng = random.Random(seed)
+        params = rm.GeneratorParams(
+            students=rng.randint(2, 6),
+            schools=rng.randint(1, 3),
+            types=rng.randint(1, 4),
+            seed=seed,
+            capacity_range=(1, 4),
+            scheme_family=SCHEME_FAMILIES[k % len(SCHEME_FAMILIES)],
+        )
+        instance = rm.generate_random_instance(params)
+        draw = _flexibility_draw(instance, seed)
+        assert draw == reference_flexibility_draw(instance, seed), seed
+        drawn += draw is not None
+    assert drawn >= 500
+
+
+def test_every_unit_table_pair_is_monotone():
+    # the draw checks none of the tables it builds: each rigid table (one per
+    # receiver) and each flexible table (one per donor) on this grid must
+    # pass the whole check, and the two must differ by one seat at one vector
+    checked = 0
+    for groups in (2, 3, 4):
+        for targets, bound in itertools.product(
+            itertools.product(range(3), repeat=groups), range(1, 5)
+        ):
+            for receiver in range(1, groups):
+                for donor in range(receiver):
+                    rigid, flexible = _unit_tables(targets, bound, receiver, donor)
+                    bump = tuple(int(i == donor) for i in range(receiver))
+                    assert [vec for vec in rigid if flexible[vec] != rigid[vec]] == [bump]
+                    assert flexible[bump] == rigid[bump] + 1
+                    assert _table_report(flexible, bound).ok, (targets, bound, receiver, donor)
+                    checked += 1
+                assert _table_report(rigid, bound).ok, (targets, bound, receiver)
+                checked += 1
+    assert checked == 3528
+
+
+def test_the_flexibility_draw_refuses_an_oversize_school_before_building(capsys, tmp_path):
+    # 28 seats in 5 groups under a certified chain: the file needs no
+    # monotonicity check, but one check of a drawn table scheme would take
+    # 2 803 864 steps, over the comparisons' cap of 2 000 000
+    doc = json.loads(rm.ex1_path().read_text())
+    types = ["t1", "t2", "t3", "t4", "t5"]
+    doc["types"] = types
+    doc["students"] = [{"id": s, "types": types} for s in "ijkl"]
+    doc["schools"][0].update(
+        capacity=28,
+        groups=[{"type": t, "target": q} for t, q in zip(types, (6, 6, 6, 5, 5))],
+        transfers={"kind": "forward_sum", "donors": [[], [0], [1], [2], [3]]},
+    )
+    path = tmp_path / "oversize.instance"
+    path.write_text(json.dumps(doc))
+    instance = rm.load_instance(path)
+    with pytest.raises(rm.SearchCapExceededError, match="2803864 cases"):
+        rm.unit_flexibility_pair(instance, 0)
+    code, out, err = run_cli(capsys, "audit", str(path), "--format", "machine")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    [row] = report["results"]
+    assert row["flexibility_pareto"] is None and row["ok"] is True
+    assert report["unverified"]["flexibility_pareto"] == 1
 
 
 def test_generator_rejects_bad_parameters():
@@ -951,6 +1099,23 @@ def test_cli_convert_check_refuses_a_pool_over_max_contracts(capsys, tmp_path):
     assert line.startswith("error: subset enumeration: ") and "cap of 8" in line
 
 
+@pytest.mark.parametrize("command", ["audit", "convert"])
+def test_cli_max_contracts_must_be_non_negative(capsys, tmp_path, command):
+    if command == "audit":
+        argv = ["audit", "--seed", "7", "--count", "1"]
+    else:
+        slots = tmp_path / "market.slots"
+        rm.save_slot_market(rm.generate_slot_specific_school(5), {}, slots)
+        argv = ["convert", str(slots), "--out-file", str(tmp_path / "out.instance"), "--check"]
+    for value, message in (("-1", "must be non-negative, got -1"), ("x", "invalid int value: 'x'")):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--max-contracts", value])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"argument --max-contracts: {message}")
+
+
 def test_cli_gen_writes_deterministic_files(capsys, tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):
@@ -969,6 +1134,30 @@ def test_cli_missing_file_exits_with_input_error(capsys):
     code, _, err = run_cli(capsys, "match", "/nonexistent/path.instance")
     assert code == 2
     assert "error" in err
+
+
+UNREADABLE = {
+    "not-utf-8": (b"\xff\xfe", "can't decode byte 0xff"),
+    "nested-too-deep": (b"[" * 100_000, "maximum recursion depth exceeded"),
+    "too-many-digits": (b'{"schema": ' + b"1" * 5000 + b"}", "value has 5000 digits"),
+}
+
+
+@pytest.mark.parametrize("reader", ["instance", "allocation", "slots"])
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+def test_cli_unreadable_files_exit_with_input_error(capsys, tmp_path, reader, content):
+    data, message = UNREADABLE[content]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    argv = {
+        "instance": ["match", str(bad)],
+        "allocation": ["verify", str(rm.ex1_path()), "--allocation", str(bad)],
+        "slots": ["convert", str(bad), "--out-file", str(tmp_path / "out.instance")],
+    }[reader]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 def test_cli_invalid_instance_exits_with_input_error(capsys, tmp_path):
