@@ -19,6 +19,7 @@ import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
@@ -47,6 +48,7 @@ from .incentives import (
     _lifted,
     _respects_improvement,
     _search_misreports,
+    _truncation_misreport,
     _unit_pair,
     allocation_waste,
     check_flexibility_pareto,
@@ -175,11 +177,64 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _completion_axioms(compiled: Compiled, max_contracts: int) -> tuple[Optional[bool], int]:
+    """The ``completion_axioms`` verdict of an audit row, and how many
+    schools it tabulated: ``True`` when every school's pool is at most
+    ``max_contracts`` and the completion of its choice passes all four
+    exhaustive checks (a completion, IRC, substitutable, LAD); ``False``
+    when a tabulated school fails one; else ``None``."""
+    axioms_ok = True
+    checked = 0
+    for s in range(len(compiled.schools)):
+        if compiled.school_of.count(s) > max_contracts:
+            continue
+        checked += 1
+        base = _tabulate(compiled, s, completion=False)
+        comp = _tabulate(compiled, s, completion=True)
+        axioms_ok = (
+            axioms_ok
+            and check_completion(base, comp).holds
+            and check_irc(comp).holds
+            and check_substitutability(comp).holds
+            and check_lad(comp).holds
+        )
+    if axioms_ok and checked < len(compiled.schools):
+        axioms_ok = None
+    return axioms_ok, checked
+
+
+def _strategy_proof(
+    compiled: Compiled, truth: tuple[int, int], rank: tuple[int, ...], axioms: Optional[bool]
+) -> Optional[bool]:
+    """The ``strategy_proof`` verdict of an audit row: whether some student
+    alone has a profitable misreport. Where the completion axioms are
+    verified (``axioms`` is ``True``) each student is decided from
+    one-contract reports (proof in ``incentives._truncation_misreport``);
+    elsewhere each student's whole report space is searched, and a space
+    over ``MISREPORT_CAP`` leaves the verdict ``None`` unless another
+    student's search finds a misreport."""
+    verdict: Optional[bool] = True
+    for student in compiled.students:
+        if axioms:
+            found = _truncation_misreport(compiled, truth, student, rank)
+        else:
+            try:
+                found = _search_misreports(compiled, truth, (student,), MISREPORT_CAP, rank)
+            except SearchCapExceededError:
+                verdict = None
+                continue
+        if found is not None:
+            return False
+    return verdict
+
+
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
     # the generator and the loader validate, so one compile serves every
     # check: the changed markets of the improvement and flexibility checks
     # are its clones. One truthful run serves stability, order independence
     # (as its baseline), every misreport search and the improvement check.
+    # The axiom verdict comes before the misreport searches: it decides how
+    # each student is searched.
     compiled = Compiled.from_instance(instance)
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
@@ -190,17 +245,9 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
     except SearchCapExceededError:
         row["order_independent"] = None
 
-    strategy_proof = True
-    for student in instance.students:
-        try:
-            found = _search_misreports(compiled, truth, (student,), MISREPORT_CAP)
-        except SearchCapExceededError:
-            strategy_proof = None
-            continue
-        if found is not None:
-            strategy_proof = False
-            break
-    row["strategy_proof"] = strategy_proof
+    axioms, row["schools_axiom_checked"] = _completion_axioms(compiled, max_contracts)
+    row["completion_axioms"] = axioms
+    row["strategy_proof"] = _strategy_proof(compiled, truth, rank, axioms)
 
     swap = single_swap_improvement(instance, seed)
     if swap is None:
@@ -220,28 +267,9 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
         draw = row["flexibility_pareto"] = None
     if draw is not None:
         pair = _unit_pair(compiled, *draw)
-        comparison = _flexibility_pareto(*pair, instance.preferences)
+        comparison = _flexibility_pareto(*pair, instance.preferences, rank)
         row["flexibility_pareto"] = comparison.dominates and comparison.chain_agrees is not False
 
-    axioms_ok = True
-    checked = 0
-    for s in range(len(compiled.schools)):
-        if compiled.school_of.count(s) > max_contracts:
-            continue
-        checked += 1
-        base = _tabulate(compiled, s, completion=False)
-        comp = _tabulate(compiled, s, completion=True)
-        axioms_ok = (
-            axioms_ok
-            and check_completion(base, comp).holds
-            and check_irc(comp).holds
-            and check_substitutability(comp).holds
-            and check_lad(comp).holds
-        )
-    if axioms_ok and checked < len(instance.schools):
-        axioms_ok = None
-    row["completion_axioms"] = axioms_ok
-    row["schools_axiom_checked"] = checked
     row["ok"] = all(row[k] is not False for k in AUDIT_CHECKS)
     return row
 
@@ -430,16 +458,25 @@ def _cmd_gen(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _non_negative(text: str) -> int:
-    """An argparse type: a non-negative integer, with the message of
-    ``type=int`` for anything that is not an integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _at_least(least: int, what: str):
+    """An argparse type: an integer of at least ``least`` (``what`` names
+    the bound in the message), with the message of ``type=int`` for
+    anything that is not an integer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative = _at_least(0, "non-negative")
+_positive = _at_least(1, "positive")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -469,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run the property suites over instances")
     p.add_argument("instances", nargs="*", help="instance files; omit to generate instead")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_positive, default=20)
     p.add_argument("--students", type=int, default=4)
     p.add_argument("--schools", type=int, default=2)
     p.add_argument("--types", type=int, default=3)
@@ -496,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write random instances")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--students", type=int, default=4)
     p.add_argument("--schools", type=int, default=2)

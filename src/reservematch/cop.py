@@ -144,7 +144,9 @@ def _order_independence(compiled: Compiled, baseline: int) -> OrderIndependenceR
     outcome is order independent exactly when every terminal state (one
     with no move left) holds ``baseline``. The walk is a depth-first search
     from the empty state that visits each state once, with one ``choose``
-    per new state, at the school proposed to.
+    per new state, at the school proposed to. Each state carries every
+    school's offered local mask, so a move reads its school's offers with
+    one OR instead of splitting the whole state.
 
     The witness needs no constraint solving. Take the path ``c_1, ..., c_T``
     by which the walk first reached a divergent terminal state, and put its
@@ -156,17 +158,25 @@ def _order_independence(compiled: Compiled, baseline: int) -> OrderIndependenceR
     process stops at the divergent state.
     """
     schools = compiled.schools
+    school_of, local_bit = compiled.school_of, compiled.local_bit
     seen = {0}
-    # a state, each school's held global mask there, and the path that
-    # first reached it
-    stack: list = [(0, (0,) * len(schools), ())]
+    # a state, each school's offered local mask and held global mask there,
+    # and the path that first reached it as a linked ``(last move, rest)``
+    # pair, so that a state costs one pair rather than a copy of its path
+    empty = (0,) * len(schools)
+    stack: list = [(0, empty, empty, None)]
     while stack:
-        proposed, held, path = stack.pop()
+        proposed, offered, held, path = stack.pop()
         holding = sum(held)  # schools hold disjoint masks
         moves = compiled.proposable(proposed, holding)
         if not moves and holding != baseline:
-            rest = sorted(set(range(len(compiled.contracts))) - set(path))
-            order = tuple(compiled.contracts[ci] for ci in path + tuple(rest))
+            steps = []
+            while path:
+                ci, path = path
+                steps.append(ci)
+            steps.reverse()
+            rest = sorted(set(range(len(compiled.contracts))) - set(steps))
+            order = tuple(compiled.contracts[ci] for ci in steps + rest)
             return OrderIndependenceResult(
                 False, compiled.to_set(baseline), order, compiled.to_set(holding)
             )
@@ -179,8 +189,10 @@ def _order_independence(compiled: Compiled, baseline: int) -> OrderIndependenceR
                     len(seen) + 1, ORDER_STATE_CAP, "proposal-order states"
                 )
             seen.add(state)
-            s = compiled.school_of[ci]
-            chosen, _ = schools[s].choose(compiled.to_local(state)[s])
+            s = school_of[ci]
+            offer = offered[s] | 1 << local_bit[ci]
+            chosen, _ = schools[s].choose(offer)
+            offered_now = offered[:s] + (offer,) + offered[s + 1 :]
             held_now = held[:s] + (compiled.to_global(s, chosen),) + held[s + 1 :]
-            stack.append((state, held_now, path + (ci,)))
+            stack.append((state, offered_now, held_now, (ci, path)))
     return OrderIndependenceResult(True, compiled.to_set(baseline))

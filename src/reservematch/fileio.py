@@ -300,8 +300,25 @@ def _ranked_contracts(ids: object, resolve: Callable[[str], object], where: str)
             try:
                 resolve(cid)
             except (KeyError, TypeError):
-                raise InstanceFormatError(f"unknown contract id {cid!r}", f"{where}[{n}]") from None
+                raise InstanceFormatError(
+                    f"unknown contract id {_echo(cid)}", f"{where}[{n}]"
+                ) from None
         raise
+
+
+# The most characters of an unknown id an error line repeats.
+_ECHO_LIMIT = 64
+
+
+def _echo(cid: object) -> str:
+    """``repr(cid)`` for an error line, cut after ``_ECHO_LIMIT`` characters
+    with the length of the id (or of its ``repr``, for a non-string) stated,
+    so a huge id gives a short line."""
+    text = repr(cid)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    size = len(cid) if isinstance(cid, str) else len(text)
+    return f"{text[:_ECHO_LIMIT]}... ({size} characters)"
 
 
 def _preferences_from_doc(doc: object, by_id: Mapping[str, object]) -> dict:

@@ -116,15 +116,22 @@ def find_group_misreport(
     if len(members) > MAX_COALITION:
         raise SearchCapExceededError(len(members), MAX_COALITION, "coalition size")
     compiled = _validated(instance)
-    return _search_misreports(compiled, compiled.cop(compiled.default_order_rank()), members, cap)
+    rank = compiled.default_order_rank()
+    return _search_misreports(compiled, compiled.cop(rank), members, cap, rank)
 
 
 def _search_misreports(
-    compiled: Compiled, truth: tuple[int, int], members: tuple[str, ...], cap: int
+    compiled: Compiled,
+    truth: tuple[int, int],
+    members: tuple[str, ...],
+    cap: int,
+    rank: Sequence[int],
 ) -> Optional[Misreport]:
     """The misreport search of :func:`find_group_misreport` on a compiled
-    market, whose ``acceptable`` lists are the truthful reports; ``truth``
-    is the ``(held, dry)`` of its run under ``default_order_rank``.
+    market, whose ``acceptable`` lists are the truthful reports; ``rank`` is
+    its ``default_order_rank`` and ``truth`` the ``(held, dry)`` of its run
+    under that rank. The space is compared with ``cap`` before any work
+    that grows with the market.
 
     Each report is a tuple of global contract indices (``_reports`` of the
     student's contracts, which are in contract order), run on a clone of
@@ -187,7 +194,6 @@ def _search_misreports(
     truths = [
         PreferenceOrder(s, tuple(contracts[ci] for ci in t)) for s, t in zip(members, truthful)
     ]
-    base = compiled.default_order_rank()
     truth_mask, truth_dry = truth
     truth_held = [_held_contract(compiled, truth_mask, si) for si in indices]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
@@ -225,7 +231,7 @@ def _search_misreports(
                 if joint == truthful:
                     dry = truth_dry
                 else:
-                    order = list(base)
+                    order = list(rank)
                     for si, pool, report in zip(indices, pools, joint):
                         _rewrite(order, pool, report)
                         acceptable[si] = report
@@ -239,6 +245,76 @@ def _search_misreports(
                         )
                         return Misreport(members, reported, tuple(truth_held), tuple(held))
             covers.append(dry)
+    return None
+
+
+def _truncation_misreport(
+    compiled: Compiled, truth: tuple[int, int], student: str, rank: Sequence[int]
+) -> Optional[Misreport]:
+    """The single-student search of :func:`_search_misreports`, decided from
+    one-contract reports, on a market where every school's choice ``C`` has
+    a completion ``C'`` that is substitutable, satisfies IRC and satisfies
+    the law of aggregate demand (LAD). ``audit`` calls it only where its
+    exhaustive tables verified all four for every school; elsewhere it can
+    miss a misreport. ``rank`` and ``truth`` are those of
+    ``_search_misreports``.
+
+    For each contract ``x`` the student truly ranks above their truthful
+    outcome, in contract order, the report ``[x]`` runs on a
+    ``with_acceptable`` clone under ``rank`` with the student's block
+    rewritten. The student can profit exactly when some ``[x]`` yields
+    ``x``, and the first such ``x`` gives the misreport the full search
+    returns. Proof, for a fixed profile of the other students' reports:
+
+    1. The process under ``C`` equals the process under ``C'``, step by
+       step. By induction, let both have made the same offers so far. A
+       completion equals ``C`` on every offer set from which it holds at
+       most one contract per student. Suppose ``C'`` held two contracts of
+       one student at one school, ``y`` offered after ``x``. The student
+       offered ``y`` only while no school held a contract of theirs, so
+       ``x`` had been rejected from that school's offers by then, and under
+       a substitutable ``C'`` a rejected contract stays rejected as the
+       offer set grows. So each school holds the same contracts in both
+       processes, and both make the same next offer.
+    2. Under a substitutable ``C'`` that satisfies IRC, that process ends
+       at the student-optimal stable allocation under ``C'``, whatever the
+       proposal order (Hatfield & Milgrom 2005, Thm 3, which needs IRC for
+       choice functions, Aygun & Sonmez 2013; Hirata & Kasuya 2014).
+    3. If some report ``P`` gives the student ``x``, ``[x]`` gives ``x``.
+       The outcome ``Y`` under ``P`` is stable under ``C'`` (step 2). It
+       stays stable when the student reports ``[x]``: ``x`` is acceptable
+       under ``[x]``, the schools choose as before, and a blocking set
+       would hold no contract of the student, who chooses ``x`` from any
+       set holding it, so it would block ``Y`` under ``P`` too. By the
+       rural hospitals theorem (Hatfield & Milgrom 2005, Thm 8, which
+       needs LAD), the student is matched in every stable allocation under
+       ``[x]``, so also in the outcome of ``[x]`` (step 2), and the only
+       contract they ever offer is ``x``.
+
+    So a profitable report exists exactly when a profitable ``[x]`` does.
+    The empty report and the one-contract reports, in contract order, are
+    the first of the full search's enumeration (``_reports``), so the first
+    profitable ``[x]`` is also its first witness. The proof uses only the
+    verified axioms, no monotone scheme. Under the same hypotheses Hatfield
+    & Kominers ("Hidden substitutes") prove the mechanism strategy-proof
+    outright, so a witness here means a process that departs from its own
+    definition; the runs are what keep such a departure visible.
+    """
+    contracts = compiled.contracts
+    si = compiled.student_index[student]
+    listed = compiled.acceptable[si]
+    truthful = _held_contract(compiled, truth[0], si)
+    pref = PreferenceOrder(student, tuple(contracts[ci] for ci in listed))
+    pool = compiled.student_contracts[si]
+    acceptable = list(compiled.acceptable)
+    # a rewrite lays the whole block out afresh, so one copy serves every run
+    order = list(rank)
+    for ci in sorted(listed[: pref.rank(truthful)]):
+        acceptable[si] = (ci,)
+        trial = compiled.with_acceptable(tuple(acceptable))
+        if trial.cop(_rewrite(order, pool, (ci,)))[0] >> ci & 1:
+            x = contracts[ci]
+            return Misreport((student,), (PreferenceOrder(student, (x,)),), (truthful,), (x,))
     return None
 
 
@@ -486,19 +562,26 @@ def improvement_chains(
             "schemes must differ by a single unit increment; found "
             + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
         )
-    return compiled.to_set(_reseat(compiled, compiled.to_mask(z & flexible.contracts)))
+    held = compiled.to_mask(z & flexible.contracts)
+    return compiled.to_set(_reseat(compiled, held, compiled.default_order_rank()))
 
 
-def _reseat(compiled: Compiled, held: int) -> int:
-    """The reseating of :func:`improvement_chains` on a compiled market: cut
-    each student's list after their contract in the global mask ``held``,
-    and return the held mask of the process under the canonical order."""
+def _reseat(compiled: Compiled, held: int, rank: Sequence[int]) -> int:
+    """The reseating of :func:`improvement_chains` on a compiled market whose
+    ``default_order_rank`` is ``rank``: cut each student's list after their
+    contract in the global mask ``held``, and return the held mask of the
+    process under the canonical order of the cut lists. That order is
+    ``rank`` with each cut student's block rewritten to the cut list, as in
+    ``_search_misreports``."""
     trimmed = []
-    for lst in compiled.acceptable:
+    order = list(rank)
+    for si, lst in enumerate(compiled.acceptable):
         cut = next((p for p, ci in enumerate(lst) if held >> ci & 1), len(lst))
-        trimmed.append(lst[: cut + 1])
-    clone = compiled.with_acceptable(tuple(trimmed))
-    return clone.cop(clone.default_order_rank())[0]
+        if cut + 1 < len(lst):
+            lst = lst[: cut + 1]
+            _rewrite(order, compiled.student_contracts[si], lst)
+        trimmed.append(lst)
+    return compiled.with_acceptable(tuple(trimmed)).cop(order)[0]
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +632,8 @@ def check_flexibility_pareto(
     grant the same capacities.
     """
     working, flexible_compiled, changed = _compiled_pair(rigid, flexible)
-    return _flexibility_pareto(working, flexible_compiled, changed, rigid.preferences)
+    rank = working.default_order_rank()  # the sides share every preference
+    return _flexibility_pareto(working, flexible_compiled, changed, rigid.preferences, rank)
 
 
 def _flexibility_pareto(
@@ -557,17 +641,17 @@ def _flexibility_pareto(
     flexible: Compiled,
     changed: dict,
     preferences: Mapping[str, PreferenceOrder],
+    rank: Sequence[int],
 ) -> FlexibilityComparison:
     """The comparison of :func:`check_flexibility_pareto` on compiled
     markets: ``working`` is the rigid market, ``flexible`` its clone with
     every changed school switched, ``changed`` maps each changed school as
-    :func:`_compiled_pair` does, and ``preferences`` are the true
-    preferences both sides share."""
+    :func:`_compiled_pair` does, ``preferences`` are the true preferences
+    both sides share, and ``rank`` is their ``default_order_rank``."""
     for sid, (_, _, table, goal) in changed.items():
         if any(goal[vec] < cap for vec, cap in table.items()):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
 
-    rank = working.default_order_rank()  # the sides share every preference
     outcome = working.cop(rank)[0]
     flexible_mask = flexible.cop(rank)[0]
     rigid_outcome = working.to_set(outcome)
@@ -584,7 +668,7 @@ def _flexibility_pareto(
         for n, (steps, b) in enumerate(chains, 1):
             replay = outcome
             for cfg in steps:
-                replay = _reseat(working.with_school(cfg), replay)
+                replay = _reseat(working.with_school(cfg), replay, rank)
             working = working.with_school(b)
             outcome = flexible_mask if n == len(chains) else working.cop(rank)[0]
             chain_agrees = chain_agrees and replay == outcome

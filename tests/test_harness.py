@@ -621,7 +621,9 @@ def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeyp
     # flexibility checks run their changed markets as clones of it, and the
     # flexibility check validates only its two drawn schemes. One truthful
     # run serves order independence, every misreport search and the
-    # improvement check, which runs only the lifted market.
+    # improvement check, which runs only the lifted market. Every school's
+    # completion axioms hold on these markets, so each student's search runs
+    # one report per contract they prefer to their outcome.
     calls = count_builds(monkeypatch)
     calls["cop"] = 0
     cop = rm._engine.Compiled.cop
@@ -635,7 +637,29 @@ def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeyp
     assert code == 0 and "all checks passed: True" in out
     assert calls["validate"] == 12
     assert calls["compile"] == 12
-    assert calls["cop"] <= 611
+    assert calls["cop"] == 110
+
+
+def test_cli_audit_builds_one_order_rank_per_instance(capsys, monkeypatch):
+    # every process run, the searches' and the flexibility replays' too,
+    # takes its rank from the truthful one with blocks rewritten, and each
+    # such rank must be the canonical rank of the market it runs on
+    built = []
+    rank, cop = rm._engine.Compiled.default_order_rank, rm._engine.Compiled.cop
+
+    def counting_rank(self):
+        built.append(1)
+        return rank(self)
+
+    def checked_cop(self, order_rank, transcript=None):
+        assert tuple(order_rank) == rank(self)
+        return cop(self, order_rank, transcript)
+
+    monkeypatch.setattr(rm._engine.Compiled, "default_order_rank", counting_rank)
+    monkeypatch.setattr(rm._engine.Compiled, "cop", checked_cop)
+    code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "12")
+    assert code == 0 and "all checks passed: True" in out
+    assert len(built) == 12
 
 
 def _audit_params(seed: int) -> rm.GeneratorParams:
@@ -822,10 +846,12 @@ def test_cli_audit_on_files_reports_only_the_parameters_files_use(capsys, tmp_pa
 def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
     # with six schools a student who claims one type has 6 contracts (1 957
     # reports) and one who claims two has 12, far over the 200 000 cap; the
-    # search refuses those unless the student already holds their top choice
+    # search refuses those unless the student already holds their top choice.
+    # With no school tabulated the completion axioms are unverified, so every
+    # row takes the full search.
     code, out, err = run_cli(
         capsys, "audit", "--seed", "0", "--count", "30", "--schools", "6",
-        "--students", "4", "--format", "machine",
+        "--students", "4", "--max-contracts", "0", "--format", "machine",
     )
     assert (code, err) == (3, "")
     report = json.loads(out)
@@ -848,7 +874,22 @@ def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
         assert row["ok"] is True
     assert refused_rows > 0
     assert report["summary"]["strategy_proof"] == 30 - refused_rows
-    assert report["unverified"] == {"strategy_proof": refused_rows}
+    assert report["unverified"] == {"strategy_proof": refused_rows, "completion_axioms": 30}
+
+
+def test_cli_audit_decides_the_rows_whose_completion_axioms_hold(capsys):
+    # the markets above, with every school tabulated: each row's axioms hold,
+    # so each student is decided from one-contract reports and no space is
+    # refused
+    code, out, err = run_cli(
+        capsys, "audit", "--seed", "0", "--count", "30", "--schools", "6",
+        "--students", "4", "--format", "machine",
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert [r["completion_axioms"] for r in report["results"]] == [True] * 30
+    assert [r["strategy_proof"] for r in report["results"]] == [True] * 30
+    assert "unverified" not in report
 
 
 def test_cli_audit_leaves_refused_order_walks_unverified(capsys, monkeypatch):
@@ -958,6 +999,11 @@ VERIFY_BYTES = {
         "error: contracts[2]: duplicate contract id 'i@s:t1'\n",
     ),
     "not-a-string": ("ex1", ["i@s:t1", 1], 2, None, "error: contracts[1]: unknown contract id 1\n"),
+    # a huge id is echoed as its first 64 characters (with the quote) and its length
+    "huge-unknown-id": (
+        "ex1", ["@:" * 200_000], 2, None,
+        "error: contracts[0]: unknown contract id '" + "@:" * 31 + "@... (400000 characters)\n",
+    ),
     "wrong-schema": (
         "ex1", {"schema": "reservematch/1", "contracts": []}, 2, None,
         "error: schema: unsupported schema 'reservematch/1', expected 'reservematch-allocation/1'\n",
@@ -1114,6 +1160,25 @@ def test_cli_max_contracts_must_be_non_negative(capsys, tmp_path, command):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1].endswith(f"argument --max-contracts: {message}")
+
+
+@pytest.mark.parametrize("command", ["audit", "gen"])
+def test_cli_counts_must_be_positive(capsys, tmp_path, command):
+    argv = ["audit", "--seed", "7"] if command == "audit" else [
+        "gen", "--seed", "7", "--out-dir", str(tmp_path / "out")
+    ]
+    for value, message in (
+        ("-1", "must be positive, got -1"),
+        ("0", "must be positive, got 0"),
+        ("x", "invalid int value: 'x'"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--count", value])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].endswith(f"argument --count: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_gen_writes_deterministic_files(capsys, tmp_path):

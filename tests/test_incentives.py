@@ -11,9 +11,10 @@ import pytest
 import reservematch as rm
 from conftest import small_params
 from helpers import count_builds, reference_group_misreport, reference_run, take_back_market
+from reservematch import cli
 from reservematch._engine import Compiled
 from reservematch.cli import main
-from reservematch.incentives import _reports, _search_misreports
+from reservematch.incentives import _reports, _search_misreports, _truncation_misreport
 
 
 def _assignment(allocation, student):
@@ -90,11 +91,6 @@ def test_oversized_coalitions_are_refused(ex1):
 
 # ----------------------------------------------------------------------
 # the search against its enumeration oracle
-
-
-def _truth(compiled):
-    """The truthful ``(held, dry)`` a misreport search starts from."""
-    return compiled.cop(compiled.default_order_rank())
 
 
 def _answer(search, *args):
@@ -265,7 +261,8 @@ def test_misreport_search_matches_the_oracle_where_the_mechanism_is_manipulable(
     )
     assert reference_group_misreport(instance, members) == expected
     compiled = Compiled.from_instance(instance)
-    assert _search_misreports(compiled, _truth(compiled), members, 200_000) == expected
+    rank = compiled.default_order_rank()
+    assert _search_misreports(compiled, compiled.cop(rank), members, 200_000, rank) == expected
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +286,9 @@ def test_a_student_runs_dry_on_a_rejected_last_contract_though_taken_back():
         compiled = Compiled.from_instance(instance)
         for size in (1, 2):
             for coalition in itertools.combinations(instance.students, size):
+                rank = compiled.default_order_rank()
                 assert _answer(
-                    _search_misreports, compiled, _truth(compiled), coalition, 200_000
+                    _search_misreports, compiled, compiled.cop(rank), coalition, 200_000, rank
                 ) == _answer(
                     reference_group_misreport, instance, coalition
                 ), (truth, coalition)
@@ -328,8 +326,9 @@ def test_the_search_runs_exactly_the_reports_no_earlier_run_decides(small_instan
         for size in (1, 2) if n % 8 == 0 else (1,):
             for coalition in itertools.combinations(instance.students, size):
                 runs.clear()
-                truth = _truth(compiled)
-                assert _search_misreports(compiled, truth, coalition, 200_000) is None
+                rank = compiled.default_order_rank()
+                truth = compiled.cop(rank)
+                assert _search_misreports(compiled, truth, coalition, 200_000, rank) is None
                 if len(runs) == 1:
                     continue  # a member holds their top contract
                 searches += 1
@@ -375,6 +374,78 @@ def test_a_report_runs_as_its_pruned_prefix_over_whole_spaces(small_instances):
     shorter = sum(_pruned_prefix_agreement(instance) for instance in markets)
     assert shorter > 1_000
     assert _pruned_prefix_agreement(take_back_market())
+
+
+# ----------------------------------------------------------------------
+# one-contract reports where the completion axioms hold
+
+
+def _verified(instance):
+    """The compiled market, its canonical rank and truthful run, when the
+    completion of every school passes the audit's four checks; else None."""
+    compiled = Compiled.from_instance(instance)
+    if cli._completion_axioms(compiled, 16)[0] is not True:
+        return None
+    rank = compiled.default_order_rank()
+    return compiled, rank, compiled.cop(rank)
+
+
+def test_one_contract_reports_decide_as_the_oracle_where_the_axioms_hold(small_instances):
+    # the first witness too, not only the verdict: the one-contract reports
+    # open the full enumeration
+    verified = 0
+    for instance in small_instances:
+        if (market := _verified(instance)) is None:
+            continue
+        verified += 1
+        compiled, rank, truth = market
+        for student in instance.students:
+            assert _truncation_misreport(compiled, truth, student, rank) == _answer(
+                reference_group_misreport, instance, (student,)
+            ), student
+    assert verified > 150
+
+
+def test_a_report_that_wins_a_contract_is_beaten_by_naming_it_alone(small_instances):
+    # the lemma behind the one-contract decision, over whole report spaces:
+    # if some report gets the student x, the report [x] gets x too
+    pairs = 0
+    for instance in small_instances[::2]:
+        if (market := _verified(instance)) is None:
+            continue
+        compiled = market[0]
+        for student in instance.students:
+            for report in rm.preference_space(student, sorted(instance.contracts_of(student))):
+                prefs = dict(instance.preferences, **{student: report})
+                won = _assignment(reference_run(compiled, prefs)[0], student)
+                if won is None:
+                    continue
+                alone = dict(instance.preferences, **{student: rm.PreferenceOrder(student, (won,))})
+                assert _assignment(reference_run(compiled, alone)[0], student) == won
+                pairs += 1
+    assert pairs > 3_000
+
+
+@pytest.mark.parametrize("name", sorted(MANIPULABLE))
+def test_audit_falls_back_to_the_full_search_where_the_axioms_fail(name):
+    instance, members, *_ = MANIPULABLE[name]
+    compiled = Compiled.from_instance(instance)
+    rank = compiled.default_order_rank()
+    truth = compiled.cop(rank)
+    axioms, _ = cli._completion_axioms(compiled, 8)
+    assert axioms is False
+    assert cli._strategy_proof(compiled, truth, rank, axioms) is False
+    if name == "two-contract-report":
+        # only a two-contract report profits, so the one-contract reports
+        # alone would pass the market
+        assert all(
+            _truncation_misreport(compiled, truth, s, rank) is None for s in instance.students
+        )
+        assert _search_misreports(compiled, truth, members, 200_000, rank) is not None
+        assert cli._strategy_proof(compiled, truth, rank, True) is True
+    if name != "pair":  # the pair's outcome overfills its school, so no row
+        row = cli._audit_one(instance, 0, 8)
+        assert (row["completion_axioms"], row["strategy_proof"]) == (False, False)
 
 
 # ----------------------------------------------------------------------
