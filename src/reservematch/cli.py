@@ -232,21 +232,24 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
     # the generator and the loader validate, so one compile serves every
     # check: the changed markets of the improvement and flexibility checks
     # are its clones. One truthful run serves stability, order independence
-    # (as its baseline), every misreport search and the improvement check.
-    # The axiom verdict comes before the misreport searches: it decides how
-    # each student is searched.
+    # (as the walk's baseline), every misreport search and the improvement
+    # check. The axiom verdict comes before the order and misreport checks:
+    # where it is true, it decides the first and how each student is
+    # searched in the second.
     compiled = Compiled.from_instance(instance)
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
     stable = is_stable(compiled.to_set(truth[0]), instance, compiled=compiled)
     row: dict = {"stable": stable.passed}
-    try:
-        row["order_independent"] = _order_independence(compiled, truth[0]).ok
-    except SearchCapExceededError:
-        row["order_independent"] = None
-
     axioms, row["schools_axiom_checked"] = _completion_axioms(compiled, max_contracts)
     row["completion_axioms"] = axioms
+    if axioms:  # decided by the completion theorem of the ``cop`` docstring
+        row["order_independent"] = True
+    else:
+        try:
+            row["order_independent"] = _order_independence(compiled, truth[0]).ok
+        except SearchCapExceededError:
+            row["order_independent"] = None
     row["strategy_proof"] = _strategy_proof(compiled, truth, rank, axioms)
 
     swap = single_swap_improvement(instance, seed)
@@ -475,8 +478,23 @@ def _at_least(least: int, what: str):
     return parse
 
 
-_non_negative = _at_least(0, "non-negative")
+def _at_most(most: int, parse):
+    """An argparse type: a value of the argparse type ``parse`` that is at
+    most ``most``."""
+
+    def bounded(text: str) -> int:
+        value = parse(text)
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
+        return value
+
+    return bounded
+
+
 _positive = _at_least(1, "positive")
+# a pool of n contracts is tabulated as a list of 2^n choices, so this
+# bound on --max-contracts bounds the memory of every table
+_pool_size = _at_most(20, _at_least(0, "non-negative"))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -510,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--students", type=int, default=4)
     p.add_argument("--schools", type=int, default=2)
     p.add_argument("--types", type=int, default=3)
-    p.add_argument("--max-contracts", type=_non_negative, default=8,
-                   help="cap for the exhaustive per-school axiom checks")
+    p.add_argument("--max-contracts", type=_pool_size, default=8,
+                   help="cap for the exhaustive per-school axiom checks (at most 20)")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
 
@@ -527,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", required=True, help="where to write the converted instance")
     p.add_argument("--check", action="store_true",
                    help="exhaustively verify choice equivalence after converting")
-    p.add_argument("--max-contracts", type=_non_negative, default=12)
+    p.add_argument("--max-contracts", type=_pool_size, default=12,
+                   help="cap for the exhaustive equivalence check (at most 20)")
     _add_common(p)
     p.set_defaults(func=_cmd_convert)
 

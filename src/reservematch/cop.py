@@ -7,6 +7,36 @@ A proposal order decides who moves at each step; with dynamic reserves choice
 functions the outcome does not depend on it, and ``check_order_independence``
 decides that on a given instance by walking every state the process can
 reach, under every order at once.
+
+The completion theorem. Let every school's choice ``C`` have a completion
+``C'`` (equal to ``C`` on every offer set from which ``C'`` takes at most
+one contract per student) that is substitutable and satisfies irrelevance
+of rejected contracts (IRC). Then, for every preference profile:
+
+1. The process under ``C`` equals the process under ``C'``, step by step,
+   under any proposal order. By induction, let both have made the same
+   offers so far. Suppose ``C'`` held two contracts of one student at one
+   school, ``y`` offered after ``x``. The student offered ``y`` only while
+   no school held a contract of theirs, so ``x`` had been rejected from
+   that school's offers by then, and under a substitutable ``C'`` a
+   rejected contract stays rejected as the offer set grows. So ``C'``
+   holds at most one contract per student, each school holds the same
+   contracts in both processes, and both make the same next offer
+   (Hatfield & Kominers, "Hidden substitutes").
+2. Under a substitutable ``C'`` that satisfies IRC, that process ends at
+   the student-optimal stable allocation under ``C'``, whatever the
+   proposal order (Hatfield & Milgrom 2005, Thm 3, which needs IRC for
+   choice functions, Aygun & Sonmez 2013; Hirata & Kasuya 2014).
+
+So such a market is order independent, and its walk need not run: each
+path the walk explores is the process under some proposal order (the
+witness construction in ``_order_independence``), so steps 1 and 2 hold
+along it, and every terminal state holds the same allocation. ``audit``
+reads ``order_independent: true`` off its exhaustive tables wherever they
+verify the axioms for every school (``completion_axioms: true``);
+``check_order_independence`` always walks, as the library API and the
+test oracle. ``incentives._truncation_misreport`` builds on the same two
+steps.
 """
 
 from __future__ import annotations

@@ -264,22 +264,13 @@ def _truncation_misreport(
     ``with_acceptable`` clone under ``rank`` with the student's block
     rewritten. The student can profit exactly when some ``[x]`` yields
     ``x``, and the first such ``x`` gives the misreport the full search
-    returns. Proof, for a fixed profile of the other students' reports:
+    returns. Proof, for a fixed profile of the other students' reports.
+    Steps 1 and 2 are the completion theorem of the :mod:`reservematch.cop`
+    docstring, which holds for every preference profile: the process under
+    ``C`` equals the process under ``C'``, and it ends at the
+    student-optimal stable allocation under ``C'`` whatever the proposal
+    order.
 
-    1. The process under ``C`` equals the process under ``C'``, step by
-       step. By induction, let both have made the same offers so far. A
-       completion equals ``C`` on every offer set from which it holds at
-       most one contract per student. Suppose ``C'`` held two contracts of
-       one student at one school, ``y`` offered after ``x``. The student
-       offered ``y`` only while no school held a contract of theirs, so
-       ``x`` had been rejected from that school's offers by then, and under
-       a substitutable ``C'`` a rejected contract stays rejected as the
-       offer set grows. So each school holds the same contracts in both
-       processes, and both make the same next offer.
-    2. Under a substitutable ``C'`` that satisfies IRC, that process ends
-       at the student-optimal stable allocation under ``C'``, whatever the
-       proposal order (Hatfield & Milgrom 2005, Thm 3, which needs IRC for
-       choice functions, Aygun & Sonmez 2013; Hirata & Kasuya 2014).
     3. If some report ``P`` gives the student ``x``, ``[x]`` gives ``x``.
        The outcome ``Y`` under ``P`` is stable under ``C'`` (step 2). It
        stays stable when the student reports ``[x]``: ``x`` is acceptable
@@ -696,18 +687,28 @@ def _unit_instances(base: SchoolConfig, table: dict, goal: dict) -> Optional[lis
     candidate point that keeps the capacity table monotone (upper corners of
     the gap first, necessarily, since a bump below an unlifted point would
     overshoot it). ``None`` when no monotone bump order exists.
+
+    ``table`` lies nowhere above ``goal`` (``_flexibility_pareto`` refuses
+    otherwise), so the last seat of the gap is the bump that makes the
+    table equal ``goal``. That bump is not checked: both callers validated
+    ``goal`` with the same report, ``_unit_pair`` and ``_compiled_pair``
+    through ``_scheme_violations`` (which passes a certified scheme,
+    monotone by its certificate). The report would pass, so the first
+    candidate is still the one taken.
     """
     table = dict(table)
+    gap = sum(goal[vec] - table[vec] for vec in goal)
     steps: list[SchoolConfig] = []
-    while table != goal:
+    while gap:
         for vec in goal:
             if table[vec] < goal[vec]:
                 table[vec] += 1
-                if _table_report(table, base.capacity).ok:
+                if gap == 1 or _table_report(table, base.capacity).ok:
                     break
                 table[vec] -= 1
         else:
             return None
+        gap -= 1
         steps.append(replace(base, scheme=TableScheme.pinned(table, base.targets)))
     return steps
 

@@ -9,14 +9,17 @@ function over every subset of a contract pool and verify rejection
 irrelevance, substitutability, the law of aggregate demand, and the
 completion relationship. They read a :class:`ChoiceTable`, built once per
 choice function and pool, and the builders are exhaustive or they refuse,
-never sampled.
+never sampled. A dynamic reserves school's table is built a group at a
+time: each group step runs once per distinct prefix of the blocks the
+groups so far read, rather than once per subset, and each choice is copied
+over the bits no group reads (``_tabulate``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from ._engine import Compiled, bits
 from .choice import SchoolConfig
@@ -263,9 +266,12 @@ def tabulate_school(
     completion: bool = False,
     cap: int = 1 << 14,
 ) -> ChoiceTable:
-    """Tabulate a school's overall choice (or, with ``completion``, its
-    completion) over every subset of ``contracts`` on the bitmask engine:
-    the pool is compiled as a market of one school."""
+    """Tabulate a dynamic reserves school's overall choice (or, with
+    ``completion``, its completion) over every subset of ``contracts`` on
+    the bitmask engine: the pool is compiled as a market of one school.
+    Any other choice function goes to :func:`tabulate`."""
+    if not isinstance(config, SchoolConfig):
+        raise InvalidInputError(f"school {config.school}: not a dynamic reserves school")
     pool = _sorted_pool(contracts, cap)
     if any(c.school != config.school for c in pool):
         raise InvalidInputError(f"pool holds contracts of schools other than {config.school}")
@@ -274,29 +280,95 @@ def tabulate_school(
 
 
 def _tabulate(compiled: Compiled, s: int, completion: bool) -> ChoiceTable:
-    """The choice table of school ``s`` of a compiled market over all of
-    that school's contracts. The caller bounds the pool. Every subset is
-    relabelled to local bits with one OR, and each distinct choice back to
-    pool bits once."""
+    """The choice table of dynamic reserves school ``s`` of a compiled
+    market over all of that school's contracts. The caller bounds the pool.
+
+    The table is built a group at a time rather than a subset at a time.
+    ``choose`` runs its groups in precedence order, and group ``k`` reads
+    only the block of its type and what the earlier groups leave: the
+    offered mask (less what they chose, for the completion), the free
+    positions, the residuals and the chosen mask. A prefix carries that
+    state over the blocks read so far, with its pool index, the pool mask
+    of the offered bits it fixes. The first group that reads a block
+    expands the prefix into every sub-pattern of the block; a type that
+    heads several groups is expanded once. Each group step runs once per
+    prefix, as ``choose`` runs it, reading and filling ``cap_table`` at the
+    prefix's residuals, so the capacity table ends with the keys that
+    ``choose`` on every subset would leave. After the last group a prefix
+    holds ``choose(m)[0]`` for every subset ``m`` that agrees with it on
+    the blocks. No group reads the bits after the blocks (an unranked
+    student, a type outside the precedence), so that choice is written for
+    every subset of them. The prefixes are walked depth first, nesting
+    only at the groups that expand a block holding contracts, so few
+    prefixes are alive at a time, and the depth is bounded by the pool, not
+    by the number of groups.
+    """
     school = compiled.schools[s]
     members = sorted(ci for ci in school.global_index if ci is not None)
-    bit_of = [compiled.local_bit[ci] for ci in members]
-    local = [school.choose(m, completion)[0] for m in _relabelled_subsets(bit_of)]
-    position = {lb: i for i, lb in enumerate(bit_of)}
-    to_pool = {c: sum(1 << position[lb] for lb in bits(c)) for c in set(local)}
+    pool_bit = {compiled.local_bit[ci]: 1 << i for i, ci in enumerate(members)}
+
+    def patterns(local_bits: Iterable[int]) -> list[tuple[int, int]]:
+        """Every subset of ``local_bits``, as (local mask, pool mask)."""
+        out = [(0, 0)]
+        for lb in local_bits:
+            out += [(m | 1 << lb, p | pool_bit[lb]) for m, p in out]
+        return out
+
+    span, offsets, table = school.span, school.offsets, school.cap_table
+    # the groups that expand a block holding contracts; every other group
+    # runs once per prefix with nothing to expand
+    heads = {}
+    for t, groups in enumerate(school.type_groups):
+        found = [lb for lb in range(t * span, (t + 1) * span) if lb in pool_bit]
+        if found:
+            heads[groups[0]] = patterns(found)
+    last = len(offsets) - 1
+    after = [at for _, at in patterns(range(school.block_end, len(school.global_index)))]
+    chosen_table = [0] * (1 << len(members))
+    to_pool: dict[int, int] = {}
+
+    def descend(k: int, offered: int, index: int, free: int, residuals: tuple, chosen: int):
+        """Extend one prefix by each sub-pattern of the block group ``k``
+        expands, run the groups from ``k`` up to the next that expands a
+        block, and descend there, or write the leaves after the last."""
+        for block, at in heads.get(k, ((0, 0),)):
+            mask, left, pick, rest, g = offered | block, free, chosen, residuals, k
+            while True:
+                off = offsets[g]
+                cap = table.get(rest)
+                if cap is None:
+                    cap = table[rest] = school.scheme.capacity(g, rest, school.targets)
+                n = 0
+                if cap > 0 and (pool := mask >> off & left):
+                    n = pool.bit_count()
+                    if n > cap:  # over-demanded: keep the pool's ``cap`` lowest bits
+                        over = pool
+                        for _ in range(cap):
+                            over &= over - 1
+                        pool ^= over
+                        n = cap
+                    pick |= pool << off
+                    if completion:
+                        mask ^= pool << off
+                    else:
+                        left ^= pool
+                g += 1
+                if g > last:
+                    break
+                rest += (cap - n,)
+                if g in heads:
+                    descend(g, mask, index | at, left, rest, pick)
+                    break
+            if g > last:
+                picked = to_pool.get(pick)
+                if picked is None:
+                    picked = to_pool[pick] = sum(map(pool_bit.__getitem__, bits(pick)))
+                for extra in after:
+                    chosen_table[index | at | extra] = picked
+
+    descend(0, 0, 0, school.block, (), 0)
     pool = tuple(compiled.contracts[ci] for ci in members)
-    return ChoiceTable(pool, tuple(map(to_pool.__getitem__, local)))
-
-
-def _relabelled_subsets(bit_of: Sequence[int]) -> list[int]:
-    """``out[m]`` sets bit ``bit_of[i]`` for every bit ``i`` of ``m``, for all
-    ``m`` below ``2 ** len(bit_of)``: one OR per subset, from ``m`` without
-    its lowest bit."""
-    out = [0] * (1 << len(bit_of))
-    for m in range(1, len(out)):
-        low = m & -m
-        out[m] = out[m ^ low] | 1 << bit_of[low.bit_length() - 1]
-    return out
+    return ChoiceTable(pool, tuple(chosen_table))
 
 
 def tabulate(

@@ -163,6 +163,21 @@ def reference_cop(students, schools, preferences, order):
     return frozenset().union(*held.values()), steps
 
 
+def reference_tabulate(compiled: Compiled, s: int, completion: bool) -> rm.ChoiceTable:
+    """The choice table of school ``s`` of ``compiled`` by one whole
+    ``choose`` per subset of its contracts, each subset relabelled from
+    pool bits to the school's local bits and its choice back."""
+    school = compiled.schools[s]
+    members = sorted(ci for ci in school.global_index if ci is not None)
+    bit_of = [compiled.local_bit[ci] for ci in members]
+    position = {lb: i for i, lb in enumerate(bit_of)}
+    chosen = []
+    for mask in range(1 << len(members)):
+        picked = school.choose(sum(1 << bit_of[i] for i in bits(mask)), completion)[0]
+        chosen.append(sum(1 << position[lb] for lb in bits(picked)))
+    return rm.ChoiceTable(tuple(compiled.contracts[ci] for ci in members), tuple(chosen))
+
+
 def take_back_market() -> rm.ProblemInstance:
     """A market where a school takes back a contract it rejected.
 

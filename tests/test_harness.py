@@ -893,16 +893,53 @@ def test_cli_audit_decides_the_rows_whose_completion_axioms_hold(capsys):
 
 
 def test_cli_audit_leaves_refused_order_walks_unverified(capsys, monkeypatch):
+    # with no school tabulated the axioms are unverified, so the walk runs
     monkeypatch.setattr(rm.cop, "ORDER_STATE_CAP", 1)
     code, out, err = run_cli(
-        capsys, "audit", "--seed", "120", "--count", "3", "--format", "machine"
+        capsys, "audit", "--seed", "120", "--count", "3", "--max-contracts", "0",
+        "--format", "machine",
     )
     assert (code, err) == (3, "")
     report = json.loads(out)
     assert [r["order_independent"] for r in report["results"]] == [None] * 3
     assert all(r["ok"] for r in report["results"])
     assert report["summary"]["order_independent"] == 0
-    assert report["unverified"] == {"order_independent": 3}
+    assert report["unverified"] == {"order_independent": 3, "completion_axioms": 3}
+
+
+@pytest.mark.parametrize("max_contracts, walks", [("8", 0), ("0", 12)])
+def test_cli_audit_walks_the_orders_only_where_the_axioms_are_unverified(
+    capsys, monkeypatch, max_contracts, walks
+):
+    calls = []
+    walk = cli._order_independence
+
+    def counting(*args):
+        calls.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(cli, "_order_independence", counting)
+    code, out, _ = run_cli(
+        capsys, "audit", "--seed", "120", "--count", "12", "--max-contracts", max_contracts,
+        "--format", "machine",
+    )
+    assert len(calls) == walks
+    report = json.loads(out)
+    assert [r["order_independent"] for r in report["results"]] == [True] * 12
+    assert code == (0 if walks == 0 else 3)
+
+
+def test_cli_audit_decides_order_independence_where_the_walk_refuses(capsys):
+    # at the default --max-contracts, 4 of these 10 walks pass ORDER_STATE_CAP
+    # and their rows read null; with every pool tabulated the axioms decide
+    code, out, err = run_cli(
+        capsys, "audit", "--seed", "0", "--count", "10", "--students", "10",
+        "--schools", "3", "--max-contracts", "18", "--format", "machine",
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert all(r[k] is not None for r in report["results"] for k in cli.AUDIT_CHECKS)
+    assert "unverified" not in report
 
 
 def test_cli_audit_leaves_unchecked_axioms_unverified(capsys):
@@ -1160,6 +1197,25 @@ def test_cli_max_contracts_must_be_non_negative(capsys, tmp_path, command):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1].endswith(f"argument --max-contracts: {message}")
+
+
+@pytest.mark.parametrize("command", ["audit", "convert"])
+def test_cli_max_contracts_has_a_ceiling_of_20(capsys, tmp_path, command):
+    # the markets are small, so 20 starts no large tabulation
+    if command == "audit":
+        argv = ["audit", "--seed", "7", "--count", "1"]
+    else:
+        slots = tmp_path / "market.slots"
+        rm.save_slot_market(rm.generate_slot_specific_school(5), {}, slots)
+        argv = ["convert", str(slots), "--out-file", str(tmp_path / "out.instance"), "--check"]
+    code, _, err = run_cli(capsys, *argv, "--max-contracts", "20", "--format", "machine")
+    assert (code, err) == (0, "")
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--max-contracts", "21"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith("argument --max-contracts: must be at most 20, got 21")
 
 
 @pytest.mark.parametrize("command", ["audit", "gen"])

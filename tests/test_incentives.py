@@ -879,6 +879,28 @@ def test_decomposition_stops_at_the_first_school_without_one(ex1, X, ex1_config,
     assert comparison.chain_agrees is None and not comparison.decomposed
 
 
+def test_the_bump_that_reaches_the_goal_is_not_checked_again(ex1_config, monkeypatch):
+    # one group fed by the other's vacancies, from a constant baseline: the
+    # three bumps make three reports, one of them refused, and the fourth
+    # report, on the goal the callers validated, is skipped
+    cfg = replace(ex1_config, capacity=2, precedence=("t1", "t2"), targets=(1, 1))
+    table = rm.capacity_table(rm.ForwardSumScheme(((), ())), cfg.targets, cfg.capacity)
+    goal = rm.capacity_table(rm.ForwardSumScheme(((), (0,))), cfg.targets, cfg.capacity)
+    reports = []
+    report = rm.incentives._table_report
+
+    def counting(*args):
+        reports.append(report(*args).ok)
+        return report(*args)
+
+    monkeypatch.setattr(rm.incentives, "_table_report", counting)
+    steps = rm.incentives._unit_instances(cfg, table, goal)
+    assert reports == [False, True, True]
+    granted = [rm.capacity_table(step.scheme, cfg.targets, cfg.capacity) for step in steps]
+    assert granted[-1] == goal and len(steps) == 3
+    assert all(report(t, cfg.capacity).ok for t in granted)
+
+
 def test_a_refusal_after_a_school_without_decomposition_still_refuses(
     ex1, X, ex1_config, monkeypatch, tmp_path, capsys
 ):

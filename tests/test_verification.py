@@ -16,6 +16,7 @@ from helpers import (
     reference_irc,
     reference_lad,
     reference_substitutability,
+    reference_tabulate,
     take_back_market,
 )
 from reservematch._engine import Compiled
@@ -240,6 +241,61 @@ def test_a_market_school_tabulates_as_its_own_pool(small_instances):
                 ), (cfg, completion)
 
 
+def _one_school(precedence, targets, ranked, contracts, chained=True):
+    """A one-school market, ``s`` with priority ``ranked``, whose pool is
+    ``contracts`` given as ``(student, type)`` pairs. With ``chained``
+    each group receives the vacancies of the one before it."""
+    pool = [rm.Contract(i, "s", t) for i, t in contracts]
+    donors = tuple((k - 1,) if chained and k else () for k in range(len(targets)))
+    cfg = rm.SchoolConfig(
+        "s", sum(targets), rm.PriorityOrder("s", ranked), precedence, targets,
+        rm.ForwardSumScheme(donors),
+    )
+    return FlatMarket.of(pool, sorted({c.student for c in pool}), [cfg], {})
+
+
+HAND_BUILT_SCHOOLS = {
+    # d is unranked and c's t3 lies outside the precedence: both after the blocks
+    "bits-after-the-blocks": _one_school(
+        ("t1", "t2"), (1, 1), ("b", "a", "c"),
+        [("a", "t1"), ("a", "t2"), ("b", "t1"), ("c", "t2"), ("c", "t3"), ("d", "t1")],
+    ),
+    "type-heads-two-groups": _one_school(
+        ("t1", "t2", "t1"), (1, 1, 1), ("a", "b", "c", "d"),
+        [(i, t) for i in "abcd" for t in ("t1", "t2")] + [("e", "t1")],
+    ),
+    # no ranked student holds a contract here, so the blocks are empty
+    "no-ranked-holder": _one_school(
+        ("t1", "t2"), (1, 1), ("z",), [("a", "t1"), ("a", "t2"), ("b", "t2")],
+    ),
+    # more groups than the interpreter's default recursion limit
+    "1100-groups": _one_school(
+        tuple(f"t{k}" for k in range(1100)), (1,) * 1100, ("a", "b"),
+        [("a", "t0"), ("b", "t0"), ("a", "t1099"), ("b", "t7")], chained=False,
+    ),
+}
+
+
+def test_group_prefix_tables_match_one_choose_per_subset(small_instances):
+    # both tables, and the capacity-table keys each leaves, on separate
+    # compiles of one market: generated, non-monotone and hand-built schools
+    markets = [i.flat() for i in [*small_instances, take_back_market()]]
+    markets += [entry[0].flat() for entry in MANIPULABLE.values()]
+    markets += HAND_BUILT_SCHOOLS.values()
+    for market in markets:
+        for s in range(len(market.schools)):
+            for completion in (False, True):
+                built, oracle = Compiled(market), Compiled(market)
+                table = _tabulate(built, s, completion)
+                assert table == reference_tabulate(oracle, s, completion), (market, s)
+                assert built.schools[s].cap_table.keys() == oracle.schools[s].cap_table.keys()
+    after = Compiled(HAND_BUILT_SCHOOLS["bits-after-the-blocks"]).schools[0]
+    assert len(after.global_index) - after.block_end == 2
+    twice = Compiled(HAND_BUILT_SCHOOLS["type-heads-two-groups"]).schools[0]
+    assert twice.type_groups[0] == (0, 2)
+    assert Compiled(HAND_BUILT_SCHOOLS["no-ranked-holder"]).schools[0].span == 0
+
+
 def test_completion_satisfies_the_three_axioms_on_the_worked_example(ex1, ex1_config):
     comp = rm.tabulate_school(ex1_config, ex1.contracts, completion=True)
     assert rm.check_irc(comp).holds
@@ -390,6 +446,13 @@ def test_table_builders_refuse_choices_outside_their_domain(ex1, ex1_config, X):
     other = rm.Contract("i", "elsewhere", "t1")
     with pytest.raises(rm.InvalidInputError):
         rm.tabulate_school(ex1_config, [X.x1, other])
+
+
+def test_school_tables_refuse_a_slot_specific_school():
+    # its tables go through ``tabulate`` with ``slot_specific_choice``
+    school = rm.generate_slot_specific_school(5)
+    with pytest.raises(rm.InvalidInputError, match="not a dynamic reserves school"):
+        rm.tabulate_school(school, school.contracts)
 
 
 def test_axiom_checkers_refuse_oversized_pools(ex1, ex1_config):
