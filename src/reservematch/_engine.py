@@ -17,12 +17,13 @@ group ``k``'s pool is its block of the offered mask, shifted down, less the
 positions already chosen; the group takes the whole pool when it fits its
 capacity, else the pool's ``cap`` lowest bits; and dropping the chosen
 students from every later group is one XOR out of the mask of free
-positions (the completion choice drops only the chosen bits). A school's
-``choose`` reads and returns local masks, so a choice never touches another
-school's contracts. ``Compiled.to_local`` and ``Compiled.to_global``
-translate between the two spaces; ``local_bit`` (indexed by global index)
-and each school's ``global_index`` (indexed by local bit, ``None`` at gaps)
-are the flat tables behind them.
+positions. ``choose`` is the overall choice only; the completion, which
+drops only the chosen bits, runs in ``verification._tabulate``, the one
+place that tabulates it. A school's ``choose`` reads and returns local
+masks, so a choice never touches another school's contracts.
+``Compiled.to_global`` translates a local mask back; ``local_bit`` (indexed
+by global index) and each school's ``global_index`` (indexed by local bit,
+``None`` at gaps) are the flat tables between the two spaces.
 
 A dynamic reserves school reads group ``k``'s capacity from its
 ``cap_table``, keyed by the residuals of groups ``0..k-1`` (the key's length
@@ -142,7 +143,7 @@ class CompiledSchool:
         # from the scheme the first time a choice reaches that prefix
         self.cap_table: dict[tuple[int, ...], int] = {(): config.targets[0]}
 
-    def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...]]:
+    def choose(self, mask: int) -> tuple[int, tuple[int, ...]]:
         """Return (chosen local mask, residuals) for a local offer mask.
         Group ``k`` runs at ``cap_table[residuals[:k]]``, which this call
         fills if it is the first to reach that prefix."""
@@ -165,10 +166,7 @@ class CompiledSchool:
                     n = cap
                 residuals += (cap - n,)
                 chosen |= pool << off
-                if completion:
-                    mask ^= pool << off
-                else:
-                    free ^= pool
+                free ^= pool
             else:  # no seat, or no claimant left
                 residuals += (cap,)
         return chosen, residuals
@@ -227,7 +225,7 @@ class CompiledSlotSchool:
         index = owner.index
         self.slots = tuple(tuple(local_bit[index[c]] for c in slot) for slot in school.slots)
 
-    def choose(self, mask: int, completion: bool = False) -> tuple[int, tuple[int, ...]]:
+    def choose(self, mask: int) -> tuple[int, tuple[int, ...]]:
         """Return (chosen local mask, residuals); every slot has capacity 1."""
         avail = mask
         chosen = 0
@@ -333,17 +331,6 @@ class Compiled:
 
     def to_set(self, mask: int) -> frozenset:
         return frozenset(self.contracts[ci] for ci in bits(mask))
-
-    def to_local(self, mask: int) -> list[int]:
-        """Split a global mask into one local mask per school."""
-        out = [0] * len(self.schools)
-        school_of, local_bit = self.school_of, self.local_bit
-        while mask:
-            low = mask & -mask
-            ci = low.bit_length() - 1
-            out[school_of[ci]] |= 1 << local_bit[ci]
-            mask ^= low
-        return out
 
     def to_global(self, school: int, local: int) -> int:
         """The global mask of a local mask of school number ``school``."""

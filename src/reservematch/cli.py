@@ -49,7 +49,6 @@ from .incentives import (
     _respects_improvement,
     _search_misreports,
     _truncation_misreport,
-    _unit_pair,
     allocation_waste,
     check_flexibility_pareto,
 )
@@ -63,6 +62,7 @@ from .verification import (
     check_substitutability,
     is_stable,
     tabulate,
+    tabulate_school,
 )
 
 # The checks every audit row records, in report order. Each is true (passed),
@@ -146,11 +146,11 @@ def _cmd_match(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the build path of ``match``: one compile of the flat form, to which the
-    # allocation file resolves; the instance is built from the same form
+    # allocation file resolves and on which the stability check runs
     market = _load_market(args.instance)
     compiled = Compiled(market)
     allocation = frozenset(_read_allocation(args.allocation, compiled.index, market))
-    report = is_stable(allocation, market.instance(), compiled=compiled)
+    report = is_stable(allocation, compiled)
     doc = {
         "command": "verify",
         "instance": str(args.instance),
@@ -239,7 +239,7 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
     compiled = Compiled.from_instance(instance)
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
-    stable = is_stable(compiled.to_set(truth[0]), instance, compiled=compiled)
+    stable = is_stable(compiled.to_set(truth[0]), compiled)
     row: dict = {"stable": stable.passed}
     axioms, row["schools_axiom_checked"] = _completion_axioms(compiled, max_contracts)
     row["completion_axioms"] = axioms
@@ -269,8 +269,7 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
     except SearchCapExceededError:
         draw = row["flexibility_pareto"] = None
     if draw is not None:
-        pair = _unit_pair(compiled, *draw)
-        comparison = _flexibility_pareto(*pair, instance.preferences, rank)
+        comparison = _flexibility_pareto(compiled, [draw], instance.preferences, rank)
         row["flexibility_pareto"] = comparison.dominates and comparison.chain_agrees is not False
 
     row["ok"] = all(row[k] is not False for k in AUDIT_CHECKS)
@@ -407,15 +406,24 @@ def _cmd_convert(args) -> int:
 
     mismatch = None
     if args.check:
-        # tabulate refuses a pool over --max-contracts, and main exits 3
+        # both tabulations refuse a pool over --max-contracts, and main exits
+        # 3. The slot side is the set-based reference; the converted side runs
+        # on the engine, over its own ids, which sort v10 before v2, so its
+        # masks are mapped back to the slot pool's bits. The first offer set
+        # that differs is reported in the slot pool's mask order.
         pool = sorted(school.contracts)
         cap = 1 << args.max_contracts
         want = tabulate(lambda offers: slot_specific_choice(offers, school), pool, cap=cap)
-        got = tabulate(converted.choice, pool, cap=cap)
-        for mask, (a, b) in enumerate(zip(got.chosen, want.chosen)):
-            if a != b:
-                mismatch = sorted(contract_id(c) for c in got.subset(mask))
-                break
+        got = tabulate_school(converted.config, converted.mapping.values(), cap=cap)
+        to_slot = [0]  # to_slot[m]: the slot pool's mask of the converted mask m
+        for c in got.pool:
+            bit = 1 << pool.index(converted.inverse[c])
+            to_slot += [m | bit for m in to_slot]
+        bad = [
+            to_slot[m] for m, c in enumerate(got.chosen) if to_slot[c] != want.chosen[to_slot[m]]
+        ]
+        if bad:
+            mismatch = sorted(contract_id(c) for c in want.subset(min(bad)))
 
     report = {
         "command": "convert",

@@ -225,18 +225,15 @@ def unit_flexibility_pair(
     school would take more than 2 000 000 steps.
     """
     draw = _flexibility_draw(instance, seed)
-    if draw is None:
-        return None
-    rigid_cfg, flex_cfg, _, _ = draw
-    return instance.with_school(rigid_cfg), instance.with_school(flex_cfg)
+    return None if draw is None else tuple(map(instance.with_school, draw))
 
 
 def _flexibility_draw(
     instance: ProblemInstance, seed: int
-) -> Optional[tuple[SchoolConfig, SchoolConfig, dict, dict]]:
+) -> Optional[tuple[SchoolConfig, SchoolConfig]]:
     """The draw of :func:`unit_flexibility_pair`: the school's rigid and
-    flexible configurations, then the :func:`capacity_table` of each, which
-    its pinned scheme grants exactly; ``None`` when no school qualifies.
+    flexible configurations, whose pinned table schemes grant the two
+    tables of :func:`_unit_tables`; ``None`` when no school qualifies.
 
     Three shuffles pick the school, its receiving group and the donor
     coordinate of the bump; every pick yields a monotone pair
@@ -255,9 +252,7 @@ def _flexibility_draw(
     rng.shuffle(donors)
     _require_steps(cfg.group_count, cfg.capacity)
     rigid, flexible = _unit_tables(cfg.targets, cfg.capacity, receivers[0], donors[0])
-    rigid_cfg = replace(cfg, scheme=TableScheme.pinned(rigid, cfg.targets))
-    flex_cfg = replace(cfg, scheme=TableScheme.pinned(flexible, cfg.targets))
-    return rigid_cfg, flex_cfg, rigid, flexible
+    return tuple(replace(cfg, scheme=TableScheme.pinned(t, cfg.targets)) for t in (rigid, flexible))
 
 
 def _unit_tables(

@@ -449,23 +449,13 @@ def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> boo
 
 def _compiled_pair(
     rigid: ProblemInstance, flexible: ProblemInstance
-) -> tuple[Compiled, Compiled, dict]:
-    """The prelude of both comparisons. The two instances must describe one
-    market: the same contracts, students, type profile, preferences and
-    schools, which may differ only in their schemes.
-
-    ``rigid`` is validated and compiled once. The rest of ``flexible``
-    equals it, so only the schemes that differ are checked, and their
-    violations are exactly those of ``validate_instance(flexible)``. Returns
-    the compiled rigid market, the flexible one as its ``Compiled.with_school``
-    clone, and the changed schools in school order, each mapped to its rigid
-    and flexible configurations, then its rigid and flexible
-    :func:`capacity_table`. A school changes when its scheme grants a
-    different capacity somewhere in the residual domain, not merely when it
-    is written otherwise. Refuses, as :func:`check_monotonic` does, when one
-    monotonicity check of a school whose scheme differs would take more than
-    2 000 000 steps, before it builds any table.
-    """
+) -> tuple[Compiled, list[tuple[SchoolConfig, SchoolConfig]]]:
+    """The instance half of both comparisons. The two instances must
+    describe one market: the same contracts, students, type profile,
+    preferences and schools, which may differ only in their schemes.
+    ``rigid`` is validated and compiled once. Returns that compile and the
+    (rigid, flexible) configurations of the schools whose schemes differ,
+    in school order, for :func:`_changed_schools`."""
     if rigid.contracts != flexible.contracts or rigid.students != flexible.students:
         raise InvalidInputError("instances describe different markets")
     if rigid.profile != flexible.profile:
@@ -479,42 +469,49 @@ def _compiled_pair(
         if replace(a, scheme=b.scheme) != b:
             raise InvalidInputError(f"school {a.school}: only the scheme may differ")
     pairs = [(a, b) for a, b in zip(rigid.schools, flexible.schools) if a.scheme != b.scheme]
+    return _validated(rigid), pairs
 
-    compiled = switched = _validated(rigid)
-    if violations := [v for _, b in pairs for v in _scheme_violations(b)]:
-        raise ValidationError(violations)
+
+def _changed_schools(
+    compiled: Compiled, pairs: Sequence[tuple[SchoolConfig, SchoolConfig]]
+) -> tuple[Compiled, dict]:
+    """The one prelude of both comparisons, on the validated compile
+    ``compiled``. Each pair holds a school's rigid and flexible
+    configurations, which equal the compiled school's but for their
+    schemes: the rigid side and the flexible side of the comparison.
+
+    Only the schemes the compile does not already hold are validated, the
+    rigid ones first, so the violations raised are those that validating
+    the rigid market, then the flexible one, would find: for
+    :func:`check_flexibility_pareto` the rigid schemes are the compile's
+    own, and for the audit's draw (``generator._flexibility_draw``, which
+    builds both monotone and checks neither) this is the pair's one check.
+    Then the comparison refuses, as :func:`check_monotonic` does, when one
+    monotonicity check of a pair's school would take more than 2 000 000
+    steps, before it builds any table.
+
+    Returns the rigid market, as a ``Compiled.with_school`` clone of
+    ``compiled`` where a rigid scheme is not the compile's, and the changed
+    schools in school order, each mapped to its rigid and flexible
+    configurations, then its rigid and flexible :func:`capacity_table`. A
+    school changes when its scheme grants a different capacity somewhere in
+    the residual domain, not merely when it is written otherwise.
+    """
+    own = [compiled.schools[compiled.school_index[a.school]].scheme for a, _ in pairs]
+    for side in (0, 1):
+        fresh = [pair[side] for pair, scheme in zip(pairs, own) if pair[side].scheme != scheme]
+        if violations := [v for cfg in fresh for v in _scheme_violations(cfg)]:
+            raise ValidationError(violations)
     for a, _ in pairs:
         _require_steps(a.group_count, a.capacity)
-    changed = {}
-    for a, b in pairs:
-        switched = switched.with_school(b)
+    working, changed = compiled, {}
+    for (a, b), scheme in zip(pairs, own):
+        if a.scheme != scheme:
+            working = working.with_school(a)
         before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
         if before != after:
             changed[a.school] = a, b, before, after
-    return compiled, switched, changed
-
-
-def _unit_pair(
-    compiled: Compiled, rigid: SchoolConfig, flexible: SchoolConfig, before: dict, after: dict
-) -> tuple[Compiled, Compiled, dict]:
-    """What :func:`_compiled_pair` returns for the two markets that replace
-    one school of the validated, compiled market ``compiled`` with
-    ``rigid`` and with ``flexible``: a draw of
-    ``generator._flexibility_draw``, whose table schemes grant the capacity
-    tables ``before`` and ``after``, which differ at one vector. Both
-    markets equal the validated one outside that school's scheme, so only
-    the two schemes are checked, here alone (the draw builds them monotone
-    and checks neither), the rigid one first: the violations raised
-    are those that validating the rigid market, then the flexible one,
-    would find. A table scheme is never certified, so that check runs
-    :func:`check_monotonic`, which applies the comparisons' step cap. Both
-    sides are clones of ``compiled``, and the tables are not built again."""
-    for cfg in (rigid, flexible):
-        if violations := _scheme_violations(cfg):
-            raise ValidationError(violations)
-    working = compiled.with_school(rigid)
-    changed = {rigid.school: (rigid, flexible, before, after)}
-    return working, working.with_school(flexible), changed
+    return working, changed
 
 
 def improvement_chains(
@@ -543,10 +540,11 @@ def improvement_chains(
     before any table is built.
     """
     z = frozenset(z)
-    _, compiled, changed = _compiled_pair(rigid, flexible)
+    working, changed = _changed_schools(*_compiled_pair(rigid, flexible))
     if len(changed) != 1:
         raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
-    ((_, _, a, b),) = changed.values()
+    ((_, cfg, a, b),) = changed.values()
+    compiled = working.with_school(cfg)
     diffs = [(len(vec), vec, b[vec] - a[vec]) for vec in a if b[vec] != a[vec]]
     if len(diffs) != 1 or diffs[0][2] != 1:
         raise InvalidInputError(
@@ -615,54 +613,64 @@ def check_flexibility_pareto(
     than 2 000 000 steps, before it builds any capacity table. The changed
     schools are then decomposed in order, stopping at the first one without
     a decomposition, since ``chain_agrees`` is ``None`` whatever the later
-    ones give; chains are replayed only when every school decomposed.
+    ones give; chains are replayed only when every school decomposed. The
+    decomposition's whole-table checks read at most ``_DECOMPOSITION_CAP``
+    table entries in all, and more is refused (:func:`_unit_instances`).
 
     Only ``rigid`` is validated and compiled; the flexible side and every
     market in between are ``Compiled.with_school`` clones of it. The last
     school switched makes the market ``flexible``: the unchanged schools
     grant the same capacities.
     """
-    working, flexible_compiled, changed = _compiled_pair(rigid, flexible)
-    rank = working.default_order_rank()  # the sides share every preference
-    return _flexibility_pareto(working, flexible_compiled, changed, rigid.preferences, rank)
+    compiled, pairs = _compiled_pair(rigid, flexible)
+    rank = compiled.default_order_rank()  # the sides share every preference
+    return _flexibility_pareto(compiled, pairs, rigid.preferences, rank)
 
 
 def _flexibility_pareto(
-    working: Compiled,
-    flexible: Compiled,
-    changed: dict,
+    compiled: Compiled,
+    pairs: Sequence[tuple[SchoolConfig, SchoolConfig]],
     preferences: Mapping[str, PreferenceOrder],
     rank: Sequence[int],
 ) -> FlexibilityComparison:
-    """The comparison of :func:`check_flexibility_pareto` on compiled
-    markets: ``working`` is the rigid market, ``flexible`` its clone with
-    every changed school switched, ``changed`` maps each changed school as
-    :func:`_compiled_pair` does, ``preferences`` are the true preferences
-    both sides share, and ``rank`` is their ``default_order_rank``."""
+    """The comparison of :func:`check_flexibility_pareto` on the validated
+    compile ``compiled``, between the (rigid, flexible) configuration
+    ``pairs`` as :func:`_changed_schools` reads them; ``preferences`` are
+    the true preferences both sides share, and ``rank`` is their
+    ``default_order_rank``.
+
+    The flexible side is built once, one changed school at a time: it is
+    the clone the replay switches to, and each chain's last unit step, the
+    bump that reaches the flexible table, runs on it."""
+    working, changed = _changed_schools(compiled, pairs)
     for sid, (_, _, table, goal) in changed.items():
         if any(goal[vec] < cap for vec, cap in table.items()):
             raise InvalidInputError(f"school {sid}: flexible scheme is not more flexible")
 
-    outcome = working.cop(rank)[0]
-    flexible_mask = flexible.cop(rank)[0]
-    rigid_outcome = working.to_set(outcome)
-    flexible_outcome = working.to_set(flexible_mask)
-
-    chains = []
-    for a, b, table, goal in changed.values():
-        if (steps := _unit_instances(a, table, goal)) is None:
-            chain_agrees = None
+    chains, read = [], 0
+    for a, _, table, goal in changed.values():
+        steps, read = _unit_instances(a, table, goal, read)
+        if steps is None:
             break
-        chains.append((steps, b))
-    else:
+        chains.append(steps)
+
+    outcome = rigid_mask = working.cop(rank)[0]
+    flexible, chain_agrees = working, None
+    if len(chains) == len(changed):
         chain_agrees = True
-        for n, (steps, b) in enumerate(chains, 1):
+        for steps, (_, b, _, _) in zip(chains, changed.values()):
             replay = outcome
             for cfg in steps:
-                replay = _reseat(working.with_school(cfg), replay, rank)
-            working = working.with_school(b)
-            outcome = flexible_mask if n == len(chains) else working.cop(rank)[0]
-            chain_agrees = chain_agrees and replay == outcome
+                replay = _reseat(flexible.with_school(cfg), replay, rank)
+            flexible = flexible.with_school(b)
+            outcome = flexible.cop(rank)[0]
+            chain_agrees = chain_agrees and _reseat(flexible, replay, rank) == outcome
+    else:
+        for _, b, _, _ in changed.values():
+            flexible = flexible.with_school(b)
+        outcome = flexible.cop(rank)[0]
+    rigid_outcome = working.to_set(rigid_mask)
+    flexible_outcome = working.to_set(outcome)
 
     deltas = []
     rigid_seats = assignments(rigid_outcome)
@@ -680,37 +688,55 @@ def _flexibility_pareto(
     )
 
 
-def _unit_instances(base: SchoolConfig, table: dict, goal: dict) -> Optional[list[SchoolConfig]]:
+# The table entries that the whole-table checks of ``_unit_instances`` may
+# read in one comparison. The greedy order often fails after a few checks,
+# so the count is kept as the checks run, not bounded up front by the gap.
+_DECOMPOSITION_CAP = 16_000_000
+
+
+def _unit_instances(
+    base: SchoolConfig, table: dict, goal: dict, read: int
+) -> tuple[Optional[list[SchoolConfig]], int]:
     """Configurations of one school stepping one seat at a time from
-    ``base``, whose capacity table is ``table``, to the capacity table
-    ``goal``; the last entry grants ``goal``. Each round bumps the first
-    candidate point that keeps the capacity table monotone (upper corners of
-    the gap first, necessarily, since a bump below an unlifted point would
-    overshoot it). ``None`` when no monotone bump order exists.
+    ``base``, whose capacity table is ``table``, toward the capacity table
+    ``goal``, stopping one bump short of it, and the count of table entries
+    read. Each round bumps the first candidate point that keeps the
+    capacity table monotone (upper corners of the gap first, necessarily,
+    since a bump below an unlifted point would overshoot it). The steps are
+    ``None`` when no monotone bump order exists.
 
     ``table`` lies nowhere above ``goal`` (``_flexibility_pareto`` refuses
     otherwise), so the last seat of the gap is the bump that makes the
-    table equal ``goal``. That bump is not checked: both callers validated
-    ``goal`` with the same report, ``_unit_pair`` and ``_compiled_pair``
-    through ``_scheme_violations`` (which passes a certified scheme,
-    monotone by its certificate). The report would pass, so the first
-    candidate is still the one taken.
+    table equal ``goal``. That bump is neither taken nor checked: the
+    caller runs it on its flexible side, whose scheme grants ``goal`` and
+    which ``_changed_schools`` validated with the same report (it passes a
+    certified scheme, monotone by its certificate), so the report would
+    pass.
+
+    Each check reads every entry of the table. ``read`` counts the entries
+    the comparison's earlier checks read; a check that would take the count
+    past ``_DECOMPOSITION_CAP`` raises :class:`SearchCapExceededError`
+    before it runs.
     """
     table = dict(table)
     gap = sum(goal[vec] - table[vec] for vec in goal)
     steps: list[SchoolConfig] = []
-    while gap:
+    while gap > 1:
         for vec in goal:
             if table[vec] < goal[vec]:
+                read += len(table)
+                if read > _DECOMPOSITION_CAP:
+                    what = "decomposition table reads"
+                    raise SearchCapExceededError(read, _DECOMPOSITION_CAP, what)
                 table[vec] += 1
-                if gap == 1 or _table_report(table, base.capacity).ok:
+                if _table_report(table, base.capacity).ok:
                     break
                 table[vec] -= 1
         else:
-            return None
+            return None, read
         gap -= 1
         steps.append(replace(base, scheme=TableScheme.pinned(table, base.targets)))
-    return steps
+    return steps, read
 
 
 def allocation_waste(instance: ProblemInstance, allocation: Iterable[Contract]) -> int:

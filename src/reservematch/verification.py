@@ -4,22 +4,25 @@
 contracts, schools would re-choose exactly what they hold, and no school can
 assemble a blocking set of contracts that it would accept and whose students
 would all take; ``find_blocking_set`` searches one school for a blocking
-set. Both run on the engine's masks. The axiom checkers run a choice
-function over every subset of a contract pool and verify rejection
-irrelevance, substitutability, the law of aggregate demand, and the
-completion relationship. They read a :class:`ChoiceTable`, built once per
+set. Both run on the engine's masks, and both take the market as a
+``ProblemInstance``, which they compile, or as a caller's ``Compiled``, so
+``verify`` and ``audit`` check on the compile they already hold. The axiom
+checkers run a choice function over every subset of a contract pool and
+verify rejection irrelevance, substitutability, the law of aggregate
+demand, and the completion relationship. They read a :class:`ChoiceTable`, built once per
 choice function and pool, and the builders are exhaustive or they refuse,
 never sampled. A dynamic reserves school's table is built a group at a
 time: each group step runs once per distinct prefix of the blocks the
 groups so far read, rather than once per subset, and each choice is copied
-over the bits no group reads (``_tabulate``).
+over the bits no group reads (``_tabulate``). That is also the engine's one
+completion choice: ``CompiledSchool.choose`` runs the overall choice only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ._engine import Compiled, bits
 from .choice import SchoolConfig
@@ -70,9 +73,7 @@ class StabilityReport:
         return self.passed
 
 
-def is_stable(
-    y: Iterable[Contract], instance: ProblemInstance, *, compiled: Optional[Compiled] = None
-) -> StabilityReport:
+def is_stable(y: Iterable[Contract], market: Union[ProblemInstance, Compiled]) -> StabilityReport:
     """Evaluate all three stability conditions for allocation ``y``, each
     with its first witness in contract and school order: the contracts
     their students do not find acceptable, the first school that would not
@@ -80,11 +81,10 @@ def is_stable(
     choose), and the first school at which :func:`find_blocking_set` finds
     a blocking set. A set that is not an allocation (a contract outside the
     market, a student with several contracts, a school over capacity)
-    raises :class:`InvalidInputError`. ``compiled`` is
-    ``Compiled.from_instance(instance)``, given to share a compilation the
-    caller already has; it is built here when omitted."""
-    if compiled is None:
-        compiled = Compiled.from_instance(instance)
+    raises :class:`InvalidInputError`. ``market`` is a ``ProblemInstance``,
+    compiled here, or a ``Compiled`` the caller already holds; the one
+    compile serves every school's search."""
+    compiled = market if isinstance(market, Compiled) else Compiled.from_instance(market)
     y = frozenset(y)
     _require_allocation(compiled, y, True)
     local, current = _held(compiled, y)
@@ -101,7 +101,7 @@ def is_stable(
             break
     blocking = None
     for name in names:
-        z = find_blocking_set(y, name, instance, compiled=compiled)
+        z = find_blocking_set(y, name, compiled)
         if z is not None:
             blocking = (name, z)
             break
@@ -109,18 +109,13 @@ def is_stable(
 
 
 def find_blocking_set(
-    y: Iterable[Contract],
-    school: str,
-    instance: ProblemInstance,
-    *,
-    compiled: Optional[Compiled] = None,
+    y: Iterable[Contract], school: str, market: Union[ProblemInstance, Compiled]
 ) -> Optional[frozenset]:
     """Search for a blocking set at one school; ``None`` when no set blocks
     there. A set holding a contract outside the market or a student with
     several contracts is refused with :class:`InvalidInputError`, as by
-    :func:`is_stable`; capacities are not checked. ``compiled`` is
-    ``Compiled.from_instance(instance)``, given to share one compilation
-    across schools; it is built here when omitted.
+    :func:`is_stable`; capacities are not checked. ``market`` is taken as by
+    :func:`is_stable`.
 
     A blocking set is a nonempty set of the school's contracts from outside
     ``y``, at most one per student, that the school would keep in full when
@@ -163,8 +158,7 @@ def find_blocking_set(
     scheme, so the guard holds on every allocation. A slot-specific school
     has no guard: every bit is pickable.
     """
-    if compiled is None:
-        compiled = Compiled.from_instance(instance)
+    compiled = market if isinstance(market, Compiled) else Compiled.from_instance(market)
     s = compiled.school_index[school]
     y = frozenset(y)
     _require_allocation(compiled, y, False)

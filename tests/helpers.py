@@ -163,19 +163,35 @@ def reference_cop(students, schools, preferences, order):
     return frozenset().union(*held.values()), steps
 
 
-def reference_tabulate(compiled: Compiled, s: int, completion: bool) -> rm.ChoiceTable:
-    """The choice table of school ``s`` of ``compiled`` by one whole
-    ``choose`` per subset of its contracts, each subset relabelled from
-    pool bits to the school's local bits and its choice back."""
-    school = compiled.schools[s]
-    members = sorted(ci for ci in school.global_index if ci is not None)
-    bit_of = [compiled.local_bit[ci] for ci in members]
-    position = {lb: i for i, lb in enumerate(bit_of)}
-    chosen = []
-    for mask in range(1 << len(members)):
-        picked = school.choose(sum(1 << bit_of[i] for i in bits(mask)), completion)[0]
-        chosen.append(sum(1 << position[lb] for lb in bits(picked)))
-    return rm.ChoiceTable(tuple(compiled.contracts[ci] for ci in members), tuple(chosen))
+def local_mask(compiled: Compiled, s: int, contracts) -> int:
+    """School ``s``'s local mask of those of ``contracts`` that are its own."""
+    index, local_bit = compiled.index, compiled.local_bit
+    return sum(1 << local_bit[index[c]] for c in contracts if compiled.school_of[index[c]] == s)
+
+
+def reference_tabulate(market: FlatMarket, s: int, completion: bool) -> tuple[rm.ChoiceTable, set]:
+    """The choice table of school ``s`` of ``market`` over all its
+    contracts, through :func:`rm.tabulate`: one whole ``choose`` of a fresh
+    compile per subset or, for the completion, one set-based
+    ``completion_choice``. Also the capacity-table keys those choices read:
+    every prefix of each choice's residuals (group ``k`` reads the key of
+    the ``k`` residuals before it)."""
+    compiled = Compiled(market)
+    school, cfg = compiled.schools[s], market.schools[s]
+    pool = [compiled.contracts[ci] for ci in school.global_index if ci is not None]
+    keys = set()
+
+    def choice(offers):
+        if completion:
+            picked, trace = rm.completion_choice(offers, cfg)
+            residuals = trace.residuals
+        else:
+            local, residuals = school.choose(local_mask(compiled, s, offers))
+            picked = compiled.to_set(compiled.to_global(s, local))
+        keys.update(residuals[:k] for k in range(len(residuals)))
+        return picked
+
+    return rm.tabulate(choice, pool, cap=1 << len(pool)), keys
 
 
 def take_back_market() -> rm.ProblemInstance:
@@ -343,6 +359,21 @@ def reference_contract_of(cid: str, market: rm.ProblemInstance):
     return {contract_id(c): c for c in sorted(market.contracts)}.get(cid)
 
 
+def reference_convert_mismatch(school: rm.SlotSpecificSchool, converted) -> list | None:
+    """What ``convert --check`` reported before the converted school was
+    tabulated on the engine: both sides by the set-based choices over the
+    slot pool, and the first offer set, in that pool's mask order, on which
+    they differ, as sorted ids; ``None`` when they agree everywhere."""
+    pool = sorted(school.contracts)
+    cap = 1 << len(pool)
+    want = rm.tabulate(lambda offers: rm.slot_specific_choice(offers, school), pool, cap=cap)
+    got = rm.tabulate(converted.choice, pool, cap=cap)
+    for mask, (a, b) in enumerate(zip(got.chosen, want.chosen)):
+        if a != b:
+            return sorted(contract_id(c) for c in got.subset(mask))
+    return None
+
+
 def reference_flexibility_draw(instance: rm.ProblemInstance, seed: int):
     """The unit flexibility draw as first written: it re-checks both tables
     of every candidate school, receiver and donor, in shuffled order, and
@@ -370,5 +401,5 @@ def reference_flexibility_draw(instance: rm.ProblemInstance, seed: int):
                 if _table_report(flexible, bound).ok:
                     rigid_cfg = replace(cfg, scheme=rm.TableScheme.pinned(rigid, cfg.targets))
                     flex_cfg = replace(cfg, scheme=rm.TableScheme.pinned(flexible, cfg.targets))
-                    return rigid_cfg, flex_cfg, rigid, flexible
+                    return rigid_cfg, flex_cfg
     return None

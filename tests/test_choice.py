@@ -9,9 +9,10 @@ from dataclasses import replace
 import pytest
 
 import reservematch as rm
-from helpers import brute_monotonic
+from helpers import brute_monotonic, local_mask
 from reservematch._engine import Compiled, bits
 from reservematch.instance import FlatMarket
+from reservematch.verification import _tabulate
 
 
 def rows(X):
@@ -300,9 +301,14 @@ def _capacities(school, residuals):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_engine_choices_match_reference(seed):
+    # the engine's one completion is the group-prefix tabulation, here on a
+    # compile of its own
     cfg, contracts = rm.generate_school_pool(seed)
-    compiled = Compiled(FlatMarket.of(contracts, sorted({c.student for c in contracts}), [cfg], {}))
+    market = FlatMarket.of(contracts, sorted({c.student for c in contracts}), [cfg], {})
+    compiled = Compiled(market)
     school = compiled.schools[0]
+    completed = _tabulate(Compiled(market), 0, completion=True)
+    position = {c: i for i, c in enumerate(completed.pool)}
     rng = random.Random(seed)
     subsets = [
         frozenset(c for c in contracts if rng.random() < 0.5) for _ in range(40)
@@ -310,16 +316,13 @@ def test_engine_choices_match_reference(seed):
     subsets.append(frozenset(contracts))
     subsets.append(frozenset())
     for offers in subsets:
-        (local,) = compiled.to_local(compiled.to_mask(offers))
         want, trace = rm.dynamic_reserves_choice(offers, cfg)
-        got, residuals = school.choose(local)
+        got, residuals = school.choose(local_mask(compiled, 0, offers))
         assert compiled.to_set(compiled.to_global(0, got)) == want
         assert residuals == trace.residuals
         assert _capacities(school, residuals) == trace.capacities
-        want_c, trace_c = rm.completion_choice(offers, cfg)
-        got_c, res_c = school.choose(local, completion=True)
-        assert compiled.to_set(compiled.to_global(0, got_c)) == want_c
-        assert res_c == trace_c.residuals
+        got_c = completed.chosen[sum(1 << position[c] for c in offers)]
+        assert completed.subset(got_c) == rm.completion_choice(offers, cfg)[0]
 
 
 def _layout_market():
@@ -353,35 +356,36 @@ def _layout_market():
 
 
 def test_block_layout_choices_match_reference_on_every_subset():
-    # every subset of the pool, chosen plain and as a completion, mask and
-    # residuals; ``over`` counts the groups that ran over-demanded, by
-    # whether their capacity was 1 or more
+    # every subset of the pool, chosen plain (mask and residuals) and as a
+    # completion (the group-prefix tabulation, on a compile of its own);
+    # ``over`` counts the groups that ran over-demanded, by whether their
+    # capacity was 1 or more
     pool, configs = _layout_market()
     students = sorted({c.student for c in pool})
     over = {1: 0, 2: 0}
     for cfg in configs:
-        compiled = Compiled(FlatMarket.of(pool, students, [cfg], {}))
+        market = FlatMarket.of(pool, students, [cfg], {})
+        compiled = Compiled(market)
         school = compiled.schools[0]
         assert None in school.global_index  # gap bits
         assert school.block_end < len(school.global_index)  # bits after the blocks
+        completed = _tabulate(Compiled(market), 0, completion=True)
+        assert completed.pool == tuple(pool)
         for mask in range(1 << len(pool)):
             offers = frozenset(pool[i] for i in bits(mask))
-            (local,) = compiled.to_local(mask)
-            for choice, completion in (
-                (rm.dynamic_reserves_choice, False),
-                (rm.completion_choice, True),
-            ):
-                want, trace = choice(offers, cfg)
-                got, residuals = school.choose(local, completion)
-                assert compiled.to_set(compiled.to_global(0, got)) == want, (cfg, offers)
-                assert residuals == trace.residuals, (cfg, offers)
-                for g in trace.groups:
-                    claimants = [
-                        c for c in g.available
-                        if c.privilege == g.privilege and cfg.priority.accepts(c.student)
-                    ]
-                    if 0 < g.capacity < len(claimants):
-                        over[min(g.capacity, 2)] += 1
+            want, trace = rm.dynamic_reserves_choice(offers, cfg)
+            got, residuals = school.choose(local_mask(compiled, 0, offers))
+            assert compiled.to_set(compiled.to_global(0, got)) == want, (cfg, offers)
+            assert residuals == trace.residuals, (cfg, offers)
+            want_c, trace_c = rm.completion_choice(offers, cfg)
+            assert completed.subset(completed.chosen[mask]) == want_c, (cfg, offers)
+            for g in (*trace.groups, *trace_c.groups):
+                claimants = [
+                    c for c in g.available
+                    if c.privilege == g.privilege and cfg.priority.accepts(c.student)
+                ]
+                if 0 < g.capacity < len(claimants):
+                    over[min(g.capacity, 2)] += 1
     # 12 440 at capacity 1, 2 584 above
     assert over[1] >= 12_000 and over[2] >= 2_500, over
 
@@ -395,7 +399,7 @@ def test_engine_slot_school_matches_reference():
         pool = sorted(school.contracts)
         for mask in range(1 << len(pool)):
             offers = frozenset(pool[i] for i in range(len(pool)) if (mask >> i) & 1)
-            (local,) = compiled.to_local(compiled.to_mask(offers))
+            local = local_mask(compiled, 0, offers)
             got = compiled.to_set(compiled.to_global(0, engine.choose(local)[0]))
             assert got == rm.slot_specific_choice(offers, school)
 
@@ -461,25 +465,25 @@ def test_capacity_table_answers_as_the_scheme_in_any_fill_order():
         non_monotone += not rm.check_monotonic(cfg.scheme, cfg.targets, cfg.capacity)
         students = sorted({c.student for c in contracts})
         pool = sorted(contracts)
+        market = FlatMarket.of(contracts, students, [cfg], {})
+        completed = _tabulate(Compiled(market), 0, completion=True)
+        assert completed.pool == tuple(pool)
         masks = list(range(1 << len(pool)))
         shuffled = masks[:]
         rng.shuffle(shuffled)
         for order in (masks, shuffled):
-            compiled = Compiled(FlatMarket.of(contracts, students, [cfg], {}))
+            compiled = Compiled(market)
             school = compiled.schools[0]
             for mask in order:
                 offers = frozenset(pool[i] for i in range(len(pool)) if (mask >> i) & 1)
-                (local,) = compiled.to_local(compiled.to_mask(offers))
                 want, trace = rm.dynamic_reserves_choice(offers, cfg)
-                got, residuals = school.choose(local)
+                got, residuals = school.choose(local_mask(compiled, 0, offers))
                 caps = _capacities(school, residuals)
                 assert compiled.to_set(compiled.to_global(0, got)) == want, (seed, mask)
                 assert residuals == trace.residuals
                 assert caps == trace.capacities
-                want_c, trace_c = rm.completion_choice(offers, cfg)
-                got_c, res_c = school.choose(local, completion=True)
-                assert compiled.to_set(compiled.to_global(0, got_c)) == want_c
-                assert res_c == trace_c.residuals
+                want_c = rm.completion_choice(offers, cfg)[0]
+                assert completed.subset(completed.chosen[mask]) == want_c, (seed, mask)
                 above += any(c > q for c, q in zip(caps[1:], cfg.targets[1:]))
                 zero += any(c == 0 < q for c, q in zip(caps[1:], cfg.targets[1:]))
             for prefix, cap in school.cap_table.items():

@@ -32,6 +32,7 @@ from reservematch.instance import FlatMarket
 from helpers import (
     count_builds,
     reference_contract_of,
+    reference_convert_mismatch,
     reference_cop,
     reference_flexibility_draw,
 )
@@ -640,6 +641,48 @@ def test_cli_audit_validates_compiles_and_runs_within_its_budget(capsys, monkeyp
     assert calls["cop"] == 110
 
 
+def test_cli_verify_checks_stability_on_its_compile_and_builds_no_instance(
+    capsys, monkeypatch, tmp_path
+):
+    # the stability check takes verify's own compile, so no ProblemInstance
+    # is built from the flat form, for a stable allocation or a blocked one
+    allocation = tmp_path / "match.allocation"
+    assert main(["match", str(rm.ex1_path()), "--save-allocation", str(allocation)]) == 0
+    empty = tmp_path / "empty.allocation"
+    empty.write_text('{"schema": "reservematch-allocation/1", "contracts": []}')
+    capsys.readouterr()
+    calls = count_builds(monkeypatch)
+    calls["instance"] = 0
+    instance = FlatMarket.instance
+
+    def counting_instance(self):
+        calls["instance"] += 1
+        return instance(self)
+
+    monkeypatch.setattr(FlatMarket, "instance", counting_instance)
+    for path, code in ((allocation, 0), (empty, 1)):
+        assert run_cli(capsys, "verify", str(rm.ex1_path()), "--allocation", str(path))[0] == code
+    assert calls == {"validate": 2, "compile": 2, "instance": 0}
+
+
+def test_cli_audit_builds_each_flexibility_side_once(capsys, monkeypatch):
+    # per instance: one school build per school in the compile, one for the
+    # improvement check's lifted school, and one each for the drawn rigid
+    # and flexible sides; the replay's last unit step runs on the flexible
+    # side, so no pinned copy of the flexible table is built
+    built = []
+    init = rm._engine.CompiledSchool.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(rm._engine.CompiledSchool, "__init__", counting)
+    code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "120")
+    assert code == 0 and "all checks passed: True" in out
+    assert len(built) == 600
+
+
 def test_cli_audit_builds_one_order_rank_per_instance(capsys, monkeypatch):
     # every process run, the searches' and the flexibility replays' too,
     # takes its rank from the truthful one with blocks rewritten, and each
@@ -726,7 +769,10 @@ def test_audit_refuses_a_non_monotone_drawn_scheme_as_the_public_check_does(
         draw = rm.generator._flexibility_draw(instance, seed)
         if draw is None:
             return None
-        rigid_cfg, flexible_cfg, rigid, flexible = draw
+        rigid_cfg, flexible_cfg = draw
+        rigid, flexible = (
+            rm.capacity_table(cfg.scheme, cfg.targets, cfg.capacity) for cfg in draw
+        )
         # the bump grants one more seat at one residual vector; a second seat
         # there gains 2 over the zero vector, one vacancy away
         (bump,) = [vec for vec in rigid if flexible[vec] != rigid[vec]]
@@ -734,7 +780,7 @@ def test_audit_refuses_a_non_monotone_drawn_scheme_as_the_public_check_does(
         scheme = rm.TableScheme.pinned(broken, rigid_cfg.targets)
         broken_cfg = replace(flexible_cfg, scheme=scheme)
         drawn.append((instance, rigid_cfg, broken_cfg))
-        return rigid_cfg, broken_cfg, rigid, broken
+        return rigid_cfg, broken_cfg
 
     monkeypatch.setattr(cli, "_flexibility_draw", non_monotone_draw)
     code, out, err = run_cli(capsys, "audit", "--seed", "120", "--count", "3")
@@ -745,6 +791,42 @@ def test_audit_refuses_a_non_monotone_drawn_scheme_as_the_public_check_does(
         )
     assert "scheme not monotone (condition 2" in str(public.value)
     # main exits 2 on a ValidationError, with its text as the error line
+    assert (code, out, err) == (2, "", f"error: {public.value}\n")
+
+
+def test_audit_validates_a_drawn_rigid_scheme_first_as_the_public_check_does(
+    capsys, monkeypatch
+):
+    # the drawn rigid scheme is not the compile's own either, so the audit
+    # checks it, and before the flexible one, as validating the rigid market
+    # would: with both sides broken, the rigid side's violation is reported
+    drawn = []
+
+    def broken_draw(instance, seed):
+        draw = rm.generator._flexibility_draw(instance, seed)
+        if draw is None:
+            return None
+        rigid_cfg, flexible_cfg = draw
+        rigid, flexible = (
+            rm.capacity_table(cfg.scheme, cfg.targets, cfg.capacity) for cfg in draw
+        )
+        # two seats more where the flexible side has one: condition 2 fails
+        (bump,) = [vec for vec in rigid if flexible[vec] != rigid[vec]]
+        rigid[bump] += 2
+        # group 1 over its target at the zero vector: refused on its own
+        flexible[(0,)] += 1
+        drawn.append(instance)
+        return tuple(
+            replace(cfg, scheme=rm.TableScheme.pinned(table, cfg.targets))
+            for cfg, table in zip(draw, (rigid, flexible))
+        )
+
+    monkeypatch.setattr(cli, "_flexibility_draw", broken_draw)
+    code, out, err = run_cli(capsys, "audit", "--seed", "120", "--count", "3")
+    pair = broken_draw(drawn[0], 120)
+    with pytest.raises(rm.ValidationError) as public:
+        rm.check_flexibility_pareto(*map(drawn[0].with_school, pair))
+    assert "scheme not monotone (condition 2" in str(public.value)
     assert (code, out, err) == (2, "", f"error: {public.value}\n")
 
 
@@ -1180,6 +1262,70 @@ def test_cli_convert_check_refuses_a_pool_over_max_contracts(capsys, tmp_path):
     assert (code, out) == (3, "")
     [line] = err.splitlines()
     assert line.startswith("error: subset enumeration: ") and "cap of 8" in line
+
+
+def _eleven_contract_slot_school() -> rm.SlotSpecificSchool:
+    """Three slots over 11 contracts, student d holding v9 and v10: the
+    converted ids sort v10 before v9, so the converted pool's bit order is
+    not the slot pool's."""
+    rng = random.Random(11)
+    claims = {"a": "xyz", "b": "xyz", "c": "xyz", "d": "xy"}
+    pool = sorted(rm.Contract(s, "s", t) for s, types in claims.items() for t in types)
+    slots = tuple(tuple(rng.sample(pool, 8)) for _ in range(3))
+    return rm.SlotSpecificSchool("s", frozenset(pool), slots)
+
+
+def _convert_check(capsys, tmp_path, school):
+    """``convert --check`` of ``school``: its exit code and the reported
+    mismatch."""
+    path = tmp_path / "market.slots"
+    rm.save_slot_market(school, {}, path)
+    code, out, err = run_cli(
+        capsys, "convert", str(path), "--out-file", str(tmp_path / "out.instance"), "--check",
+        "--format", "machine",
+    )
+    assert err == ""
+    return code, json.loads(out)["equivalence_mismatch"]
+
+
+def _one_target_changed(monkeypatch):
+    """Make ``convert`` take one seat from the conversion's first group."""
+    convert = cli.convert_slot_specific
+
+    def broken(school):
+        converted = convert(school)
+        targets = (0,) + converted.config.targets[1:]
+        return replace(converted, config=replace(converted.config, targets=targets))
+
+    monkeypatch.setattr(cli, "convert_slot_specific", broken)
+    return broken
+
+
+def test_cli_convert_check_on_the_engine_agrees_with_the_set_based_check(capsys, tmp_path):
+    # the converted side is tabulated on the engine, over the converted ids'
+    # own bit order; the verdict must be the set-based check's
+    school = _eleven_contract_slot_school()
+    converted = rm.convert_slot_specific(school)
+    order = [converted.inverse[c] for c in sorted(converted.mapping.values())]
+    assert len(order) == 11 and order != sorted(school.contracts)
+    schools = [school] + [rm.generate_slot_specific_school(seed) for seed in range(20)]
+    for slots in schools:
+        assert reference_convert_mismatch(slots, rm.convert_slot_specific(slots)) is None
+        assert _convert_check(capsys, tmp_path, slots) == (0, None)
+
+
+def test_cli_convert_check_reports_a_changed_target(capsys, tmp_path, monkeypatch):
+    # a conversion with one seat fewer must still be caught, at the first
+    # offer set in the slot pool's mask order on which it differs
+    broken = _one_target_changed(monkeypatch)
+    mismatched = 0
+    for school in [_eleven_contract_slot_school()] + [
+        rm.generate_slot_specific_school(seed) for seed in range(20)
+    ]:
+        want = reference_convert_mismatch(school, broken(school))
+        assert _convert_check(capsys, tmp_path, school) == (1 if want else 0, want)
+        mismatched += want is not None
+    assert mismatched >= 15
 
 
 @pytest.mark.parametrize("command", ["audit", "convert"])

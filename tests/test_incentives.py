@@ -881,8 +881,9 @@ def test_decomposition_stops_at_the_first_school_without_one(ex1, X, ex1_config,
 
 def test_the_bump_that_reaches_the_goal_is_not_checked_again(ex1_config, monkeypatch):
     # one group fed by the other's vacancies, from a constant baseline: the
-    # three bumps make three reports, one of them refused, and the fourth
-    # report, on the goal the callers validated, is skipped
+    # first two of the three bumps make three reports, one of them refused,
+    # and the steps stop one bump before the goal the callers validated, for
+    # the caller runs that bump on its flexible side
     cfg = replace(ex1_config, capacity=2, precedence=("t1", "t2"), targets=(1, 1))
     table = rm.capacity_table(rm.ForwardSumScheme(((), ())), cfg.targets, cfg.capacity)
     goal = rm.capacity_table(rm.ForwardSumScheme(((), (0,))), cfg.targets, cfg.capacity)
@@ -894,10 +895,10 @@ def test_the_bump_that_reaches_the_goal_is_not_checked_again(ex1_config, monkeyp
         return report(*args)
 
     monkeypatch.setattr(rm.incentives, "_table_report", counting)
-    steps = rm.incentives._unit_instances(cfg, table, goal)
-    assert reports == [False, True, True]
+    steps, read = rm.incentives._unit_instances(cfg, table, goal, 0)
+    assert reports == [False, True, True] and read == 3 * len(table)
     granted = [rm.capacity_table(step.scheme, cfg.targets, cfg.capacity) for step in steps]
-    assert granted[-1] == goal and len(steps) == 3
+    assert len(steps) == 2 and sum(goal[vec] - granted[-1][vec] for vec in goal) == 1
     assert all(report(t, cfg.capacity).ok for t in granted)
 
 
@@ -946,6 +947,47 @@ def test_an_oversize_comparison_refuses_before_it_builds_a_table(tmp_path, capsy
             compare(rigid, flexible)
         assert time.perf_counter() - started < 2
         assert (refused.value.needed, refused.value.cap) == (10_452_210, 2_000_000)
+
+
+def test_the_bench_size_comparison_refuses_on_its_decomposition_reads(tmp_path, capsys):
+    # the 1 000-student, 20-school market at 45 seats against its constant
+    # baseline: s1's greedy decomposition has 99 498 table entries and
+    # 4 427 730 bumps, and never finished. Its 161st whole-table check would
+    # take the reads past the cap, so the comparison refuses (10-12 s here,
+    # most of it building the two capacity tables of every school)
+    params = rm.GeneratorParams(
+        students=1000, schools=20, types=3, seed=1, capacity_range=(45, 45)
+    )
+    path = tmp_path / "market.instance"
+    rm.save_instance(rm.generate_random_instance(params), path)
+    started = time.perf_counter()
+    assert main(["compare", str(path), "--format", "machine"]) == 3
+    assert time.perf_counter() - started < 60
+    out, err = capsys.readouterr()
+    needed, cap = 161 * 99_498, rm.incentives._DECOMPOSITION_CAP
+    assert out == ""
+    assert err == f"error: decomposition table reads: {needed} cases exceed the cap of {cap}\n"
+
+
+def test_a_decomposition_that_reads_millions_of_entries_still_decides(monkeypatch):
+    # the seed-1, 200-student market at 7 seats: the greedy order fails at
+    # some school after 9 099 whole-table checks, under the cap
+    params = rm.GeneratorParams(
+        students=200, schools=10, types=3, seed=1, capacity_range=(7, 7)
+    )
+    flexible = rm.generate_random_instance(params)
+    reads = []
+    unit_instances = rm.incentives._unit_instances
+
+    def recording(*args):
+        steps, read = unit_instances(*args)
+        reads.append(read)
+        return steps, read
+
+    monkeypatch.setattr(rm.incentives, "_unit_instances", recording)
+    comparison = rm.check_flexibility_pareto(cli._constant_baseline(flexible), flexible)
+    assert comparison.dominates and comparison.chain_agrees is None
+    assert reads[-1] == 3_264_280 < rm.incentives._DECOMPOSITION_CAP
 
 
 def test_comparison_rejects_less_flexible_changes(ex1, ex1_config):

@@ -97,7 +97,7 @@ def _assert_matches_the_oracle(y: frozenset, instance: rm.ProblemInstance) -> rm
     and the first school's first blocking set, which ``find_blocking_set``
     must also give school by school."""
     compiled = Compiled.from_instance(instance)
-    report = rm.is_stable(y, instance, compiled=compiled)
+    report = rm.is_stable(y, compiled)
     bad = tuple(sorted(c for c in y if not instance.preferences[c.student].accepts(c)))
     mismatch = blocking = None
     for cfg in instance.schools:
@@ -106,7 +106,7 @@ def _assert_matches_the_oracle(y: frozenset, instance: rm.ProblemInstance) -> rm
         if mismatch is None and chosen != held:
             mismatch = (cfg.school, held, chosen)
         z = brute_blocking_set(y, cfg.school, instance)
-        assert rm.find_blocking_set(y, cfg.school, instance, compiled=compiled) == z
+        assert rm.find_blocking_set(y, cfg.school, compiled) == z
         if blocking is None and z is not None:
             blocking = (cfg.school, z)
     assert report == rm.StabilityReport(bad, mismatch, blocking), y
@@ -159,7 +159,7 @@ def test_a_slot_specific_school_tries_every_unheld_contract():
         for s in students
     }
     market = FlatMarket.of(school.contracts, students, [school], prefs)
-    compiled, instance = Compiled(market), market.instance()
+    compiled = Compiled(market)
     options = [[None] + list(prefs[s].ranked) for s in students]
     blocked = 0
     for combo in itertools.product(*options):
@@ -179,7 +179,7 @@ def test_a_slot_specific_school_tries_every_unheld_contract():
         )
         mismatch = None if chosen == y else (school.school, y, chosen)
         expected = rm.StabilityReport((), mismatch, blocking)
-        assert rm.is_stable(y, instance, compiled=compiled) == expected
+        assert rm.is_stable(y, compiled) == expected
         blocked += blocking is not None
     assert blocked
 
@@ -277,18 +277,19 @@ HAND_BUILT_SCHOOLS = {
 
 
 def test_group_prefix_tables_match_one_choose_per_subset(small_instances):
-    # both tables, and the capacity-table keys each leaves, on separate
-    # compiles of one market: generated, non-monotone and hand-built schools
+    # both tables, and the capacity-table keys each leaves, against one
+    # choose per subset and, for the completion, the set-based completion:
+    # generated, non-monotone and hand-built schools
     markets = [i.flat() for i in [*small_instances, take_back_market()]]
     markets += [entry[0].flat() for entry in MANIPULABLE.values()]
     markets += HAND_BUILT_SCHOOLS.values()
     for market in markets:
         for s in range(len(market.schools)):
             for completion in (False, True):
-                built, oracle = Compiled(market), Compiled(market)
-                table = _tabulate(built, s, completion)
-                assert table == reference_tabulate(oracle, s, completion), (market, s)
-                assert built.schools[s].cap_table.keys() == oracle.schools[s].cap_table.keys()
+                built = Compiled(market)
+                table, keys = reference_tabulate(market, s, completion)
+                assert _tabulate(built, s, completion) == table, (market, s)
+                assert built.schools[s].cap_table.keys() == keys, (market, s)
     after = Compiled(HAND_BUILT_SCHOOLS["bits-after-the-blocks"]).schools[0]
     assert len(after.global_index) - after.block_end == 2
     twice = Compiled(HAND_BUILT_SCHOOLS["type-heads-two-groups"]).schools[0]
