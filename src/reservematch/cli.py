@@ -54,16 +54,7 @@ from .incentives import (
 )
 from .instance import ProblemInstance
 from .model import PreferenceOrder
-from .verification import (
-    _tabulate,
-    check_completion,
-    check_irc,
-    check_lad,
-    check_substitutability,
-    is_stable,
-    tabulate,
-    tabulate_school,
-)
+from .verification import _completion_axioms_hold, is_stable, tabulate, tabulate_school
 
 # The checks every audit row records, in report order. Each is true (passed),
 # false (failed) or null (not fully covered: a search was refused by its cap).
@@ -179,28 +170,16 @@ def _cmd_verify(args) -> int:
 
 def _completion_axioms(compiled: Compiled, max_contracts: int) -> tuple[Optional[bool], int]:
     """The ``completion_axioms`` verdict of an audit row, and how many
-    schools it tabulated: ``True`` when every school's pool is at most
-    ``max_contracts`` and the completion of its choice passes all four
-    exhaustive checks (a completion, IRC, substitutable, LAD); ``False``
-    when a tabulated school fails one; else ``None``."""
-    axioms_ok = True
-    checked = 0
-    for s in range(len(compiled.schools)):
-        if compiled.school_of.count(s) > max_contracts:
-            continue
-        checked += 1
-        base = _tabulate(compiled, s, completion=False)
-        comp = _tabulate(compiled, s, completion=True)
-        axioms_ok = (
-            axioms_ok
-            and check_completion(base, comp).holds
-            and check_irc(comp).holds
-            and check_substitutability(comp).holds
-            and check_lad(comp).holds
-        )
-    if axioms_ok and checked < len(compiled.schools):
-        axioms_ok = None
-    return axioms_ok, checked
+    schools it covers: those whose pool is at most ``max_contracts``,
+    decided in school order by ``verification._completion_axioms_hold``
+    until one fails. ``True`` when every school is covered and passes;
+    ``False`` when a covered school fails; else ``None``."""
+    schools = range(len(compiled.schools))
+    covered = [s for s in schools if compiled.school_of.count(s) <= max_contracts]
+    verdict = all(_completion_axioms_hold(compiled, s) for s in covered)
+    if verdict and len(covered) < len(schools):
+        verdict = None
+    return verdict, len(covered)
 
 
 def _strategy_proof(
@@ -469,10 +448,10 @@ def _cmd_gen(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _at_least(least: int, what: str):
+def _int_range(least: int, what: str, most: Optional[int] = None):
     """An argparse type: an integer of at least ``least`` (``what`` names
-    the bound in the message), with the message of ``type=int`` for
-    anything that is not an integer."""
+    that bound in the message) and, when given, at most ``most``, with the
+    message of ``type=int`` for anything that is not an integer."""
 
     def parse(text: str) -> int:
         try:
@@ -481,28 +460,17 @@ def _at_least(least: int, what: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     return parse
 
 
-def _at_most(most: int, parse):
-    """An argparse type: a value of the argparse type ``parse`` that is at
-    most ``most``."""
-
-    def bounded(text: str) -> int:
-        value = parse(text)
-        if value > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
-        return value
-
-    return bounded
-
-
-_positive = _at_least(1, "positive")
+_positive = _int_range(1, "positive")
 # a pool of n contracts is tabulated as a list of 2^n choices, so this
 # bound on --max-contracts bounds the memory of every table
-_pool_size = _at_most(20, _at_least(0, "non-negative"))
+_pool_size = _int_range(0, "non-negative", 20)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

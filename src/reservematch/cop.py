@@ -10,8 +10,11 @@ reach, under every order at once.
 
 The completion theorem. Let every school's choice ``C`` have a completion
 ``C'`` (equal to ``C`` on every offer set from which ``C'`` takes at most
-one contract per student) that is substitutable and satisfies irrelevance
-of rejected contracts (IRC). Then, for every preference profile:
+one contract per student) that is substitutable and satisfies the law of
+aggregate demand (LAD), the hypotheses that ``audit`` verifies
+(``verification._completion_axioms_hold``, whose docstring proves that
+they imply irrelevance of rejected contracts, IRC). Then, for every
+preference profile:
 
 1. The process under ``C`` equals the process under ``C'``, step by step,
    under any proposal order. By induction, let both have made the same
@@ -33,7 +36,7 @@ path the walk explores is the process under some proposal order (the
 witness construction in ``_order_independence``), so steps 1 and 2 hold
 along it, and every terminal state holds the same allocation. ``audit``
 reads ``order_independent: true`` off its exhaustive tables wherever they
-verify the axioms for every school (``completion_axioms: true``);
+verify the hypotheses for every school (``completion_axioms: true``);
 ``check_order_independence`` always walks, as the library API and the
 test oracle. ``incentives._truncation_misreport`` builds on the same two
 steps.

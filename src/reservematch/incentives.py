@@ -252,11 +252,12 @@ def _truncation_misreport(
     compiled: Compiled, truth: tuple[int, int], student: str, rank: Sequence[int]
 ) -> Optional[Misreport]:
     """The single-student search of :func:`_search_misreports`, decided from
-    one-contract reports, on a market where every school's choice ``C`` has
-    a completion ``C'`` that is substitutable, satisfies IRC and satisfies
-    the law of aggregate demand (LAD). ``audit`` calls it only where its
-    exhaustive tables verified all four for every school; elsewhere it can
-    miss a misreport. ``rank`` and ``truth`` are those of
+    one-contract reports, on a market that meets the hypotheses of the
+    completion theorem in the :mod:`reservematch.cop` docstring: every
+    school's choice ``C`` has a completion ``C'`` that is substitutable and
+    satisfies the law of aggregate demand (LAD), and so IRC. ``audit`` calls
+    it only where its exhaustive tables verified them for every school;
+    elsewhere it can miss a misreport. ``rank`` and ``truth`` are those of
     ``_search_misreports``.
 
     For each contract ``x`` the student truly ranks above their truthful

@@ -9,13 +9,16 @@ set. Both run on the engine's masks, and both take the market as a
 ``verify`` and ``audit`` check on the compile they already hold. The axiom
 checkers run a choice function over every subset of a contract pool and
 verify rejection irrelevance, substitutability, the law of aggregate
-demand, and the completion relationship. They read a :class:`ChoiceTable`, built once per
-choice function and pool, and the builders are exhaustive or they refuse,
-never sampled. A dynamic reserves school's table is built a group at a
-time: each group step runs once per distinct prefix of the blocks the
-groups so far read, rather than once per subset, and each choice is copied
-over the bits no group reads (``_tabulate``). That is also the engine's one
-completion choice: ``CompiledSchool.choose`` runs the overall choice only.
+demand, and the completion relationship. ``audit`` decides a school with
+the last three (``_completion_axioms_hold``): rejection irrelevance
+follows from substitutability and the law of aggregate demand. The
+checkers read a :class:`ChoiceTable`, built once per choice function and
+pool, and the builders are exhaustive or they refuse, never sampled. A
+dynamic reserves school's table is built a group at a time: each group
+step runs once per distinct prefix of the blocks the groups so far read,
+rather than once per subset, and each choice is copied over the bits no
+group reads (``_tabulate``). That is also the engine's one completion
+choice: ``CompiledSchool.choose`` runs the overall choice only.
 """
 
 from __future__ import annotations
@@ -464,3 +467,26 @@ def check_completion(base: ChoiceTable, candidate: ChoiceTable) -> PropertyCheck
             continue
         return PropertyCheck(False, (base.subset(mask),))
     return PropertyCheck(True)
+
+
+def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
+    """Whether school ``s`` of a compiled market meets the hypotheses of the
+    paper's theorems: its choice has a completion (``check_completion``)
+    that is substitutable and satisfies the law of aggregate demand (LAD).
+    The caller bounds the pool. The completion is the one ``_tabulate``
+    builds, and the checks stop at the first that fails.
+
+    Irrelevance of rejected contracts (IRC) follows from substitutability
+    and LAD (Aygun & Sonmez 2013, "Matching with contracts: comment", Prop.
+    1), so it is not scanned. Let ``z`` be rejected from ``Y + z``. Then ``C(Y + z)`` lies in
+    ``Y``, and a contract of it rejected from ``Y`` would stay rejected from
+    ``Y + z`` by substitutability, so ``C(Y + z)`` is a subset of ``C(Y)``.
+    LAD makes the two the same size, so they are equal.
+    """
+    base = _tabulate(compiled, s, completion=False)
+    comp = _tabulate(compiled, s, completion=True)
+    return (
+        check_completion(base, comp).holds
+        and check_substitutability(comp).holds
+        and check_lad(comp).holds
+    )

@@ -16,7 +16,7 @@ from reservematch._engine import Compiled, bits
 from reservematch.choice import _table_report, capacity_table
 from reservematch.fileio import contract_id
 from reservematch.instance import FlatMarket, _ids_split
-from reservematch.verification import PropertyCheck
+from reservematch.verification import PropertyCheck, _tabulate
 
 
 def enumerate_allocations(instance: rm.ProblemInstance):
@@ -192,6 +192,31 @@ def reference_tabulate(market: FlatMarket, s: int, completion: bool) -> tuple[rm
         return picked
 
     return rm.tabulate(choice, pool, cap=1 << len(pool)), keys
+
+
+def reference_completion_axioms(compiled: Compiled, max_contracts: int) -> tuple:
+    """The oracle for ``cli._completion_axioms``: the verdict of an audit
+    row and the number of schools it covers, with every school whose pool
+    is at most ``max_contracts`` tabulated and its completion run through
+    all four checks (a completion, IRC, substitutable, LAD), IRC scanned
+    rather than read off the other two."""
+    verdict, checked = True, 0
+    for s in range(len(compiled.schools)):
+        if compiled.school_of.count(s) > max_contracts:
+            continue
+        checked += 1
+        base = _tabulate(compiled, s, completion=False)
+        comp = _tabulate(compiled, s, completion=True)
+        verdict = (
+            verdict
+            and rm.check_completion(base, comp).holds
+            and rm.check_irc(comp).holds
+            and rm.check_substitutability(comp).holds
+            and rm.check_lad(comp).holds
+        )
+    if verdict and checked < len(compiled.schools):
+        verdict = None
+    return verdict, checked
 
 
 def take_back_market() -> rm.ProblemInstance:

@@ -683,6 +683,21 @@ def test_cli_audit_builds_each_flexibility_side_once(capsys, monkeypatch):
     assert len(built) == 600
 
 
+def test_cli_audit_decides_the_axioms_without_an_irc_scan(capsys, monkeypatch):
+    # both tables of each of the 240 schools, read by the completion,
+    # substitutability and LAD checks; IRC is their corollary
+    calls = {"_tabulate": 0, "check_irc": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(rm.verification, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rm.verification, name, counting)
+    code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "120")
+    assert code == 0 and "all checks passed: True" in out
+    assert calls == {"_tabulate": 480, "check_irc": 0}
+
+
 def test_cli_audit_builds_one_order_rank_per_instance(capsys, monkeypatch):
     # every process run, the searches' and the flexibility replays' too,
     # takes its rank from the truthful one with blocks rewritten, and each

@@ -382,7 +382,7 @@ def test_a_report_runs_as_its_pruned_prefix_over_whole_spaces(small_instances):
 
 def _verified(instance):
     """The compiled market, its canonical rank and truthful run, when the
-    completion of every school passes the audit's four checks; else None."""
+    completion of every school passes the audit's axiom checks; else None."""
     compiled = Compiled.from_instance(instance)
     if cli._completion_axioms(compiled, 16)[0] is not True:
         return None

@@ -8,11 +8,13 @@ import random
 import pytest
 
 import reservematch as rm
+from reservematch import cli, verification
 from helpers import (
     brute_blocking_set,
     brute_is_stable,
     brute_stable_set,
     enumerate_allocations,
+    reference_completion_axioms,
     reference_irc,
     reference_lad,
     reference_substitutability,
@@ -386,10 +388,9 @@ def _random_table(rng: random.Random) -> rm.ChoiceTable:
     return rm.ChoiceTable(pool, tuple(chosen))
 
 
-def test_word_level_axiom_checks_match_the_pairwise_scans(small_instances, ex1):
-    # same verdict and same counterexample as the scans a contract pair at a
-    # time, on market schools (both tables), non-monotone markets, broken
-    # choice functions and seeded random tables
+def _built_tables(small_instances, ex1) -> list:
+    """Both tables of every school of the generated and the non-monotone
+    markets, and the broken choice functions' tables."""
     markets = list(small_instances) + [take_back_market()]
     markets += [entry[0] for entry in MANIPULABLE.values()]
     tables = [
@@ -401,6 +402,14 @@ def test_word_level_axiom_checks_match_the_pairwise_scans(small_instances, ex1):
     pool = sorted(ex1.contracts)
     for choice in (_parity_choice, _drop_on_growth):
         tables += [rm.tabulate(choice, pool), rm.tabulate(choice, pool[:4])]
+    return tables
+
+
+def test_word_level_axiom_checks_match_the_pairwise_scans(small_instances, ex1):
+    # same verdict and same counterexample as the scans a contract pair at a
+    # time, on market schools (both tables), non-monotone markets, broken
+    # choice functions and seeded random tables
+    tables = _built_tables(small_instances, ex1)
     rng = random.Random(4200)
     randoms = [_random_table(rng) for _ in range(600)]
     for table in tables + randoms:
@@ -409,6 +418,62 @@ def test_word_level_axiom_checks_match_the_pairwise_scans(small_instances, ex1):
     for check, _ in AXIOMS:
         failing = sum(not check(table).holds for table in randoms)
         assert 100 <= failing <= 500, (check.__name__, failing)
+
+
+def test_substitutability_and_lad_imply_irc(small_instances, ex1):
+    # the corollary by which the audit's verdict skips the IRC scan (proof in
+    # ``verification._completion_axioms_hold``), on the tables above, the
+    # hand-built schools' tables and seeded random tables
+    tables = _built_tables(small_instances, ex1)
+    for market in HAND_BUILT_SCHOOLS.values():
+        tables += [_tabulate(Compiled(market), 0, completion) for completion in (False, True)]
+    rng = random.Random(4300)
+    tables += [_random_table(rng) for _ in range(3000)]
+    both = irc_fails = 0
+    for table in tables:
+        irc = rm.check_irc(table).holds
+        if rm.check_substitutability(table).holds and rm.check_lad(table).holds:
+            assert irc, table
+            both += 1
+        irc_fails += not irc
+    assert both > 1000 and irc_fails > 500, (both, irc_fails)
+
+
+def test_audit_axiom_verdict_matches_the_four_check_oracle(small_instances):
+    # the verdict and the covered-school count, with and without the IRC
+    # scan; the take-back market fails substitutability, the manipulable
+    # markets fail substitutability or LAD ("unmatched-student-is-seated"
+    # LAD alone), and at a bound of 4 some rows pass, some fail and some
+    # leave a pool uncovered
+    markets = [*small_instances, take_back_market()]
+    markets += [entry[0] for entry in MANIPULABLE.values()]
+    verdicts = set()
+    for instance in markets:
+        compiled = Compiled.from_instance(instance)
+        for max_contracts in (0, 4, 8, 20):
+            verdict = cli._completion_axioms(compiled, max_contracts)
+            assert verdict == reference_completion_axioms(compiled, max_contracts), instance
+            verdicts.add((max_contracts, verdict[0]))
+    assert {v for m, v in verdicts if m == 4} == {True, False, None}
+    comp = _tabulate(Compiled.from_instance(MANIPULABLE["unmatched-student-is-seated"][0]), 0, True)
+    assert rm.check_substitutability(comp).holds and not rm.check_lad(comp).holds
+
+
+def test_audit_axiom_verdict_stops_tabulating_at_the_first_failing_school(monkeypatch):
+    # the take-back market's first school fails substitutability, so its two
+    # tables are the only ones built; every school still counts as covered
+    compiled = Compiled.from_instance(take_back_market())
+    assert not rm.check_substitutability(_tabulate(compiled, 0, True)).holds
+    calls = []
+    tabulate = verification._tabulate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return tabulate(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "_tabulate", counting)
+    assert cli._completion_axioms(compiled, 8) == (False, 3)
+    assert calls == [0, 0]
 
 
 def test_empty_pool_is_vacuously_clean():
