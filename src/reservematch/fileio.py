@@ -20,6 +20,7 @@ them from CPython's C encoder.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from itertools import repeat
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping
 
 from .choice import ForwardSumScheme, SchoolConfig, SlotSpecificSchool, TableScheme
-from .errors import InstanceFormatError, ValidationError
+from .errors import InstanceFormatError, InvalidInputError, ValidationError
 from .instance import FlatMarket, ProblemInstance
 from .model import Contract, PreferenceOrder, PriorityOrder, TypeProfile
 
@@ -338,7 +339,10 @@ def _scheme_from_doc(doc: dict, groups: int, where: str):
                 f"donor list covers {len(donors)} groups, school has {groups}", f"{where}.donors"
             )
         rows = [_tuple_of(d, int, f"{where}.donors[{k}]") for k, d in enumerate(donors)]
-        return ForwardSumScheme(tuple(tuple(sorted(d)) for d in rows))
+        try:
+            return ForwardSumScheme(tuple(tuple(sorted(d)) for d in rows))
+        except InvalidInputError as exc:
+            raise InstanceFormatError(str(exc), f"{where}.donors") from exc
     if kind == "table":
         rows = _expect(doc, "entries", list, where)
         entries: dict[int, dict[tuple[int, ...], int]] = {}
@@ -352,7 +356,10 @@ def _scheme_from_doc(doc: dict, groups: int, where: str):
             if vec in entries.get(k, {}):
                 raise InstanceFormatError(f"duplicate entry for group {k} at {vec}", here)
             entries.setdefault(k, {})[vec] = cap
-        return TableScheme(entries)
+        try:
+            return TableScheme(entries)
+        except InvalidInputError as exc:
+            raise InstanceFormatError(str(exc), f"{where}.entries") from exc
     raise InstanceFormatError(f"unknown scheme kind {kind!r}", f"{where}.kind")
 
 
@@ -457,12 +464,25 @@ def instance_from_document(doc: object) -> ProblemInstance:
 def _load_market(path) -> FlatMarket:
     """Parse and validate an instance file into flat form; every structural
     violation is collected and raised as one error. The parsed document is
-    released before validation."""
-    market = _market_from_document(_read_json(path))
-    violations = market.violations()
-    if violations:
-        raise ValidationError([f"{path}: {v}" for v in violations])
-    return market
+    released before validation.
+
+    The cyclic garbage collector is paused meanwhile, and left as the caller
+    had it. Neither the document nor the flat form holds a reference cycle,
+    so reference counting frees every dead object at once; the young
+    collections the parse's allocations would set off find nothing to free,
+    and only re-scan the live document, promote it to the old generation and
+    so trigger full collections of the caller's whole heap."""
+    enabled = gc.isenabled()
+    try:
+        gc.disable()
+        market = _market_from_document(_read_json(path))
+        violations = market.violations()
+        if violations:
+            raise ValidationError([f"{path}: {v}" for v in violations])
+        return market
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_instance(path) -> ProblemInstance:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from reservematch.cli import main
 from reservematch._engine import Compiled
 from reservematch.choice import _table_report
 from reservematch.fileio import (
+    _load_market,
     _market_from_document,
     contract_id,
     instance_from_document,
@@ -277,6 +279,98 @@ def test_validation_failures_surface_at_load(tmp_path):
     with pytest.raises(rm.ValidationError):
         rm.load_instance(path)
     assert instance_from_document(doc) is not None  # parsing alone does not validate
+
+
+# One fault each in ex1's transfer scheme, as the scheme's own check words
+# it, and the location the loader adds.
+BAD_SCHEMES = [
+    pytest.param(
+        {"kind": "forward_sum", "donors": [[1], [], [0, 1]]},
+        "schools[0].transfers.donors: the first group of slots cannot receive transfers",
+        id="donor-to-first-group",
+    ),
+    pytest.param(
+        {"kind": "forward_sum", "donors": [[], [5], [0, 1]]},
+        "schools[0].transfers.donors: group 1: donors (5,) must be earlier groups",
+        id="later-donor",
+    ),
+    pytest.param(
+        {"kind": "table", "entries": [{"group": 1, "residuals": [0, 0], "capacity": 1}]},
+        "schools[0].transfers.entries: group 1: residual vector (0, 0) must have length 1",
+        id="residuals-too-long",
+    ),
+    pytest.param(
+        {"kind": "table", "entries": [{"group": 1, "residuals": [0], "capacity": -5}]},
+        "schools[0].transfers.entries: group 1: negative entry in (0,) -> -5",
+        id="negative-capacity",
+    ),
+]
+
+
+@pytest.mark.parametrize("transfers, message", BAD_SCHEMES)
+def test_scheme_faults_name_their_school_and_path(capsys, tmp_path, transfers, message):
+    doc = json.loads(rm.ex1_path().read_text())
+    doc["schools"][0]["transfers"] = transfers
+    with pytest.raises(rm.InstanceFormatError) as err:
+        instance_from_document(doc)
+    assert str(err.value) == message
+    assert err.value.location == message.split(": ", 1)[0]
+    path = tmp_path / "scheme.instance"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "match", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_loading_a_market_starts_no_garbage_collection(tmp_path):
+    # the document holds no cycle, so the loader pauses the collector; a
+    # young collection during the parse would only re-scan the live document
+    path = tmp_path / "market.instance"
+    params = rm.GeneratorParams(students=200, schools=10, types=3, seed=1)
+    rm.save_instance(rm.generate_random_instance(params), path)
+    assert gc.isenabled()
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        _load_market(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+    assert gc.isenabled()
+
+
+# An ex1 document that loads, one that fails to parse, and one that fails
+# validation (its targets no longer sum to the capacity).
+LOAD_OUTCOMES = [
+    pytest.param(None, lambda doc: None, id="loads"),
+    pytest.param(rm.InstanceFormatError, lambda doc: doc.update(schema="x"), id="malformed"),
+    pytest.param(
+        rm.ValidationError, lambda doc: doc["schools"][0]["groups"][0].update(target=5),
+        id="invalid",
+    ),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("error, edit", LOAD_OUTCOMES)
+def test_loading_leaves_the_collector_as_the_caller_had_it(tmp_path, enabled, error, edit):
+    doc = json.loads(rm.ex1_path().read_text())
+    edit(doc)
+    path = tmp_path / "market.instance"
+    path.write_text(json.dumps(doc))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            _load_market(path)
+        else:
+            with pytest.raises(error):
+                _load_market(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def engine_tables(compiled: Compiled) -> tuple:
