@@ -13,7 +13,8 @@ The completion theorem. Let every school's choice ``C`` have a completion
 one contract per student) that is substitutable and satisfies the law of
 aggregate demand (LAD), the hypotheses that ``audit`` verifies
 (``verification._completion_axioms_hold``, whose docstring proves that
-they imply irrelevance of rejected contracts, IRC). Then, for every
+the completion it tabulates completes ``C`` and that the two axioms imply
+irrelevance of rejected contracts, IRC). Then, for every
 preference profile:
 
 1. The process under ``C`` equals the process under ``C'``, step by step,

@@ -9,16 +9,18 @@ set. Both run on the engine's masks, and both take the market as a
 ``verify`` and ``audit`` check on the compile they already hold. The axiom
 checkers run a choice function over every subset of a contract pool and
 verify rejection irrelevance, substitutability, the law of aggregate
-demand, and the completion relationship. ``audit`` decides a school with
-the last three (``_completion_axioms_hold``): rejection irrelevance
-follows from substitutability and the law of aggregate demand. The
-checkers read a :class:`ChoiceTable`, built once per choice function and
-pool, and the builders are exhaustive or they refuse, never sampled. A
-dynamic reserves school's table is built a group at a time: each group
-step runs once per distinct prefix of the blocks the groups so far read,
-rather than once per subset, and each choice is copied over the bits no
-group reads (``_tabulate``). That is also the engine's one completion
-choice: ``CompiledSchool.choose`` runs the overall choice only.
+demand, and the completion relationship. ``audit`` decides a school on one
+table, its completion's, read in one sweep for substitutability and the
+law of aggregate demand (``_completion_axioms_hold``, which proves the
+rest): the completion that ``_tabulate`` builds completes the overall
+choice for every transfer scheme, and rejection irrelevance follows from
+the two axioms. The checkers read a :class:`ChoiceTable`, built once per
+choice function and pool, and the builders are exhaustive or they refuse,
+never sampled. A dynamic reserves school's table is built a group at a
+time: each group step runs once per distinct prefix of the blocks the
+groups so far read, rather than once per subset, and each choice is copied
+over the bits no group reads (``_tabulate``). That is also the engine's one
+completion choice: ``CompiledSchool.choose`` runs the overall choice only.
 """
 
 from __future__ import annotations
@@ -471,10 +473,45 @@ def check_completion(base: ChoiceTable, candidate: ChoiceTable) -> PropertyCheck
 
 def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     """Whether school ``s`` of a compiled market meets the hypotheses of the
-    paper's theorems: its choice has a completion (``check_completion``)
-    that is substitutable and satisfies the law of aggregate demand (LAD).
-    The caller bounds the pool. The completion is the one ``_tabulate``
-    builds, and the checks stop at the first that fails.
+    paper's theorems: its choice has a completion that is substitutable and
+    satisfies the law of aggregate demand (LAD). The caller bounds the pool.
+    The completion is the one ``_tabulate`` builds, which completes the
+    overall choice by construction (below), so only its table is built, and
+    it is read in one sweep over its one-contract extensions that stops at
+    the first one failing either axiom: an extension that chooses a contract
+    the set rejected breaks substitutability, and one that chooses fewer
+    contracts breaks LAD. These are the tests ``check_substitutability`` and
+    ``check_lad`` run, so the verdict is theirs.
+
+    The completion completes the overall choice. ``check_completion`` asks
+    that on every offer set ``m`` the completion either picks two contracts
+    of one student or picks what the overall choice picks. So let the
+    completion pick at most one contract per student from ``m``, and compare
+    the two runs of ``_tabulate`` on ``m`` group by group. Induct on the
+    claim that before group ``g`` both runs have made the same picks and
+    left the same residuals, which holds before group 0. Both runs then
+    read group ``g``'s capacity ``cap`` at the same residuals. The overall
+    choice's pool is its block of ``m`` less the positions of the students
+    picked so far; the completion's is the same block less the contracts
+    picked so far. A contract in the first pool is in the second, since it
+    was not picked: its student was not. So the completion's pool contains
+    the overall choice's, and the extra contracts belong to students already
+    picked, in another block, as a contract picked from this block is no
+    longer offered. The completion picks none of them, or it would end with
+    two contracts of one student, since picks are never dropped. If the
+    group fits its capacity, the completion picks its whole pool, so there
+    were no extras, the pools are equal, and both runs pick it. Otherwise
+    the completion picks the ``cap`` lowest bits of its pool, all in the
+    smaller pool, and every bit of the smaller pool below one of them is
+    also in the larger pool, so they are the ``cap`` lowest bits of the
+    smaller pool too, which the overall choice picks (or, if that pool holds
+    only ``cap`` bits, all of it). Either way both runs pick the same bits
+    and leave the same residual ``cap - n``. A type that heads several
+    groups is covered, since each group's pool is its own step; a gap bit
+    is never offered; and no group reads the bits after the blocks, so both
+    runs copy the same choice over them. The argument reads neither the
+    scheme's shape nor the monotonicity of its capacities, so it holds for
+    every scheme, and ``check_completion`` of the two tables need not run.
 
     Irrelevance of rejected contracts (IRC) follows from substitutability
     and LAD (Aygun & Sonmez 2013, "Matching with contracts: comment", Prop.
@@ -483,10 +520,14 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     ``Y + z`` by substitutability, so ``C(Y + z)`` is a subset of ``C(Y)``.
     LAD makes the two the same size, so they are equal.
     """
-    base = _tabulate(compiled, s, completion=False)
-    comp = _tabulate(compiled, s, completion=True)
-    return (
-        check_completion(base, comp).holds
-        and check_substitutability(comp).holds
-        and check_lad(comp).holds
-    )
+    chosen = _tabulate(compiled, s, completion=True).chosen
+    full = len(chosen) - 1
+    for mask, picked in enumerate(chosen):
+        rejected, size, free = mask & ~picked, picked.bit_count(), full ^ mask
+        while free:
+            low = free & -free
+            bigger = chosen[mask | low]
+            if bigger & rejected or bigger.bit_count() < size:
+                return False
+            free ^= low
+    return True

@@ -778,9 +778,12 @@ def test_cli_audit_builds_each_flexibility_side_once(capsys, monkeypatch):
 
 
 def test_cli_audit_decides_the_axioms_without_an_irc_scan(capsys, monkeypatch):
-    # both tables of each of the 240 schools, read by the completion,
-    # substitutability and LAD checks; IRC is their corollary
-    calls = {"_tabulate": 0, "check_irc": 0}
+    # one table of each of the 240 schools, the completion's, read in one
+    # sweep for substitutability and LAD; it completes the overall choice by
+    # construction and IRC is the axioms' corollary, so no check runs
+    calls = dict.fromkeys(
+        ("_tabulate", "check_completion", "check_irc", "check_substitutability", "check_lad"), 0
+    )
     for name in calls:
         def counting(*args, _real=getattr(rm.verification, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -789,7 +792,10 @@ def test_cli_audit_decides_the_axioms_without_an_irc_scan(capsys, monkeypatch):
         monkeypatch.setattr(rm.verification, name, counting)
     code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "120")
     assert code == 0 and "all checks passed: True" in out
-    assert calls == {"_tabulate": 480, "check_irc": 0}
+    assert calls == {
+        "_tabulate": 240, "check_completion": 0, "check_irc": 0,
+        "check_substitutability": 0, "check_lad": 0,
+    }
 
 
 def test_cli_audit_builds_one_order_rank_per_instance(capsys, monkeypatch):
