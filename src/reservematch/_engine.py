@@ -392,10 +392,13 @@ class Compiled:
         substitutable, so a school can take back a contract it rejected
         earlier, even while the student is held elsewhere or has a pending
         heap entry; a student is unheld exactly when no school holds any
-        contract of theirs, which is what the count tracks. (No take-back
-        has shown up on generated markets, whose schemes are monotone; a
-        scheme that grants a later group a seat as an earlier group fills
-        makes one happen, and the count keeps the loop equal to the full
+        contract of theirs, which is what the count tracks. (A certified
+        school, as every validated one is, never takes back: its choice has
+        a substitutable completion that the process follows, proof in the
+        :mod:`reservematch.cop` docstring and ``instance._scheme_violations``.
+        A compile that skips validation can hold a scheme that grants a
+        later group a seat as an earlier group fills, which makes a
+        take-back happen, and the count keeps the loop equal to the full
         scan there too.)
 
         The full-group guard. The loop keeps, per school, the residuals of

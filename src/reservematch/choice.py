@@ -7,7 +7,8 @@ transfer scheme, which maps the vector of upstream vacancies to each group's
 dynamic capacity. The overall choice chains q-responsive sub-choices, one per
 group, removing every contract of a student as soon as one of their contracts
 is chosen. The completion variant keeps a chosen student's other contracts in
-play, which is what makes it substitutable.
+play, which is what makes it substitutable under a monotone scheme (proof in
+``instance._scheme_violations``).
 """
 
 from __future__ import annotations
@@ -352,8 +353,10 @@ def completion_choice(
     """Like :func:`dynamic_reserves_choice` except a chosen student's other
     contracts stay available to later groups, so two contracts of one student
     may be selected. Agrees with the overall choice whenever that happens not
-    to occur, and satisfies rejection irrelevance, substitutability, and the
-    law of aggregate demand."""
+    to occur. Under a scheme that the certificate of validation passes
+    (``instance._scheme_violations``, whose docstring has the proof) it is
+    substitutable and satisfies the law of aggregate demand, and so
+    rejection irrelevance; under a scheme that fails it, it need not be."""
     return _run_groups(offers, config, remove_whole_student=False)
 
 

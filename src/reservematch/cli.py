@@ -24,8 +24,7 @@ from typing import Optional
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
 from ._engine import Compiled, bits
-from .cop import _order_independence
-from .errors import ReserveMatchError, SearchCapExceededError
+from .errors import InvalidInputError, ReserveMatchError, SearchCapExceededError
 from .fileio import (
     _canonical_json,
     _load_market,
@@ -43,21 +42,20 @@ from .generator import (
     single_swap_improvement,
 )
 from .incentives import (
-    MISREPORT_CAP,
     _flexibility_pareto,
     _lifted,
     _respects_improvement,
-    _search_misreports,
     _truncation_misreport,
     allocation_waste,
     check_flexibility_pareto,
 )
-from .instance import ProblemInstance
+from .instance import ProblemInstance, _scheme_violations
 from .model import PreferenceOrder
 from .verification import _completion_axioms_hold, is_stable, tabulate, tabulate_school
 
 # The checks every audit row records, in report order. Each is true (passed),
-# false (failed) or null (not fully covered: a search was refused by its cap).
+# false (failed) or null (not fully covered: the flexibility draw was refused
+# by its step cap).
 AUDIT_CHECKS = (
     "stable",
     "order_independent",
@@ -168,68 +166,52 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _completion_axioms(compiled: Compiled, max_contracts: int) -> tuple[Optional[bool], int]:
-    """The ``completion_axioms`` verdict of an audit row, and how many
-    schools it covers: those whose pool is at most ``max_contracts``,
-    decided in school order by ``verification._completion_axioms_hold``
-    until one fails. ``True`` when every school is covered and passes;
-    ``False`` when a covered school fails; else ``None``."""
-    schools = range(len(compiled.schools))
-    covered = [s for s in schools if compiled.school_of.count(s) <= max_contracts]
-    verdict = all(_completion_axioms_hold(compiled, s) for s in covered)
-    if verdict and len(covered) < len(schools):
-        verdict = None
-    return verdict, len(covered)
+def _completion_axioms(compiled: Compiled, max_contracts: int) -> int:
+    """Certify the completion axioms of every school of an audited market,
+    and return how many schools the tabulated cross-check covers: those
+    whose pool is at most ``max_contracts``.
 
-
-def _strategy_proof(
-    compiled: Compiled, truth: tuple[int, int], rank: tuple[int, ...], axioms: Optional[bool]
-) -> Optional[bool]:
-    """The ``strategy_proof`` verdict of an audit row: whether some student
-    alone has a profitable misreport. Where the completion axioms are
-    verified (``axioms`` is ``True``) each student is decided from
-    one-contract reports (proof in ``incentives._truncation_misreport``);
-    elsewhere each student's whole report space is searched, and a space
-    over ``MISREPORT_CAP`` leaves the verdict ``None`` unless another
-    student's search finds a misreport."""
-    verdict: Optional[bool] = True
-    for student in compiled.students:
-        if axioms:
-            found = _truncation_misreport(compiled, truth, student, rank)
-        else:
-            try:
-                found = _search_misreports(compiled, truth, (student,), MISREPORT_CAP, rank)
-            except SearchCapExceededError:
-                verdict = None
-                continue
-        if found is not None:
-            return False
-    return verdict
+    A school is certified when its own compiled scheme passes
+    ``instance._scheme_violations``, whose docstring proves that its choice
+    then has a completion that is substitutable and satisfies LAD. That is
+    the check validation runs, so only a market compiled without validation
+    can hold an uncertified school, and it is refused with
+    :class:`InvalidInputError`. Each covered school's completion table is
+    swept by ``verification._completion_axioms_hold``, in school order; a
+    certified school that fails it contradicts the proof, so it raises
+    ``RuntimeError``, an internal error rather than a verdict."""
+    names = tuple(compiled.school_index)
+    faults = [
+        v for name, school in zip(names, compiled.schools)
+        for v in _scheme_violations(f"school {name}", school)
+    ]
+    if faults:
+        raise InvalidInputError("completion axioms not certified: " + "; ".join(faults))
+    covered = [s for s in range(len(names)) if compiled.school_of.count(s) <= max_contracts]
+    for s in covered:
+        if not _completion_axioms_hold(compiled, s):
+            raise RuntimeError(f"school {names[s]}: certified, yet its completion table fails")
+    return len(covered)
 
 
 def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict:
     # the generator and the loader validate, so one compile serves every
     # check: the changed markets of the improvement and flexibility checks
-    # are its clones. One truthful run serves stability, order independence
-    # (as the walk's baseline), every misreport search and the improvement
-    # check. The axiom verdict comes before the order and misreport checks:
-    # where it is true, it decides the first and how each student is
-    # searched in the second.
+    # are its clones. Its certificate comes first, and with it the two
+    # checks that rest on the completion theorem of the ``cop`` docstring:
+    # order independence, and each student's one-contract reports (proof in
+    # ``incentives._truncation_misreport``). One truthful run serves
+    # stability, every misreport run and the improvement check.
     compiled = Compiled.from_instance(instance)
+    row: dict = {"schools_axiom_checked": _completion_axioms(compiled, max_contracts)}
+    row["completion_axioms"] = row["order_independent"] = True
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
-    stable = is_stable(compiled.to_set(truth[0]), compiled)
-    row: dict = {"stable": stable.passed}
-    axioms, row["schools_axiom_checked"] = _completion_axioms(compiled, max_contracts)
-    row["completion_axioms"] = axioms
-    if axioms:  # decided by the completion theorem of the ``cop`` docstring
-        row["order_independent"] = True
-    else:
-        try:
-            row["order_independent"] = _order_independence(compiled, truth[0]).ok
-        except SearchCapExceededError:
-            row["order_independent"] = None
-    row["strategy_proof"] = _strategy_proof(compiled, truth, rank, axioms)
+    row["stable"] = is_stable(compiled.to_set(truth[0]), compiled).passed
+    row["strategy_proof"] = all(
+        _truncation_misreport(compiled, truth, student, rank) is None
+        for student in compiled.students
+    )
 
     swap = single_swap_improvement(instance, seed)
     if swap is None:
@@ -505,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schools", type=int, default=2)
     p.add_argument("--types", type=int, default=3)
     p.add_argument("--max-contracts", type=_pool_size, default=8,
-                   help="cap for the exhaustive per-school axiom checks (at most 20)")
+                   help="bound of the tabulated cross-check (at most 20)")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
 

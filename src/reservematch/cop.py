@@ -11,11 +11,13 @@ reach, under every order at once.
 The completion theorem. Let every school's choice ``C`` have a completion
 ``C'`` (equal to ``C`` on every offer set from which ``C'`` takes at most
 one contract per student) that is substitutable and satisfies the law of
-aggregate demand (LAD), the hypotheses that ``audit`` verifies
-(``verification._completion_axioms_hold``, whose docstring proves that
-the completion it tabulates completes ``C`` and that the two axioms imply
-irrelevance of rejected contracts, IRC). Then, for every
-preference profile:
+aggregate demand (LAD). Every school that validation certifies
+(``instance._scheme_violations``, whose docstring proves it) meets these
+hypotheses, and so does every school of a market that ``audit`` accepts;
+``verification._completion_axioms_hold`` proves that the completion
+completes ``C`` and that the two axioms imply irrelevance of rejected
+contracts, IRC, and checks the axioms on a tabulated pool. Then, for
+every preference profile:
 
 1. The process under ``C`` equals the process under ``C'``, step by step,
    under any proposal order. By induction, let both have made the same
@@ -36,8 +38,8 @@ So such a market is order independent, and its walk need not run: each
 path the walk explores is the process under some proposal order (the
 witness construction in ``_order_independence``), so steps 1 and 2 hold
 along it, and every terminal state holds the same allocation. ``audit``
-reads ``order_independent: true`` off its exhaustive tables wherever they
-verify the hypotheses for every school (``completion_axioms: true``);
+certifies every school of each market it audits and reads
+``order_independent: true`` off that certificate, with no walk;
 ``check_order_independence`` always walks, as the library API and the
 test oracle. ``incentives._truncation_misreport`` builds on the same two
 steps.

@@ -256,9 +256,10 @@ def _truncation_misreport(
     completion theorem in the :mod:`reservematch.cop` docstring: every
     school's choice ``C`` has a completion ``C'`` that is substitutable and
     satisfies the law of aggregate demand (LAD), and so IRC. ``audit`` calls
-    it only where its exhaustive tables verified them for every school;
-    elsewhere it can miss a misreport. ``rank`` and ``truth`` are those of
-    ``_search_misreports``.
+    it on every market it audits, each of whose schools it certifies
+    (``instance._scheme_violations`` proves the hypotheses); on a market
+    with an uncertified school it can miss a misreport. ``rank`` and
+    ``truth`` are those of ``_search_misreports``.
 
     For each contract ``x`` the student truly ranks above their truthful
     outcome, in contract order, the report ``[x]`` runs on a
@@ -287,10 +288,11 @@ def _truncation_misreport(
     The empty report and the one-contract reports, in contract order, are
     the first of the full search's enumeration (``_reports``), so the first
     profitable ``[x]`` is also its first witness. The proof uses only the
-    verified axioms, no monotone scheme. Under the same hypotheses Hatfield
-    & Kominers ("Hidden substitutes") prove the mechanism strategy-proof
-    outright, so a witness here means a process that departs from its own
-    definition; the runs are what keep such a departure visible.
+    axioms, not the scheme that certifies them. Under the same hypotheses
+    Hatfield & Kominers ("Hidden substitutes") prove the mechanism
+    strategy-proof outright, so a witness here means a process that departs
+    from its own definition; the runs are what keep such a departure
+    visible.
     """
     contracts = compiled.contracts
     si = compiled.student_index[student]
@@ -501,7 +503,7 @@ def _changed_schools(
     own = [compiled.schools[compiled.school_index[a.school]].scheme for a, _ in pairs]
     for side in (0, 1):
         fresh = [pair[side] for pair, scheme in zip(pairs, own) if pair[side].scheme != scheme]
-        if violations := [v for cfg in fresh for v in _scheme_violations(cfg)]:
+        if violations := [v for c in fresh for v in _scheme_violations(f"school {c.school}", c)]:
             raise ValidationError(violations)
     for a, _ in pairs:
         _require_steps(a.group_count, a.capacity)

@@ -209,13 +209,7 @@ class FlatMarket(NamedTuple):
             for t in cfg.precedence:
                 if t not in type_set:
                     v.append(f"{where}: precedence names unknown type {t}")
-            if any(t < 0 for t in cfg.targets):
-                v.append(f"{where}: negative group target")
-            if sum(cfg.targets) != cfg.capacity:
-                v.append(
-                    f"{where}: group targets sum to {sum(cfg.targets)}, capacity is {cfg.capacity}"
-                )
-            v.extend(_scheme_violations(cfg))
+            v.extend(_scheme_violations(where, cfg))
         return v
 
 
@@ -241,32 +235,115 @@ def _shared_ids(contracts: Sequence[Contract]) -> list[str]:
     ]
 
 
-def _scheme_violations(cfg: SchoolConfig) -> list[str]:
-    where = f"school {cfg.school}"
-    scheme = cfg.scheme
+def _scheme_violations(where: str, school) -> list[str]:
+    """The faults of one school's targets and transfer scheme, each led by
+    ``where``; an empty list certifies the school. ``school`` is a
+    :class:`SchoolConfig` or the engine's compiled school, which both carry
+    ``targets``, ``capacity`` and ``scheme``. Validation runs this one
+    definition on every school, so every validated school is certified, and
+    ``audit`` reads the certificate off each compiled school's own scheme.
+
+    A school is certified when its targets are non-negative and sum to its
+    capacity ``Q``, its scheme covers its groups, each group's capacity at
+    the all-zero residual vector is its target (a forward-sum scheme grants
+    that by construction; a table lists it or falls back to it), and both
+    conditions of :func:`check_monotonic` hold over ``[0, Q]``: read off
+    ``certified_monotone()`` in O(groups) for a forward-sum shape in which
+    no group donates twice, else checked one unit step at a time under the
+    check's cap, past which the school is not certified.
+
+    The certificate. A certified school's completion (the choice that drops
+    only the picked contracts, not their students' others:
+    ``completion_choice``, tabulated by ``verification._tabulate``, which
+    completes the school's choice under every scheme, as
+    ``verification._completion_axioms_hold`` proves) is substitutable and
+    satisfies the law of aggregate demand (LAD). Those are the hypotheses of
+    the completion theorem in the :mod:`reservematch.cop` docstring (Hatfield
+    & Kominers, "Hidden substitutes"), and they imply irrelevance of
+    rejected contracts (Aygun & Sonmez 2013; the proof is in
+    ``_completion_axioms_hold``). Write ``q_k`` for group ``k``'s target,
+    ``v = (r_0, ..., r_{k-1})`` for the residuals of the groups before it,
+    ``c_k`` for its capacity at ``v``, ``n_k`` for the number of contracts
+    it picks (at most ``c_k``, none when ``c_k`` is 0) and ``r_k = c_k -
+    n_k`` for its residual.
+
+    The box. Every residual vector a choice reads lies in ``[0, Q]^k``,
+    where the conditions were checked. Induct over the groups: ``c_0 =
+    q_0`` lies in ``[0, Q]``. Let ``v`` lie in the box. Along a chain of
+    unit steps from the zero vector to ``v``, condition 1 gives ``c_k >=
+    c_k(0) = q_k >= 0``, and condition 2 gives ``sum_{m<=k} c_m - sum(v) <=
+    sum_{m<=k} q_m``, so ``c_k <= sum_{m<=k} q_m - sum_{m<k} n_m <= Q``.
+    Then ``0 <= r_k <= c_k <= Q``. Inside the box, the same chain argument
+    (as in :func:`check_monotonic`) gives both conditions between every
+    ordered pair ``low <= high``: ``c_k(low) <= c_k(high)``, and
+    ``sum_{m<=k} (c_m(high) - c_m(low)) <= sum(high) - sum(low)``.
+
+    One more contract. Run the completion on an offer set ``X`` and on ``X +
+    x``, primes marking the second run, and let ``A_k`` and ``A'_k`` be the
+    contracts still offered before group ``k``. Induct on the claim that
+    ``A_k`` is a subset of ``A'_k`` and ``v' <= v``, which holds before
+    group 0. The extra contracts ``D_k = A'_k - A_k`` then number ``|D_k| =
+    1 + sum_{m<k} (n_m - n'_m) = 1 + sum_{m<k} (c_m - c'_m) - (sum(v) -
+    sum(v'))``. Condition 2 on ``v' <= v`` bounds ``sum_{m<=k} (c_m -
+    c'_m)`` by ``sum(v) - sum(v')``, so ``|D_k| + (c_k - c'_k) <= 1``, and
+    condition 1 makes ``c_k - c'_k >= 0``. So group ``k`` runs in one of two
+    ways. (a) One seat short and with no extra contract: both runs see one
+    pool, and the second picks its best ``c_k - 1`` where the first picks
+    its best ``c_k``, so either both fill (``r'_k = r_k = 0``, and the
+    first run's lowest pick becomes the one extra) or both take the whole
+    pool (``r'_k = r_k - 1``). (b) At the same capacity, with at most one
+    extra contract ``y``. If ``y`` is not in group ``k``'s pool (another
+    type, or an unranked student), both runs pick the same. Otherwise the
+    second pool is the first plus ``y``: where the first run leaves a seat
+    vacant, the second also picks ``y`` (``r'_k = r_k - 1``); where it
+    fills, ``y`` ranks below every pick, or displaces the lowest pick
+    ``z``, which becomes the extra (``r'_k = r_k = 0``). In every case the
+    second run picks no contract of ``A_k`` that the first does not, so
+    ``A_{k+1}`` is a subset of ``A'_{k+1}``, and ``r'_k <= r_k``.
+
+    After the last group ``G - 1``, a contract of ``X`` that the first run
+    rejects is in ``A_G``, so in ``A'_G``: the second run rejects it too,
+    which is substitutability. The same count, with condition 2 at group
+    ``G - 1``, gives ``|D_G| <= 1 - (r_{G-1} - r'_{G-1}) <= 1``, and the
+    second run picks ``1 - |D_G| >= 0`` more contracts than the first,
+    which is LAD.
+
+    Every fact is needed (``tests/test_verification.py`` draws the tables):
+    a table that fails condition 1 can break substitutability, one that
+    fails only condition 2 can break LAD, and one that meets both but grants
+    a group more than its target at the zero vector, or whose targets sum
+    past the capacity, can carry a residual out of the box, where an
+    unlisted entry falls back to a smaller target.
+    """
+    targets, scheme = school.targets, school.scheme
+    v = []
+    if any(t < 0 for t in targets):
+        v.append(f"{where}: negative group target")
+    if sum(targets) != school.capacity:
+        v.append(f"{where}: group targets sum to {sum(targets)}, capacity is {school.capacity}")
     shape = getattr(scheme, "donors", None)
-    if shape is not None and len(shape) != cfg.group_count:
-        return [f"{where}: scheme covers {len(shape)} groups, school has {cfg.group_count}"]
+    if shape is not None and len(shape) != len(targets):
+        return v + [f"{where}: scheme covers {len(shape)} groups, school has {len(targets)}"]
     entries = getattr(scheme, "entries", None)
     if entries is not None:
         for k, table in entries.items():
-            if k >= cfg.group_count:
-                return [f"{where}: scheme table addresses nonexistent group {k}"]
+            if k >= len(targets):
+                return v + [f"{where}: scheme table addresses nonexistent group {k}"]
             zero = (0,) * k
-            if zero in table and table[zero] != cfg.targets[k]:
-                return [
+            if zero in table and table[zero] != targets[k]:
+                return v + [
                     f"{where}: group {k} capacity at the all-zero residual vector "
-                    f"must equal its target {cfg.targets[k]}"
+                    f"must equal its target {targets[k]}"
                 ]
     if scheme.certified_monotone():
-        return []
+        return v
     try:
-        report = check_monotonic(scheme, cfg.targets, bound=cfg.capacity)
+        report = check_monotonic(scheme, targets, bound=school.capacity)
     except SearchCapExceededError as exc:
-        return [f"{where}: cannot verify scheme monotonicity ({exc})"]
+        return v + [f"{where}: cannot verify scheme monotonicity ({exc})"]
     if not report.ok:
-        return [
+        return v + [
             f"{where}: scheme not monotone (condition {report.condition} fails for "
             f"group {report.group} between residuals {report.low} and {report.high})"
         ]
-    return []
+    return v

@@ -9,14 +9,18 @@ set. Both run on the engine's masks, and both take the market as a
 ``verify`` and ``audit`` check on the compile they already hold. The axiom
 checkers run a choice function over every subset of a contract pool and
 verify rejection irrelevance, substitutability, the law of aggregate
-demand, and the completion relationship. ``audit`` decides a school on one
-table, its completion's, read in one sweep for substitutability and the
-law of aggregate demand (``_completion_axioms_hold``, which proves the
-rest): the completion that ``_tabulate`` builds completes the overall
-choice for every transfer scheme, and rejection irrelevance follows from
-the two axioms. The checkers read a :class:`ChoiceTable`, built once per
-choice function and pool, and the builders are exhaustive or they refuse,
-never sampled. A dynamic reserves school's table is built a group at a
+demand, and the completion relationship. ``audit`` certifies the two
+axioms of each school's completion from its scheme, at any pool size
+(``instance._scheme_violations``, which proves them), and cross-checks the
+certificate on every pool of at most ``--max-contracts`` contracts, where
+a certified school that fails its table is an internal error. The
+cross-check builds one table, the completion's, and reads it in one sweep
+for substitutability and the law of aggregate demand
+(``_completion_axioms_hold``, which proves the rest): the completion that
+``_tabulate`` builds completes the overall choice for every transfer
+scheme, and rejection irrelevance follows from the two axioms. The
+checkers read a :class:`ChoiceTable`, built once per choice function and
+pool, and the builders are exhaustive or they refuse, never sampled. A dynamic reserves school's table is built a group at a
 time: each group step runs once per distinct prefix of the blocks the
 groups so far read, rather than once per subset, and each choice is copied
 over the bits no group reads (``_tabulate``). That is also the engine's one

@@ -15,7 +15,7 @@ import reservematch as rm
 from reservematch._engine import Compiled, bits
 from reservematch.choice import _table_report, capacity_table
 from reservematch.fileio import contract_id
-from reservematch.instance import FlatMarket, _ids_split
+from reservematch.instance import FlatMarket, _ids_split, _scheme_violations
 from reservematch.verification import PropertyCheck, _tabulate
 
 
@@ -194,14 +194,35 @@ def reference_tabulate(market: FlatMarket, s: int, completion: bool) -> tuple[rm
     return rm.tabulate(choice, pool, cap=1 << len(pool)), keys
 
 
+def certified(compiled: Compiled) -> bool:
+    """Whether every school of a compiled market passes the certificate that
+    ``audit`` reads off each compiled school (``instance._scheme_violations``)."""
+    return not any(_scheme_violations("", school) for school in compiled.schools)
+
+
 def reference_completion_axioms(compiled: Compiled, max_contracts: int) -> tuple:
-    """The oracle for ``cli._completion_axioms``: the verdict of an audit
-    row and the number of schools it covers, with every school whose pool
-    is at most ``max_contracts`` tabulated and its completion run through
-    all four checks (a completion, IRC, substitutable, LAD), IRC scanned
-    rather than read off the other two."""
-    verdict, checked = True, 0
-    for s in range(len(compiled.schools)):
+    """The oracle for ``cli._completion_axioms``: whether every school is
+    certified, restated from the certificate's definition (targets that are
+    non-negative and sum to the capacity, each group's capacity at the
+    all-zero residuals at its target, and both conditions of
+    ``check_monotonic`` over ``[0, capacity]``, stepped even where a
+    forward-sum shape certifies itself); whether every school whose pool is
+    at most ``max_contracts`` passes all four checks on its tables (a
+    completion, IRC, substitutable, LAD), IRC scanned rather than read off
+    the other two; and how many schools those are."""
+    certified, verdict, checked = True, True, 0
+    for s, school in enumerate(compiled.schools):
+        targets, capacity = school.targets, school.capacity
+        certified = (
+            certified
+            and min(targets) >= 0
+            and sum(targets) == capacity
+            and all(
+                school.scheme.capacity(k, (0,) * k, targets) == targets[k]
+                for k in range(len(targets))
+            )
+            and rm.check_monotonic(school.scheme, targets, capacity).ok
+        )
         if compiled.school_of.count(s) > max_contracts:
             continue
         checked += 1
@@ -214,9 +235,7 @@ def reference_completion_axioms(compiled: Compiled, max_contracts: int) -> tuple
             and rm.check_substitutability(comp).holds
             and rm.check_lad(comp).holds
         )
-    if verdict and checked < len(compiled.schools):
-        verdict = None
-    return verdict, checked
+    return certified, verdict, checked
 
 
 def take_back_market() -> rm.ProblemInstance:

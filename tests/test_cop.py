@@ -12,11 +12,10 @@ import pytest
 import reservematch as rm
 from reservematch import cop
 from reservematch._engine import Compiled
-from reservematch.cli import _completion_axioms
 from reservematch.cop import _order_independence
 from reservematch.instance import FlatMarket
 
-from helpers import reference_cop, take_back_market
+from helpers import certified, reference_cop, take_back_market
 from test_incentives import MANIPULABLE
 
 
@@ -197,18 +196,17 @@ def test_order_walk_agrees_with_every_permutation_of_the_listed_contracts(small_
 
 def test_verified_completion_axioms_imply_order_independence(small_instances):
     # the completion theorem of the ``cop`` docstring, by which ``audit``
-    # reads ``order_independent: true`` off ``completion_axioms: true``;
+    # reads ``order_independent: true`` off the certificate of every school;
     # validation refuses the take-back market, so each market runs compiled
     markets = [*small_instances, take_back_market()]
     markets += [entry[0] for entry in MANIPULABLE.values()]
     verified = dependent = 0
     for instance in markets:
         compiled = Compiled.from_instance(instance)
-        axioms, _ = _completion_axioms(compiled, 20)
         baseline = compiled.cop(compiled.default_order_rank())[0]
         walk = _order_independence(compiled, baseline)
-        assert walk.ok or not axioms
-        verified += axioms is True
+        assert walk.ok or not certified(compiled)
+        verified += certified(compiled)
         dependent += not walk.ok
     assert (verified, dependent) == (200, 3)
 

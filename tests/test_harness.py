@@ -1040,19 +1040,22 @@ def test_cli_audit_on_files_reports_only_the_parameters_files_use(capsys, tmp_pa
     }
 
 
-def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
+def test_cli_audit_decides_the_students_whose_misreport_search_refuses(capsys):
     # with six schools a student who claims one type has 6 contracts (1 957
     # reports) and one who claims two has 12, far over the 200 000 cap; the
-    # search refuses those unless the student already holds their top choice.
-    # With no school tabulated the completion axioms are unverified, so every
-    # row takes the full search.
+    # full search refuses those unless the student already holds their top
+    # choice, and finds no misreport for the rest. The audit decides every
+    # student from one-contract reports, so every row is decided even with
+    # no school tabulated.
     code, out, err = run_cli(
         capsys, "audit", "--seed", "0", "--count", "30", "--schools", "6",
         "--students", "4", "--max-contracts", "0", "--format", "machine",
     )
-    assert (code, err) == (3, "")
+    assert (code, err) == (0, "")
     report = json.loads(out)
-    assert report["all_ok"] is True
+    assert "unverified" not in report and report["all_ok"] is True
+    assert [r["schools_axiom_checked"] for r in report["results"]] == [0] * 30
+    assert [r["strategy_proof"] for r in report["results"]] == [True] * 30
     refused_rows = 0
     for row in report["results"]:
         instance = rm.generate_random_instance(
@@ -1061,17 +1064,19 @@ def test_cli_audit_leaves_refused_misreport_searches_unverified(capsys):
             )
         )
         held = {c.student: c for c in rm.run_cop_default(instance)}
-        refused = any(
-            rm.preference_space_size(len(instance.contracts_of(s))) > 200_000
-            and instance.preferences[s].rank(held.get(s)) != 0
-            for s in instance.students
-        )
+        refused = False
+        for s in instance.students:
+            if (
+                rm.preference_space_size(len(instance.contracts_of(s))) > 200_000
+                and instance.preferences[s].rank(held.get(s)) != 0
+            ):
+                with pytest.raises(rm.SearchCapExceededError):
+                    rm.find_group_misreport((s,), instance)
+                refused = True
+            else:
+                assert rm.find_group_misreport((s,), instance) is None
         refused_rows += refused
-        assert row["strategy_proof"] is (None if refused else True)
-        assert row["ok"] is True
     assert refused_rows > 0
-    assert report["summary"]["strategy_proof"] == 30 - refused_rows
-    assert report["unverified"] == {"strategy_proof": refused_rows, "completion_axioms": 30}
 
 
 def test_cli_audit_decides_the_rows_whose_completion_axioms_hold(capsys):
@@ -1089,46 +1094,50 @@ def test_cli_audit_decides_the_rows_whose_completion_axioms_hold(capsys):
     assert "unverified" not in report
 
 
-def test_cli_audit_leaves_refused_order_walks_unverified(capsys, monkeypatch):
-    # with no school tabulated the axioms are unverified, so the walk runs
+def test_cli_audit_decides_order_independence_with_no_walk(capsys, monkeypatch):
+    # a walk capped at one state would refuse every row; the audit runs none,
+    # and reads order independence off the certificate, with no pool tabulated
     monkeypatch.setattr(rm.cop, "ORDER_STATE_CAP", 1)
     code, out, err = run_cli(
         capsys, "audit", "--seed", "120", "--count", "3", "--max-contracts", "0",
         "--format", "machine",
     )
-    assert (code, err) == (3, "")
+    assert (code, err) == (0, "")
     report = json.loads(out)
-    assert [r["order_independent"] for r in report["results"]] == [None] * 3
-    assert all(r["ok"] for r in report["results"])
-    assert report["summary"]["order_independent"] == 0
-    assert report["unverified"] == {"order_independent": 3, "completion_axioms": 3}
+    assert [r["order_independent"] for r in report["results"]] == [True] * 3
+    assert [r["schools_axiom_checked"] for r in report["results"]] == [0] * 3
+    assert report["summary"]["order_independent"] == 3
+    assert "unverified" not in report
 
 
-@pytest.mark.parametrize("max_contracts, walks", [("8", 0), ("0", 12)])
+@pytest.mark.parametrize("max_contracts, untabulated", [("8", 0), ("0", 12)])
 def test_cli_audit_walks_the_orders_only_where_the_axioms_are_unverified(
-    capsys, monkeypatch, max_contracts, walks
+    capsys, monkeypatch, max_contracts, untabulated
 ):
+    # the certificate verifies every row's axioms, so no walk runs, whether
+    # the cross-check tabulates every school (8) or none (0)
+    assert not hasattr(cli, "_order_independence")
     calls = []
-    walk = cli._order_independence
+    walk = rm.cop._order_independence
 
     def counting(*args):
         calls.append(1)
         return walk(*args)
 
-    monkeypatch.setattr(cli, "_order_independence", counting)
+    monkeypatch.setattr(rm.cop, "_order_independence", counting)
     code, out, _ = run_cli(
         capsys, "audit", "--seed", "120", "--count", "12", "--max-contracts", max_contracts,
         "--format", "machine",
     )
-    assert len(calls) == walks
-    report = json.loads(out)
-    assert [r["order_independent"] for r in report["results"]] == [True] * 12
-    assert code == (0 if walks == 0 else 3)
+    assert (code, calls) == (0, [])
+    rows = json.loads(out)["results"]
+    assert [r["order_independent"] for r in rows] == [True] * 12
+    assert sum(r["schools_axiom_checked"] < 2 for r in rows) == untabulated
 
 
 def test_cli_audit_decides_order_independence_where_the_walk_refuses(capsys):
-    # at the default --max-contracts, 4 of these 10 walks pass ORDER_STATE_CAP
-    # and their rows read null; with every pool tabulated the axioms decide
+    # 4 of these 10 markets pass the walk's ORDER_STATE_CAP; the certificate
+    # decides them, and with every pool tabulated the cross-check agrees
     code, out, err = run_cli(
         capsys, "audit", "--seed", "0", "--count", "10", "--students", "10",
         "--schools", "3", "--max-contracts", "18", "--format", "machine",
@@ -1139,17 +1148,17 @@ def test_cli_audit_decides_order_independence_where_the_walk_refuses(capsys):
     assert "unverified" not in report
 
 
-def test_cli_audit_leaves_unchecked_axioms_unverified(capsys):
+def test_cli_audit_certifies_the_axioms_with_no_pool_tabulated(capsys):
     code, out, _ = run_cli(
         capsys, "audit", "--seed", "7", "--count", "2", "--max-contracts", "0",
         "--format", "machine",
     )
-    assert code == 3
+    assert code == 0
     report = json.loads(out)
     assert [r["schools_axiom_checked"] for r in report["results"]] == [0, 0]
-    assert [r["completion_axioms"] for r in report["results"]] == [None, None]
-    assert report["summary"]["completion_axioms"] == 0
-    assert report["unverified"] == {"completion_axioms": 2}
+    assert [r["completion_axioms"] for r in report["results"]] == [True, True]
+    assert report["summary"]["completion_axioms"] == 2
+    assert "unverified" not in report
 
 
 def test_cli_audit_tabulates_every_pool_that_max_contracts_admits(capsys):

@@ -10,7 +10,13 @@ import pytest
 
 import reservematch as rm
 from conftest import small_params
-from helpers import count_builds, reference_group_misreport, reference_run, take_back_market
+from helpers import (
+    certified,
+    count_builds,
+    reference_group_misreport,
+    reference_run,
+    take_back_market,
+)
 from reservematch import cli
 from reservematch._engine import Compiled
 from reservematch.cli import main
@@ -381,10 +387,10 @@ def test_a_report_runs_as_its_pruned_prefix_over_whole_spaces(small_instances):
 
 
 def _verified(instance):
-    """The compiled market, its canonical rank and truthful run, when the
-    completion of every school passes the audit's axiom checks; else None."""
+    """The compiled market, its canonical rank and truthful run, when every
+    school passes the certificate that the audit reads; else None."""
     compiled = Compiled.from_instance(instance)
-    if cli._completion_axioms(compiled, 16)[0] is not True:
+    if not certified(compiled):
         return None
     rank = compiled.default_order_rank()
     return compiled, rank, compiled.cop(rank)
@@ -428,13 +434,18 @@ def test_a_report_that_wins_a_contract_is_beaten_by_naming_it_alone(small_instan
 
 @pytest.mark.parametrize("name", sorted(MANIPULABLE))
 def test_audit_falls_back_to_the_full_search_where_the_axioms_fail(name):
+    # an uncertified market can be manipulated, and only the full search of
+    # some student's reports is sure to show it; ``audit`` decides students
+    # from one-contract reports alone, so it refuses such a market
     instance, members, *_ = MANIPULABLE[name]
     compiled = Compiled.from_instance(instance)
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
-    axioms, _ = cli._completion_axioms(compiled, 8)
-    assert axioms is False
-    assert cli._strategy_proof(compiled, truth, rank, axioms) is False
+    assert not certified(compiled)
+    assert any(
+        _search_misreports(compiled, truth, (s,), 200_000, rank) is not None
+        for s in instance.students
+    )
     if name == "two-contract-report":
         # only a two-contract report profits, so the one-contract reports
         # alone would pass the market
@@ -442,10 +453,8 @@ def test_audit_falls_back_to_the_full_search_where_the_axioms_fail(name):
             _truncation_misreport(compiled, truth, s, rank) is None for s in instance.students
         )
         assert _search_misreports(compiled, truth, members, 200_000, rank) is not None
-        assert cli._strategy_proof(compiled, truth, rank, True) is True
-    if name != "pair":  # the pair's outcome overfills its school, so no row
-        row = cli._audit_one(instance, 0, 8)
-        assert (row["completion_axioms"], row["strategy_proof"]) == (False, False)
+    with pytest.raises(rm.InvalidInputError, match="completion axioms not certified"):
+        cli._audit_one(instance, 0, 8)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ from helpers import (
     brute_blocking_set,
     brute_is_stable,
     brute_stable_set,
+    certified,
     enumerate_allocations,
     reference_completion_axioms,
     reference_irc,
@@ -468,6 +470,106 @@ def _random_non_monotone_school(rng: random.Random) -> FlatMarket:
     return FlatMarket.of(pool[:9], list(students), [cfg], {})
 
 
+def _certified_table(rng: random.Random, targets, bound: int, lift: dict, eager: bool):
+    """A random capacity table over ``[0, bound]`` that meets both conditions
+    of ``check_monotonic``, drawn one entry at a time in key order: group
+    ``k``'s all-zero entry is its target plus ``lift.get(k, 0)``, and every
+    other entry lies between the largest entry one unit step below it
+    (condition 1) and the least the steps into it allow (condition 2), the
+    top of that range when ``eager``. ``None`` when the range is empty."""
+    table = {}
+    for k in range(1, len(targets)):
+        for vec in itertools.product(range(bound + 1), repeat=k):
+            if not any(vec):
+                table[vec] = targets[k] + lift.get(k, 0)
+                continue
+            low, high = 0, math.inf
+            for i in (i for i, r in enumerate(vec) if r):
+                below = vec[:i] + (vec[i] - 1,) + vec[i + 1:]
+                gained = sum(table[vec[:m]] - table[below[:m]] for m in range(i + 1, k))
+                low = max(low, table[below])
+                high = min(high, table[below] + 1 - gained)
+            if low > high:
+                return None
+            table[vec] = high if eager else rng.randint(low, high)
+    return table
+
+
+def _random_table_school(rng: random.Random) -> tuple[str, FlatMarket]:
+    """A one-school market under a random ``TableScheme`` built to fail at
+    most one fact of the certificate, and which one. "monotone" fails none;
+    "lower" takes a seat off every entry of group ``k`` at or above some
+    residual vector, which fails condition 1 at most; "raise" adds one
+    there, which fails condition 2 at most; "lift" grants a group one seat
+    over its target at the all-zero residuals, and "short" takes one seat
+    off the capacity, so that the targets sum past it, where both
+    conditions still hold over ``[0, capacity]``. Schools as in
+    :func:`_random_non_monotone_school`."""
+    kind = rng.choice(("monotone", "lower", "lower", "raise", "raise", "lift", "short"))
+    precedence = tuple(rng.choice(("t1", "t2", "t3")) for _ in range(rng.randint(2, 4)))
+    targets = tuple(rng.randint(0, 2) for _ in precedence)
+    students = "abcde"[: rng.randint(1, 5)]
+    ranked = [i for i in students if rng.random() < 0.8]
+    rng.shuffle(ranked)
+    capacity = sum(targets) - (kind == "short" and sum(targets) > 0)
+    lift = {rng.randrange(1, len(targets)): 1} if kind == "lift" else {}
+    table = None
+    while table is None:
+        table = _certified_table(rng, targets, capacity, lift, kind in ("raise", "lift"))
+    inner = [vec for vec in table if any(vec)]
+    if kind in ("lower", "raise") and inner:
+        base = rng.choice(inner)
+        above = [v for v in table if len(v) == len(base) and all(map(int.__ge__, v, base))]
+        step = 1 if kind == "raise" else -1
+        if min(table[v] for v in above) + step >= 0:
+            for v in above:
+                table[v] += step
+    cfg = rm.SchoolConfig(
+        "s", capacity, rm.PriorityOrder("s", tuple(ranked)), precedence, targets,
+        rm.TableScheme.pinned(table, targets),
+    )
+    types = sorted(set(precedence)) + ["t9"]
+    pool = [rm.Contract(i, "s", t) for i in students for t in types if rng.random() < 0.45]
+    return kind, FlatMarket.of(pool[:9], list(students), [cfg], {})
+
+
+def test_the_certificate_never_passes_a_school_its_table_fails(small_instances):
+    # the certificate ``audit`` reads off each compiled school
+    # (``instance._scheme_violations``, whose docstring has the proof)
+    # against the completion's table, on every school of the generated
+    # markets, the take-back and manipulable markets, schools under random
+    # tables and schools built to fail one fact of the certificate each;
+    # every fact is needed: each kind of school breaks some table
+    for compiled in map(Compiled.from_instance, small_instances):
+        assert certified(compiled)
+        assert all(
+            verification._completion_axioms_hold(compiled, s) for s in range(len(compiled.schools))
+        )
+    unvalidated = [take_back_market()] + [entry[0] for entry in MANIPULABLE.values()]
+    for compiled in map(Compiled.from_instance, unvalidated):
+        assert not certified(compiled)
+        assert not all(
+            verification._completion_axioms_hold(compiled, s) for s in range(len(compiled.schools))
+        )
+    rng = random.Random(4600)
+    kinds = [("random", _random_non_monotone_school(rng)) for _ in range(1500)]
+    kinds += [_random_table_school(rng) for _ in range(1500)]
+    passed, broken = Counter(), Counter()
+    for kind, market in kinds:
+        compiled = Compiled(market)
+        holds = verification._completion_axioms_hold(compiled, 0)
+        if certified(compiled):
+            assert holds, (kind, market)
+            passed[kind] += 1
+        elif not holds:
+            comp = _tabulate(compiled, 0, completion=True)
+            broken[kind, rm.check_substitutability(comp).holds, rm.check_lad(comp).holds] += 1
+    assert passed["monotone"] >= 150 and passed["random"] >= 300, passed
+    # a lowered table breaks substitutability, a raised one breaks LAD alone
+    assert broken["lower", False, True] >= 3 and broken["raise", True, False] >= 3, broken
+    assert sum(broken[k] for k in broken if k[0] in ("lift", "short")) >= 5, broken
+
+
 def test_the_tabulated_completion_completes_the_overall_choice(small_instances):
     # the lemma by which the audit's verdict builds only the completion table
     # (proof in ``verification._completion_axioms_hold``): on every school,
@@ -509,29 +611,38 @@ def test_audit_axiom_verdict_is_the_two_checks_on_random_schools():
 
 
 def test_audit_axiom_verdict_matches_the_four_check_oracle(small_instances):
-    # the verdict and the covered-school count, with and without the IRC
-    # scan; the take-back market fails substitutability, the manipulable
-    # markets fail substitutability or LAD ("unmatched-student-is-seated"
-    # LAD alone), and at a bound of 4 some rows pass, some fail and some
-    # leave a pool uncovered
+    # the certificate and the covered-school count against the oracle, which
+    # restates the certificate and runs all four checks, IRC scanned, on every
+    # covered pool: a certified market is covered as the bound says (at a
+    # bound of 4, some in full and some not) and passes every covered table;
+    # the take-back and manipulable markets are refused, and their tables fail
+    # substitutability or LAD ("unmatched-student-is-seated" LAD alone)
     markets = [*small_instances, take_back_market()]
     markets += [entry[0] for entry in MANIPULABLE.values()]
-    verdicts = set()
+    covered, refused = set(), 0
     for instance in markets:
         compiled = Compiled.from_instance(instance)
         for max_contracts in (0, 4, 8, 20):
-            verdict = cli._completion_axioms(compiled, max_contracts)
-            assert verdict == reference_completion_axioms(compiled, max_contracts), instance
-            verdicts.add((max_contracts, verdict[0]))
-    assert {v for m, v in verdicts if m == 4} == {True, False, None}
+            passes, verdict, checked = reference_completion_axioms(compiled, max_contracts)
+            if not passes:
+                with pytest.raises(rm.InvalidInputError, match="not certified"):
+                    cli._completion_axioms(compiled, max_contracts)
+                assert max_contracts < 20 or not verdict, instance
+                refused += 1
+                continue
+            assert verdict, instance
+            assert cli._completion_axioms(compiled, max_contracts) == checked, instance
+            covered.add((max_contracts, checked == len(compiled.schools)))
+    assert refused == 5 * 4 and {(4, True), (4, False)} <= covered, (refused, covered)
     comp = _tabulate(Compiled.from_instance(MANIPULABLE["unmatched-student-is-seated"][0]), 0, True)
     assert rm.check_substitutability(comp).holds and not rm.check_lad(comp).holds
 
 
 def test_audit_axiom_verdict_stops_tabulating_at_the_first_failing_school(monkeypatch):
-    # the take-back market's first school fails substitutability, so its
-    # completion table is the only one built; every school still counts as
-    # covered
+    # the take-back market's first school fails substitutability. Its
+    # certificate refuses the market before any table is built; a school
+    # certified in spite of that fails its table as an internal error, and
+    # the cross-check stops there
     compiled = Compiled.from_instance(take_back_market())
     assert not rm.check_substitutability(_tabulate(compiled, 0, True)).holds
     calls = []
@@ -542,7 +653,12 @@ def test_audit_axiom_verdict_stops_tabulating_at_the_first_failing_school(monkey
         return tabulate(*args, **kwargs)
 
     monkeypatch.setattr(verification, "_tabulate", counting)
-    assert cli._completion_axioms(compiled, 8) == (False, 3)
+    with pytest.raises(rm.InvalidInputError, match="school s: group 1 capacity at the all-zero"):
+        cli._completion_axioms(compiled, 8)
+    assert calls == []
+    monkeypatch.setattr(cli, "_scheme_violations", lambda where, school: [])
+    with pytest.raises(RuntimeError, match="school s: certified, yet its completion table fails"):
+        cli._completion_axioms(compiled, 8)
     assert calls == [0]
 
 
