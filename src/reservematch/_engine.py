@@ -49,9 +49,7 @@ the bits of ``old ^ new`` of that school's held mask. A student goes back on
 the heap when their proposal leaves them unheld or their count drops to 0,
 not on every rejection: the overall choice is not substitutable, so a school
 can take back a contract it rejected earlier, and only the count says
-whether some school still holds the student. The process also returns its
-dry set, the students who at some step stood unheld with their list used
-up; the misreport search prunes on it.
+whether some school still holds the student.
 
 A proposal is rejected without a re-choice when the school's last choice
 shows it cannot change (``CompiledSchool.keeps``): every group of the
@@ -372,9 +370,8 @@ class Compiled:
     # ------------------------------------------------------------------
     # cumulative offer process
 
-    def cop(self, order_rank: Sequence[int], transcript: Optional[list] = None) -> tuple[int, int]:
-        """Run the cumulative offer process; returns ``(held, dry)``: the
-        global held mask and the dry set, a mask over student indices.
+    def cop(self, order_rank: Sequence[int], transcript: Optional[list] = None) -> int:
+        """Run the cumulative offer process; returns the global held mask.
 
         Each step offers the order-minimal contract among every unheld
         student's best not-yet-proposed acceptable contract, then lets the
@@ -420,16 +417,6 @@ class Compiled:
         choice at hand, so it needs no monotone scheme; the held mask and
         residuals kept after a skip are still those of ``choose(offered)``.
 
-        The dry set. A student runs dry when they stand unheld with their
-        list used up: at the start when their list is empty, after their own
-        proposal leaves them unheld on their last contract, or when their
-        count drops to 0 with their pointer past their last contract. These
-        are exactly the moments the loop would push the student's next
-        contract if the list went on, so a student who is not in the dry set
-        never asked for a contract beyond their list, even if a school later
-        takes them back and they end held. The misreport search reads it
-        (``incentives._search_misreports`` gives the argument).
-
         With ``transcript``, appends ``(proposed, offered, held by school)``
         per step, all as global masks (the proposal as its global index).
         """
@@ -442,13 +429,7 @@ class Compiled:
         residuals: list = [None] * len(schools)
         count = [0] * len(self.students)
         ptr = [0] * len(self.students)
-        heap = []
-        dry = 0
-        for si, lst in enumerate(acceptable):
-            if lst:
-                heap.append((order_rank[lst[0]], si, 0))
-            else:
-                dry |= 1 << si
+        heap = [(order_rank[lst[0]], si, 0) for si, lst in enumerate(acceptable) if lst]
         heapify(heap)
         if transcript is not None:
             available = 0
@@ -481,17 +462,10 @@ class Compiled:
                         count[t] += 1
                         continue
                     count[t] -= 1
-                    if not count[t]:
-                        q = ptr[t]
-                        if q < len(acceptable[t]):
-                            heappush(heap, (order_rank[acceptable[t][q]], t, q))
-                        else:
-                            dry |= 1 << t
-            if not count[si]:
-                if p < len(lst):
-                    heappush(heap, (order_rank[lst[p]], si, p))
-                else:
-                    dry |= 1 << si
+                    if not count[t] and (q := ptr[t]) < len(acceptable[t]):
+                        heappush(heap, (order_rank[acceptable[t][q]], t, q))
+            if not count[si] and p < len(lst):
+                heappush(heap, (order_rank[lst[p]], si, p))
             if transcript is not None:
                 available |= 1 << ci
                 held_global[s] = self.to_global(s, new)
@@ -499,7 +473,7 @@ class Compiled:
         out = 0
         for s, mask in enumerate(held):
             out |= self.to_global(s, mask)
-        return out, dry
+        return out
 
     def proposable(self, available: int, held: int) -> int:
         """Mask of contracts currently proposable: the first listed contract

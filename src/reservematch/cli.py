@@ -101,7 +101,7 @@ def _cmd_match(args) -> int:
     market = _load_market(args.instance)
     compiled = Compiled(market)
     raw = [] if args.transcript else None
-    allocation = compiled.to_set(compiled.cop(compiled.default_order_rank(), transcript=raw)[0])
+    allocation = compiled.to_set(compiled.cop(compiled.default_order_rank(), transcript=raw))
     steps = None
     if args.transcript:
         ids = [contract_id(c) for c in compiled.contracts]
@@ -207,7 +207,7 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
     row["completion_axioms"] = row["order_independent"] = True
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
-    row["stable"] = is_stable(compiled.to_set(truth[0]), compiled).passed
+    row["stable"] = is_stable(compiled.to_set(truth), compiled).passed
     row["strategy_proof"] = all(
         _truncation_misreport(compiled, truth, student, rank) is None
         for student in compiled.students
@@ -221,7 +221,7 @@ def _audit_one(instance: ProblemInstance, seed: int, max_contracts: int) -> dict
         lifted = _lifted(compiled, instance.schools, improved)
         pref = instance.preferences[student]
         row["respects_improvements"] = _respects_improvement(
-            compiled, truth[0], lifted, rank, pref
+            compiled, truth, lifted, rank, pref
         ).ok
 
     row["flexibility_pareto"] = True

@@ -114,7 +114,7 @@ def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
     """
     compiled = _validated(instance)
     raw_steps: list = []
-    held_mask, _ = compiled.cop(compiled.order_rank(order), transcript=raw_steps)
+    held_mask = compiled.cop(compiled.order_rank(order), transcript=raw_steps)
     steps = []
     school_ids = [s.school for s in instance.schools]
     for n, (proposed, available, held_by_school) in enumerate(raw_steps, start=1):
@@ -139,7 +139,7 @@ def run_cop_default(instance: ProblemInstance) -> frozenset:
     Fully deterministic given the instance.
     """
     compiled = _validated(instance)
-    return compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
+    return compiled.to_set(compiled.cop(compiled.default_order_rank()))
 
 
 # The most process states the order-independence walk visits; a market
@@ -165,7 +165,7 @@ def check_order_independence(instance: ProblemInstance) -> OrderIndependenceResu
     ``SearchCapExceededError`` when the market has more than
     ``ORDER_STATE_CAP`` states."""
     compiled = _validated(instance)
-    baseline, _ = compiled.cop(compiled.default_order_rank())
+    baseline = compiled.cop(compiled.default_order_rank())
     return _order_independence(compiled, baseline)
 
 

@@ -1,10 +1,10 @@
 """Incentive audits and comparative statics for the cumulative offer mechanism.
 
 Three families of checks live here. Misreport search covers a student's
-(or small coalition's) entire strategy space and looks for a report that beats
-truth-telling; it runs the process only for reports whose outcome no earlier
-run settles. Priority-improvement checks verify that cleanly rising in a
-school's ranking never hurts the student who rose. Flexibility comparison
+(or small coalition's) entire strategy space, under a cap, and runs the
+process once per report, looking for one that beats truth-telling.
+Priority-improvement checks verify that cleanly rising in a school's
+ranking never hurts the student who rose. Flexibility comparison
 pits two capacity transfer schemes against each other: the more flexible one
 should weakly Pareto-improve the outcome, and the reseating chain rebuilds
 the improved outcome from the old one, moving students only upward.
@@ -102,19 +102,23 @@ def find_group_misreport(
     member; a coalition of one is a single student's search. The joint space
     is the product of the members' strategy spaces; a member who already
     holds their top contract makes the coalition hopeless, so those are
-    dismissed without enumeration. A report whose outcome an earlier run
-    already settles is not run (the prefix pruning of
-    ``_search_misreports``).
+    dismissed without enumeration. Otherwise the process runs once for
+    every joint report but the truthful one, in enumeration order, until a
+    report profits (``_search_misreports``).
 
     Returns the first profitable misreport in enumeration order, or ``None``
-    after exhausting the space. Refuses if the space exceeds ``cap`` or the
-    coalition has more than ``MAX_COALITION`` members.
+    after exhausting the space. Refuses an unknown member, a coalition of
+    more than ``MAX_COALITION`` members, and a space larger than ``cap``,
+    which is checked before any misreport runs.
     """
     members = tuple(sorted(set(coalition)))
     if not members:
         return None
     if len(members) > MAX_COALITION:
         raise SearchCapExceededError(len(members), MAX_COALITION, "coalition size")
+    for student in members:
+        if student not in instance.students:
+            raise InvalidInputError(f"unknown student {student!r}")
     compiled = _validated(instance)
     rank = compiled.default_order_rank()
     return _search_misreports(compiled, compiled.cop(rank), members, cap, rank)
@@ -122,71 +126,23 @@ def find_group_misreport(
 
 def _search_misreports(
     compiled: Compiled,
-    truth: tuple[int, int],
+    truth: int,
     members: tuple[str, ...],
     cap: int,
     rank: Sequence[int],
 ) -> Optional[Misreport]:
     """The misreport search of :func:`find_group_misreport` on a compiled
     market, whose ``acceptable`` lists are the truthful reports; ``rank`` is
-    its ``default_order_rank`` and ``truth`` the ``(held, dry)`` of its run
-    under that rank. The space is compared with ``cap`` before any work
-    that grows with the market.
+    its ``default_order_rank`` and ``truth`` the held mask of its run under
+    that rank. The space is compared with ``cap`` before any work that grows
+    with the market.
 
     Each report is a tuple of global contract indices (``_reports`` of the
-    student's contracts, which are in contract order), run on a clone of
-    ``compiled`` whose ``acceptable`` differs only in the members' entries;
-    a :class:`PreferenceOrder` is built only for the misreport returned.
-
-    The proposal order rank is the truthful ``default_order_rank`` with each
-    member's block rewritten, and this equals ``default_order_rank`` of the
-    changed profile. That order lists students in sorted-id order, and each
-    student's block holds exactly their own contracts: the acceptable ones
-    in report order, then the rest in contract order. A report lists only
-    the student's own contracts, so the block keeps its size, every other
-    block keeps its contents, and each block keeps its offset, which is the
-    lowest rank among the student's contracts.
-
-    Prefix pruning. Let a joint report ``J`` run, and let ``J'`` extend the
-    report of every member outside ``J``'s dry set (``Compiled.cop``) and
-    keep the others' reports. Then ``J'`` runs exactly as ``J`` does, step
-    for step. Proof by induction over the loop, holding that both runs have
-    the same heap, pointers, counts and school masks. At the start the
-    heaps agree: a member who is not dry has a non-empty report, whose
-    first contract ``J'`` keeps, and a block rewrite gives a report's
-    contracts the ranks of their positions in it, so the contracts of the
-    prefix keep their ranks, and every other student's ranks are equal.
-    A step pops the same entry, makes the same stale test, offers the same
-    contract and re-chooses the same way. Its pushes are the same: a push
-    reads the pushed student's list at their pointer, and under ``J`` a
-    member's pointer reaches the end of their list only where ``J'`` would
-    push the next contract of the extension, which is the moment the member
-    runs dry. So the members outside the dry set never propose past their
-    prefix under ``J'``, and the held masks, hence every held contract,
-    are equal.
-
-    Call ``J`` decided by a run ``P`` when ``J`` extends ``P`` in this way.
-    ``J`` is decided exactly when, for some member ``i`` with a non-empty
-    report, the joint report with ``i``'s last contract dropped is decided
-    by (or is) a run in which ``i`` is not dry: if ``P`` decides ``J`` and
-    ``J != P``, some member ``i`` outside ``P``'s dry set has a longer
-    report in ``J`` than in ``P``, and ``P`` decides that shortened report
-    too; the converse is the lemma. That shortened report comes earlier in
-    the enumeration, which is the product of the members' spaces, so each
-    report's answer is known from the reports before it, and the process
-    runs once per joint report no run decides. A decided report is never
-    the first profitable one: its run ``P`` comes before it, and is either
-    the truthful report, which gains nothing, or was found unprofitable.
-    So the first witness, the refusals and the cap check on the full space
-    are those of the plain enumeration (``tests/helpers``).
-
-    The bookkeeping. ``covers`` holds, per joint report in enumeration
-    order, the dry set of the run that decides it. Member ``m``'s report at
-    position ``n`` of their space has its parent (the report less its last
-    contract) at position ``parents[m][n]``, so the joint report with that
-    member's report shortened lies ``strides[m] * (n - parents[m][n])``
-    places earlier. The first member's space is streamed; the others' are
-    held in memory.
+    student's contracts, which are in contract order). The joint reports
+    run in the order of the product of the members' spaces, each but the
+    truthful one once, through :func:`_run_reports`; the first member's
+    space is streamed and the others' are held in memory. A
+    :class:`PreferenceOrder` is built only for the misreport returned.
     """
     contracts = compiled.contracts
     indices = [compiled.student_index[s] for s in members]
@@ -194,8 +150,7 @@ def _search_misreports(
     truths = [
         PreferenceOrder(s, tuple(contracts[ci] for ci in t)) for s, t in zip(members, truthful)
     ]
-    truth_mask, truth_dry = truth
-    truth_held = [_held_contract(compiled, truth_mask, si) for si in indices]
+    truth_held = [_held_contract(compiled, truth, si) for si in indices]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
     if any(r == 0 for r in truth_ranks):
         return None
@@ -208,48 +163,24 @@ def _search_misreports(
         raise SearchCapExceededError(space, cap, f"joint misreports for {members}")
 
     others = [list(_reports(pool)) for pool in pools[1:]]
-    parents = [_parents(len(pool)) for pool in pools]
-    strides = [1] * len(pools)
-    for m in range(len(pools) - 2, -1, -1):
-        strides[m] = strides[m + 1] * len(others[m])
-    tails = list(itertools.product(*(range(len(reports)) for reports in others)))
-
-    acceptable = list(compiled.acceptable)
-    covers: list[int] = []
-    for n0, first in enumerate(_reports(pools[0])):
-        for tail in tails:
-            dry = None
-            for m, n in enumerate((n0, *tail)):
-                parent = parents[m][n]
-                if parent >= 0:
-                    cover = covers[len(covers) - (n - parent) * strides[m]]
-                    if not cover >> indices[m] & 1:
-                        dry = cover
-                        break
-            if dry is None:
-                joint = (first, *(reports[n] for reports, n in zip(others, tail)))
-                if joint == truthful:
-                    dry = truth_dry
-                else:
-                    order = list(rank)
-                    for si, pool, report in zip(indices, pools, joint):
-                        _rewrite(order, pool, report)
-                        acceptable[si] = report
-                    trial = compiled.with_acceptable(tuple(acceptable))
-                    mask, dry = trial.cop(order)
-                    held = [_held_contract(trial, mask, si) for si in indices]
-                    if all(p.rank(h) < k for p, h, k in zip(truths, held, truth_ranks)):
-                        reported = tuple(
-                            PreferenceOrder(s, tuple(contracts[ci] for ci in report))
-                            for s, report in zip(members, joint)
-                        )
-                        return Misreport(members, reported, tuple(truth_held), tuple(held))
-            covers.append(dry)
+    for first in _reports(pools[0]):
+        for tail in itertools.product(*others):
+            joint = (first, *tail)
+            if joint == truthful:
+                continue
+            mask = _run_reports(compiled, rank, dict(zip(indices, joint)))
+            held = [_held_contract(compiled, mask, si) for si in indices]
+            if all(p.rank(h) < k for p, h, k in zip(truths, held, truth_ranks)):
+                reported = tuple(
+                    PreferenceOrder(s, tuple(contracts[ci] for ci in report))
+                    for s, report in zip(members, joint)
+                )
+                return Misreport(members, reported, tuple(truth_held), tuple(held))
     return None
 
 
 def _truncation_misreport(
-    compiled: Compiled, truth: tuple[int, int], student: str, rank: Sequence[int]
+    compiled: Compiled, truth: int, student: str, rank: Sequence[int]
 ) -> Optional[Misreport]:
     """The single-student search of :func:`_search_misreports`, decided from
     one-contract reports, on a market that meets the hypotheses of the
@@ -262,16 +193,15 @@ def _truncation_misreport(
     ``truth`` are those of ``_search_misreports``.
 
     For each contract ``x`` the student truly ranks above their truthful
-    outcome, in contract order, the report ``[x]`` runs on a
-    ``with_acceptable`` clone under ``rank`` with the student's block
-    rewritten. The student can profit exactly when some ``[x]`` yields
-    ``x``, and the first such ``x`` gives the misreport the full search
-    returns. Proof, for a fixed profile of the other students' reports.
-    Steps 1 and 2 are the completion theorem of the :mod:`reservematch.cop`
-    docstring, which holds for every preference profile: the process under
-    ``C`` equals the process under ``C'``, and it ends at the
-    student-optimal stable allocation under ``C'`` whatever the proposal
-    order.
+    outcome, in contract order, the report ``[x]`` runs through
+    :func:`_run_reports`. The student can profit exactly when some ``[x]``
+    yields ``x``, and the first such ``x`` gives the misreport the full
+    search returns. Proof, for a fixed profile of the other students'
+    reports. Steps 1 and 2 are the completion theorem of the
+    :mod:`reservematch.cop` docstring, which holds for every preference
+    profile: the process under ``C`` equals the process under ``C'``, and
+    it ends at the student-optimal stable allocation under ``C'`` whatever
+    the proposal order.
 
     3. If some report ``P`` gives the student ``x``, ``[x]`` gives ``x``.
        The outcome ``Y`` under ``P`` is stable under ``C'`` (step 2). It
@@ -297,48 +227,48 @@ def _truncation_misreport(
     contracts = compiled.contracts
     si = compiled.student_index[student]
     listed = compiled.acceptable[si]
-    truthful = _held_contract(compiled, truth[0], si)
+    truthful = _held_contract(compiled, truth, si)
     pref = PreferenceOrder(student, tuple(contracts[ci] for ci in listed))
-    pool = compiled.student_contracts[si]
-    acceptable = list(compiled.acceptable)
-    # a rewrite lays the whole block out afresh, so one copy serves every run
-    order = list(rank)
     for ci in sorted(listed[: pref.rank(truthful)]):
-        acceptable[si] = (ci,)
-        trial = compiled.with_acceptable(tuple(acceptable))
-        if trial.cop(_rewrite(order, pool, (ci,)))[0] >> ci & 1:
+        if _run_reports(compiled, rank, {si: (ci,)}) >> ci & 1:
             x = contracts[ci]
             return Misreport((student,), (PreferenceOrder(student, (x,)),), (truthful,), (x,))
     return None
 
 
-def _parents(size: int) -> list[int]:
-    """For each report of a pool of ``size`` contracts, in ``_reports``
-    order, the position of its parent (the report less its last contract);
-    -1 for the empty report. Each length lists the extensions of the
-    reports one shorter in their order, ``size - length + 1`` of each."""
-    out = [-1]
-    start, count = 0, 1
-    for length in range(1, size + 1):
-        fan = size - length + 1
-        out.extend(start + j // fan for j in range(count * fan))
-        start, count = start + count, count * fan
-    return out
+def _run_reports(
+    compiled: Compiled, rank: Sequence[int], reports: Mapping[int, tuple[int, ...]]
+) -> int:
+    """The held mask of the process on ``compiled`` with the list of each
+    student index in ``reports`` replaced by its report: global indices of
+    that student's own contracts, best first. ``rank`` is
+    ``compiled.default_order_rank()``.
 
-
-def _rewrite(rank: list, pool: Sequence[int], report: tuple) -> list:
-    """Reorder the block of ``rank`` that holds one student's contracts
-    ``pool`` to ``report``, then the rest of ``pool`` in contract order. The
-    block stays where it is: it starts at the lowest rank in it."""
-    pos = min(rank[ci] for ci in pool)
-    for ci in report:
-        rank[ci] = pos
-        pos += 1
-    for ci in pool:
-        if ci not in report:
-            rank[ci] = pos
+    The process runs on a ``Compiled.with_acceptable`` clone, under
+    ``rank`` with each reporting student's block rewritten: from the
+    block's lowest rank up, the report, then the rest of the student's
+    contracts in contract order. That rewrite is ``default_order_rank`` of
+    the changed profile. That order lists students in sorted-id order, and
+    each student's block holds exactly their own contracts: the acceptable
+    ones in report order, then the rest in contract order. A report lists
+    only the student's own contracts, so the block keeps its size, every
+    other block keeps its contents, and each block keeps its offset, which
+    is the lowest rank among the student's contracts.
+    """
+    acceptable = list(compiled.acceptable)
+    order = list(rank)
+    for si, report in reports.items():
+        pool = compiled.student_contracts[si]
+        pos = min(rank[ci] for ci in pool)
+        for ci in report:
+            order[ci] = pos
             pos += 1
-    return rank
+        for ci in pool:
+            if ci not in report:
+                order[ci] = pos
+                pos += 1
+        acceptable[si] = report
+    return compiled.with_acceptable(tuple(acceptable)).cop(order)
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +337,7 @@ def check_respects_improvements(
     rank = compiled.default_order_rank()
     lifted = _lifted(compiled, instance.schools, improved)
     return _respects_improvement(
-        compiled, compiled.cop(rank)[0], lifted, rank, instance.preferences[student]
+        compiled, compiled.cop(rank), lifted, rank, instance.preferences[student]
     )
 
 
@@ -433,7 +363,7 @@ def _respects_improvement(
     preference, so ``rank`` is its canonical order too."""
     si = compiled.student_index[pref.student]
     before = _held_contract(compiled, held, si)
-    after = _held_contract(lifted, lifted.cop(rank)[0], si)
+    after = _held_contract(lifted, lifted.cop(rank), si)
     return ImprovementCheck(pref.rank(after) <= pref.rank(before), before, after)
 
 
@@ -562,18 +492,13 @@ def _reseat(compiled: Compiled, held: int, rank: Sequence[int]) -> int:
     """The reseating of :func:`improvement_chains` on a compiled market whose
     ``default_order_rank`` is ``rank``: cut each student's list after their
     contract in the global mask ``held``, and return the held mask of the
-    process under the canonical order of the cut lists. That order is
-    ``rank`` with each cut student's block rewritten to the cut list, as in
-    ``_search_misreports``."""
-    trimmed = []
-    order = list(rank)
+    process on the cut lists (:func:`_run_reports`)."""
+    cuts = {}
     for si, lst in enumerate(compiled.acceptable):
         cut = next((p for p, ci in enumerate(lst) if held >> ci & 1), len(lst))
         if cut + 1 < len(lst):
-            lst = lst[: cut + 1]
-            _rewrite(order, compiled.student_contracts[si], lst)
-        trimmed.append(lst)
-    return compiled.with_acceptable(tuple(trimmed)).cop(order)[0]
+            cuts[si] = lst[: cut + 1]
+    return _run_reports(compiled, rank, cuts)
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +582,7 @@ def _flexibility_pareto(
             break
         chains.append(steps)
 
-    outcome = rigid_mask = working.cop(rank)[0]
+    outcome = rigid_mask = working.cop(rank)
     flexible, chain_agrees = working, None
     if len(chains) == len(changed):
         chain_agrees = True
@@ -666,12 +591,12 @@ def _flexibility_pareto(
             for cfg in steps:
                 replay = _reseat(flexible.with_school(cfg), replay, rank)
             flexible = flexible.with_school(b)
-            outcome = flexible.cop(rank)[0]
+            outcome = flexible.cop(rank)
             chain_agrees = chain_agrees and _reseat(flexible, replay, rank) == outcome
     else:
         for _, b, _, _ in changed.values():
             flexible = flexible.with_school(b)
-        outcome = flexible.cop(rank)[0]
+        outcome = flexible.cop(rank)
     rigid_outcome = working.to_set(rigid_mask)
     flexible_outcome = working.to_set(outcome)
 

@@ -335,7 +335,9 @@ def _scheme_violations(where: str, school) -> list[str]:
                     f"{where}: group {k} capacity at the all-zero residual vector "
                     f"must equal its target {targets[k]}"
                 ]
-    if scheme.certified_monotone():
+    # a negative capacity leaves no box to check; the targets fault above
+    # already keeps the school uncertified
+    if scheme.certified_monotone() or school.capacity < 0:
         return v
     try:
         report = check_monotonic(scheme, targets, bound=school.capacity)

@@ -296,12 +296,11 @@ def count_builds(monkeypatch) -> dict:
     return calls
 
 
-def reference_run(compiled: Compiled, preferences) -> tuple[frozenset, int]:
-    """The outcome and the dry set of the process on a clone of ``compiled``
-    reporting ``preferences``, under the clone's own canonical order."""
+def reference_run(compiled: Compiled, preferences) -> frozenset:
+    """The outcome of the process on a clone of ``compiled`` reporting
+    ``preferences``, under the clone's own canonical order."""
     clone = compiled.with_preferences(preferences)
-    held, dry = clone.cop(clone.default_order_rank())
-    return clone.to_set(held), dry
+    return clone.to_set(clone.cop(clone.default_order_rank()))
 
 
 def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int = 200_000):
@@ -325,7 +324,7 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
         return max((c for c in allocation if c.student == student), default=None)
 
     truths = [instance.preferences[s] for s in members]
-    truth_outcome = reference_run(compiled, instance.preferences)[0]
+    truth_outcome = reference_run(compiled, instance.preferences)
     truth_held = [held(truth_outcome, s) for s in members]
     truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
     if any(r == 0 for r in truth_ranks):
@@ -344,7 +343,7 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
             continue
         prefs = dict(instance.preferences)
         prefs.update(zip(members, joint))
-        got = reference_run(compiled, prefs)[0]
+        got = reference_run(compiled, prefs)
         deviant = [held(got, s) for s in members]
         if all(p.rank(h) < r for p, h, r in zip(truths, deviant, truth_ranks)):
             return rm.Misreport(members, joint, tuple(truth_held), tuple(deviant))

@@ -170,7 +170,7 @@ def _brute_force_independent(compiled: Compiled, baseline: int) -> bool:
     rest = sorted(set(range(len(compiled.contracts))) - set(listed))
     for perm in itertools.permutations(listed):
         order = [compiled.contracts[ci] for ci in (*perm, *rest)]
-        if compiled.cop(compiled.order_rank(order))[0] != baseline:
+        if compiled.cop(compiled.order_rank(order)) != baseline:
             return False
     return True
 
@@ -183,7 +183,7 @@ def test_order_walk_agrees_with_every_permutation_of_the_listed_contracts(small_
     for compiled, valid in markets:
         if sum(map(len, compiled.acceptable)) > 6:
             continue
-        baseline = compiled.cop(compiled.default_order_rank())[0]
+        baseline = compiled.cop(compiled.default_order_rank())
         result = _order_independence(compiled, baseline)
         assert result.ok == _brute_force_independent(compiled, baseline)
         assert result.ok or not valid
@@ -203,7 +203,7 @@ def test_verified_completion_axioms_imply_order_independence(small_instances):
     verified = dependent = 0
     for instance in markets:
         compiled = Compiled.from_instance(instance)
-        baseline = compiled.cop(compiled.default_order_rank())[0]
+        baseline = compiled.cop(compiled.default_order_rank())
         walk = _order_independence(compiled, baseline)
         assert walk.ok or not certified(compiled)
         verified += certified(compiled)
@@ -214,12 +214,12 @@ def test_verified_completion_axioms_imply_order_independence(small_instances):
 def test_order_walk_witness_reproduces_the_divergent_outcome():
     # validation refuses the take-back market's scheme, so run it compiled
     compiled = Compiled.from_instance(take_back_market())
-    baseline = compiled.cop(compiled.default_order_rank())[0]
+    baseline = compiled.cop(compiled.default_order_rank())
     result = _order_independence(compiled, baseline)
     assert not result.ok
     assert result.baseline == compiled.to_set(baseline)
     assert sorted(result.divergent_order) == list(compiled.contracts)
-    outcome = compiled.cop(compiled.order_rank(result.divergent_order))[0]
+    outcome = compiled.cop(compiled.order_rank(result.divergent_order))
     assert compiled.to_set(outcome) == result.divergent_outcome != result.baseline
 
 
@@ -257,7 +257,7 @@ def _orders(compiled: Compiled, seed: int, shuffles: int = 4):
 
 def _assert_cop_matches_oracle(compiled: Compiled, schools, preferences, order):
     raw: list = []
-    held, _ = compiled.cop(compiled.order_rank(order), transcript=raw)
+    held = compiled.cop(compiled.order_rank(order), transcript=raw)
     steps = [
         (
             compiled.contracts[ci],
@@ -309,15 +309,15 @@ def test_engine_cop_keeps_a_student_held_while_any_school_holds_them():
         (a_s, a_u, b_s, c_u, a_v),
     ):
         _assert_cop_matches_oracle(compiled, schools, prefs, order)
-        assert compiled.to_set(compiled.cop(compiled.order_rank(order))[0]) == {a_s, b_s, c_u}
+        assert compiled.to_set(compiled.cop(compiled.order_rank(order))) == {a_s, b_s, c_u}
 
 
 def _runs(compiled: Compiled, orders):
-    """Held mask, dry set and transcript of a run under each order."""
+    """Held mask and transcript of a run under each order."""
     out = []
     for order in orders:
         raw: list = []
-        out.append((*compiled.cop(compiled.order_rank(order), transcript=raw), raw))
+        out.append((compiled.cop(compiled.order_rank(order), transcript=raw), raw))
     return out
 
 

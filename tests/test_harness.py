@@ -1367,7 +1367,7 @@ def test_cli_convert_round_trips_through_match(capsys, tmp_path):
 
     # matching with the original slot-specific school gives the same outcome
     compiled = Compiled(FlatMarket.of(sorted(school.contracts), students, [school], prefs))
-    direct = compiled.to_set(compiled.cop(compiled.default_order_rank())[0])
+    direct = compiled.to_set(compiled.cop(compiled.default_order_rank()))
     conv = rm.convert_slot_specific(school)
     assert {conv.inverse[c] for c in via_dynamic} == set(direct)
 
@@ -1559,6 +1559,20 @@ def test_cli_invalid_instance_exits_with_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "match", str(bad))
     assert code == 2
     assert "error" in err
+
+
+def test_a_negative_capacity_under_a_table_scheme_reports_every_fault(capsys, tmp_path):
+    # the monotonicity check has no box under a negative capacity, so
+    # validation skips it and keeps the school's other faults
+    doc = json.loads(rm.ex1_path().read_text())
+    doc["schools"][0].update(capacity=-1, transfers={"kind": "table", "entries": []})
+    faults = ["school s: negative capacity", "school s: group targets sum to 2, capacity is -1"]
+    assert rm.validate_instance(instance_from_document(doc)) == faults
+    bad = tmp_path / "bad.instance"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "match", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: " + "; ".join(f"{bad}: {fault}" for fault in faults) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,14 @@ def test_misreport_search_refuses_over_its_cap(ex1):
         rm.find_group_misreport(["k"], ex1, cap=2)
 
 
+@pytest.mark.parametrize("coalition", [["zz"], ["k", "zz"]], ids=["unknown", "known-and-unknown"])
+def test_misreport_search_refuses_an_unknown_member_before_validating(ex1, monkeypatch, coalition):
+    calls = count_builds(monkeypatch)
+    with pytest.raises(rm.InvalidInputError, match="unknown student 'zz'"):
+        rm.find_group_misreport(coalition, ex1)
+    assert calls == {"validate": 0, "compile": 0}
+
+
 def test_misreport_search_requires_a_valid_instance(ex1, ex1_config):
     not_monotone = rm.TableScheme({2: {(1, 1): 0, (1, 0): 2}})
     broken = ex1.with_school(replace(ex1_config, scheme=not_monotone))
@@ -272,20 +280,15 @@ def test_misreport_search_matches_the_oracle_where_the_mechanism_is_manipulable(
 
 
 # ----------------------------------------------------------------------
-# prefix pruning
+# the runs of the full search
 
 
-def test_a_student_runs_dry_on_a_rejected_last_contract_though_taken_back():
+def test_the_search_matches_the_oracle_where_a_school_takes_a_student_back():
     market = take_back_market()
     a_s = min(market.contracts)
     compiled = Compiled.from_instance(market)
-    a = compiled.student_index["a"]
-    # under the truthful lists a is rejected by s, so a goes on to u
-    assert not compiled.cop(compiled.default_order_rank())[1] >> a & 1
     prefs = dict(market.preferences, a=rm.PreferenceOrder("a", (a_s,)))
-    outcome, dry = reference_run(compiled, prefs)
-    assert a_s in outcome  # s takes a back once b fills group t1 ...
-    assert dry >> a & 1  # ... but a stood unheld with the report used up
+    assert a_s in reference_run(compiled, prefs)  # s takes a back once b fills group t1
     # every truthful list of a, so that the searches get past the top check
     for truth in rm.preference_space("a", sorted(market.contracts_of("a"))):
         instance = market.with_preferences(dict(market.preferences, a=truth))
@@ -300,86 +303,47 @@ def test_a_student_runs_dry_on_a_rejected_last_contract_though_taken_back():
                 ), (truth, coalition)
 
 
-def _deciding_run(joint, runs, indices):
-    """A run in ``runs`` (joint report -> dry set) that ``joint`` extends,
-    past a member's report only for a member outside its dry set; ``None``
-    when there is none. Every run decides itself."""
-    for cut in itertools.product(*(range(len(report) + 1) for report in joint)):
-        prefix = tuple(report[:k] for report, k in zip(joint, cut))
-        dry = runs.get(prefix)
-        if dry is not None and all(
-            k == len(report) or not dry >> si & 1 for report, k, si in zip(joint, cut, indices)
-        ):
-            return prefix
-    return None
-
-
-def test_the_search_runs_exactly_the_reports_no_earlier_run_decides(small_instances, monkeypatch):
-    # Witnesses alone cannot show a search that prunes too much, because
-    # these markets have none, so every run of each search is recorded.
+def test_the_search_runs_each_report_once_until_its_witness(small_instances, monkeypatch):
+    # Witnesses alone cannot show a search that skips a report, because
+    # most markets have none, so every run of each search is recorded.
     runs = []
     cop = Compiled.cop
 
     def recorded(self, order_rank, transcript=None):
-        held, dry = cop(self, order_rank, transcript)
-        runs.append((self.acceptable, dry))
-        return held, dry
+        runs.append(self.acceptable)
+        return cop(self, order_rank, transcript)
 
     monkeypatch.setattr(Compiled, "cop", recorded)
+
+    def search(compiled, coalition):
+        """The search's answer, the joint reports it ran in order, and
+        every joint report but the truthful one in enumeration order."""
+        rank = compiled.default_order_rank()
+        truth = compiled.cop(rank)
+        runs.clear()
+        found = _search_misreports(compiled, truth, coalition, 200_000, rank)
+        indices = [compiled.student_index[s] for s in coalition]
+        truthful = tuple(compiled.acceptable[si] for si in indices)
+        pools = [_reports(compiled.student_contracts[si]) for si in indices]
+        ran = [tuple(acceptable[si] for si in indices) for acceptable in runs]
+        return found, ran, [j for j in itertools.product(*pools) if j != truthful]
+
     searches = 0
     for n, instance in enumerate(small_instances):
         compiled = Compiled.from_instance(instance)
         for size in (1, 2) if n % 8 == 0 else (1,):
             for coalition in itertools.combinations(instance.students, size):
-                runs.clear()
-                rank = compiled.default_order_rank()
-                truth = compiled.cop(rank)
-                assert _search_misreports(compiled, truth, coalition, 200_000, rank) is None
-                if len(runs) == 1:
-                    continue  # a member holds their top contract
-                searches += 1
-                indices = [compiled.student_index[s] for s in coalition]
-                seen: dict = {}
-                for acceptable, dry in runs:
-                    joint = tuple(acceptable[si] for si in indices)
-                    assert _deciding_run(joint, seen, indices) is None, joint
-                    seen[joint] = dry
-                pools = [_reports(compiled.student_contracts[si]) for si in indices]
-                for joint in itertools.product(*pools):
-                    assert _deciding_run(joint, seen, indices) is not None, joint
+                found, ran, space = search(compiled, coalition)
+                assert found is None
+                if ran:  # else a member holds their top contract
+                    searches += 1
+                    assert ran == space, coalition
     assert searches > 300
-
-
-def _pruned_prefix_agreement(instance) -> int:
-    """For every student and every report of theirs, the outcome equals the
-    outcome of the report's pruned prefix: its shortest prefix whose run
-    leaves the student out of the dry set (the report itself when there is
-    none). Returns how many reports have a shorter pruned prefix."""
-    compiled = Compiled.from_instance(instance)
-    shorter = 0
-    for student in instance.students:
-        si = compiled.student_index[student]
-        runs = {
-            report.ranked: reference_run(
-                compiled, dict(instance.preferences, **{student: report})
-            )
-            for report in rm.preference_space(student, sorted(instance.contracts_of(student)))
-        }
-        for report, (outcome, _) in runs.items():
-            prefix = next(
-                (report[:k] for k in range(len(report)) if not runs[report[:k]][1] >> si & 1),
-                report,
-            )
-            assert runs[prefix][0] == outcome, (student, report, prefix)
-            shorter += prefix != report
-    return shorter
-
-
-def test_a_report_runs_as_its_pruned_prefix_over_whole_spaces(small_instances):
-    markets = small_instances[::4] + [entry[0] for entry in MANIPULABLE.values()]
-    shorter = sum(_pruned_prefix_agreement(instance) for instance in markets)
-    assert shorter > 1_000
-    assert _pruned_prefix_agreement(take_back_market())
+    for instance, members, *_ in MANIPULABLE.values():
+        compiled = Compiled.from_instance(instance)
+        found, ran, space = search(compiled, members)
+        witness = tuple(tuple(map(compiled.index.__getitem__, p.ranked)) for p in found.reported)
+        assert ran == space[: space.index(witness) + 1]
 
 
 # ----------------------------------------------------------------------
@@ -423,11 +387,11 @@ def test_a_report_that_wins_a_contract_is_beaten_by_naming_it_alone(small_instan
         for student in instance.students:
             for report in rm.preference_space(student, sorted(instance.contracts_of(student))):
                 prefs = dict(instance.preferences, **{student: report})
-                won = _assignment(reference_run(compiled, prefs)[0], student)
+                won = _assignment(reference_run(compiled, prefs), student)
                 if won is None:
                     continue
                 alone = dict(instance.preferences, **{student: rm.PreferenceOrder(student, (won,))})
-                assert _assignment(reference_run(compiled, alone)[0], student) == won
+                assert _assignment(reference_run(compiled, alone), student) == won
                 pairs += 1
     assert pairs > 3_000
 
