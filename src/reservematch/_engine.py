@@ -36,9 +36,10 @@ residuals, so it assumes nothing about monotonicity, and the order in which
 it fills cannot change a choice. It is filled lazily because a market's
 choices reach few of the prefixes in ``[0, capacity]^k``. Clones made by
 ``Compiled.with_preferences`` and ``Compiled.with_acceptable`` share the
-schools, and so every table. ``Compiled.with_school`` rebuilds one school,
-with a fresh table, from a changed configuration (a new priority or scheme)
-and shares the others.
+schools, and so every table. ``Compiled.with_school`` gives one school a
+changed configuration and a fresh table, and shares the others: a new
+scheme keeps the school's layout, as the layout depends only on its
+priority, precedence and contracts, and a new priority rebuilds it.
 
 The cumulative offer process is event-driven. It keeps each school's offered
 and held local masks, a held-contract count per student, and a heap of
@@ -69,6 +70,7 @@ oracle written over it.
 
 from __future__ import annotations
 
+from copy import copy
 from heapq import heapify, heappop, heappush
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -94,13 +96,16 @@ class CompiledSchool:
 
     __slots__ = (
         "offsets", "targets", "scheme", "global_index", "student_of", "span", "block",
-        "block_end", "type_groups", "cap_table", "capacity",
+        "block_end", "type_groups", "cap_table", "capacity", "priority", "precedence",
     )
 
     def __init__(self, config: SchoolConfig, owner: "Compiled", members: Sequence[int]):
         self.capacity = config.capacity
         self.targets = config.targets
         self.scheme = config.scheme
+        # the layout below is a function of these two and the members alone
+        self.priority = config.priority
+        self.precedence = config.precedence
         # one block per privilege type, in order of first precedence; a type
         # can head several groups, and each of them reads the same block
         block_of = {p: t for t, p in enumerate(dict.fromkeys(config.precedence))}
@@ -304,18 +309,31 @@ class Compiled:
         return clone
 
     def with_school(self, config: SchoolConfig) -> "Compiled":
-        """A clone with school ``config.school`` rebuilt from ``config``: a
-        new :class:`CompiledSchool`, with its own local bits in a copy of
-        ``local_bit`` and a fresh capacity table. The other schools and
-        everything else are shared."""
+        """A clone with school ``config.school`` compiled from ``config``,
+        with a fresh capacity table; the other schools and everything else
+        are shared. A config that keeps the school's priority and precedence
+        (a changed scheme, as in the flexibility checks) keeps its layout:
+        the new :class:`CompiledSchool` shares its local bits, blocks and
+        groups, and the clone shares ``local_bit``. Any other config (a
+        changed priority) is rebuilt, with its own local bits in a copy of
+        ``local_bit``."""
         s = self.school_index[config.school]
+        old = self.schools[s]
         clone = object.__new__(Compiled)
         clone.__dict__.update(self.__dict__)
-        clone.local_bit = list(self.local_bit)
         clone.schools = list(self.schools)
-        members = sorted(ci for ci in self.schools[s].global_index if ci is not None)
-        clone.schools[s] = CompiledSchool(config, clone, members)
-        clone.local_bit = tuple(clone.local_bit)
+        if isinstance(old, CompiledSchool) and (old.priority, old.precedence) == (
+            config.priority, config.precedence
+        ):
+            school = copy(old)
+            school.capacity, school.targets = config.capacity, config.targets
+            school.scheme, school.cap_table = config.scheme, {(): config.targets[0]}
+        else:
+            clone.local_bit = list(self.local_bit)
+            members = sorted(ci for ci in old.global_index if ci is not None)
+            school = CompiledSchool(config, clone, members)
+            clone.local_bit = tuple(clone.local_bit)
+        clone.schools[s] = school
         return clone
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ flexibility pair is monotone by construction too, proved in
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -263,7 +264,8 @@ def _unit_tables(
 
     The rigid table grants every group its target, except the ``receiver``,
     which gets ``t + max(0, sum(v) - 1)`` at residuals ``v``: every upstream
-    vacancy but the first. The flexible table adds one seat at the unit
+    vacancy but the first. It is built from the targets, in the key order
+    of :func:`capacity_table`. The flexible table adds one seat at the unit
     vector ``e_donor``, where the rigid one grants ``t``.
 
     Both are monotone for every choice of targets, bound, receiver and
@@ -278,10 +280,10 @@ def _unit_tables(
     already grants ``t + 1`` (gain 0, no shrink); every other step gains
     what it gains in the rigid table.
     """
-    constant = capacity_table(TableScheme({}), targets, bound)
     rigid = {
-        vec: (cap + max(0, sum(vec) - 1)) if len(vec) == receiver else cap
-        for vec, cap in constant.items()
+        vec: targets[k] + (max(0, sum(vec) - 1) if k == receiver else 0)
+        for k in range(1, len(targets))
+        for vec in itertools.product(range(bound + 1), repeat=k)
     }
     bump = tuple(1 if i == donor else 0 for i in range(receiver))
     return rigid, {**rigid, bump: rigid[bump] + 1}

@@ -423,25 +423,36 @@ def _changed_schools(
     monotonicity check of a pair's school would take more than 2 000 000
     steps, before it builds any table.
 
-    Returns the rigid market, as a ``Compiled.with_school`` clone of
-    ``compiled`` where a rigid scheme is not the compile's, and the changed
-    schools in school order, each mapped to its rigid and flexible
-    configurations, then its rigid and flexible :func:`capacity_table`. A
-    school changes when its scheme grants a different capacity somewhere in
-    the residual domain, not merely when it is written otherwise.
+    Each side is read into one :func:`capacity_table`: a validated side's
+    is the table its monotonicity check read, and any other side's (the
+    compile's own scheme, or one certified without a table) is read after
+    the refusals. Returns the rigid market, as a ``Compiled.with_school``
+    clone of ``compiled`` where a rigid scheme is not the compile's, and the
+    changed schools in school order, each mapped to its rigid and flexible
+    configurations, then its rigid and flexible tables. A school changes
+    when its scheme grants a different capacity somewhere in the residual
+    domain, not merely when it is written otherwise.
     """
     own = [compiled.schools[compiled.school_index[a.school]].scheme for a, _ in pairs]
+    tables = [({}, {}) for _ in pairs]
     for side in (0, 1):
-        fresh = [pair[side] for pair, scheme in zip(pairs, own) if pair[side].scheme != scheme]
-        if violations := [v for c in fresh for v in _scheme_violations(f"school {c.school}", c)]:
+        violations = [
+            v
+            for pair, scheme, read in zip(pairs, own, tables)
+            if pair[side].scheme != scheme
+            for v in _scheme_violations(f"school {pair[side].school}", pair[side], read[side])
+        ]
+        if violations:
             raise ValidationError(violations)
     for a, _ in pairs:
         _require_steps(a.group_count, a.capacity)
     working, changed = compiled, {}
-    for (a, b), scheme in zip(pairs, own):
+    for (a, b), scheme, read in zip(pairs, own, tables):
         if a.scheme != scheme:
             working = working.with_school(a)
-        before, after = (capacity_table(c.scheme, c.targets, c.capacity) for c in (a, b))
+        before, after = (
+            t or capacity_table(c.scheme, c.targets, c.capacity) for c, t in zip((a, b), read)
+        )
         if before != after:
             changed[a.school] = a, b, before, after
     return working, changed

@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .choice import SchoolConfig, check_monotonic
+from .choice import SchoolConfig, _require_steps, _table_report, capacity_table
 from .errors import SearchCapExceededError
 from .model import Contract, PreferenceOrder, TypeProfile
 
@@ -235,13 +235,17 @@ def _shared_ids(contracts: Sequence[Contract]) -> list[str]:
     ]
 
 
-def _scheme_violations(where: str, school) -> list[str]:
+def _scheme_violations(where: str, school, table: Optional[dict] = None) -> list[str]:
     """The faults of one school's targets and transfer scheme, each led by
     ``where``; an empty list certifies the school. ``school`` is a
     :class:`SchoolConfig` or the engine's compiled school, which both carry
     ``targets``, ``capacity`` and ``scheme``. Validation runs this one
     definition on every school, so every validated school is certified, and
     ``audit`` reads the certificate off each compiled school's own scheme.
+    With ``table``, an empty dict, the :func:`capacity_table` over ``[0,
+    Q]`` that the monotonicity check reads is stored in it, so that a caller
+    who needs the table too reads the scheme once; it stays empty where the
+    check reads none.
 
     A school is certified when its targets are non-negative and sum to its
     capacity ``Q``, its scheme covers its groups, each group's capacity at
@@ -326,11 +330,11 @@ def _scheme_violations(where: str, school) -> list[str]:
         return v + [f"{where}: scheme covers {len(shape)} groups, school has {len(targets)}"]
     entries = getattr(scheme, "entries", None)
     if entries is not None:
-        for k, table in entries.items():
+        for k, listed in entries.items():
             if k >= len(targets):
                 return v + [f"{where}: scheme table addresses nonexistent group {k}"]
             zero = (0,) * k
-            if zero in table and table[zero] != targets[k]:
+            if zero in listed and listed[zero] != targets[k]:
                 return v + [
                     f"{where}: group {k} capacity at the all-zero residual vector "
                     f"must equal its target {targets[k]}"
@@ -339,10 +343,15 @@ def _scheme_violations(where: str, school) -> list[str]:
     # already keeps the school uncertified
     if scheme.certified_monotone() or school.capacity < 0:
         return v
+    # check_monotonic's refusal and check, on a table the caller may keep
     try:
-        report = check_monotonic(scheme, targets, bound=school.capacity)
+        _require_steps(len(targets), school.capacity)
     except SearchCapExceededError as exc:
         return v + [f"{where}: cannot verify scheme monotonicity ({exc})"]
+    read = capacity_table(scheme, targets, school.capacity)
+    if table is not None:
+        table.update(read)
+    report = _table_report(read, school.capacity)
     if not report.ok:
         return v + [
             f"{where}: scheme not monotone (condition {report.condition} fails for "

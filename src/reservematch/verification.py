@@ -29,6 +29,7 @@ completion choice: ``CompiledSchool.choose`` runs the overall choice only.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
@@ -370,6 +371,9 @@ def _tabulate(compiled: Compiled, s: int, completion: bool) -> ChoiceTable:
                     chosen_table[index | at | extra] = picked
 
     descend(0, 0, 0, school.block, (), 0)
+    # descend's closure holds descend: clearing the name breaks that cycle,
+    # so the list is freed on return rather than at the next collection
+    del descend
     pool = tuple(compiled.contracts[ci] for ci in members)
     return ChoiceTable(pool, tuple(chosen_table))
 
@@ -475,6 +479,13 @@ def check_completion(base: ChoiceTable, candidate: ChoiceTable) -> PropertyCheck
     return PropertyCheck(True)
 
 
+# The sweep of ``_completion_axioms_hold`` packs at most 2**_CHUNK_BITS offer
+# sets into one int, so that a 20-contract table is swept in ints of 16 KB.
+_CHUNK_BITS = 12
+# the number of set bits of each byte value
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+
+
 def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     """Whether school ``s`` of a compiled market meets the hypotheses of the
     paper's theorems: its choice has a completion that is substitutable and
@@ -482,10 +493,48 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     The completion is the one ``_tabulate`` builds, which completes the
     overall choice by construction (below), so only its table is built, and
     it is read in one sweep over its one-contract extensions that stops at
-    the first one failing either axiom: an extension that chooses a contract
-    the set rejected breaks substitutability, and one that chooses fewer
-    contracts breaks LAD. These are the tests ``check_substitutability`` and
-    ``check_lad`` run, so the verdict is theirs.
+    the first failing extension bit: an extension ``m + j`` that chooses a
+    contract ``m`` rejected breaks substitutability, and one that chooses
+    fewer contracts breaks LAD. These are the tests ``check_substitutability``
+    and ``check_lad`` run on every offer set ``m`` and every bit ``j`` not in
+    it, so the verdict is theirs.
+
+    The sweep reads many offer sets per operation. It packs the table, in
+    chunks of ``F = 2**min(n, _CHUNK_BITS)`` offer sets of the ``n``-contract
+    pool, into ints of aligned fields: field ``i`` of chunk ``a`` holds
+    ``chosen[m]`` for ``m = a*F + i`` in bits ``[i*w, (i+1)*w)``, where ``w``
+    is 8, 16 or 32, the narrowest that holds ``n`` bits (``struct`` packs
+    the fields little-endian, so this holds on every host). The rejected
+    sets ``m ^ chosen[m]`` (``chosen[m]`` lies in ``m``) are derived per
+    chunk from its packed indices, and each choice's size sits in an 8-bit
+    field of a second int: the popcount of each byte of the packed picks,
+    read from a table, summed over the bytes of its field. Extension bit
+    ``j`` pairs ``m`` with ``m | 1 << j`` for each ``m`` without bit ``j``.
+
+    - A bit below ``low = log2(F)`` pairs fields of one chunk ``2**j``
+      apart. Shifting the picks right by ``2**j`` whole fields puts
+      ``chosen[m | 1 << j]`` in field ``i``, and an AND with the rejected
+      sets and with a mask of the fields whose index lacks bit ``j`` is
+      nonzero exactly when some such ``m`` fails substitutability. For those
+      ``m``, ``i + 2**j < F``, so the partner lies in the chunk, and the
+      fields the mask drops may hold anything.
+    - A bit ``j >= low`` pairs chunk ``a`` with chunk ``a | 2**(j - low)``,
+      for each ``a`` without that bit, field for field, with no shift and
+      no mask.
+
+    LAD on the sizes is one subtraction, aligned as the picks are. A size
+    is at most ``n <= 20 < 128``, so setting the guard bit 128 of every
+    field of the partner sizes makes each field of the minuend at least 128
+    and at most 148, and each field of the subtrahend at most 20: no field
+    borrows from the next, the int subtraction is a subtraction per field,
+    and field ``i`` of the difference keeps its guard bit exactly when the
+    partner's size is at least ``m``'s. For a low bit the subtrahend is
+    ``m``'s sizes under the mask of 8-bit fields, so a field the mask drops
+    subtracts 0 and keeps its guard bit. So LAD fails exactly when some
+    guard bit of the difference is clear. Every ``m`` lacks every bit ``j``
+    not in it, and each such pair is in exactly one chunk-and-bit test (the
+    chunk of ``m``, at bit ``j``), so the sweep tests every pair that the
+    two checks test, and no other.
 
     The completion completes the overall choice. ``check_completion`` asks
     that on every offer set ``m`` the completion either picks two contracts
@@ -525,13 +574,52 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     LAD makes the two the same size, so they are equal.
     """
     chosen = _tabulate(compiled, s, completion=True).chosen
-    full = len(chosen) - 1
-    for mask, picked in enumerate(chosen):
-        rejected, size, free = mask & ~picked, picked.bit_count(), full ^ mask
-        while free:
-            low = free & -free
-            bigger = chosen[mask | low]
-            if bigger & rejected or bigger.bit_count() < size:
+    n = (len(chosen) - 1).bit_length()
+    low = min(n, _CHUNK_BITS)
+    step = 1 << low
+    # fields of 8, 16 or 32 bits, the narrowest that holds a mask of the pool
+    wide = (n > 8) + (n > 16)
+    width, fmt = 8 << wide, f"<{step}{'BHI'[wide]}"
+    picks, sizes = [], []
+    for lo in range(0, len(chosen), step):
+        packed = struct.pack(fmt, *chosen[lo : lo + step])
+        picks.append(int.from_bytes(packed, "little"))
+        counts = packed.translate(_POPCOUNT)
+        if wide:
+            # each field's low byte gathers its bytes' counts: a byte sums at
+            # most four counts of at most 8, so none carries
+            total = int.from_bytes(counts, "little")
+            for r in range(wide):
+                total += total >> (8 << r)
+            counts = total.to_bytes(len(packed), "little")[:: 1 << wide]
+        sizes.append(int.from_bytes(counts, "little"))
+
+    def lacking(bits: int) -> tuple[list[int], int]:
+        """Per low bit ``j``, the fields of ``bits`` bits whose offer set
+        lacks ``j``, all ones; and the int with each field at 1. Before step
+        ``j``, ``ones`` is 1 in the first field of each run of ``2**(j+1)``,
+        and the subtraction fills the run's first ``2**j`` fields."""
+        masks, ones = [0] * low, 1
+        for j in reversed(range(low)):
+            masks[j] = (ones << (bits << j)) - ones
+            ones += ones << (bits << j)
+        return masks, ones
+
+    lacks, ones = lacking(width)
+    short, guard = (lacks, ones) if width == 8 else lacking(8)
+    guard <<= 7
+    index = int.from_bytes(struct.pack(fmt, *range(step)), "little")
+    for a, (pick, size) in enumerate(zip(picks, sizes)):
+        # field i: offer set a*F + i, less what it chooses
+        rejected = (index | a * step * ones) ^ pick
+        for j in range(low):
+            if (pick >> (width << j)) & rejected & lacks[j]:
                 return False
-            free ^= low
+            if ((size >> (8 << j) | guard) - (size & short[j])) & guard != guard:
+                return False
+        for h in range(n - low):
+            if not a >> h & 1:
+                b = a | 1 << h
+                if picks[b] & rejected or ((sizes[b] | guard) - size) & guard != guard:
+                    return False
     return True

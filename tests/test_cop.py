@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -321,9 +322,13 @@ def _runs(compiled: Compiled, orders):
     return out
 
 
+LAYOUT = ("global_index", "student_of", "offsets", "type_groups", "span", "block", "block_end")
+
+
 def test_a_school_clone_runs_as_a_fresh_compile_of_the_changed_market(small_instances):
-    # the changed schools the audit's improvement and flexibility checks make
-    clones = 0
+    # the changed schools the audit's improvement and flexibility checks make:
+    # a new priority rebuilds the school, and a new scheme keeps its layout
+    clones = Counter()
     for n, instance in enumerate(small_instances):
         configs = []
         swap = rm.single_swap_improvement(instance, n)
@@ -345,10 +350,17 @@ def test_a_school_clone_runs_as_a_fresh_compile_of_the_changed_market(small_inst
             fresh = Compiled.from_instance(instance.with_school(cfg))
             assert _runs(clone, orders) == _runs(fresh, orders), (n, cfg)
             s = compiled.school_index[cfg.school]
+            new, old = clone.schools[s], compiled.schools[s]
             assert clone.schools is not compiled.schools
-            assert clone.local_bit is not compiled.local_bit
-            assert clone.schools[s].cap_table is not compiled.schools[s].cap_table
-            clones += 1
+            assert new.cap_table is not old.cap_table
+            rescheme = cfg.priority == old.priority
+            assert rescheme == (cfg.scheme != old.scheme), (n, cfg)
+            if rescheme:
+                assert clone.local_bit is compiled.local_bit
+                assert all(getattr(new, name) is getattr(old, name) for name in LAYOUT)
+            else:
+                assert clone.local_bit is not compiled.local_bit
+            clones[rescheme] += 1
         # the clones fill their own tables and bits: the parent runs as before
         assert _runs(compiled, orders) == before
-    assert clones > 300
+    assert min(clones[False], clones[True]) > 150, clones

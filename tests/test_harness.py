@@ -760,21 +760,30 @@ def test_cli_verify_checks_stability_on_its_compile_and_builds_no_instance(
 
 
 def test_cli_audit_builds_each_flexibility_side_once(capsys, monkeypatch):
-    # per instance: one school build per school in the compile, one for the
-    # improvement check's lifted school, and one each for the drawn rigid
-    # and flexible sides; the replay's last unit step runs on the flexible
-    # side, so no pinned copy of the flexible table is built
-    built = []
+    # per instance: one school build per school in the compile and one for
+    # the improvement check's lifted school, whose priority changes; the
+    # drawn rigid and flexible sides and the replay's unit steps change only
+    # a scheme, so they keep the compiled school's layout. Each drawn side
+    # is read into one capacity table, by its monotonicity check, which the
+    # comparison reuses; the draw builds its tables from the targets
+    built, read = [], []
     init = rm._engine.CompiledSchool.__init__
 
     def counting(self, *args):
         built.append(1)
         init(self, *args)
 
+    def reading(*args, _real=rm.capacity_table):
+        read.append(1)
+        return _real(*args)
+
     monkeypatch.setattr(rm._engine.CompiledSchool, "__init__", counting)
+    for module in (rm.choice, rm.instance, rm.generator, rm.incentives, cli):
+        if getattr(module, "capacity_table", None) is rm.capacity_table:
+            monkeypatch.setattr(module, "capacity_table", reading)
     code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "120")
     assert code == 0 and "all checks passed: True" in out
-    assert len(built) == 600
+    assert (len(built), len(read)) == (360, 240)
 
 
 def test_cli_audit_decides_the_axioms_without_an_irc_scan(capsys, monkeypatch):

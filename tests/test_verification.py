@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from typing import Optional
 
 import pytest
 
@@ -442,14 +443,34 @@ def test_substitutability_and_lad_imply_irc(small_instances, ex1):
     assert both > 1000 and irc_fails > 500, (both, irc_fails)
 
 
-def _random_non_monotone_school(rng: random.Random) -> FlatMarket:
+def _students(rng: random.Random, precedence, contracts: Optional[int]) -> str:
+    """One to five students, or enough to hold a pool of ``contracts``
+    contracts of the precedence's types and the stray type t9."""
+    count = rng.randint(1, 5)
+    if contracts is not None:
+        count = max(count, -(-contracts // (len(set(precedence)) + 1)))
+    return "abcdefghijklmnopqrst"[:count]
+
+
+def _pool(rng: random.Random, students: str, precedence, contracts: Optional[int]) -> list:
+    """Each student's contract of each type with probability 0.45, the first
+    nine kept; or exactly ``contracts`` of them."""
+    types = sorted(set(precedence)) + ["t9"]
+    every = [rm.Contract(i, "s", t) for i in students for t in types]
+    if contracts is None:
+        return [c for c in every if rng.random() < 0.45][:9]
+    return sorted(rng.sample(every, contracts))
+
+
+def _random_non_monotone_school(rng: random.Random, contracts: Optional[int] = None) -> FlatMarket:
     """A one-school market under a random ``TableScheme``, more often not
     monotone than monotone: a precedence that may repeat a type, students left unranked,
     contracts of a type outside the precedence, and ranked students who
-    lack a contract of some type (gaps)."""
+    lack a contract of some type (gaps). Its pool holds at most nine
+    contracts, or exactly ``contracts``."""
     precedence = tuple(rng.choice(("t1", "t2", "t3")) for _ in range(rng.randint(1, 4)))
     targets = tuple(rng.randint(0, 2) for _ in precedence)
-    students = "abcde"[: rng.randint(1, 5)]
+    students = _students(rng, precedence, contracts)
     ranked = [i for i in students if rng.random() < 0.8]
     rng.shuffle(ranked)
     capacity = sum(targets)
@@ -465,9 +486,8 @@ def _random_non_monotone_school(rng: random.Random) -> FlatMarket:
         "s", capacity, rm.PriorityOrder("s", tuple(ranked)), precedence, targets,
         rm.TableScheme(entries),
     )
-    types = sorted(set(precedence)) + ["t9"]
-    pool = [rm.Contract(i, "s", t) for i in students for t in types if rng.random() < 0.45]
-    return FlatMarket.of(pool[:9], list(students), [cfg], {})
+    pool = _pool(rng, students, precedence, contracts)
+    return FlatMarket.of(pool, list(students), [cfg], {})
 
 
 def _certified_table(rng: random.Random, targets, bound: int, lift: dict, eager: bool):
@@ -495,7 +515,9 @@ def _certified_table(rng: random.Random, targets, bound: int, lift: dict, eager:
     return table
 
 
-def _random_table_school(rng: random.Random) -> tuple[str, FlatMarket]:
+def _random_table_school(
+    rng: random.Random, contracts: Optional[int] = None
+) -> tuple[str, FlatMarket]:
     """A one-school market under a random ``TableScheme`` built to fail at
     most one fact of the certificate, and which one. "monotone" fails none;
     "lower" takes a seat off every entry of group ``k`` at or above some
@@ -504,11 +526,11 @@ def _random_table_school(rng: random.Random) -> tuple[str, FlatMarket]:
     over its target at the all-zero residuals, and "short" takes one seat
     off the capacity, so that the targets sum past it, where both
     conditions still hold over ``[0, capacity]``. Schools as in
-    :func:`_random_non_monotone_school`."""
+    :func:`_random_non_monotone_school`, with pools as there."""
     kind = rng.choice(("monotone", "lower", "lower", "raise", "raise", "lift", "short"))
     precedence = tuple(rng.choice(("t1", "t2", "t3")) for _ in range(rng.randint(2, 4)))
     targets = tuple(rng.randint(0, 2) for _ in precedence)
-    students = "abcde"[: rng.randint(1, 5)]
+    students = _students(rng, precedence, contracts)
     ranked = [i for i in students if rng.random() < 0.8]
     rng.shuffle(ranked)
     capacity = sum(targets) - (kind == "short" and sum(targets) > 0)
@@ -528,9 +550,8 @@ def _random_table_school(rng: random.Random) -> tuple[str, FlatMarket]:
         "s", capacity, rm.PriorityOrder("s", tuple(ranked)), precedence, targets,
         rm.TableScheme.pinned(table, targets),
     )
-    types = sorted(set(precedence)) + ["t9"]
-    pool = [rm.Contract(i, "s", t) for i in students for t in types if rng.random() < 0.45]
-    return kind, FlatMarket.of(pool[:9], list(students), [cfg], {})
+    pool = _pool(rng, students, precedence, contracts)
+    return kind, FlatMarket.of(pool, list(students), [cfg], {})
 
 
 def test_the_certificate_never_passes_a_school_its_table_fails(small_instances):
@@ -608,6 +629,67 @@ def test_audit_axiom_verdict_is_the_two_checks_on_random_schools():
         assert verification._completion_axioms_hold(compiled, 0) == all(axioms), compiled
         seen[axioms] += 1
     assert min(seen[True, False], seen[False, True], seen[False, False]) >= 10, seen
+
+
+def test_audit_axiom_verdict_is_the_two_checks_at_every_pool_size():
+    # the word-level sweep against ``check_substitutability`` and ``check_lad``
+    # on completion tables of 0 to 20 contracts: many schools per size up to
+    # 12, where one chunk holds the table, and two per size from 13 to 16 and
+    # one from 17 on (for time), where chunks are also swept against chunks
+    rng = random.Random(4700)
+    seen = Counter()
+    for n in range(21):
+        count = 20 if n <= 12 else 2 if n <= 16 else 1
+        for k in range(count):
+            if k % 2:
+                market = _random_non_monotone_school(rng, n)
+            else:
+                market = _random_table_school(rng, n)[1]
+            compiled = Compiled(market)
+            assert compiled.school_of.count(0) == n
+            comp = _tabulate(compiled, 0, completion=True)
+            axioms = (rm.check_substitutability(comp).holds, rm.check_lad(comp).holds)
+            assert verification._completion_axioms_hold(compiled, 0) == all(axioms), (n, market)
+            seen[n > verification._CHUNK_BITS, all(axioms)] += 1
+    # large pools rarely fail at random: the planted failures below cover them
+    assert seen[False, True] >= 200 and seen[False, False] >= 10, seen
+    assert seen[True, True] >= 8 and seen[True, False] >= 1, seen
+
+
+def _planted(n: int, bit: int, axiom: str) -> rm.ChoiceTable:
+    """A table over ``n >= 2`` contracts whose only failing one-contract
+    extension is by contract ``bit``, and which fails only ``axiom``.
+    Substitutability: every set is chosen whole, but the set of all but
+    ``bit`` rejects one contract, which its one extension chooses. LAD:
+    contract ``bit`` is always rejected, and the full set rejects one more,
+    so it chooses fewer than the set of all but ``bit``, and as many as
+    every other set below it."""
+    full, skip, other = (1 << n) - 1, 1 << bit, 1 << (bit == 0)
+    if axiom == "substitutability":
+        chosen = list(range(1 << n))
+        chosen[full ^ skip] ^= other
+    else:
+        chosen = [mask & ~skip for mask in range(1 << n)]
+        chosen[full] ^= other
+    pool = tuple(rm.Contract(f"i{k:02d}", "s", "t1") for k in range(n))
+    return rm.ChoiceTable(pool, tuple(chosen))
+
+
+@pytest.mark.parametrize("axiom", ["substitutability", "lad"])
+@pytest.mark.parametrize("n, bit", [(6, 0), (6, 5), (14, 0), (14, 12), (14, 13)])
+def test_audit_axiom_verdict_finds_a_failure_at_any_one_extension_bit(monkeypatch, axiom, n, bit):
+    # the first bit, the last (within one chunk at 6 contracts, swept chunk
+    # against chunk at 14), and the first at or above the chunk size
+    table = _planted(n, bit, axiom)
+    sub, lad = rm.check_substitutability(table), rm.check_lad(table)
+    if axiom == "substitutability":
+        assert lad.holds and not sub.holds and sub.counterexample[2] == table.pool[bit]
+    else:
+        assert sub.holds and not lad.holds
+        smaller, larger = lad.counterexample
+        assert larger - smaller == {table.pool[bit]}
+    monkeypatch.setattr(verification, "_tabulate", lambda compiled, s, completion: table)
+    assert not verification._completion_axioms_hold(None, 0)
 
 
 def test_audit_axiom_verdict_matches_the_four_check_oracle(small_instances):
