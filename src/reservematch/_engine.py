@@ -496,7 +496,8 @@ class Compiled:
     def proposable(self, available: int, held: int) -> int:
         """Mask of contracts currently proposable: the first listed contract
         not in ``available`` of each student with no contract in the global
-        mask ``held`` (used for transcripts and the order-independence walk)."""
+        mask ``held`` (used for transcripts, and by the order walk that the
+        tests keep as the oracle of order independence)."""
         held_students = 0
         for ci in bits(held):
             held_students |= 1 << self.student_bit[ci]

@@ -24,7 +24,7 @@ from typing import Optional
 from . import __version__
 from .choice import ForwardSumScheme, convert_slot_specific, slot_specific_choice
 from ._engine import Compiled, bits
-from .errors import InvalidInputError, ReserveMatchError, SearchCapExceededError
+from .errors import InvalidInputError, ReserveMatchError, SearchCapExceededError, ValidationError
 from .fileio import (
     _canonical_json,
     _load_market,
@@ -49,7 +49,7 @@ from .incentives import (
     allocation_waste,
     check_flexibility_pareto,
 )
-from .instance import ProblemInstance, _scheme_violations
+from .instance import ProblemInstance, _scheme_violations, validate_instance
 from .model import PreferenceOrder
 from .verification import _completion_axioms_hold, is_stable, tabulate, tabulate_school
 
@@ -350,12 +350,12 @@ def _cmd_convert(args) -> int:
     school, preferences = load_slot_market(args.slots)
     converted = convert_slot_specific(school)
     students = tuple(sorted({c.student for c in school.contracts}))
-    prefs = {
-        s: PreferenceOrder(s, tuple(converted.mapping[c] for c in preferences[s].ranked))
-        if s in preferences
-        else PreferenceOrder(s, ())
-        for s in students
-    }
+    prefs = {s: PreferenceOrder(s, ()) for s in students}
+    # every listing, so that validation names one for a student with no contract
+    prefs.update(
+        (s, PreferenceOrder(s, tuple(converted.mapping[c] for c in pref.ranked)))
+        for s, pref in preferences.items()
+    )
     instance = ProblemInstance(
         students=students,
         profile=converted.profile,
@@ -363,6 +363,10 @@ def _cmd_convert(args) -> int:
         contracts=frozenset(converted.mapping.values()),
         preferences=prefs,
     )
+    # the validation ``match`` runs on the file, so no refused file is written
+    violations = validate_instance(instance)
+    if violations:
+        raise ValidationError([f"{args.slots}: {v}" for v in violations])
     save_instance(instance, args.out_file)
 
     mismatch = None

@@ -4,9 +4,7 @@ Students propose contracts one at a time; schools accumulate every offer they
 have ever received and hold their choice from that growing set. The process
 stops when no student can propose, and the held contracts are the outcome.
 A proposal order decides who moves at each step; with dynamic reserves choice
-functions the outcome does not depend on it, and ``check_order_independence``
-decides that on a given instance by walking every state the process can
-reach, under every order at once.
+functions the outcome does not depend on it, by the theorem below.
 
 The completion theorem. Let every school's choice ``C`` have a completion
 ``C'`` (equal to ``C`` on every offer set from which ``C'`` takes at most
@@ -34,24 +32,21 @@ every preference profile:
    proposal order (Hatfield & Milgrom 2005, Thm 3, which needs IRC for
    choice functions, Aygun & Sonmez 2013; Hirata & Kasuya 2014).
 
-So such a market is order independent, and its walk need not run: each
-path the walk explores is the process under some proposal order (the
-witness construction in ``_order_independence``), so steps 1 and 2 hold
-along it, and every terminal state holds the same allocation. ``audit``
-certifies every school of each market it audits and reads
-``order_independent: true`` off that certificate, with no walk;
-``check_order_independence`` always walks, as the library API and the
-test oracle. ``incentives._truncation_misreport`` builds on the same two
-steps.
+So such a market is order independent. ``check_order_independence`` reads
+that off validation's certificate, and ``audit`` off the certificate it
+gives each school, with no walk of the states the process can reach. The
+tests keep that walk, which covers every order at once, as the oracle that
+checks the theorem on small markets.
+``incentives._truncation_misreport`` builds on the same two steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from ._engine import Compiled, bits
-from .errors import SearchCapExceededError, ValidationError
+from ._engine import Compiled
+from .errors import ValidationError
 from .instance import ProblemInstance
 from .model import Contract
 
@@ -142,17 +137,10 @@ def run_cop_default(instance: ProblemInstance) -> frozenset:
     return compiled.to_set(compiled.cop(compiled.default_order_rank()))
 
 
-# The most process states the order-independence walk visits; a market
-# with more is refused, not sampled.
-ORDER_STATE_CAP = 100_000
-
-
 @dataclass(frozen=True)
 class OrderIndependenceResult:
     ok: bool
     baseline: frozenset
-    divergent_order: Optional[tuple[Contract, ...]] = None
-    divergent_outcome: Optional[frozenset] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -160,75 +148,12 @@ class OrderIndependenceResult:
 
 def check_order_independence(instance: ProblemInstance) -> OrderIndependenceResult:
     """Decide whether every proposal order gives the canonical order's
-    outcome, by walking every state the process can reach. Reports a
-    proposal order whose outcome differs, if one exists; raises
-    ``SearchCapExceededError`` when the market has more than
-    ``ORDER_STATE_CAP`` states."""
-    compiled = _validated(instance)
-    baseline = compiled.cop(compiled.default_order_rank())
-    return _order_independence(compiled, baseline)
+    outcome, ``baseline``.
 
-
-def _order_independence(compiled: Compiled, baseline: int) -> OrderIndependenceResult:
-    """:func:`check_order_independence` on a compiled market whose
-    canonical-order outcome is the held mask ``baseline``.
-
-    A state of the process is the global mask of the contracts proposed so
-    far: each school holds ``choose`` of what it was offered, and each
-    student no school holds can propose their first listed contract not yet
-    proposed. A proposal order picks one of these moves at each step, so the
-    outcome is order independent exactly when every terminal state (one
-    with no move left) holds ``baseline``. The walk is a depth-first search
-    from the empty state that visits each state once, with one ``choose``
-    per new state, at the school proposed to. Each state carries every
-    school's offered local mask, so a move reads its school's offers with
-    one OR instead of splitting the whole state.
-
-    The witness needs no constraint solving. Take the path ``c_1, ..., c_T``
-    by which the walk first reached a divergent terminal state, and put its
-    contracts first, in path order, then the rest in contract order. Under
-    that order the process follows the path: before step ``t`` it stands
-    at the path's state ``t - 1``, where ``c_t`` is proposable and every
-    other proposable contract is a later path contract or off the path, so
-    ranks after ``c_t``. After step ``T`` nothing is proposable, and the
-    process stops at the divergent state.
+    Validation certifies every school it accepts (the certificate is
+    ``instance._scheme_violations``), so a validated market meets the
+    hypotheses of the completion theorem in the module docstring, and
+    every order ends at the canonical order's outcome: the answer is always
+    ``ok``, from one run. An invalid instance raises ``ValidationError``.
     """
-    schools = compiled.schools
-    school_of, local_bit = compiled.school_of, compiled.local_bit
-    seen = {0}
-    # a state, each school's offered local mask and held global mask there,
-    # and the path that first reached it as a linked ``(last move, rest)``
-    # pair, so that a state costs one pair rather than a copy of its path
-    empty = (0,) * len(schools)
-    stack: list = [(0, empty, empty, None)]
-    while stack:
-        proposed, offered, held, path = stack.pop()
-        holding = sum(held)  # schools hold disjoint masks
-        moves = compiled.proposable(proposed, holding)
-        if not moves and holding != baseline:
-            steps = []
-            while path:
-                ci, path = path
-                steps.append(ci)
-            steps.reverse()
-            rest = sorted(set(range(len(compiled.contracts))) - set(steps))
-            order = tuple(compiled.contracts[ci] for ci in steps + rest)
-            return OrderIndependenceResult(
-                False, compiled.to_set(baseline), order, compiled.to_set(holding)
-            )
-        for ci in bits(moves):
-            state = proposed | 1 << ci
-            if state in seen:
-                continue
-            if len(seen) >= ORDER_STATE_CAP:
-                raise SearchCapExceededError(
-                    len(seen) + 1, ORDER_STATE_CAP, "proposal-order states"
-                )
-            seen.add(state)
-            s = school_of[ci]
-            offer = offered[s] | 1 << local_bit[ci]
-            chosen, _ = schools[s].choose(offer)
-            offered_now = offered[:s] + (offer,) + offered[s + 1 :]
-            held_now = held[:s] + (compiled.to_global(s, chosen),) + held[s + 1 :]
-            stack.append((state, offered_now, held_now, (ci, path)))
-    return OrderIndependenceResult(True, compiled.to_set(baseline))
+    return OrderIndependenceResult(True, run_cop_default(instance))

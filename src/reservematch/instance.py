@@ -120,12 +120,13 @@ class FlatMarket(NamedTuple):
         """Return every invariant violation found; an empty list means valid.
 
         Checks id uniqueness and cross-references, the type profile,
-        preference and priority well-formedness, target accounting per
-        school, and that each transfer scheme is monotone over the bounded
-        residual domain (by structural certificate when available,
-        exhaustively otherwise). A check over many items is first a set test
-        in C that passes exactly when no item is at fault; only a failed test
-        walks the items, in contract or student order, to name each fault.
+        preference and priority well-formedness, that every school is a
+        dynamic reserves school, target accounting per school, and that
+        each transfer scheme is monotone over the bounded residual domain
+        (by structural certificate when available, exhaustively otherwise).
+        A check over many items is first a set test in C that passes exactly
+        when no item is at fault; only a failed test walks the items, in
+        contract or student order, to name each fault.
         """
         v: list[str] = []
         students, contracts, ranked = self.students, self.contracts, self.ranked
@@ -196,6 +197,11 @@ class FlatMarket(NamedTuple):
 
         for cfg in self.schools:
             where = f"school {cfg.school}"
+            if not isinstance(cfg, SchoolConfig):
+                # a slot-specific school: the engine runs it, but it has no
+                # scheme to certify
+                v.append(f"{where}: not a dynamic reserves school")
+                continue
             if cfg.capacity < 0:
                 v.append(f"{where}: negative capacity")
             priority = cfg.priority.ranked

@@ -122,8 +122,9 @@ def find_blocking_set(
     y: Iterable[Contract], school: str, market: Union[ProblemInstance, Compiled]
 ) -> Optional[frozenset]:
     """Search for a blocking set at one school; ``None`` when no set blocks
-    there. A set holding a contract outside the market or a student with
-    several contracts is refused with :class:`InvalidInputError`, as by
+    there. An unknown school is refused with :class:`InvalidInputError`
+    before anything is compiled. A set holding a contract outside the market
+    or a student with several contracts is refused the same way, as by
     :func:`is_stable`; capacities are not checked. ``market`` is taken as by
     :func:`is_stable`.
 
@@ -168,7 +169,10 @@ def find_blocking_set(
     scheme, so the guard holds on every allocation. A slot-specific school
     has no guard: every bit is pickable.
     """
-    compiled = market if isinstance(market, Compiled) else Compiled.from_instance(market)
+    is_compiled = isinstance(market, Compiled)
+    if school not in (market.school_index if is_compiled else [c.school for c in market.schools]):
+        raise InvalidInputError(f"unknown school {school!r}")
+    compiled = market if is_compiled else Compiled.from_instance(market)
     s = compiled.school_index[school]
     y = frozenset(y)
     _require_allocation(compiled, y, False)

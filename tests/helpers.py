@@ -163,6 +163,68 @@ def reference_cop(students, schools, preferences, order):
     return frozenset().union(*held.values()), steps
 
 
+def order_walk(compiled: Compiled, baseline: int):
+    """The oracle for order independence, which the library reads off the
+    completion theorem in the ``cop`` docstring: ``None`` when every
+    proposal order ends at the held mask ``baseline``, else a proposal
+    order that ends elsewhere, with that outcome, as ``(order, outcome)``.
+
+    A state of the process is the global mask of the contracts proposed so
+    far: each school holds ``choose`` of what it was offered, and each
+    student no school holds can propose their first listed contract not yet
+    proposed. A proposal order picks one of these moves at each step, so the
+    outcome is order independent exactly when every terminal state (one
+    with no move left) holds ``baseline``. The walk is a depth-first search
+    from the empty state that visits each state once, with one ``choose``
+    per new state, at the school proposed to. Each state carries every
+    school's offered local mask, so a move reads its school's offers with
+    one OR instead of splitting the whole state. It has no cap: the markets
+    it runs on are small.
+
+    The witness needs no constraint solving. Take the path ``c_1, ..., c_T``
+    by which the walk first reached a divergent terminal state, and put its
+    contracts first, in path order, then the rest in contract order. Under
+    that order the process follows the path: before step ``t`` it stands
+    at the path's state ``t - 1``, where ``c_t`` is proposable and every
+    other proposable contract is a later path contract or off the path, so
+    ranks after ``c_t``. After step ``T`` nothing is proposable, and the
+    process stops at the divergent state.
+    """
+    schools = compiled.schools
+    school_of, local_bit = compiled.school_of, compiled.local_bit
+    seen = {0}
+    # a state, each school's offered local mask and held global mask there,
+    # and the path that first reached it as a linked ``(last move, rest)``
+    # pair, so that a state costs one pair rather than a copy of its path
+    empty = (0,) * len(schools)
+    stack: list = [(0, empty, empty, None)]
+    while stack:
+        proposed, offered, held, path = stack.pop()
+        holding = sum(held)  # schools hold disjoint masks
+        moves = compiled.proposable(proposed, holding)
+        if not moves and holding != baseline:
+            steps = []
+            while path:
+                ci, path = path
+                steps.append(ci)
+            steps.reverse()
+            rest = sorted(set(range(len(compiled.contracts))) - set(steps))
+            order = tuple(compiled.contracts[ci] for ci in steps + rest)
+            return order, compiled.to_set(holding)
+        for ci in bits(moves):
+            state = proposed | 1 << ci
+            if state in seen:
+                continue
+            seen.add(state)
+            s = school_of[ci]
+            offer = offered[s] | 1 << local_bit[ci]
+            chosen, _ = schools[s].choose(offer)
+            offered_now = offered[:s] + (offer,) + offered[s + 1 :]
+            held_now = held[:s] + (compiled.to_global(s, chosen),) + held[s + 1 :]
+            stack.append((state, offered_now, held_now, (ci, path)))
+    return None
+
+
 def local_mask(compiled: Compiled, s: int, contracts) -> int:
     """School ``s``'s local mask of those of ``contracts`` that are its own."""
     index, local_bit = compiled.index, compiled.local_bit

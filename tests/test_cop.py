@@ -11,12 +11,10 @@ from dataclasses import replace
 import pytest
 
 import reservematch as rm
-from reservematch import cop
 from reservematch._engine import Compiled
-from reservematch.cop import _order_independence
 from reservematch.instance import FlatMarket
 
-from helpers import certified, reference_cop, take_back_market
+from helpers import certified, order_walk, reference_cop, take_back_market
 from test_incentives import MANIPULABLE
 
 
@@ -176,6 +174,12 @@ def _brute_force_independent(compiled: Compiled, baseline: int) -> bool:
     return True
 
 
+def _walk(compiled: Compiled):
+    """The canonical-order outcome and the walk's answer on it."""
+    baseline = compiled.cop(compiled.default_order_rank())
+    return baseline, order_walk(compiled, baseline)
+
+
 def test_order_walk_agrees_with_every_permutation_of_the_listed_contracts(small_instances):
     markets = [(Compiled.from_instance(i), True) for i in small_instances]
     markets.append((Compiled.from_instance(take_back_market()), False))
@@ -184,51 +188,61 @@ def test_order_walk_agrees_with_every_permutation_of_the_listed_contracts(small_
     for compiled, valid in markets:
         if sum(map(len, compiled.acceptable)) > 6:
             continue
-        baseline = compiled.cop(compiled.default_order_rank())
-        result = _order_independence(compiled, baseline)
-        assert result.ok == _brute_force_independent(compiled, baseline)
-        assert result.ok or not valid
+        baseline, divergent = _walk(compiled)
+        assert (divergent is None) == _brute_force_independent(compiled, baseline)
+        assert divergent is None or not valid
         checked += 1
-        dependent += not result.ok
+        dependent += divergent is not None
     # 150 generated markets, the take-back market and three manipulable
     # ones; the take-back market and two manipulable ones depend on order
     assert (checked, dependent) == (154, 3)
 
 
 def test_verified_completion_axioms_imply_order_independence(small_instances):
-    # the completion theorem of the ``cop`` docstring, by which ``audit``
-    # reads ``order_independent: true`` off the certificate of every school;
-    # validation refuses the take-back market, so each market runs compiled
+    # the completion theorem of the ``cop`` docstring, by which the library
+    # and ``audit`` read order independence off the certificate of every
+    # school; validation refuses the take-back market, so each market runs
+    # compiled
     markets = [*small_instances, take_back_market()]
     markets += [entry[0] for entry in MANIPULABLE.values()]
     verified = dependent = 0
     for instance in markets:
         compiled = Compiled.from_instance(instance)
-        baseline = compiled.cop(compiled.default_order_rank())
-        walk = _order_independence(compiled, baseline)
-        assert walk.ok or not certified(compiled)
+        _, divergent = _walk(compiled)
+        assert divergent is None or not certified(compiled)
         verified += certified(compiled)
-        dependent += not walk.ok
+        dependent += divergent is not None
     assert (verified, dependent) == (200, 3)
+
+
+def test_order_independence_agrees_with_the_walk(small_instances):
+    for instance in small_instances:
+        compiled = Compiled.from_instance(instance)
+        baseline, divergent = _walk(compiled)
+        result = rm.check_order_independence(instance)
+        assert result.ok == (divergent is None)
+        assert result.baseline == compiled.to_set(baseline)
+
+
+def test_order_independence_answers_on_a_200_student_market():
+    # over 100 000 process states: a walk of every order refused this market
+    instance = rm.generate_random_instance(
+        rm.GeneratorParams(students=200, schools=10, types=3, seed=1)
+    )
+    result = rm.check_order_independence(instance)
+    assert result.ok
+    assert result.baseline == rm.run_cop_default(instance)
 
 
 def test_order_walk_witness_reproduces_the_divergent_outcome():
     # validation refuses the take-back market's scheme, so run it compiled
     compiled = Compiled.from_instance(take_back_market())
-    baseline = compiled.cop(compiled.default_order_rank())
-    result = _order_independence(compiled, baseline)
-    assert not result.ok
-    assert result.baseline == compiled.to_set(baseline)
-    assert sorted(result.divergent_order) == list(compiled.contracts)
-    outcome = compiled.cop(compiled.order_rank(result.divergent_order))
-    assert compiled.to_set(outcome) == result.divergent_outcome != result.baseline
-
-
-def test_order_walk_refuses_over_its_state_cap(ex1, monkeypatch):
-    monkeypatch.setattr(cop, "ORDER_STATE_CAP", 3)
-    with pytest.raises(rm.SearchCapExceededError) as refused:
-        rm.check_order_independence(ex1)
-    assert (refused.value.needed, refused.value.cap) == (4, 3)
+    baseline, divergent = _walk(compiled)
+    assert divergent is not None
+    order, outcome = divergent
+    assert sorted(order) == list(compiled.contracts)
+    assert compiled.to_set(compiled.cop(compiled.order_rank(order))) == outcome
+    assert outcome != compiled.to_set(baseline)
 
 
 def test_proposal_order_must_cover_all_contracts(ex1):

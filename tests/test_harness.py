@@ -1103,10 +1103,9 @@ def test_cli_audit_decides_the_rows_whose_completion_axioms_hold(capsys):
     assert "unverified" not in report
 
 
-def test_cli_audit_decides_order_independence_with_no_walk(capsys, monkeypatch):
-    # a walk capped at one state would refuse every row; the audit runs none,
-    # and reads order independence off the certificate, with no pool tabulated
-    monkeypatch.setattr(rm.cop, "ORDER_STATE_CAP", 1)
+def test_cli_audit_decides_order_independence_with_no_walk(capsys):
+    # the audit reads order independence off the certificate, with no pool
+    # tabulated
     code, out, err = run_cli(
         capsys, "audit", "--seed", "120", "--count", "3", "--max-contracts", "0",
         "--format", "machine",
@@ -1121,32 +1120,26 @@ def test_cli_audit_decides_order_independence_with_no_walk(capsys, monkeypatch):
 
 @pytest.mark.parametrize("max_contracts, untabulated", [("8", 0), ("0", 12)])
 def test_cli_audit_walks_the_orders_only_where_the_axioms_are_unverified(
-    capsys, monkeypatch, max_contracts, untabulated
+    capsys, max_contracts, untabulated
 ):
-    # the certificate verifies every row's axioms, so no walk runs, whether
-    # the cross-check tabulates every school (8) or none (0)
+    # the certificate verifies every row's axioms, so order independence is
+    # read off it, whether the cross-check tabulates every school (8) or none
+    # (0), with no walk
     assert not hasattr(cli, "_order_independence")
-    calls = []
-    walk = rm.cop._order_independence
-
-    def counting(*args):
-        calls.append(1)
-        return walk(*args)
-
-    monkeypatch.setattr(rm.cop, "_order_independence", counting)
     code, out, _ = run_cli(
         capsys, "audit", "--seed", "120", "--count", "12", "--max-contracts", max_contracts,
         "--format", "machine",
     )
-    assert (code, calls) == (0, [])
+    assert code == 0
     rows = json.loads(out)["results"]
     assert [r["order_independent"] for r in rows] == [True] * 12
     assert sum(r["schools_axiom_checked"] < 2 for r in rows) == untabulated
 
 
 def test_cli_audit_decides_order_independence_where_the_walk_refuses(capsys):
-    # 4 of these 10 markets pass the walk's ORDER_STATE_CAP; the certificate
-    # decides them, and with every pool tabulated the cross-check agrees
+    # 4 of these 10 markets have over 100 000 process states, more than a
+    # walk of every order could visit; the certificate decides them, and with
+    # every pool tabulated the cross-check agrees
     code, out, err = run_cli(
         capsys, "audit", "--seed", "0", "--count", "10", "--students", "10",
         "--schools", "3", "--max-contracts", "18", "--format", "machine",
@@ -1397,6 +1390,28 @@ def test_cli_convert_check_refuses_a_pool_over_max_contracts(capsys, tmp_path):
     assert line.startswith("error: subset enumeration: ") and "cap of 8" in line
 
 
+def test_cli_convert_writes_no_instance_that_match_refuses(capsys, tmp_path):
+    # a listing that ranks one contract twice, and one for a student with no
+    # contract at the school: convert validates as match does, and writes nothing
+    school = rm.generate_slot_specific_school(5)
+    students = sorted({c.student for c in school.contracts})
+    first = min(c for c in school.contracts if c.student == students[0])
+    twice = {students[0]: rm.PreferenceOrder(students[0], (first, first))}
+    stray = {"zz": rm.PreferenceOrder("zz", ())}
+    for prefs, fault in (
+        (twice, f"student {students[0]}: duplicate entries in preference order"),
+        (stray, "preference order for unknown student zz"),
+    ):
+        slots_path, out_path = tmp_path / "market.slots", tmp_path / "out.instance"
+        rm.save_slot_market(school, prefs, slots_path)
+        code, out, err = run_cli(
+            capsys, "convert", str(slots_path), "--out-file", str(out_path), "--check"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {slots_path}: {fault}\n"
+        assert not out_path.exists()
+
+
 def _eleven_contract_slot_school() -> rm.SlotSpecificSchool:
     """Three slots over 11 contracts, student d holding v9 and v10: the
     converted ids sort v10 before v9, so the converted pool's bit order is
@@ -1422,13 +1437,15 @@ def _convert_check(capsys, tmp_path, school):
 
 
 def _one_target_changed(monkeypatch):
-    """Make ``convert`` take one seat from the conversion's first group."""
+    """Make ``convert`` take one seat from the conversion's first group, and
+    from its capacity, so that the converted market still validates."""
     convert = cli.convert_slot_specific
 
     def broken(school):
         converted = convert(school)
-        targets = (0,) + converted.config.targets[1:]
-        return replace(converted, config=replace(converted.config, targets=targets))
+        config = converted.config
+        targets = (0,) + config.targets[1:]
+        return replace(converted, config=replace(config, targets=targets, capacity=sum(targets)))
 
     monkeypatch.setattr(cli, "convert_slot_specific", broken)
     return broken

@@ -141,6 +141,29 @@ def test_validation_flags_stray_preferences(ex1):
     assert any("unknown student ghost" in v for v in rm.validate_instance(broken))
 
 
+def test_validation_names_a_slot_specific_school():
+    # the engine compiles it, but validation has no scheme to certify
+    school = rm.generate_slot_specific_school(5)
+    students = tuple(sorted({c.student for c in school.contracts}))
+    types = tuple(sorted({c.privilege for c in school.contracts}))
+    claims = {
+        s: frozenset(c.privilege for c in school.contracts if c.student == s) for s in students
+    }
+    instance = rm.ProblemInstance(
+        students=students,
+        profile=rm.TypeProfile(types, claims),
+        schools=(school,),
+        contracts=frozenset(school.contracts),
+        preferences={s: rm.PreferenceOrder(s, ()) for s in students},
+    )
+    want = f"school {school.school}: not a dynamic reserves school"
+    assert rm.validate_instance(instance) == [want]
+    for run in (rm.run_cop_default, rm.check_order_independence):
+        with pytest.raises(rm.ValidationError, match=want):
+            run(instance)
+    rm.is_stable(frozenset(), instance)  # compiled without validation
+
+
 def test_assignments_rejects_double_matching(X):
     with pytest.raises(rm.InvalidInputError):
         rm.assignments({X.z2, X.z3})

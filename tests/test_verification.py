@@ -17,6 +17,7 @@ from helpers import (
     brute_is_stable,
     brute_stable_set,
     certified,
+    count_builds,
     enumerate_allocations,
     reference_completion_axioms,
     reference_irc,
@@ -58,6 +59,15 @@ def test_worked_example_outcome_has_no_blocking_set(ex1):
     outcome = rm.run_cop_default(ex1)
     assert rm.find_blocking_set(outcome, "s", ex1) is None
     assert rm.is_stable(outcome, ex1).passed
+
+
+def test_blocking_search_refuses_an_unknown_school(ex1, monkeypatch):
+    compiled = Compiled.from_instance(ex1)
+    calls = count_builds(monkeypatch)
+    for market in (ex1, compiled):
+        with pytest.raises(rm.InvalidInputError, match="unknown school 'nope'"):
+            rm.find_blocking_set(frozenset(), "nope", market)
+    assert calls["compile"] == 0
 
 
 def test_obvious_block_is_found(ex1, X):
