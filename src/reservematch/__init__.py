@@ -5,9 +5,9 @@ otherwise-vacant seats to later groups through monotone capacity transfer
 schemes; students rank (school, privilege) contracts; the cumulative offer
 mechanism computes the match. The package also ships the verification
 toolkit: stability and blocking-set search, choice-function axiom checkers,
-exhaustive misreport audits, priority-improvement checks, flexibility
-comparisons with the vacancy-chain algorithm, and slot-specific rule
-conversion.
+priority-improvement checks, flexibility comparisons with the vacancy-chain
+algorithm, and slot-specific rule conversion; the ``audit`` command also
+decides each student's strategy-proofness from one-contract reports.
 """
 
 from .choice import (
@@ -68,12 +68,9 @@ from .incentives import (
     allocation_waste,
     check_flexibility_pareto,
     check_respects_improvements,
-    find_group_misreport,
     improvement_chains,
     is_more_flexible,
     is_unambiguous_improvement,
-    preference_space,
-    preference_space_size,
 )
 from .instance import ProblemInstance, validate_instance
 from .model import (
@@ -92,8 +89,6 @@ from .verification import (
     ChoiceTable,
     PropertyCheck,
     StabilityReport,
-    check_completion,
-    check_irc,
     check_lad,
     check_substitutability,
     find_blocking_set,

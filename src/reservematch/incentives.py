@@ -1,8 +1,9 @@
 """Incentive audits and comparative statics for the cumulative offer mechanism.
 
-Three families of checks live here. Misreport search covers a student's
-(or small coalition's) entire strategy space, under a cap, and runs the
-process once per report, looking for one that beats truth-telling.
+Three families of checks live here. The misreport check decides whether a
+student can beat truth-telling from their one-contract reports alone, on a
+market whose schools are certified (``_truncation_misreport``, which proves
+it); the tests enumerate whole strategy spaces as its oracle.
 Priority-improvement checks verify that cleanly rising in a school's
 ranking never hurts the student who rose. Flexibility comparison
 pits two capacity transfer schemes against each other: the more flexible one
@@ -12,7 +13,6 @@ the improved outcome from the old one, moving students only upward.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -32,9 +32,6 @@ from .model import Contract, PreferenceOrder, PriorityOrder, assignments
 
 __all__ = [
     "Misreport",
-    "preference_space",
-    "preference_space_size",
-    "find_group_misreport",
     "is_unambiguous_improvement",
     "ImprovementCheck",
     "check_respects_improvements",
@@ -60,143 +57,32 @@ class Misreport:
     deviant: tuple[Optional[Contract], ...]
 
 
-def preference_space(student: str, contracts: Sequence[Contract]):
-    """Every strict preference a student could report: each ordered subset of
-    their contracts read as the acceptable prefix, including the empty report."""
-    for combo in _reports(sorted(contracts)):
-        yield PreferenceOrder(student, combo)
-
-
-def _reports(pool: Sequence):
-    """Every ordered subset of ``pool``, shortest first, each length in
-    ``itertools.permutations`` order: the order of :func:`preference_space`."""
-    for k in range(len(pool) + 1):
-        yield from itertools.permutations(pool, k)
-
-
-def preference_space_size(n: int) -> int:
-    total, running = 1, 1
-    for k in range(1, n + 1):
-        running *= n - k + 1
-        total += running
-    return total
-
-
 def _held_contract(compiled: Compiled, mask: int, student_index: int) -> Optional[Contract]:
     own = [ci for ci in compiled.student_contracts[student_index] if (mask >> ci) & 1]
     return compiled.contracts[own[-1]] if own else None
 
 
-# The largest joint strategy space a misreport search enumerates, and the
-# largest coalition it searches.
-MISREPORT_CAP = 200_000
-MAX_COALITION = 2
-
-
-def find_group_misreport(
-    coalition: Iterable[str],
-    instance: ProblemInstance,
-    cap: int = MISREPORT_CAP,
-) -> Optional[Misreport]:
-    """Search for a joint misreport that strictly benefits every coalition
-    member; a coalition of one is a single student's search. The joint space
-    is the product of the members' strategy spaces; a member who already
-    holds their top contract makes the coalition hopeless, so those are
-    dismissed without enumeration. Otherwise the process runs once for
-    every joint report but the truthful one, in enumeration order, until a
-    report profits (``_search_misreports``).
-
-    Returns the first profitable misreport in enumeration order, or ``None``
-    after exhausting the space. Refuses an unknown member, a coalition of
-    more than ``MAX_COALITION`` members, and a space larger than ``cap``,
-    which is checked before any misreport runs.
-    """
-    members = tuple(sorted(set(coalition)))
-    if not members:
-        return None
-    if len(members) > MAX_COALITION:
-        raise SearchCapExceededError(len(members), MAX_COALITION, "coalition size")
-    for student in members:
-        if student not in instance.students:
-            raise InvalidInputError(f"unknown student {student!r}")
-    compiled = _validated(instance)
-    rank = compiled.default_order_rank()
-    return _search_misreports(compiled, compiled.cop(rank), members, cap, rank)
-
-
-def _search_misreports(
-    compiled: Compiled,
-    truth: int,
-    members: tuple[str, ...],
-    cap: int,
-    rank: Sequence[int],
-) -> Optional[Misreport]:
-    """The misreport search of :func:`find_group_misreport` on a compiled
-    market, whose ``acceptable`` lists are the truthful reports; ``rank`` is
-    its ``default_order_rank`` and ``truth`` the held mask of its run under
-    that rank. The space is compared with ``cap`` before any work that grows
-    with the market.
-
-    Each report is a tuple of global contract indices (``_reports`` of the
-    student's contracts, which are in contract order). The joint reports
-    run in the order of the product of the members' spaces, each but the
-    truthful one once, through :func:`_run_reports`; the first member's
-    space is streamed and the others' are held in memory. A
-    :class:`PreferenceOrder` is built only for the misreport returned.
-    """
-    contracts = compiled.contracts
-    indices = [compiled.student_index[s] for s in members]
-    truthful = tuple(compiled.acceptable[si] for si in indices)
-    truths = [
-        PreferenceOrder(s, tuple(contracts[ci] for ci in t)) for s, t in zip(members, truthful)
-    ]
-    truth_held = [_held_contract(compiled, truth, si) for si in indices]
-    truth_ranks = [p.rank(c) for p, c in zip(truths, truth_held)]
-    if any(r == 0 for r in truth_ranks):
-        return None
-
-    pools = [compiled.student_contracts[si] for si in indices]
-    space = 1
-    for pool in pools:
-        space *= preference_space_size(len(pool))
-    if space > cap:
-        raise SearchCapExceededError(space, cap, f"joint misreports for {members}")
-
-    others = [list(_reports(pool)) for pool in pools[1:]]
-    for first in _reports(pools[0]):
-        for tail in itertools.product(*others):
-            joint = (first, *tail)
-            if joint == truthful:
-                continue
-            mask = _run_reports(compiled, rank, dict(zip(indices, joint)))
-            held = [_held_contract(compiled, mask, si) for si in indices]
-            if all(p.rank(h) < k for p, h, k in zip(truths, held, truth_ranks)):
-                reported = tuple(
-                    PreferenceOrder(s, tuple(contracts[ci] for ci in report))
-                    for s, report in zip(members, joint)
-                )
-                return Misreport(members, reported, tuple(truth_held), tuple(held))
-    return None
-
-
 def _truncation_misreport(
     compiled: Compiled, truth: int, student: str, rank: Sequence[int]
 ) -> Optional[Misreport]:
-    """The single-student search of :func:`_search_misreports`, decided from
-    one-contract reports, on a market that meets the hypotheses of the
-    completion theorem in the :mod:`reservematch.cop` docstring: every
-    school's choice ``C`` has a completion ``C'`` that is substitutable and
-    satisfies the law of aggregate demand (LAD), and so IRC. ``audit`` calls
-    it on every market it audits, each of whose schools it certifies
-    (``instance._scheme_violations`` proves the hypotheses); on a market
-    with an uncertified school it can miss a misreport. ``rank`` and
-    ``truth`` are those of ``_search_misreports``.
+    """The first profitable misreport of ``student``, or ``None``: a search
+    of the student's whole strategy space (every ordered subset of their
+    contracts), decided from one-contract reports, on a market that meets
+    the hypotheses of the completion theorem in the :mod:`reservematch.cop`
+    docstring: every school's choice ``C`` has a completion ``C'`` that is
+    substitutable and satisfies the law of aggregate demand (LAD), and so
+    IRC. ``audit`` calls it on every market it audits, each of whose
+    schools it certifies (``instance._scheme_violations`` proves the
+    hypotheses); on a market with an uncertified school it can miss a
+    misreport. ``rank`` is ``compiled.default_order_rank()`` and ``truth``
+    the held mask of the process under it.
 
     For each contract ``x`` the student truly ranks above their truthful
     outcome, in contract order, the report ``[x]`` runs through
     :func:`_run_reports`. The student can profit exactly when some ``[x]``
-    yields ``x``, and the first such ``x`` gives the misreport the full
-    search returns. Proof, for a fixed profile of the other students'
+    yields ``x``, and the first such ``x`` gives the misreport that the
+    full enumeration returns (``tests/helpers.reference_group_misreport``,
+    the oracle). Proof, for a fixed profile of the other students'
     reports. Steps 1 and 2 are the completion theorem of the
     :mod:`reservematch.cop` docstring, which holds for every preference
     profile: the process under ``C`` equals the process under ``C'``, and
@@ -215,8 +101,8 @@ def _truncation_misreport(
        contract they ever offer is ``x``.
 
     So a profitable report exists exactly when a profitable ``[x]`` does.
-    The empty report and the one-contract reports, in contract order, are
-    the first of the full search's enumeration (``_reports``), so the first
+    The empty report and the one-contract reports, in contract order, open
+    the full enumeration, which runs reports shortest first, so the first
     profitable ``[x]`` is also its first witness. The proof uses only the
     axioms, not the scheme that certifies them. Under the same hypotheses
     Hatfield & Kominers ("Hidden substitutes") prove the mechanism

@@ -7,23 +7,23 @@ would all take; ``find_blocking_set`` searches one school for a blocking
 set. Both run on the engine's masks, and both take the market as a
 ``ProblemInstance``, which they compile, or as a caller's ``Compiled``, so
 ``verify`` and ``audit`` check on the compile they already hold. The axiom
-checkers run a choice function over every subset of a contract pool and
-verify rejection irrelevance, substitutability, the law of aggregate
-demand, and the completion relationship. ``audit`` certifies the two
-axioms of each school's completion from its scheme, at any pool size
-(``instance._scheme_violations``, which proves them), and cross-checks the
-certificate on every pool of at most ``--max-contracts`` contracts, where
-a certified school that fails its table is an internal error. The
-cross-check builds one table, the completion's, and reads it in one sweep
-for substitutability and the law of aggregate demand
-(``_completion_axioms_hold``, which proves the rest): the completion that
-``_tabulate`` builds completes the overall choice for every transfer
-scheme, and rejection irrelevance follows from the two axioms. The
-checkers read a :class:`ChoiceTable`, built once per choice function and
-pool, and the builders are exhaustive or they refuse, never sampled. A dynamic reserves school's table is built a group at a
-time: each group step runs once per distinct prefix of the blocks the
-groups so far read, rather than once per subset, and each choice is copied
-over the bits no group reads (``_tabulate``). That is also the engine's one
+checkers read a choice function's table over every subset of a contract
+pool and verify substitutability and the law of aggregate demand.
+``audit`` certifies the two axioms of each school's completion from its
+scheme, at any pool size (``instance._scheme_violations``, which proves
+them), and cross-checks the certificate on every pool of at most
+``--max-contracts`` contracts, where a certified school that fails its
+table is an internal error. The cross-check builds one table, the
+completion's, and reads it in one sweep for substitutability and the law
+of aggregate demand (``_completion_axioms_hold``, which proves the rest):
+the completion that ``_tabulate`` builds completes the overall choice for
+every transfer scheme, and rejection irrelevance follows from the two
+axioms. The checkers read a :class:`ChoiceTable`, built once per choice
+function and pool, and the builders are exhaustive or they refuse, never
+sampled. A dynamic reserves school's table is built a group at a time:
+each group step runs once per distinct prefix of the blocks the groups so
+far read, rather than once per subset, and each choice is copied over the
+bits no group reads (``_tabulate``). That is also the engine's one
 completion choice: ``CompiledSchool.choose`` runs the overall choice only.
 """
 
@@ -45,10 +45,8 @@ __all__ = [
     "is_stable",
     "find_blocking_set",
     "PropertyCheck",
-    "check_irc",
     "check_substitutability",
     "check_lad",
-    "check_completion",
     "ChoiceTable",
     "tabulate",
     "tabulate_school",
@@ -403,22 +401,6 @@ def tabulate(
     return ChoiceTable(pool, tuple(table))
 
 
-def check_irc(table: ChoiceTable) -> PropertyCheck:
-    """Irrelevance of rejected contracts: dropping a rejected contract from
-    the offer set never changes what is chosen. Counterexample: (Y, z) with
-    z rejected from Y + z yet C(Y) != C(Y + z)."""
-    chosen = table.chosen
-    for mask, picked in enumerate(chosen):
-        rejected = mask & ~picked
-        while rejected:
-            low = rejected & -rejected
-            if chosen[mask ^ low] != picked:
-                z = low.bit_length() - 1
-                return PropertyCheck(False, (table.subset(mask ^ low), table.pool[z]))
-            rejected ^= low
-    return PropertyCheck(True)
-
-
 def check_substitutability(table: ChoiceTable) -> PropertyCheck:
     """A contract rejected from an offer set stays rejected when the set
     grows. Counterexample: (Y, z, z2) with z rejected from Y + z but chosen
@@ -464,22 +446,6 @@ def check_lad(table: ChoiceTable) -> PropertyCheck:
                 y = table.subset(mask)
                 return PropertyCheck(False, (y, y | {table.pool[low.bit_length() - 1]}))
             free ^= low
-    return PropertyCheck(True)
-
-
-def check_completion(base: ChoiceTable, candidate: ChoiceTable) -> PropertyCheck:
-    """``candidate`` completes ``base`` when, on every offer set, it either
-    agrees with ``base`` exactly or selects two contracts of one student.
-    Counterexample: the offending offer set."""
-    if base.pool != candidate.pool:
-        raise InvalidInputError("completion check needs two tables over the same pool")
-    for mask, (picked, expected) in enumerate(zip(candidate.chosen, base.chosen)):
-        if picked == expected:
-            continue
-        students = [base.pool[i].student for i in bits(picked)]
-        if len(set(students)) < len(students):
-            continue
-        return PropertyCheck(False, (base.subset(mask),))
     return PropertyCheck(True)
 
 
@@ -540,14 +506,16 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     chunk of ``m``, at bit ``j``), so the sweep tests every pair that the
     two checks test, and no other.
 
-    The completion completes the overall choice. ``check_completion`` asks
-    that on every offer set ``m`` the completion either picks two contracts
-    of one student or picks what the overall choice picks. So let the
-    completion pick at most one contract per student from ``m``, and compare
-    the two runs of ``_tabulate`` on ``m`` group by group. Induct on the
-    claim that before group ``g`` both runs have made the same picks and
-    left the same residuals, which holds before group 0. Both runs then
-    read group ``g``'s capacity ``cap`` at the same residuals. The overall
+    The completion completes the overall choice. The completion relation,
+    which the tests' oracle checks table against table (the completion
+    check of ``tests/helpers.py``), asks that on every offer set ``m`` the
+    completion either picks two contracts of one student or picks what the
+    overall choice picks. So let the completion pick at most one contract
+    per student from ``m``, and compare the two runs of ``_tabulate`` on
+    ``m`` group by group. Induct on the claim that before group ``g`` both
+    runs have made the same picks and left the same residuals, which holds
+    before group 0. Both runs then read group ``g``'s capacity ``cap`` at
+    the same residuals. The overall
     choice's pool is its block of ``m`` less the positions of the students
     picked so far; the completion's is the same block less the contracts
     picked so far. A contract in the first pool is in the second, since it
@@ -568,7 +536,8 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     is never offered; and no group reads the bits after the blocks, so both
     runs copy the same choice over them. The argument reads neither the
     scheme's shape nor the monotonicity of its capacities, so it holds for
-    every scheme, and ``check_completion`` of the two tables need not run.
+    every scheme, and the completion relation of the two tables need not be
+    checked.
 
     Irrelevance of rejected contracts (IRC) follows from substitutability
     and LAD (Aygun & Sonmez 2013, "Matching with contracts: comment", Prop.

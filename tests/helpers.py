@@ -2,7 +2,11 @@
 
 Everything here re-derives results by unstructured enumeration, leaning only
 on the choice functions themselves, so a library bug in the stability or
-blocking-set code cannot hide behind itself.
+blocking-set code cannot hide behind itself. Some checks live only here, as
+the oracles of what the library proves instead of enumerating: the full
+misreport search (``reference_group_misreport``), the IRC scan
+(``reference_irc``), the completion check (``check_completion``) and the
+walk over proposal orders (``order_walk``).
 """
 
 from __future__ import annotations
@@ -292,8 +296,8 @@ def reference_completion_axioms(compiled: Compiled, max_contracts: int) -> tuple
         comp = _tabulate(compiled, s, completion=True)
         verdict = (
             verdict
-            and rm.check_completion(base, comp).holds
-            and rm.check_irc(comp).holds
+            and check_completion(base, comp).holds
+            and reference_irc(comp).holds
             and rm.check_substitutability(comp).holds
             and rm.check_lad(comp).holds
         )
@@ -338,6 +342,103 @@ def take_back_market() -> rm.ProblemInstance:
     )
 
 
+def _manipulable_market(schools, claims, preferences):
+    """A market whose schools are ``(id, capacity, priority, precedence,
+    targets, table entries)``. Every student holds one contract per school
+    and claimed type; ``preferences`` lists ``school:type`` labels."""
+    names = [row[0] for row in schools]
+    contracts = {
+        f"{s}@{school}:{t}": rm.Contract(s, school, t)
+        for s in claims
+        for school in names
+        for t in claims[s]
+    }
+    return rm.ProblemInstance(
+        students=tuple(claims),
+        profile=rm.TypeProfile(
+            tuple(sorted({t for ts in claims.values() for t in ts})),
+            {s: frozenset(ts) for s, ts in claims.items()},
+        ),
+        schools=tuple(
+            rm.SchoolConfig(sid, cap, rm.PriorityOrder(sid, prio), prec, targets, rm.TableScheme(e))
+            for sid, cap, prio, prec, targets, e in schools
+        ),
+        contracts=frozenset(contracts.values()),
+        preferences={
+            s: rm.PreferenceOrder(s, tuple(contracts[f"{s}@{x}"] for x in ranked))
+            for s, ranked in preferences.items()
+        },
+    )
+
+
+# Markets whose transfer tables are not monotone, so validation refuses
+# them and the mechanism can be manipulated. Found by searching random
+# tables over generated markets, then dropping every table entry the
+# manipulation does not need. Each lists the coalition and the expected
+# (reports, truthful outcomes, outcomes under the reports).
+MANIPULABLE = {
+    # group t1 gets no seat while group t2 is empty: i2 drops t2, so i4
+    # fills group t2 and group t1 opens for i2
+    "empty-group-closes-the-next": (
+        _manipulable_market(
+            [("s1", 2, ("i2", "i4", "i1", "i3"), ("t2", "t1"), (1, 1), {1: {(1,): 0}})],
+            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t1",), "i4": ("t1", "t2")},
+            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t1",),
+             "i4": ("s1:t2", "s1:t1")},
+        ),
+        ("i2",),
+        (("s1:t1",),),
+        ("s1:t2",),
+        ("s1:t1",),
+    ),
+    # unmatched when truthful, seated by reporting only the second choice
+    "unmatched-student-is-seated": (
+        _manipulable_market(
+            [("s1", 2, ("i2", "i1", "i3", "i4"), ("t2", "t1", "t1"), (1, 0, 1),
+              {1: {(1,): 2}, 2: {(0, 0): 0}})],
+            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t1", "t2"), "i4": ("t1", "t2")},
+            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t2", "s1:t1"),
+             "i4": ()},
+        ),
+        ("i3",),
+        (("s1:t1",),),
+        (None,),
+        ("s1:t1",),
+    ),
+    # a two-contract report that wins the contract it lists second
+    "two-contract-report": (
+        _manipulable_market(
+            [
+                ("s1", 2, ("i3", "i1", "i2"), ("t1", "t3", "t2"), (0, 2, 0), {}),
+                ("s2", 1, ("i2", "i1"), ("t1", "t2", "t3", "t2"), (1, 0, 0, 0),
+                 {1: {(1,): 1}, 2: {(0, 0): 1}}),
+            ],
+            {"i1": ("t1", "t3"), "i2": ("t1", "t2"), "i3": ("t2", "t3")},
+            {"i1": ("s2:t3", "s1:t3", "s2:t1", "s1:t1"),
+             "i2": ("s1:t1", "s2:t2", "s1:t2", "s2:t1"),
+             "i3": ("s1:t2", "s2:t3", "s2:t2", "s1:t3")},
+        ),
+        ("i1",),
+        (("s2:t1", "s2:t3"),),
+        ("s1:t3",),
+        ("s2:t3",),
+    ),
+    # a pair: i2 moves to its first choice and frees a seat for i3
+    "pair": (
+        _manipulable_market(
+            [("s1", 2, ("i2", "i1", "i4", "i3"), ("t2", "t1"), (2, 0), {1: {(0,): 1}})],
+            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t2",), "i4": ("t1", "t2")},
+            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t2",),
+             "i4": ("s1:t1", "s1:t2")},
+        ),
+        ("i2", "i3"),
+        (("s1:t1",), ("s1:t2",)),
+        ("s1:t2", None),
+        ("s1:t1", "s1:t2"),
+    ),
+}
+
+
 def count_builds(monkeypatch) -> dict:
     """Count validations (``FlatMarket.violations``, which every validation
     runs) and compiles (``Compiled.__init__``); the counts fill the returned
@@ -365,15 +466,40 @@ def reference_run(compiled: Compiled, preferences) -> frozenset:
     return clone.to_set(clone.cop(clone.default_order_rank()))
 
 
+def preference_space(student: str, contracts):
+    """Every strict preference a student could report: each ordered subset of
+    their contracts read as the acceptable prefix, including the empty
+    report; shortest first, each length in ``itertools.permutations`` order
+    of the sorted contracts."""
+    pool = sorted(contracts)
+    for k in range(len(pool) + 1):
+        for combo in itertools.permutations(pool, k):
+            yield rm.PreferenceOrder(student, combo)
+
+
+def preference_space_size(n: int) -> int:
+    """The number of reports in the space of a student with ``n`` contracts."""
+    total, running = 1, 1
+    for k in range(1, n + 1):
+        running *= n - k + 1
+        total += running
+    return total
+
+
 def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int = 200_000):
-    """The misreport search by plain enumeration, with no validation.
+    """The oracle for ``incentives._truncation_misreport``, which ``audit``
+    runs: the misreport search by plain enumeration, with no validation,
+    for a coalition of one student or more.
 
     Every joint report is a tuple of :class:`PreferenceOrder` from
     ``preference_space``; each one runs on a fresh ``with_preferences``
     clone under that clone's own ``default_order_rank``. Returns the first
-    :class:`Misreport` that strictly benefits every member, or ``None``;
-    refuses above ``cap`` after the truthful run, as the library does. It
-    runs the engine's process, which ``reference_cop`` checks on its own.
+    :class:`Misreport` that strictly benefits every member, or ``None``. A
+    member who holds their top contract makes the coalition hopeless, so
+    that returns ``None`` at once. It refuses a joint space larger than
+    ``cap`` after the truthful run, with ``needed`` the product of the
+    members' ``preference_space_size``. It runs the engine's process,
+    which ``reference_cop`` checks on its own.
     """
     members = tuple(sorted(set(coalition)))
     if not members:
@@ -395,11 +521,11 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
     pools = [sorted(instance.contracts_of(s)) for s in members]
     space = 1
     for pool in pools:
-        space *= rm.preference_space_size(len(pool))
+        space *= preference_space_size(len(pool))
     if space > cap:
         raise rm.SearchCapExceededError(space, cap, f"joint misreports for {members}")
 
-    spaces = [list(rm.preference_space(s, pool)) for s, pool in zip(members, pools)]
+    spaces = [list(preference_space(s, pool)) for s, pool in zip(members, pools)]
     for joint in itertools.product(*spaces):
         if all(rep.ranked == t.ranked for rep, t in zip(joint, truths)):
             continue
@@ -412,12 +538,34 @@ def reference_group_misreport(instance: rm.ProblemInstance, coalition, cap: int 
     return None
 
 
+def check_completion(base: rm.ChoiceTable, candidate: rm.ChoiceTable) -> PropertyCheck:
+    """``candidate`` completes ``base`` when, on every offer set, it either
+    agrees with ``base`` exactly or selects two contracts of one student.
+    Counterexample: the offending offer set. ``audit`` need not check it:
+    ``verification._completion_axioms_hold`` proves that the completion
+    ``_tabulate`` builds completes the overall choice."""
+    if base.pool != candidate.pool:
+        raise rm.InvalidInputError("completion check needs two tables over the same pool")
+    for mask, (picked, expected) in enumerate(zip(candidate.chosen, base.chosen)):
+        if picked == expected:
+            continue
+        students = [base.pool[i].student for i in bits(picked)]
+        if len(set(students)) < len(students):
+            continue
+        return PropertyCheck(False, (base.subset(mask),))
+    return PropertyCheck(True)
+
+
 # The axiom checks a contract pair at a time, as the library first wrote
-# them; the library's word-level scans must return the same verdict and
-# the same counterexample.
+# them. The library's word-level scans of substitutability and LAD must
+# return the same verdict and the same counterexample; IRC, which the
+# library reads off those two, has only this scan.
 
 
 def reference_irc(table: rm.ChoiceTable) -> PropertyCheck:
+    """Irrelevance of rejected contracts: dropping a rejected contract from
+    the offer set never changes what is chosen. Counterexample: (Y, z) with
+    z rejected from Y + z yet C(Y) != C(Y + z)."""
     chosen = table.chosen
     for mask, picked in enumerate(chosen):
         for z in bits(mask & ~picked):

@@ -14,7 +14,7 @@ import reservematch as rm
 from reservematch._engine import Compiled
 
 from conftest import small_params
-from helpers import order_walk
+from helpers import check_completion, order_walk, reference_group_misreport, reference_irc
 
 A6_ROWS_BY_NAME = [
     (("x1", "y2", "z2", "z3", "w1", "w3"), ("x1", "y2")),
@@ -56,8 +56,8 @@ def test_completion_satisfies_all_axioms_exhaustively():
         base = rm.tabulate_school(cfg, contracts)
         comp = rm.tabulate_school(cfg, contracts, completion=True)
         checks = {
-            "completion": rm.check_completion(base, comp),
-            "irc": rm.check_irc(comp),
+            "completion": check_completion(base, comp),
+            "irc": reference_irc(comp),
             "substitutability": rm.check_substitutability(comp),
             "lad": rm.check_lad(comp),
         }
@@ -86,13 +86,13 @@ def test_no_student_or_pair_profits_from_misreporting(small_instances):
     solo_failures = []
     for n, instance in enumerate(small_instances):
         for student in instance.students:
-            found = rm.find_group_misreport([student], instance)
+            found = reference_group_misreport(instance, [student])
             if found is not None:
                 solo_failures.append((n, student, found))
     pair_failures = []
     for n, instance in enumerate(small_instances[:50]):
         for pair in itertools.combinations(instance.students, 2):
-            found = rm.find_group_misreport(pair, instance)
+            found = reference_group_misreport(instance, pair)
             if found is not None:
                 pair_failures.append((n, pair, found))
     ok = not solo_failures and not pair_failures

@@ -14,8 +14,7 @@ import reservematch as rm
 from reservematch._engine import Compiled
 from reservematch.instance import FlatMarket
 
-from helpers import certified, order_walk, reference_cop, take_back_market
-from test_incentives import MANIPULABLE
+from helpers import MANIPULABLE, certified, order_walk, reference_cop, take_back_market
 
 
 def test_nobody_acceptable_means_nobody_proposes(ex1):

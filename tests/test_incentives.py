@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import replace
 
@@ -11,16 +12,18 @@ import pytest
 import reservematch as rm
 from conftest import small_params
 from helpers import (
+    MANIPULABLE,
     certified,
     count_builds,
+    preference_space,
+    preference_space_size,
     reference_group_misreport,
     reference_run,
-    take_back_market,
 )
 from reservematch import cli
 from reservematch._engine import Compiled
 from reservematch.cli import main
-from reservematch.incentives import _reports, _search_misreports, _truncation_misreport
+from reservematch.incentives import _truncation_misreport
 
 
 def _assignment(allocation, student):
@@ -36,8 +39,8 @@ def _assignment(allocation, student):
 
 def test_preference_space_counts_ordered_acceptable_prefixes():
     contracts = [rm.Contract("i", "s", f"t{n}") for n in range(4)]
-    space = list(rm.preference_space("i", contracts))
-    assert len(space) == rm.preference_space_size(4) == 65
+    space = list(preference_space("i", contracts))
+    assert len(space) == preference_space_size(4) == 65
     assert any(p.ranked == () for p in space)  # the empty report is a strategy
     assert len({p.ranked for p in space}) == 65
 
@@ -46,65 +49,53 @@ def test_preference_space_counts_ordered_acceptable_prefixes():
 # misreports
 
 
+def _verified(instance):
+    """The compiled market, its canonical rank and truthful run, when every
+    school passes the certificate that the audit reads; else None."""
+    compiled = Compiled.from_instance(instance)
+    if not certified(compiled):
+        return None
+    rank = compiled.default_order_rank()
+    return compiled, rank, compiled.cop(rank)
+
+
+def _truncation(instance, student):
+    """``audit``'s decision for ``student`` of a certified market: the
+    first profitable one-contract report, or ``None``."""
+    compiled, rank, truth = _verified(instance)
+    return _truncation_misreport(compiled, truth, student, rank)
+
+
 def test_student_at_their_top_has_no_profitable_misreport(ex1):
     # i's truthful outcome is their single listed contract
     assert rm.run_cop_default(ex1) >= {rm.Contract("i", "s", "t1")}
-    assert rm.find_group_misreport(["i"], ex1) is None
+    assert _truncation(ex1, "i") is None
+    assert reference_group_misreport(ex1, ["i"]) is None
 
 
 def test_misreport_search_is_fruitless_on_random_instances():
     for k in range(30):
         instance = rm.generate_random_instance(small_params(6200 + k))
         for student in instance.students:
-            assert rm.find_group_misreport([student], instance) is None
-
-
-def test_misreport_search_refuses_over_its_cap(ex1):
-    with pytest.raises(rm.SearchCapExceededError):
-        rm.find_group_misreport(["k"], ex1, cap=2)
-
-
-@pytest.mark.parametrize("coalition", [["zz"], ["k", "zz"]], ids=["unknown", "known-and-unknown"])
-def test_misreport_search_refuses_an_unknown_member_before_validating(ex1, monkeypatch, coalition):
-    calls = count_builds(monkeypatch)
-    with pytest.raises(rm.InvalidInputError, match="unknown student 'zz'"):
-        rm.find_group_misreport(coalition, ex1)
-    assert calls == {"validate": 0, "compile": 0}
-
-
-def test_misreport_search_requires_a_valid_instance(ex1, ex1_config):
-    not_monotone = rm.TableScheme({2: {(1, 1): 0, (1, 0): 2}})
-    broken = ex1.with_school(replace(ex1_config, scheme=not_monotone))
-    with pytest.raises(rm.ValidationError):
-        rm.find_group_misreport(["k"], broken)
+            assert _truncation(instance, student) is None
 
 
 def test_rejected_student_cannot_game_the_worked_example(ex1):
     # k ends unmatched truthfully; no report of theirs changes that for the better
     assert _assignment(rm.run_cop_default(ex1), "k") is None
-    assert rm.find_group_misreport(["k"], ex1) is None
+    assert _truncation(ex1, "k") is None
+    assert reference_group_misreport(ex1, ["k"]) is None
 
 
 def test_empty_coalition_has_no_deviation(ex1):
-    assert rm.find_group_misreport([], ex1) is None
+    assert reference_group_misreport(ex1, []) is None
 
 
 def test_pairs_cannot_jointly_misreport_on_random_instances():
-    import itertools
-
     for k in range(8):
         instance = rm.generate_random_instance(small_params(6300 + k))
         for pair in itertools.combinations(instance.students, 2):
-            assert rm.find_group_misreport(pair, instance) is None
-
-
-def test_oversized_coalitions_are_refused(ex1):
-    with pytest.raises(rm.SearchCapExceededError):
-        rm.find_group_misreport(["i", "j", "k"], ex1)
-
-
-# ----------------------------------------------------------------------
-# the search against its enumeration oracle
+            assert reference_group_misreport(instance, pair) is None
 
 
 def _answer(search, *args):
@@ -115,26 +106,37 @@ def _answer(search, *args):
         return ("refused", exc.needed, exc.cap)
 
 
-def test_misreport_search_matches_the_oracle_on_every_small_instance(small_instances):
-    for instance in small_instances:
-        for student in instance.students:
-            assert _answer(rm.find_group_misreport, (student,), instance) == _answer(
-                reference_group_misreport, instance, (student,)
-            ), student
+def test_misreport_search_refuses_over_its_cap(ex1, monkeypatch):
+    # the oracle refuses after the truthful run, before any report runs
+    runs = []
+    cop = Compiled.cop
+
+    def counted(self, order_rank, transcript=None):
+        runs.append(1)
+        return cop(self, order_rank, transcript)
+
+    monkeypatch.setattr(Compiled, "cop", counted)
+    with pytest.raises(rm.SearchCapExceededError):
+        reference_group_misreport(ex1, ["k"], cap=2)
+    assert len(runs) == 1
 
 
-def test_pair_search_matches_the_oracle_on_a_sample(small_instances):
-    for instance in small_instances[::4]:
-        for pair in itertools.combinations(instance.students, 2):
-            assert _answer(rm.find_group_misreport, pair, instance) == _answer(
-                reference_group_misreport, instance, pair
-            ), pair
+def test_misreport_search_refuses_with_the_oracles_count_and_cap(ex1):
+    for members in (("k",), ("k", "l")):
+        needed = math.prod(preference_space_size(len(ex1.contracts_of(s))) for s in members)
+        assert needed > 4
+        for cap in (2, 4):
+            assert _answer(reference_group_misreport, ex1, members, cap) == (
+                "refused", needed, cap
+            )
 
 
 def test_each_report_runs_under_its_own_canonical_order(small_instances, monkeypatch):
-    # The search rewrites the truthful order rank instead of recomputing it.
-    # Outcomes cannot show a wrong order, because the process is order
-    # independent on these markets, so every run's rank is compared directly.
+    # The one-contract reports rewrite the truthful order rank instead of
+    # recomputing it (``incentives._run_reports``). Outcomes cannot show a
+    # wrong order, because the process is order independent on these
+    # markets, so every run's rank is compared directly.
+    markets = [(_verified(instance), instance.students) for instance in small_instances]
     runs = []
     cop = Compiled.cop
 
@@ -144,116 +146,10 @@ def test_each_report_runs_under_its_own_canonical_order(small_instances, monkeyp
         return cop(self, order_rank, transcript)
 
     monkeypatch.setattr(Compiled, "cop", checked)
-    for instance in small_instances[::4]:
-        for student in instance.students:
-            rm.find_group_misreport([student], instance)
-        for pair in itertools.combinations(instance.students, 2):
-            rm.find_group_misreport(pair, instance)
-    assert len(runs) > 2_000
-
-
-def test_misreport_search_refuses_with_the_oracles_count_and_cap(ex1):
-    for cap in (2, 4):
-        refused = _answer(rm.find_group_misreport, ("k",), ex1, cap)
-        assert refused == _answer(reference_group_misreport, ex1, ("k",), cap)
-        assert refused[0] == "refused" and refused[2] == cap
-
-
-def _market(schools, claims, preferences):
-    """A market whose schools are ``(id, capacity, priority, precedence,
-    targets, table entries)``. Every student holds one contract per school
-    and claimed type; ``preferences`` lists ``school:type`` labels."""
-    names = [row[0] for row in schools]
-    contracts = {
-        f"{s}@{school}:{t}": rm.Contract(s, school, t)
-        for s in claims
-        for school in names
-        for t in claims[s]
-    }
-    return rm.ProblemInstance(
-        students=tuple(claims),
-        profile=rm.TypeProfile(
-            tuple(sorted({t for ts in claims.values() for t in ts})),
-            {s: frozenset(ts) for s, ts in claims.items()},
-        ),
-        schools=tuple(
-            rm.SchoolConfig(sid, cap, rm.PriorityOrder(sid, prio), prec, targets, rm.TableScheme(e))
-            for sid, cap, prio, prec, targets, e in schools
-        ),
-        contracts=frozenset(contracts.values()),
-        preferences={
-            s: rm.PreferenceOrder(s, tuple(contracts[f"{s}@{x}"] for x in ranked))
-            for s, ranked in preferences.items()
-        },
-    )
-
-
-# Markets whose transfer tables are not monotone, so validation refuses
-# them and the mechanism can be manipulated. Found by searching random
-# tables over generated markets, then dropping every table entry the
-# manipulation does not need. Each lists the coalition and the expected
-# (reports, truthful outcomes, outcomes under the reports).
-MANIPULABLE = {
-    # group t1 gets no seat while group t2 is empty: i2 drops t2, so i4
-    # fills group t2 and group t1 opens for i2
-    "empty-group-closes-the-next": (
-        _market(
-            [("s1", 2, ("i2", "i4", "i1", "i3"), ("t2", "t1"), (1, 1), {1: {(1,): 0}})],
-            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t1",), "i4": ("t1", "t2")},
-            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t1",),
-             "i4": ("s1:t2", "s1:t1")},
-        ),
-        ("i2",),
-        (("s1:t1",),),
-        ("s1:t2",),
-        ("s1:t1",),
-    ),
-    # unmatched when truthful, seated by reporting only the second choice
-    "unmatched-student-is-seated": (
-        _market(
-            [("s1", 2, ("i2", "i1", "i3", "i4"), ("t2", "t1", "t1"), (1, 0, 1),
-              {1: {(1,): 2}, 2: {(0, 0): 0}})],
-            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t1", "t2"), "i4": ("t1", "t2")},
-            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t2", "s1:t1"),
-             "i4": ()},
-        ),
-        ("i3",),
-        (("s1:t1",),),
-        (None,),
-        ("s1:t1",),
-    ),
-    # a two-contract report that wins the contract it lists second
-    "two-contract-report": (
-        _market(
-            [
-                ("s1", 2, ("i3", "i1", "i2"), ("t1", "t3", "t2"), (0, 2, 0), {}),
-                ("s2", 1, ("i2", "i1"), ("t1", "t2", "t3", "t2"), (1, 0, 0, 0),
-                 {1: {(1,): 1}, 2: {(0, 0): 1}}),
-            ],
-            {"i1": ("t1", "t3"), "i2": ("t1", "t2"), "i3": ("t2", "t3")},
-            {"i1": ("s2:t3", "s1:t3", "s2:t1", "s1:t1"),
-             "i2": ("s1:t1", "s2:t2", "s1:t2", "s2:t1"),
-             "i3": ("s1:t2", "s2:t3", "s2:t2", "s1:t3")},
-        ),
-        ("i1",),
-        (("s2:t1", "s2:t3"),),
-        ("s1:t3",),
-        ("s2:t3",),
-    ),
-    # a pair: i2 moves to its first choice and frees a seat for i3
-    "pair": (
-        _market(
-            [("s1", 2, ("i2", "i1", "i4", "i3"), ("t2", "t1"), (2, 0), {1: {(0,): 1}})],
-            {"i1": ("t1",), "i2": ("t1", "t2"), "i3": ("t2",), "i4": ("t1", "t2")},
-            {"i1": ("s1:t1",), "i2": ("s1:t1", "s1:t2"), "i3": ("s1:t2",),
-             "i4": ("s1:t1", "s1:t2")},
-        ),
-        ("i2", "i3"),
-        (("s1:t1",), ("s1:t2",)),
-        ("s1:t2", None),
-        ("s1:t1", "s1:t2"),
-    ),
-}
+    for (compiled, rank, truth), students in markets:
+        for student in students:
+            _truncation_misreport(compiled, truth, student, rank)
+    assert len(runs) > 300
 
 
 @pytest.mark.parametrize("name", sorted(MANIPULABLE))
@@ -274,90 +170,10 @@ def test_misreport_search_matches_the_oracle_where_the_mechanism_is_manipulable(
         tuple(contract(s, x) for s, x in zip(members, deviant)),
     )
     assert reference_group_misreport(instance, members) == expected
-    compiled = Compiled.from_instance(instance)
-    rank = compiled.default_order_rank()
-    assert _search_misreports(compiled, compiled.cop(rank), members, 200_000, rank) == expected
-
-
-# ----------------------------------------------------------------------
-# the runs of the full search
-
-
-def test_the_search_matches_the_oracle_where_a_school_takes_a_student_back():
-    market = take_back_market()
-    a_s = min(market.contracts)
-    compiled = Compiled.from_instance(market)
-    prefs = dict(market.preferences, a=rm.PreferenceOrder("a", (a_s,)))
-    assert a_s in reference_run(compiled, prefs)  # s takes a back once b fills group t1
-    # every truthful list of a, so that the searches get past the top check
-    for truth in rm.preference_space("a", sorted(market.contracts_of("a"))):
-        instance = market.with_preferences(dict(market.preferences, a=truth))
-        compiled = Compiled.from_instance(instance)
-        for size in (1, 2):
-            for coalition in itertools.combinations(instance.students, size):
-                rank = compiled.default_order_rank()
-                assert _answer(
-                    _search_misreports, compiled, compiled.cop(rank), coalition, 200_000, rank
-                ) == _answer(
-                    reference_group_misreport, instance, coalition
-                ), (truth, coalition)
-
-
-def test_the_search_runs_each_report_once_until_its_witness(small_instances, monkeypatch):
-    # Witnesses alone cannot show a search that skips a report, because
-    # most markets have none, so every run of each search is recorded.
-    runs = []
-    cop = Compiled.cop
-
-    def recorded(self, order_rank, transcript=None):
-        runs.append(self.acceptable)
-        return cop(self, order_rank, transcript)
-
-    monkeypatch.setattr(Compiled, "cop", recorded)
-
-    def search(compiled, coalition):
-        """The search's answer, the joint reports it ran in order, and
-        every joint report but the truthful one in enumeration order."""
-        rank = compiled.default_order_rank()
-        truth = compiled.cop(rank)
-        runs.clear()
-        found = _search_misreports(compiled, truth, coalition, 200_000, rank)
-        indices = [compiled.student_index[s] for s in coalition]
-        truthful = tuple(compiled.acceptable[si] for si in indices)
-        pools = [_reports(compiled.student_contracts[si]) for si in indices]
-        ran = [tuple(acceptable[si] for si in indices) for acceptable in runs]
-        return found, ran, [j for j in itertools.product(*pools) if j != truthful]
-
-    searches = 0
-    for n, instance in enumerate(small_instances):
-        compiled = Compiled.from_instance(instance)
-        for size in (1, 2) if n % 8 == 0 else (1,):
-            for coalition in itertools.combinations(instance.students, size):
-                found, ran, space = search(compiled, coalition)
-                assert found is None
-                if ran:  # else a member holds their top contract
-                    searches += 1
-                    assert ran == space, coalition
-    assert searches > 300
-    for instance, members, *_ in MANIPULABLE.values():
-        compiled = Compiled.from_instance(instance)
-        found, ran, space = search(compiled, members)
-        witness = tuple(tuple(map(compiled.index.__getitem__, p.ranked)) for p in found.reported)
-        assert ran == space[: space.index(witness) + 1]
 
 
 # ----------------------------------------------------------------------
 # one-contract reports where the completion axioms hold
-
-
-def _verified(instance):
-    """The compiled market, its canonical rank and truthful run, when every
-    school passes the certificate that the audit reads; else None."""
-    compiled = Compiled.from_instance(instance)
-    if not certified(compiled):
-        return None
-    rank = compiled.default_order_rank()
-    return compiled, rank, compiled.cop(rank)
 
 
 def test_one_contract_reports_decide_as_the_oracle_where_the_axioms_hold(small_instances):
@@ -385,7 +201,7 @@ def test_a_report_that_wins_a_contract_is_beaten_by_naming_it_alone(small_instan
             continue
         compiled = market[0]
         for student in instance.students:
-            for report in rm.preference_space(student, sorted(instance.contracts_of(student))):
+            for report in preference_space(student, instance.contracts_of(student)):
                 prefs = dict(instance.preferences, **{student: report})
                 won = _assignment(reference_run(compiled, prefs), student)
                 if won is None:
@@ -406,17 +222,20 @@ def test_audit_falls_back_to_the_full_search_where_the_axioms_fail(name):
     rank = compiled.default_order_rank()
     truth = compiled.cop(rank)
     assert not certified(compiled)
-    assert any(
-        _search_misreports(compiled, truth, (s,), 200_000, rank) is not None
-        for s in instance.students
-    )
+    witnesses = [reference_group_misreport(instance, (s,)) for s in instance.students]
+    assert any(witnesses)
+    for s, full in zip(instance.students, witnesses):
+        # one-contract reports open the oracle's enumeration, so on any
+        # market they find its witness when that is one, and else nothing
+        one = full if full is None or len(full.reported[0].ranked) == 1 else None
+        assert _truncation_misreport(compiled, truth, s, rank) == one, s
     if name == "two-contract-report":
         # only a two-contract report profits, so the one-contract reports
         # alone would pass the market
         assert all(
             _truncation_misreport(compiled, truth, s, rank) is None for s in instance.students
         )
-        assert _search_misreports(compiled, truth, members, 200_000, rank) is not None
+        assert reference_group_misreport(instance, members) is not None
     with pytest.raises(rm.InvalidInputError, match="completion axioms not certified"):
         cli._audit_one(instance, 0, 8)
 

@@ -13,10 +13,12 @@ import pytest
 import reservematch as rm
 from reservematch import cli, verification
 from helpers import (
+    MANIPULABLE,
     brute_blocking_set,
     brute_is_stable,
     brute_stable_set,
     certified,
+    check_completion,
     count_builds,
     enumerate_allocations,
     reference_completion_axioms,
@@ -29,7 +31,6 @@ from helpers import (
 from reservematch._engine import Compiled
 from reservematch.instance import FlatMarket
 from reservematch.verification import _tabulate
-from test_incentives import MANIPULABLE
 
 
 def test_empty_outcome_is_stable_when_nothing_is_acceptable(ex1):
@@ -315,14 +316,14 @@ def test_group_prefix_tables_match_one_choose_per_subset(small_instances):
 
 def test_completion_satisfies_the_three_axioms_on_the_worked_example(ex1, ex1_config):
     comp = rm.tabulate_school(ex1_config, ex1.contracts, completion=True)
-    assert rm.check_irc(comp).holds
+    assert reference_irc(comp).holds
     assert rm.check_substitutability(comp).holds
     assert rm.check_lad(comp).holds
 
 
 def test_completion_relationship_holds_on_the_worked_example(ex1, ex1_config, X):
     pool = sorted(ex1.contracts)
-    check = rm.check_completion(
+    check = check_completion(
         rm.tabulate_school(ex1_config, pool), rm.tabulate_school(ex1_config, pool, completion=True)
     )
     assert check.holds
@@ -333,13 +334,13 @@ def test_completion_relationship_holds_on_the_worked_example(ex1, ex1_config, X)
 
 
 def test_overall_choice_satisfies_irc_on_the_worked_example(ex1, ex1_config):
-    assert rm.check_irc(rm.tabulate_school(ex1_config, ex1.contracts)).holds
+    assert reference_irc(rm.tabulate_school(ex1_config, ex1.contracts)).holds
 
 
 def test_overall_choice_satisfies_irc_on_generated_schools():
     for k in range(20):
         cfg, contracts = rm.generate_school_pool(9100 + k)
-        assert rm.check_irc(rm.tabulate_school(cfg, contracts)).holds, k
+        assert reference_irc(rm.tabulate_school(cfg, contracts)).holds, k
 
 
 def test_overall_choice_substitutability_is_recorded_not_asserted(ex1, ex1_config):
@@ -352,11 +353,19 @@ def test_overall_choice_substitutability_is_recorded_not_asserted(ex1, ex1_confi
 
 def test_parity_choice_fails_irc_with_a_counterexample(ex1):
     pool = sorted(ex1.contracts)[:4]
-    check = rm.check_irc(rm.tabulate(_parity_choice, pool))
+    check = reference_irc(rm.tabulate(_parity_choice, pool))
     assert not check.holds
     y, z = check.counterexample
     assert z not in _parity_choice(y | {z})
     assert _parity_choice(y) != _parity_choice(y | {z})
+
+
+def test_irc_scan_tries_every_rejected_contract(ex1):
+    # {a, b} rejects both; dropping a changes the choice and dropping b does
+    # not, so the one counterexample is at a, the first rejected contract
+    a, b = sorted(ex1.contracts)[:2]
+    table = rm.ChoiceTable((a, b), (0b00, 0b00, 0b10, 0b00))
+    assert reference_irc(table) == rm.PropertyCheck(False, (frozenset({b}), a))
 
 
 def test_parity_choice_fails_substitutability_with_a_counterexample(ex1):
@@ -378,7 +387,6 @@ def test_shrinking_choice_fails_lad_with_the_pair(ex1):
 
 
 AXIOMS = (
-    (rm.check_irc, reference_irc),
     (rm.check_substitutability, reference_substitutability),
     (rm.check_lad, reference_lad),
 )
@@ -445,7 +453,7 @@ def test_substitutability_and_lad_imply_irc(small_instances, ex1):
     tables += [_random_table(rng) for _ in range(3000)]
     both = irc_fails = 0
     for table in tables:
-        irc = rm.check_irc(table).holds
+        irc = reference_irc(table).holds
         if rm.check_substitutability(table).holds and rm.check_lad(table).holds:
             assert irc, table
             both += 1
@@ -617,7 +625,7 @@ def test_the_tabulated_completion_completes_the_overall_choice(small_instances):
         compiled = Compiled(market)
         for s in range(len(market.schools)):
             base, comp = (_tabulate(compiled, s, completion) for completion in (False, True))
-            assert rm.check_completion(base, comp).holds, (market, s)
+            assert check_completion(base, comp).holds, (market, s)
             differ += base != comp
     non_monotone = sum(
         not rm.check_monotonic(cfg.scheme, cfg.targets, cfg.capacity)
@@ -756,7 +764,7 @@ def test_audit_axiom_verdict_stops_tabulating_at_the_first_failing_school(monkey
 
 def test_empty_pool_is_vacuously_clean():
     table = rm.tabulate(_parity_choice, [])
-    assert rm.check_irc(table).holds
+    assert reference_irc(table).holds
     assert rm.check_substitutability(table).holds
     assert rm.check_lad(table).holds
 
@@ -775,13 +783,13 @@ def test_broken_completion_candidate_is_rejected(ex1, ex1_config):
         return frozenset(sorted(full)[:1])
 
     base = rm.tabulate_school(ex1_config, ex1.contracts)
-    check = rm.check_completion(base, rm.tabulate(pruned, ex1.contracts))
+    check = check_completion(base, rm.tabulate(pruned, ex1.contracts))
     assert not check.holds
 
 
 def test_identical_choices_complete_trivially(ex1, ex1_config):
     base = rm.tabulate_school(ex1_config, ex1.contracts)
-    assert rm.check_completion(base, base).holds
+    assert check_completion(base, base).holds
 
 
 def test_table_builders_refuse_choices_outside_their_domain(ex1, ex1_config, X):
