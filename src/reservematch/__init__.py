@@ -31,8 +31,6 @@ from .choice import (
 from .cop import (
     CopResult,
     CopStep,
-    OrderIndependenceResult,
-    check_order_independence,
     default_proposal_order,
     run_cop,
     run_cop_default,

@@ -32,12 +32,15 @@ every preference profile:
    proposal order (Hatfield & Milgrom 2005, Thm 3, which needs IRC for
    choice functions, Aygun & Sonmez 2013; Hirata & Kasuya 2014).
 
-So such a market is order independent. ``check_order_independence`` reads
-that off validation's certificate, and ``audit`` off the certificate it
-gives each school, with no walk of the states the process can reach. The
-tests keep that walk, which covers every order at once, as the oracle that
-checks the theorem on small markets.
-``incentives._truncation_misreport`` builds on the same two steps.
+So such a market is order independent: every market that validation
+accepts, under every preference profile, since the certificate reads only
+the schools. ``audit`` reads that off the certificate it gives each school,
+with no walk of the states the process can reach, and a library caller
+needs only :func:`run_cop_default`. The tests keep that walk, which covers
+every order at once, as the oracle that checks the theorem on small
+markets. ``incentives._truncation_misreport`` builds on the same two steps,
+and it and ``incentives._reseat`` run changed preference lists under the
+truthful proposal order for the same reason.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ __all__ = [
     "default_proposal_order",
     "run_cop",
     "run_cop_default",
-    "OrderIndependenceResult",
-    "check_order_independence",
 ]
 
 
@@ -94,8 +95,9 @@ def _validated(instance: ProblemInstance) -> Compiled:
 
 def default_proposal_order(instance: ProblemInstance) -> tuple[Contract, ...]:
     """The canonical proposal order: students sorted by id, each student's
-    contracts in preference order with unranked contracts trailing."""
-    compiled = Compiled.from_instance(instance)
+    contracts in preference order with unranked contracts trailing. An
+    invalid instance raises ``ValidationError``, as the process does."""
+    compiled = _validated(instance)
     rank = compiled.default_order_rank()
     return tuple(sorted(compiled.contracts, key=lambda c: rank[compiled.index[c]]))
 
@@ -131,29 +133,10 @@ def run_cop(instance: ProblemInstance, order: Sequence[Contract]) -> CopResult:
 def run_cop_default(instance: ProblemInstance) -> frozenset:
     """The cumulative offer mechanism: the process under the canonical order.
 
-    Fully deterministic given the instance.
+    Fully deterministic given the instance. Validation certifies every
+    school, so every proposal order gives this outcome (the completion
+    theorem in the module docstring).
     """
     compiled = _validated(instance)
     return compiled.to_set(compiled.cop(compiled.default_order_rank()))
 
-
-@dataclass(frozen=True)
-class OrderIndependenceResult:
-    ok: bool
-    baseline: frozenset
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_order_independence(instance: ProblemInstance) -> OrderIndependenceResult:
-    """Decide whether every proposal order gives the canonical order's
-    outcome, ``baseline``.
-
-    Validation certifies every school it accepts (the certificate is
-    ``instance._scheme_violations``), so a validated market meets the
-    hypotheses of the completion theorem in the module docstring, and
-    every order ends at the canonical order's outcome: the answer is always
-    ``ok``, from one run. An invalid instance raises ``ValidationError``.
-    """
-    return OrderIndependenceResult(True, run_cop_default(instance))

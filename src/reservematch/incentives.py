@@ -29,6 +29,7 @@ from .cop import _validated
 from .errors import InvalidInputError, SearchCapExceededError, ValidationError
 from .instance import ProblemInstance, _scheme_violations
 from .model import Contract, PreferenceOrder, PriorityOrder, assignments
+from .verification import _require_allocation
 
 __all__ = [
     "Misreport",
@@ -74,20 +75,25 @@ def _truncation_misreport(
     IRC. ``audit`` calls it on every market it audits, each of whose
     schools it certifies (``instance._scheme_violations`` proves the
     hypotheses); on a market with an uncertified school it can miss a
-    misreport. ``rank`` is ``compiled.default_order_rank()`` and ``truth``
-    the held mask of the process under it.
+    misreport. ``rank`` is ``compiled.default_order_rank()``, the truthful
+    proposal order, and ``truth`` the held mask of the process under it.
 
     For each contract ``x`` the student truly ranks above their truthful
-    outcome, in contract order, the report ``[x]`` runs through
-    :func:`_run_reports`. The student can profit exactly when some ``[x]``
-    yields ``x``, and the first such ``x`` gives the misreport that the
-    full enumeration returns (``tests/helpers.reference_group_misreport``,
-    the oracle). Proof, for a fixed profile of the other students'
-    reports. Steps 1 and 2 are the completion theorem of the
-    :mod:`reservematch.cop` docstring, which holds for every preference
-    profile: the process under ``C`` equals the process under ``C'``, and
-    it ends at the student-optimal stable allocation under ``C'`` whatever
-    the proposal order.
+    outcome, in contract order, the report ``[x]`` runs on a
+    ``Compiled.with_acceptable`` clone that differs from ``compiled`` only
+    in the student's list, under ``rank``. The student can profit exactly
+    when some ``[x]`` yields ``x``, and the first such ``x`` gives the
+    misreport that the full enumeration returns
+    (``tests/helpers.reference_group_misreport``, the oracle). Proof, for a
+    fixed profile of the other students' reports. Steps 1 and 2 are the
+    completion theorem of the :mod:`reservematch.cop` docstring, which holds
+    for every preference profile: the process under ``C`` equals the
+    process under ``C'``, and it ends at the student-optimal stable
+    allocation under ``C'`` whatever the proposal order. The clone has the
+    same schools, and the certificate reads only the schools, so the clone
+    meets the hypotheses too: ``rank``, which is not the canonical order of
+    the changed profile, gives the clone the outcome that every other order
+    gives it.
 
     3. If some report ``P`` gives the student ``x``, ``[x]`` gives ``x``.
        The outcome ``Y`` under ``P`` is stable under ``C'`` (step 2). It
@@ -115,46 +121,13 @@ def _truncation_misreport(
     listed = compiled.acceptable[si]
     truthful = _held_contract(compiled, truth, si)
     pref = PreferenceOrder(student, tuple(contracts[ci] for ci in listed))
+    acceptable = list(compiled.acceptable)
     for ci in sorted(listed[: pref.rank(truthful)]):
-        if _run_reports(compiled, rank, {si: (ci,)}) >> ci & 1:
+        acceptable[si] = (ci,)
+        if compiled.with_acceptable(tuple(acceptable)).cop(rank) >> ci & 1:
             x = contracts[ci]
             return Misreport((student,), (PreferenceOrder(student, (x,)),), (truthful,), (x,))
     return None
-
-
-def _run_reports(
-    compiled: Compiled, rank: Sequence[int], reports: Mapping[int, tuple[int, ...]]
-) -> int:
-    """The held mask of the process on ``compiled`` with the list of each
-    student index in ``reports`` replaced by its report: global indices of
-    that student's own contracts, best first. ``rank`` is
-    ``compiled.default_order_rank()``.
-
-    The process runs on a ``Compiled.with_acceptable`` clone, under
-    ``rank`` with each reporting student's block rewritten: from the
-    block's lowest rank up, the report, then the rest of the student's
-    contracts in contract order. That rewrite is ``default_order_rank`` of
-    the changed profile. That order lists students in sorted-id order, and
-    each student's block holds exactly their own contracts: the acceptable
-    ones in report order, then the rest in contract order. A report lists
-    only the student's own contracts, so the block keeps its size, every
-    other block keeps its contents, and each block keeps its offset, which
-    is the lowest rank among the student's contracts.
-    """
-    acceptable = list(compiled.acceptable)
-    order = list(rank)
-    for si, report in reports.items():
-        pool = compiled.student_contracts[si]
-        pos = min(rank[ci] for ci in pool)
-        for ci in report:
-            order[ci] = pos
-            pos += 1
-        for ci in pool:
-            if ci not in report:
-                order[ci] = pos
-                pos += 1
-        acceptable[si] = report
-    return compiled.with_acceptable(tuple(acceptable)).cop(order)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +340,10 @@ def improvement_chains(
     result equals the mechanism outcome under ``flexible``. As in
     :func:`check_flexibility_pareto`, only ``rigid`` is compiled, the
     flexible side is a clone of it, and an oversize school is refused
-    before any table is built.
+    before any table is built. A ``z`` that is not an allocation of the
+    market (a contract outside it, a student with several contracts, a
+    school over capacity) raises :class:`InvalidInputError`, as in
+    :func:`~reservematch.verification.is_stable`.
     """
     z = frozenset(z)
     working, changed = _changed_schools(*_compiled_pair(rigid, flexible))
@@ -381,21 +357,34 @@ def improvement_chains(
             "schemes must differ by a single unit increment; found "
             + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
         )
-    held = compiled.to_mask(z & flexible.contracts)
+    _require_allocation(compiled, z, True)
+    held = compiled.to_mask(z)
     return compiled.to_set(_reseat(compiled, held, compiled.default_order_rank()))
 
 
 def _reseat(compiled: Compiled, held: int, rank: Sequence[int]) -> int:
-    """The reseating of :func:`improvement_chains` on a compiled market whose
-    ``default_order_rank`` is ``rank``: cut each student's list after their
-    contract in the global mask ``held``, and return the held mask of the
-    process on the cut lists (:func:`_run_reports`)."""
-    cuts = {}
-    for si, lst in enumerate(compiled.acceptable):
-        cut = next((p for p, ci in enumerate(lst) if held >> ci & 1), len(lst))
-        if cut + 1 < len(lst):
-            cuts[si] = lst[: cut + 1]
-    return _run_reports(compiled, rank, cuts)
+    """The reseating of :func:`improvement_chains` on a compiled market:
+    cut each student's list after their contract in the global mask
+    ``held``, and return the held mask of the process on the cut lists. It
+    runs on a ``Compiled.with_acceptable`` clone, under ``rank``, the
+    canonical order of the uncut lists.
+
+    That order is sound wherever its market is certified: the clone has the
+    same schools, so by the completion theorem in the
+    :mod:`reservematch.cop` docstring every proposal order gives it the
+    outcome of its own canonical order. Every market this runs on is
+    certified. :func:`improvement_chains` runs it on its flexible side, and
+    :func:`_flexibility_pareto` on markets whose schools are validated or
+    certified by ``_changed_schools`` (the schemes of both sides), or are
+    unit steps of :func:`_unit_instances`. Such a step lies between two
+    certified tables, so it keeps each group's target at the zero vector
+    and the targets' sum, and it passes both monotonicity conditions, which
+    is the certificate (``instance._scheme_violations``)."""
+    cut = tuple(
+        lst[: next((p + 1 for p, ci in enumerate(lst) if held >> ci & 1), len(lst))]
+        for lst in compiled.acceptable
+    )
+    return compiled.with_acceptable(cut).cop(rank)
 
 
 # ----------------------------------------------------------------------

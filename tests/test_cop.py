@@ -142,23 +142,42 @@ def test_order_independence_is_trivial_with_one_student(X):
         contracts=frozenset({X.z2, X.z3}),
         preferences={"k": rm.PreferenceOrder("k", (X.z2, X.z3))},
     )
-    assert rm.check_order_independence(inst).ok
+    compiled = Compiled.from_instance(inst)
+    baseline, divergent = _walk(compiled)
+    assert divergent is None
+    assert compiled.to_set(baseline) == rm.run_cop_default(inst) == {X.z2}
 
 
-def test_worked_example_outcome_is_order_independent(ex1):
-    result = rm.check_order_independence(ex1)
-    assert result.ok
-    assert result.baseline == rm.run_cop_default(ex1)
+def test_worked_example_outcome_is_order_independent(ex1, X):
+    compiled = Compiled.from_instance(ex1)
+    baseline, divergent = _walk(compiled)
+    assert divergent is None
+    assert compiled.to_set(baseline) == rm.run_cop_default(ex1) == {X.x1, X.y2}
 
 
 def test_validation_guards_the_process_against_broken_schemes(ex1, ex1_config):
     broken = ex1.with_school(
         replace(ex1_config, scheme=rm.TableScheme({2: {(1, 1): 0, (1, 0): 2}}))
     )
-    with pytest.raises(rm.ValidationError):
-        rm.run_cop_default(broken)
-    with pytest.raises(rm.ValidationError):
-        rm.check_order_independence(broken)
+    order = rm.default_proposal_order(ex1)  # the same contracts
+    for run in (rm.run_cop_default, lambda i: rm.run_cop(i, order), rm.default_proposal_order):
+        with pytest.raises(rm.ValidationError, match="not monotone"):
+            run(broken)
+
+
+@pytest.mark.parametrize(
+    "ranked, fault",
+    [("i:t1", "ranks another student's contract <i@s:t1>"), ("k:t9", "ranks unknown contract")],
+    ids=["another-students", "unknown"],
+)
+def test_the_canonical_order_names_a_preference_fault(ex1, ranked, fault):
+    # validated as the process is: another student's contract is named, not
+    # reported as a broken permutation, and an unknown one is not ordered
+    student, privilege = ranked.split(":")
+    prefs = dict(ex1.preferences)
+    prefs["k"] = rm.PreferenceOrder("k", (rm.Contract(student, "s", privilege),))
+    with pytest.raises(rm.ValidationError, match=f"student k: {fault}"):
+        rm.default_proposal_order(ex1.with_preferences(prefs))
 
 
 def _brute_force_independent(compiled: Compiled, baseline: int) -> bool:
@@ -215,22 +234,13 @@ def test_verified_completion_axioms_imply_order_independence(small_instances):
 
 
 def test_order_independence_agrees_with_the_walk(small_instances):
+    # every validated market is order independent, so the library's one
+    # answer is the mechanism's outcome
     for instance in small_instances:
         compiled = Compiled.from_instance(instance)
         baseline, divergent = _walk(compiled)
-        result = rm.check_order_independence(instance)
-        assert result.ok == (divergent is None)
-        assert result.baseline == compiled.to_set(baseline)
-
-
-def test_order_independence_answers_on_a_200_student_market():
-    # over 100 000 process states: a walk of every order refused this market
-    instance = rm.generate_random_instance(
-        rm.GeneratorParams(students=200, schools=10, types=3, seed=1)
-    )
-    result = rm.check_order_independence(instance)
-    assert result.ok
-    assert result.baseline == rm.run_cop_default(instance)
+        assert divergent is None
+        assert rm.run_cop_default(instance) == compiled.to_set(baseline)
 
 
 def test_order_walk_witness_reproduces_the_divergent_outcome():

@@ -805,25 +805,28 @@ def test_cli_audit_decides_the_axioms_without_an_irc_scan(capsys, monkeypatch):
 
 
 def test_cli_audit_builds_one_order_rank_per_instance(capsys, monkeypatch):
-    # every process run, the searches' and the flexibility replays' too,
-    # takes its rank from the truthful one with blocks rewritten, and each
-    # such rank must be the canonical rank of the market it runs on
-    built = []
+    # every process run of an audited instance, the misreport runs' and the
+    # flexibility replays' too, takes the one truthful rank built for it:
+    # its markets are certified, so that order gives each run the outcome
+    # of every other (the completion theorem of the ``cop`` docstring)
+    built, runs = [], []
     rank, cop = rm._engine.Compiled.default_order_rank, rm._engine.Compiled.cop
 
     def counting_rank(self):
-        built.append(1)
-        return rank(self)
+        built.append(rank(self))
+        return built[-1]
 
     def checked_cop(self, order_rank, transcript=None):
-        assert tuple(order_rank) == rank(self)
+        assert order_rank is built[-1]
+        runs.append(len(built))
         return cop(self, order_rank, transcript)
 
     monkeypatch.setattr(rm._engine.Compiled, "default_order_rank", counting_rank)
     monkeypatch.setattr(rm._engine.Compiled, "cop", checked_cop)
     code, out, _ = run_cli(capsys, "audit", "--seed", "120", "--count", "12")
     assert code == 0 and "all checks passed: True" in out
-    assert len(built) == 12
+    assert len(built) == 12 and set(runs) == set(range(1, 13))
+    assert len(runs) > 100  # 110: truthful, misreport, improvement and replay runs
 
 
 def _audit_params(seed: int) -> rm.GeneratorParams:

@@ -131,25 +131,65 @@ def test_misreport_search_refuses_with_the_oracles_count_and_cap(ex1):
             )
 
 
-def test_each_report_runs_under_its_own_canonical_order(small_instances, monkeypatch):
-    # The one-contract reports rewrite the truthful order rank instead of
-    # recomputing it (``incentives._run_reports``). Outcomes cannot show a
-    # wrong order, because the process is order independent on these
-    # markets, so every run's rank is compared directly.
-    markets = [(_verified(instance), instance.students) for instance in small_instances]
+def test_changed_lists_run_under_the_truthful_order_as_under_their_own(
+    small_instances, monkeypatch
+):
+    # The one-contract reports and the reseating's cut lists run under the
+    # truthful order rank, not under the canonical order of their changed
+    # profile. On a certified market the completion theorem of the ``cop``
+    # docstring gives both orders one held mask; every run is compared with
+    # its clone under its own ``default_order_rank``. The reports are also
+    # checked to be ``[x]`` for each contract ``x`` the student prefers to
+    # their outcome, in contract order, and the cut lists' markets, unit
+    # steps of the decomposition included, to be certified.
     runs = []
     cop = Compiled.cop
 
-    def checked(self, order_rank, transcript=None):
-        assert tuple(order_rank) == self.default_order_rank()
-        runs.append(len(order_rank))
-        return cop(self, order_rank, transcript)
+    def recording(self, order_rank, transcript=None):
+        held = cop(self, order_rank, transcript)
+        runs.append((self, order_rank, held))
+        return held
 
-    monkeypatch.setattr(Compiled, "cop", checked)
-    for (compiled, rank, truth), students in markets:
-        for student in students:
-            _truncation_misreport(compiled, truth, student, rank)
-    assert len(runs) > 300
+    monkeypatch.setattr(Compiled, "cop", recording)
+    reports = cuts = reordered = 0
+    for instance in small_instances:
+        compiled, rank, truth = _verified(instance)
+        for student in instance.students:
+            si = compiled.student_index[student]
+            listed = compiled.acceptable[si]
+            held = [p for p, ci in enumerate(listed) if truth >> ci & 1]
+            runs.clear()
+            assert _truncation_misreport(compiled, truth, student, rank) is None
+            expected = sorted(listed[: held[0] if held else len(listed)])
+            assert [clone.acceptable[si] for clone, _, _ in runs] == [(ci,) for ci in expected]
+            for clone, order_rank, mask in runs:
+                assert order_rank is rank
+                assert clone.acceptable[:si] + clone.acceptable[si + 1 :] == (
+                    compiled.acceptable[:si] + compiled.acceptable[si + 1 :]
+                )
+                own = clone.default_order_rank()
+                assert cop(clone, own) == mask
+                reordered += own != rank
+            reports += len(runs)
+
+        # every scheme grants at least its targets, so each school whose
+        # table differs from its targets is more flexible than a frozen copy
+        for cfg in instance.schools:
+            frozen = replace(cfg, scheme=rm.ForwardSumScheme(((),) * cfg.group_count))
+            rigid = instance.with_school(frozen)
+            runs.clear()
+            rm.check_flexibility_pareto(rigid, instance)
+            for clone, order_rank, mask in runs:
+                if clone.acceptable == compiled.acceptable:
+                    continue  # a run of the true lists
+                assert certified(clone)
+                own = clone.default_order_rank()
+                assert cop(clone, own) == mask
+                reordered += own != order_rank
+                cuts += 1
+    # 412 reports and 556 cut lists, 434 of them under a rank that is not
+    # their own canonical one
+    assert reports > 400 and cuts > 500 and reordered > 400
 
 
 @pytest.mark.parametrize("name", sorted(MANIPULABLE))
@@ -420,6 +460,29 @@ def test_reseating_adds_the_previously_rejected_student(ex1, X):
     assert z == {X.y2}
     chain = rm.improvement_chains(z, rigid, flexible)
     assert chain == {X.y2, X.z3} == rm.run_cop_default(flexible)
+
+
+@pytest.mark.parametrize(
+    "extra, fault",
+    [
+        ("k:t2", r"students with several contracts: \['k'\]"),
+        ("k:t9", r"unknown contracts \[<k@s:t9>\]"),
+    ],
+    ids=["doubled", "unknown"],
+)
+def test_reseating_refuses_a_set_that_is_no_allocation(ex1, X, extra, fault):
+    # a second contract of one student, or one outside the market, gives no
+    # floor to reseat from: refused as ``is_stable`` refuses it
+    prefs = {
+        "i": rm.PreferenceOrder("i", ()),
+        "j": ex1.preferences["j"],
+        "k": rm.PreferenceOrder("k", (X.z3,)),
+        "l": rm.PreferenceOrder("l", (X.w3,)),
+    }
+    rigid, flexible = _lossy_pair(ex1, prefs)
+    z = {X.y2, X.z3, rm.Contract("k", "s", extra.split(":")[1])}
+    with pytest.raises(rm.InvalidInputError, match="not an allocation: " + fault):
+        rm.improvement_chains(z, rigid, flexible)
 
 
 def test_reseating_dies_when_nobody_wants_the_open_seat(ex1, X):

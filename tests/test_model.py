@@ -158,7 +158,7 @@ def test_validation_names_a_slot_specific_school():
     )
     want = f"school {school.school}: not a dynamic reserves school"
     assert rm.validate_instance(instance) == [want]
-    for run in (rm.run_cop_default, rm.check_order_independence):
+    for run in (rm.run_cop_default, rm.default_proposal_order):
         with pytest.raises(rm.ValidationError, match=want):
             run(instance)
     rm.is_stable(frozenset(), instance)  # compiled without validation
