@@ -214,6 +214,11 @@ class MonotonicityReport:
         return self.ok
 
 
+# The unit steps a whole capacity table may span; the builders of whole
+# tables (capacity_table, generator._unit_tables) refuse past it.
+_STEP_CAP = 2_000_000
+
+
 def capacity_table(
     scheme: CapacityTransferScheme, targets: tuple[int, ...], bound: int
 ) -> dict[tuple[int, ...], int]:
@@ -223,7 +228,13 @@ def capacity_table(
     group ``k = len(v)``, for groups 1 to G-1 (group 0 always runs at its
     target). Keys run in group order, then lexicographically, so every
     vector's prefixes come before it.
+
+    Raises :class:`SearchCapExceededError` before it reads any entry when
+    the table spans more than ``_STEP_CAP`` unit steps
+    (:func:`_require_steps`), so every reader of a whole table, and every
+    monotonicity check of one, refuses rather than samples.
     """
+    _require_steps(len(targets), bound)
     return {
         vec: scheme.capacity(k, vec, targets)
         for k in range(1, len(targets))
@@ -231,12 +242,13 @@ def capacity_table(
     }
 
 
-def _require_steps(groups: int, bound: int, cap: int = 2_000_000) -> None:
-    """Refuse a check of more than ``cap`` unit steps ``(v, v + e_i)``
-    inside ``[0, bound]^k``, over groups 1 to G-1."""
+def _require_steps(groups: int, bound: int) -> None:
+    """Refuse a whole capacity table of ``groups`` groups over ``[0,
+    bound]`` that spans more than ``_STEP_CAP`` unit steps ``(v, v + e_i)``
+    inside ``[0, bound]^k``, over groups ``k`` from 1 to G-1."""
     needed = sum(k * bound * (bound + 1) ** (k - 1) for k in range(1, groups))
-    if needed > cap:
-        raise SearchCapExceededError(needed, cap, "monotonicity step enumeration")
+    if needed > _STEP_CAP:
+        raise SearchCapExceededError(needed, _STEP_CAP, "monotonicity step enumeration")
 
 
 def _table_report(table: Mapping[tuple[int, ...], int], bound: int) -> MonotonicityReport:
@@ -259,10 +271,7 @@ def _table_report(table: Mapping[tuple[int, ...], int], bound: int) -> Monotonic
 
 
 def check_monotonic(
-    scheme: CapacityTransferScheme,
-    targets: tuple[int, ...],
-    bound: int,
-    pair_cap: int = 2_000_000,
+    scheme: CapacityTransferScheme, targets: tuple[int, ...], bound: int
 ) -> MonotonicityReport:
     """Exhaustively verify both monotonicity conditions over ``[0, bound]``.
 
@@ -286,11 +295,11 @@ def check_monotonic(
     ``high = low + e_i``), scanning groups in order, vectors in lexicographic
     order and coordinates left to right. Raises
     :class:`SearchCapExceededError` rather than sampling when there are more
-    than ``pair_cap`` steps to check.
+    than 2 000 000 steps to check: :func:`capacity_table` refuses such a
+    table before it reads it.
     """
     if bound < 0:
         raise InvalidInputError("bound must be non-negative")
-    _require_steps(len(targets), bound, pair_cap)
     return _table_report(capacity_table(scheme, targets, bound), bound)
 
 

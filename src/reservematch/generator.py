@@ -5,6 +5,12 @@ pass validation: transfer schemes are built monotone by construction (each
 donor group feeds at most one recipient) and re-verified anyway. The unit
 flexibility pair is monotone by construction too, proved in
 :func:`_unit_tables`, and is not checked again where it is drawn.
+
+A draw that builds a whole capacity table (a ``table`` scheme, which the
+``mixed`` family may pick too, and the flexibility pair) refuses with
+:class:`~reservematch.errors.SearchCapExceededError` before it builds a
+table spanning more than 2 000 000 unit steps, as every reader of a whole
+table does (:func:`~reservematch.choice.capacity_table`).
 """
 
 from __future__ import annotations
@@ -58,6 +64,10 @@ class GeneratorParams:
             raise InvalidInputError(f"unknown scheme family {self.scheme_family!r}")
         if not 0.0 <= self.acceptability <= 1.0:
             raise InvalidInputError("acceptability must be a probability")
+        for name, least in (("capacity_range", 0), ("claim_range", 1)):
+            low, high = getattr(self, name)
+            if not least <= low <= high:
+                raise InvalidInputError(f"{name} must satisfy {least} <= low <= high")
 
 
 def _random_scheme(rng: random.Random, groups: int, targets: tuple[int, ...], family: str):
@@ -222,8 +232,8 @@ def unit_flexibility_pair(
     single point. Both sides are monotone by construction (see
     :func:`_unit_tables`). Returns ``None`` when no school has at least two
     groups of slots, and raises :class:`SearchCapExceededError`, as a
-    comparison of the pair would, when one monotonicity check of the drawn
-    school would take more than 2 000 000 steps.
+    comparison of the pair would, when the drawn school's capacity table
+    would span more than 2 000 000 unit steps.
     """
     draw = _flexibility_draw(instance, seed)
     return None if draw is None else tuple(map(instance.with_school, draw))
@@ -238,8 +248,8 @@ def _flexibility_draw(
 
     Three shuffles pick the school, its receiving group and the donor
     coordinate of the bump; every pick yields a monotone pair
-    (:func:`_unit_tables`), so the first of each is taken. The comparisons'
-    step cap is applied to the drawn school before any table is built.
+    (:func:`_unit_tables`), so the first of each is taken. The step cap
+    is applied where :func:`_unit_tables` builds the tables.
     """
     rng = random.Random(seed)
     schools = [cfg for cfg in instance.schools if cfg.group_count >= 2 and cfg.capacity >= 1]
@@ -251,7 +261,6 @@ def _flexibility_draw(
     rng.shuffle(receivers)
     donors = list(range(receivers[0]))
     rng.shuffle(donors)
-    _require_steps(cfg.group_count, cfg.capacity)
     rigid, flexible = _unit_tables(cfg.targets, cfg.capacity, receivers[0], donors[0])
     return tuple(replace(cfg, scheme=TableScheme.pinned(t, cfg.targets)) for t in (rigid, flexible))
 
@@ -279,7 +288,11 @@ def _unit_tables(
     raises them from ``e_donor`` reaches a sum of 2, where the rigid table
     already grants ``t + 1`` (gain 0, no shrink); every other step gains
     what it gains in the rigid table.
+
+    Like :func:`capacity_table`, it raises :class:`SearchCapExceededError`
+    before it builds a table spanning more than 2 000 000 unit steps.
     """
+    _require_steps(len(targets), bound)
     rigid = {
         vec: targets[k] + (max(0, sum(vec) - 1) if k == receiver else 0)
         for k in range(1, len(targets))

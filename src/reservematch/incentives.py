@@ -20,7 +20,6 @@ from ._engine import Compiled
 from .choice import (
     SchoolConfig,
     TableScheme,
-    _require_steps,
     _table_report,
     capacity_table,
     dynamic_reserves_choice,
@@ -233,7 +232,10 @@ def _respects_improvement(
 def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> bool:
     """True when ``first`` grants every group at least the capacity ``second``
     does at every residual vector in the bounded domain, with at least one
-    strict gain. Both schemes are assumed monotone with matching targets."""
+    strict gain. Both schemes are assumed monotone with matching targets.
+    Raises :class:`SearchCapExceededError`, as :func:`check_monotonic`
+    does, when a capacity table over ``[0, bound]`` spans more than
+    2 000 000 unit steps."""
     a = capacity_table(first, targets, bound)
     b = capacity_table(second, targets, bound)
     return a != b and all(a[vec] >= b[vec] for vec in a)
@@ -278,15 +280,16 @@ def _changed_schools(
     :func:`check_flexibility_pareto` the rigid schemes are the compile's
     own, and for the audit's draw (``generator._flexibility_draw``, which
     builds both monotone and checks neither) this is the pair's one check.
-    Then the comparison refuses, as :func:`check_monotonic` does, when one
-    monotonicity check of a pair's school would take more than 2 000 000
-    steps, before it builds any table.
 
     Each side is read into one :func:`capacity_table`: a validated side's
     is the table its monotonicity check read, and any other side's (the
     compile's own scheme, or one certified without a table) is read after
-    the refusals. Returns the rigid market, as a ``Compiled.with_school``
-    clone of ``compiled`` where a rigid scheme is not the compile's, and the
+    validation, school by school. Each read refuses, as
+    :func:`check_monotonic` does, when its table would span more than
+    2 000 000 unit steps, so the prelude refuses at the first such school,
+    having possibly read the tables of earlier schools, each under the cap.
+    Returns the rigid market, as a ``Compiled.with_school`` clone of
+    ``compiled`` where a rigid scheme is not the compile's, and the
     changed schools in school order, each mapped to its rigid and flexible
     configurations, then its rigid and flexible tables. A school changes
     when its scheme grants a different capacity somewhere in the residual
@@ -303,8 +306,6 @@ def _changed_schools(
         ]
         if violations:
             raise ValidationError(violations)
-    for a, _ in pairs:
-        _require_steps(a.group_count, a.capacity)
     working, changed = compiled, {}
     for (a, b), scheme, read in zip(pairs, own, tables):
         if a.scheme != scheme:
@@ -339,14 +340,19 @@ def improvement_chains(
     worse than ``z``, reseated students are strictly better off, and the
     result equals the mechanism outcome under ``flexible``. As in
     :func:`check_flexibility_pareto`, only ``rigid`` is compiled, the
-    flexible side is a clone of it, and an oversize school is refused
-    before any table is built. A ``z`` that is not an allocation of the
-    market (a contract outside it, a student with several contracts, a
-    school over capacity) raises :class:`InvalidInputError`, as in
-    :func:`~reservematch.verification.is_stable`.
+    flexible side is a clone of it, and a school whose table is past the
+    step cap is refused where its table would be built. A ``z`` that is not
+    an allocation of the market (a contract outside it, a student with
+    several contracts, a school over capacity) raises
+    :class:`InvalidInputError`, as in
+    :func:`~reservematch.verification.is_stable`, before any table is read:
+    the sides differ only in their schemes, so the rigid compile holds the
+    capacities.
     """
     z = frozenset(z)
-    working, changed = _changed_schools(*_compiled_pair(rigid, flexible))
+    compiled, pairs = _compiled_pair(rigid, flexible)
+    _require_allocation(compiled, z, True)
+    working, changed = _changed_schools(compiled, pairs)
     if len(changed) != 1:
         raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
     ((_, cfg, a, b),) = changed.values()
@@ -357,7 +363,6 @@ def improvement_chains(
             "schemes must differ by a single unit increment; found "
             + ", ".join(f"group {k} at {v}: {d:+d}" for k, v, d in diffs)
         )
-    _require_allocation(compiled, z, True)
     held = compiled.to_mask(z)
     return compiled.to_set(_reseat(compiled, held, compiled.default_order_rank()))
 
@@ -420,11 +425,12 @@ def check_flexibility_pareto(
     and must land exactly on the rerun mechanism's outcome at each school
     boundary; ``chain_agrees`` is ``None`` when no such decomposition exists.
 
-    Refusals come first. After the preconditions that read no capacity
-    table (one market, only schemes differ, both sides valid), the
-    comparison refuses, as :func:`check_monotonic` does, when one
-    monotonicity check of a school whose scheme differs would take more
-    than 2 000 000 steps, before it builds any capacity table. The changed
+    Refusals come first. After the preconditions (one market, only schemes
+    differ, both sides valid), the capacity tables of the schools whose
+    schemes differ are read in school order, and the comparison refuses, as
+    :func:`check_monotonic` does, at the first table that would span more
+    than 2 000 000 unit steps, before it builds that table; the tables of
+    earlier schools, each under the cap, may already be read. The changed
     schools are then decomposed in order, stopping at the first one without
     a decomposition, since ``chain_agrees`` is ``None`` whatever the later
     ones give; chains are replayed only when every school decomposed. The

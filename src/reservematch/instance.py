@@ -10,7 +10,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .choice import SchoolConfig, _require_steps, _table_report, capacity_table
+from .choice import SchoolConfig, _table_report, capacity_table
 from .errors import SearchCapExceededError
 from .model import Contract, PreferenceOrder, TypeProfile
 
@@ -259,8 +259,9 @@ def _scheme_violations(where: str, school, table: Optional[dict] = None) -> list
     that by construction; a table lists it or falls back to it), and both
     conditions of :func:`check_monotonic` hold over ``[0, Q]``: read off
     ``certified_monotone()`` in O(groups) for a forward-sum shape in which
-    no group donates twice, else checked one unit step at a time under the
-    check's cap, past which the school is not certified.
+    no group donates twice, else checked one unit step at a time on the
+    school's :func:`capacity_table`, whose refusal past its step cap leaves
+    the school not certified.
 
     The certificate. A certified school's completion (the choice that drops
     only the picked contracts, not their students' others:
@@ -351,10 +352,9 @@ def _scheme_violations(where: str, school, table: Optional[dict] = None) -> list
         return v
     # check_monotonic's refusal and check, on a table the caller may keep
     try:
-        _require_steps(len(targets), school.capacity)
+        read = capacity_table(scheme, targets, school.capacity)
     except SearchCapExceededError as exc:
         return v + [f"{where}: cannot verify scheme monotonicity ({exc})"]
-    read = capacity_table(scheme, targets, school.capacity)
     if table is not None:
         table.update(read)
     report = _table_report(read, school.capacity)

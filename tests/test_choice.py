@@ -85,9 +85,11 @@ def test_overclaiming_transfers_are_caught():
 
 
 def test_monotonicity_refuses_oversized_domains():
+    # twelve groups over [0, 4]: 524 902 344 unit steps, past the cap
     scheme = rm.ForwardSumScheme(tuple(() for _ in range(12)))
-    with pytest.raises(rm.SearchCapExceededError):
-        rm.check_monotonic(scheme, (1,) * 12, bound=4, pair_cap=10_000)
+    with pytest.raises(rm.SearchCapExceededError) as err:
+        rm.check_monotonic(scheme, (1,) * 12, bound=4)
+    assert err.value.cap == 2_000_000
 
 
 def test_chained_single_donor_schemes_are_certified():
@@ -146,7 +148,7 @@ def test_unit_steps_agree_with_all_pairs():
     assert 200 < failing < 1800
 
 
-def test_larger_domains_now_verify(ex1, ex1_config):
+def test_larger_domains_now_verify(ex1, ex1_config, monkeypatch):
     # six groups at capacity six: 17 847 788 ordered pairs, 81 234 unit steps
     targets = (1, 1, 1, 1, 1, 1)
     chain = rm.ForwardSumScheme(((), (0,), (1,), (2,), (3,), (4,)))
@@ -156,9 +158,10 @@ def test_larger_domains_now_verify(ex1, ex1_config):
     )
     assert rm.validate_instance(ex1.with_school(cfg)) == []
     assert rm.check_monotonic(scheme, targets, bound=6).ok
+    monkeypatch.setattr(rm.choice, "_STEP_CAP", 81_233)
     with pytest.raises(rm.SearchCapExceededError) as err:
-        rm.check_monotonic(scheme, targets, bound=6, pair_cap=81_233)
-    assert err.value.needed == 81_234
+        rm.check_monotonic(scheme, targets, bound=6)
+    assert (err.value.needed, err.value.cap) == (81_234, 81_233)
 
 
 def test_capacity_table_reads_the_scheme_and_pins_back(ex1_config):

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -632,6 +633,40 @@ def test_generator_rejects_bad_parameters():
         rm.GeneratorParams(students=0, schools=1, types=1, seed=1)
     with pytest.raises(rm.InvalidInputError):
         rm.GeneratorParams(students=1, schools=1, types=1, seed=1, scheme_family="magic")
+    # ranges no draw can come from: empty, or holding a negative capacity or
+    # a student with no type
+    for ranges in (
+        {"capacity_range": (3, 1)},
+        {"capacity_range": (-1, -1)},
+        {"claim_range": (2, 1)},
+        {"claim_range": (0, 0)},
+    ):
+        with pytest.raises(rm.InvalidInputError, match="range"):
+            rm.GeneratorParams(students=1, schools=1, types=1, seed=1, **ranges)
+    for ranges in ({"capacity_range": (0, 0)}, {"claim_range": (1, 1)}):
+        params = rm.GeneratorParams(students=2, schools=1, types=2, seed=1, **ranges)
+        assert rm.validate_instance(rm.generate_random_instance(params)) == []
+
+
+def test_a_table_draw_past_the_step_cap_refuses_before_it_builds(capsys, tmp_path):
+    # ten types: a drawn school's table scheme would span 10 136 235 unit
+    # steps, so the draw refuses where that table would be built
+    params = rm.GeneratorParams(students=4, schools=2, types=10, seed=2, scheme_family="table")
+    with pytest.raises(rm.SearchCapExceededError) as refused:
+        rm.generate_random_instance(params)
+    assert (refused.value.needed, refused.value.cap) == (10_136_235, 2_000_000)
+    out_dir = tmp_path / "wide"
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "gen", "--out-dir", str(out_dir), "--seed", "2", "--types", "10",
+        "--scheme-family", "table",
+    )
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: monotonicity step enumeration: 10136235 cases exceed the cap of 2000000\n"
+    )
+    assert list(out_dir.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -409,6 +409,18 @@ def test_incomparable_schemes_are_not_ordered():
     assert not rm.is_more_flexible(second, first, targets, bound=3)
 
 
+def test_is_more_flexible_refuses_a_table_past_the_step_cap():
+    # six groups over [0, 13]: two tables of 579 194 entries and 2 647 749
+    # unit steps each, past the cap, so neither is read
+    chain = rm.ForwardSumScheme(((), (0,), (1,), (2,), (3,), (4,)))
+    constant = rm.ForwardSumScheme(((),) * 6)
+    started = time.perf_counter()
+    with pytest.raises(rm.SearchCapExceededError) as refused:
+        rm.is_more_flexible(chain, constant, (3, 2, 2, 2, 2, 2), bound=13)
+    assert time.perf_counter() - started < 2
+    assert (refused.value.needed, refused.value.cap) == (2_647_749, 2_000_000)
+
+
 def test_a_table_restating_the_targets_is_no_change(ex1, ex1_config):
     frozen = rm.ForwardSumScheme(((), (), ()))
     empty = rm.TableScheme({})  # grants every group its target everywhere
@@ -761,11 +773,9 @@ def test_a_refusal_after_a_school_without_decomposition_still_refuses(
     ex1, X, ex1_config, monkeypatch, tmp_path, capsys
 ):
     # a cap between s's 171 monotonicity steps and r's 344 refuses r only
+    # (both flexible schemes are certified, so validation reads no table)
     rigid, flexible = _gap_then_r(ex1, X, ex1_config)
-    require_steps = rm.incentives._require_steps
-    monkeypatch.setattr(
-        rm.incentives, "_require_steps", lambda groups, bound: require_steps(groups, bound, 200)
-    )
+    monkeypatch.setattr(rm.choice, "_STEP_CAP", 200)
     with pytest.raises(rm.SearchCapExceededError) as refused:
         rm.check_flexibility_pareto(rigid, flexible)
     assert (refused.value.needed, refused.value.cap) == (344, 200)
@@ -802,6 +812,9 @@ def test_an_oversize_comparison_refuses_before_it_builds_a_table(tmp_path, capsy
             compare(rigid, flexible)
         assert time.perf_counter() - started < 2
         assert (refused.value.needed, refused.value.cap) == (10_452_210, 2_000_000)
+    # a z that is not an allocation is named as bad input before any table
+    with pytest.raises(rm.InvalidInputError, match="unknown contracts"):
+        rm.improvement_chains({rm.Contract("nobody", "s1", "t1")}, rigid, flexible)
 
 
 def test_the_bench_size_comparison_refuses_on_its_decomposition_reads(tmp_path, capsys):
