@@ -360,7 +360,10 @@ class Compiled:
 
     def default_order_rank(self) -> tuple[int, ...]:
         """Proposal ranks for the canonical order: students sorted by id and,
-        within a student, acceptable contracts best first, then the rest."""
+        within a student, acceptable contracts best first, then the rest.
+        Every caller's market is validated, and validation refuses a list
+        holding another student's contract, so the order is a permutation of
+        the contracts."""
         order: list[int] = []
         for s in sorted(self.students):
             si = self.student_index[s]
@@ -368,10 +371,6 @@ class Compiled:
             order.extend(listed)
             listed_set = set(listed)
             order.extend(ci for ci in self.student_contracts[si] if ci not in listed_set)
-        # every contract is some student's, so only a preference that lists
-        # another student's contract can make the order too long
-        if len(order) != len(self.contracts):
-            raise InvalidInputError("proposal order must be a permutation of all contracts")
         rank = [0] * len(order)
         for pos, ci in enumerate(order):
             rank[ci] = pos

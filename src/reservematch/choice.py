@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InvalidInputError, SearchCapExceededError
 from .model import Contract, DerivedTypePriority, PriorityOrder, TypeProfile
@@ -214,47 +214,49 @@ class MonotonicityReport:
         return self.ok
 
 
-# The unit steps a whole capacity table may span; the builders of whole
-# tables (capacity_table, generator._unit_tables) refuse past it.
+# The unit steps a whole capacity table may span; _residual_box, the one
+# enumerator of the box such a table is read over, refuses past it.
 _STEP_CAP = 2_000_000
+
+
+def _residual_box(groups: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Every residual vector ``v`` in ``[0, bound]^k`` read by a school of
+    ``groups`` groups, for ``k = len(v)`` from 1 to G-1 (group 0 always runs
+    at its target): in group order, then lexicographically, so every
+    vector's prefixes come before it.
+
+    When called, before it yields anything, it raises
+    :class:`SearchCapExceededError` if the box spans more than
+    ``_STEP_CAP`` unit steps ``(v, v + e_i)``, so every whole table built
+    over it refuses rather than samples.
+    """
+    needed = sum(k * bound * (bound + 1) ** (k - 1) for k in range(1, groups))
+    if needed > _STEP_CAP:
+        raise SearchCapExceededError(needed, _STEP_CAP, "monotonicity step enumeration")
+    return (
+        vec for k in range(1, groups) for vec in itertools.product(range(bound + 1), repeat=k)
+    )
 
 
 def capacity_table(
     scheme: CapacityTransferScheme, targets: tuple[int, ...], bound: int
 ) -> dict[tuple[int, ...], int]:
-    """The scheme read over its bounded residual domain.
-
-    Maps every residual vector ``v`` in ``[0, bound]^k`` to the capacity of
-    group ``k = len(v)``, for groups 1 to G-1 (group 0 always runs at its
-    target). Keys run in group order, then lexicographically, so every
-    vector's prefixes come before it.
-
-    Raises :class:`SearchCapExceededError` before it reads any entry when
-    the table spans more than ``_STEP_CAP`` unit steps
-    (:func:`_require_steps`), so every reader of a whole table, and every
+    """The scheme read over its bounded residual domain: every vector ``v``
+    of :func:`_residual_box`, in its order, maps to the capacity of group
+    ``len(v)``. Like the box, it refuses a domain past the step cap before
+    it reads any entry, so every reader of a whole table, and every
     monotonicity check of one, refuses rather than samples.
     """
-    _require_steps(len(targets), bound)
-    return {
-        vec: scheme.capacity(k, vec, targets)
-        for k in range(1, len(targets))
-        for vec in itertools.product(range(bound + 1), repeat=k)
-    }
-
-
-def _require_steps(groups: int, bound: int) -> None:
-    """Refuse a whole capacity table of ``groups`` groups over ``[0,
-    bound]`` that spans more than ``_STEP_CAP`` unit steps ``(v, v + e_i)``
-    inside ``[0, bound]^k``, over groups ``k`` from 1 to G-1."""
-    needed = sum(k * bound * (bound + 1) ** (k - 1) for k in range(1, groups))
-    if needed > _STEP_CAP:
-        raise SearchCapExceededError(needed, _STEP_CAP, "monotonicity step enumeration")
+    box = _residual_box(len(targets), bound)
+    return {vec: scheme.capacity(len(vec), vec, targets) for vec in box}
 
 
 def _table_report(table: Mapping[tuple[int, ...], int], bound: int) -> MonotonicityReport:
     """Check both monotonicity conditions on a :func:`capacity_table`, one
     unit step at a time, and return the first violating step.
-    ``cumulative[v]`` is ``sum_{m<=len(v)} cap_m(v[:m])``."""
+    ``cumulative[v]`` is ``sum_{m<=len(v)} cap_m(v[:m])``; the table's keys
+    run in the order of :func:`_residual_box`, so a vector's prefix is
+    summed before it."""
     cumulative = {(): 0}
     for vec, cap in table.items():
         cumulative[vec] = cumulative[vec[:-1]] + cap
@@ -292,11 +294,11 @@ def check_monotonic(
     ``sum_{m=i+1..k} (cap_m(high[:m]) - cap_m(low[:m])) <= 1``.
 
     Returns the first violating unit step as the witness (``low`` and
-    ``high = low + e_i``), scanning groups in order, vectors in lexicographic
-    order and coordinates left to right. Raises
-    :class:`SearchCapExceededError` rather than sampling when there are more
-    than 2 000 000 steps to check: :func:`capacity_table` refuses such a
-    table before it reads it.
+    ``high = low + e_i``), scanning vectors in the order of
+    :func:`_residual_box` (groups in order, then lexicographically) and
+    coordinates left to right. Raises :class:`SearchCapExceededError`
+    rather than sampling when there are more than 2 000 000 steps to check:
+    the box refuses before :func:`capacity_table` reads an entry.
     """
     if bound < 0:
         raise InvalidInputError("bound must be non-negative")
@@ -438,11 +440,18 @@ def convert_slot_specific(school: SlotSpecificSchool) -> ConvertedSlotSpecific:
     get trailing zero-capacity groups so every artificial type is covered.
     The resulting choice function selects the same set as the original on
     every offer set.
+
+    Contract ``n`` of the sorted pool gets the artificial type ``v{n}``,
+    zero-padded to the width of the last index (``v0`` to ``v9`` for at
+    most 10 contracts, ``v00`` on from 11), so the converted contracts sort
+    as the contracts they stand for: a pool's mask means the same offer set
+    on either side.
     """
     xs = sorted(school.contracts)
     if not xs:
         raise InvalidInputError(f"school {school.school}: no contracts to convert")
-    tau = {c: f"v{n}" for n, c in enumerate(xs)}
+    width = len(str(len(xs) - 1))
+    tau = {c: f"v{n:0{width}d}" for n, c in enumerate(xs)}
 
     precedence: list[str] = []
     targets: list[int] = []

@@ -373,22 +373,17 @@ def _cmd_convert(args) -> int:
     if args.check:
         # both tabulations refuse a pool over --max-contracts, and main exits
         # 3. The slot side is the set-based reference; the converted side runs
-        # on the engine, over its own ids, which sort v10 before v2, so its
-        # masks are mapped back to the slot pool's bits. The first offer set
+        # on the engine, over converted ids that sort as the slot pool does,
+        # so a mask means one offer set on both sides. The first offer set
         # that differs is reported in the slot pool's mask order.
-        pool = sorted(school.contracts)
         cap = 1 << args.max_contracts
-        want = tabulate(lambda offers: slot_specific_choice(offers, school), pool, cap=cap)
+        want = tabulate(
+            lambda offers: slot_specific_choice(offers, school), school.contracts, cap=cap
+        )
         got = tabulate_school(converted.config, converted.mapping.values(), cap=cap)
-        to_slot = [0]  # to_slot[m]: the slot pool's mask of the converted mask m
-        for c in got.pool:
-            bit = 1 << pool.index(converted.inverse[c])
-            to_slot += [m | bit for m in to_slot]
-        bad = [
-            to_slot[m] for m, c in enumerate(got.chosen) if to_slot[c] != want.chosen[to_slot[m]]
-        ]
-        if bad:
-            mismatch = sorted(contract_id(c) for c in want.subset(min(bad)))
+        bad = next((m for m, c in enumerate(got.chosen) if c != want.chosen[m]), None)
+        if bad is not None:
+            mismatch = sorted(contract_id(c) for c in want.subset(bad))
 
     report = {
         "command": "convert",
@@ -413,7 +408,9 @@ def _cmd_convert(args) -> int:
 def _cmd_gen(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    # every instance is drawn before any is written, so a draw that refuses
+    # (a table past the step cap) leaves no partial output behind
+    drawn = {}
     for n in range(args.count):
         params = GeneratorParams(
             students=args.students,
@@ -424,10 +421,11 @@ def _cmd_gen(args) -> int:
             scheme_family=args.scheme_family,
         )
         path = out_dir / f"instance-{args.seed + n:06d}.instance"
-        save_instance(generate_random_instance(params), path)
-        written.append(str(path))
-    report = {"command": "gen", "count": args.count, "seed": args.seed, "files": written}
-    _emit(report, [f"wrote {len(written)} instances to {out_dir}"], args.format, args.out)
+        drawn[str(path)] = generate_random_instance(params)
+    for path, instance in drawn.items():
+        save_instance(instance, path)
+    report = {"command": "gen", "count": args.count, "seed": args.seed, "files": list(drawn)}
+    _emit(report, [f"wrote {len(drawn)} instances to {out_dir}"], args.format, args.out)
     return 0
 
 

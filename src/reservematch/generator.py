@@ -7,15 +7,15 @@ flexibility pair is monotone by construction too, proved in
 :func:`_unit_tables`, and is not checked again where it is drawn.
 
 A draw that builds a whole capacity table (a ``table`` scheme, which the
-``mixed`` family may pick too, and the flexibility pair) refuses with
-:class:`~reservematch.errors.SearchCapExceededError` before it builds a
-table spanning more than 2 000 000 unit steps, as every reader of a whole
-table does (:func:`~reservematch.choice.capacity_table`).
+``mixed`` family may pick too, and the flexibility pair) reads it over the
+one enumerator of the residual box, ``choice._residual_box``, as every
+reader of a whole table does (:func:`~reservematch.choice.capacity_table`).
+So it refuses with :class:`~reservematch.errors.SearchCapExceededError`
+before it builds a table spanning more than 2 000 000 unit steps.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -25,7 +25,7 @@ from .choice import (
     SchoolConfig,
     SlotSpecificSchool,
     TableScheme,
-    _require_steps,
+    _residual_box,
     capacity_table,
 )
 from .errors import InvalidInputError
@@ -273,8 +273,9 @@ def _unit_tables(
 
     The rigid table grants every group its target, except the ``receiver``,
     which gets ``t + max(0, sum(v) - 1)`` at residuals ``v``: every upstream
-    vacancy but the first. It is built from the targets, in the key order
-    of :func:`capacity_table`. The flexible table adds one seat at the unit
+    vacancy but the first. It is built from the targets over
+    ``choice._residual_box``, the box and key order of
+    :func:`capacity_table`. The flexible table adds one seat at the unit
     vector ``e_donor``, where the rigid one grants ``t``.
 
     Both are monotone for every choice of targets, bound, receiver and
@@ -289,14 +290,13 @@ def _unit_tables(
     already grants ``t + 1`` (gain 0, no shrink); every other step gains
     what it gains in the rigid table.
 
-    Like :func:`capacity_table`, it raises :class:`SearchCapExceededError`
-    before it builds a table spanning more than 2 000 000 unit steps.
+    Like :func:`capacity_table`, it raises :class:`SearchCapExceededError`,
+    from the box, before it builds a table spanning more than 2 000 000
+    unit steps.
     """
-    _require_steps(len(targets), bound)
     rigid = {
-        vec: targets[k] + (max(0, sum(vec) - 1) if k == receiver else 0)
-        for k in range(1, len(targets))
-        for vec in itertools.product(range(bound + 1), repeat=k)
+        vec: targets[len(vec)] + (max(0, sum(vec) - 1) if len(vec) == receiver else 0)
+        for vec in _residual_box(len(targets), bound)
     }
     bump = tuple(1 if i == donor else 0 for i in range(receiver))
     return rigid, {**rigid, bump: rigid[bump] + 1}

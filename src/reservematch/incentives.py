@@ -115,16 +115,14 @@ def _truncation_misreport(
     from its own definition; the runs are what keep such a departure
     visible.
     """
-    contracts = compiled.contracts
     si = compiled.student_index[student]
     listed = compiled.acceptable[si]
-    truthful = _held_contract(compiled, truth, si)
-    pref = PreferenceOrder(student, tuple(contracts[ci] for ci in listed))
+    above = listed[: next((p for p, ci in enumerate(listed) if truth >> ci & 1), len(listed))]
     acceptable = list(compiled.acceptable)
-    for ci in sorted(listed[: pref.rank(truthful)]):
+    for ci in sorted(above):
         acceptable[si] = (ci,)
         if compiled.with_acceptable(tuple(acceptable)).cop(rank) >> ci & 1:
-            x = contracts[ci]
+            x, truthful = compiled.contracts[ci], _held_contract(compiled, truth, si)
             return Misreport((student,), (PreferenceOrder(student, (x,)),), (truthful,), (x,))
     return None
 
@@ -233,9 +231,11 @@ def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> boo
     """True when ``first`` grants every group at least the capacity ``second``
     does at every residual vector in the bounded domain, with at least one
     strict gain. Both schemes are assumed monotone with matching targets.
-    Raises :class:`SearchCapExceededError`, as :func:`check_monotonic`
-    does, when a capacity table over ``[0, bound]`` spans more than
-    2 000 000 unit steps."""
+    Both are read by :func:`capacity_table` over one residual box
+    (``choice._residual_box``), so it raises
+    :class:`SearchCapExceededError`, as :func:`check_monotonic` does,
+    before it reads an entry when the box over ``[0, bound]`` spans more
+    than 2 000 000 unit steps."""
     a = capacity_table(first, targets, bound)
     b = capacity_table(second, targets, bound)
     return a != b and all(a[vec] >= b[vec] for vec in a)
@@ -284,10 +284,11 @@ def _changed_schools(
     Each side is read into one :func:`capacity_table`: a validated side's
     is the table its monotonicity check read, and any other side's (the
     compile's own scheme, or one certified without a table) is read after
-    validation, school by school. Each read refuses, as
-    :func:`check_monotonic` does, when its table would span more than
-    2 000 000 unit steps, so the prelude refuses at the first such school,
-    having possibly read the tables of earlier schools, each under the cap.
+    validation, school by school. Each read is over the residual box of
+    ``choice._residual_box``, which refuses, as :func:`check_monotonic`
+    does, when the table would span more than 2 000 000 unit steps, so the
+    prelude refuses at the first such school, having possibly read the
+    tables of earlier schools, each under the cap.
     Returns the rigid market, as a ``Compiled.with_school`` clone of
     ``compiled`` where a rigid scheme is not the compile's, and the
     changed schools in school order, each mapped to its rigid and flexible

@@ -277,6 +277,19 @@ def test_conversion_cascades_the_seat_down_the_slot_ranking():
     assert conv.choice({x, y}) == {x}
 
 
+def test_converted_types_sort_as_their_contracts():
+    # student b holds every contract but the first, so unpadded ids would
+    # sort v10 before v2 from 11 contracts on; padded to one width, the
+    # converted pool sorts as the slot pool, and pools of at most 10
+    # contracts keep the unpadded ids
+    for size in range(1, 21):
+        pool = [rm.Contract("b" if n else "a", "s", f"t{n:02d}") for n in range(size)]
+        converted = rm.convert_slot_specific(_slot_school(pool))
+        order = [converted.inverse[c] for c in sorted(converted.mapping.values())]
+        assert order == sorted(pool), size
+        assert converted.mapping[pool[0]].privilege == ("v0" if size <= 10 else "v00")
+
+
 def test_conversion_matches_slot_choice_on_every_offer_set():
     for seed in range(12):
         school = rm.generate_slot_specific_school(3100 + seed)

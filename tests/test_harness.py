@@ -669,6 +669,21 @@ def test_a_table_draw_past_the_step_cap_refuses_before_it_builds(capsys, tmp_pat
     assert list(out_dir.iterdir()) == []
 
 
+def test_gen_draws_every_instance_before_it_writes_one(capsys, tmp_path):
+    # seeds 3 to 5 draw, and seed 6's table scheme would span 2 271 915 unit
+    # steps: the refusal leaves none of the earlier instances behind
+    out_dir = tmp_path / "wide4"
+    code, out, err = run_cli(
+        capsys, "gen", "--out-dir", str(out_dir), "--seed", "3", "--count", "4",
+        "--types", "10", "--scheme-family", "table",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: monotonicity step enumeration: 2271915 cases exceed the cap of 2000000\n"
+    )
+    assert list(out_dir.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # command line
 
@@ -1448,9 +1463,9 @@ def test_cli_convert_writes_no_instance_that_match_refuses(capsys, tmp_path):
 
 
 def _eleven_contract_slot_school() -> rm.SlotSpecificSchool:
-    """Three slots over 11 contracts, student d holding v9 and v10: the
-    converted ids sort v10 before v9, so the converted pool's bit order is
-    not the slot pool's."""
+    """Three slots over 11 contracts, student d holding contracts 9 and 10:
+    unpadded converted ids would sort v10 before v9, so the converted
+    pool's bit order is the slot pool's only because the ids are padded."""
     rng = random.Random(11)
     claims = {"a": "xyz", "b": "xyz", "c": "xyz", "d": "xy"}
     pool = sorted(rm.Contract(s, "s", t) for s, types in claims.items() for t in types)
@@ -1488,11 +1503,12 @@ def _one_target_changed(monkeypatch):
 
 def test_cli_convert_check_on_the_engine_agrees_with_the_set_based_check(capsys, tmp_path):
     # the converted side is tabulated on the engine, over the converted ids'
-    # own bit order; the verdict must be the set-based check's
+    # bit order, which is the slot pool's; the verdict must be the
+    # set-based check's
     school = _eleven_contract_slot_school()
     converted = rm.convert_slot_specific(school)
     order = [converted.inverse[c] for c in sorted(converted.mapping.values())]
-    assert len(order) == 11 and order != sorted(school.contracts)
+    assert len(order) == 11 and order == sorted(school.contracts)
     schools = [school] + [rm.generate_slot_specific_school(seed) for seed in range(20)]
     for slots in schools:
         assert reference_convert_mismatch(slots, rm.convert_slot_specific(slots)) is None
