@@ -225,11 +225,14 @@ def _residual_box(groups: int, bound: int) -> Iterator[tuple[int, ...]]:
     at its target): in group order, then lexicographically, so every
     vector's prefixes come before it.
 
-    When called, before it yields anything, it raises
+    When called, before it yields anything, it refuses a negative
+    ``bound`` with :class:`InvalidInputError`, and then raises
     :class:`SearchCapExceededError` if the box spans more than
     ``_STEP_CAP`` unit steps ``(v, v + e_i)``, so every whole table built
-    over it refuses rather than samples.
+    over it refuses rather than samples or reads as empty.
     """
+    if bound < 0:
+        raise InvalidInputError("bound must be non-negative")
     needed = sum(k * bound * (bound + 1) ** (k - 1) for k in range(1, groups))
     if needed > _STEP_CAP:
         raise SearchCapExceededError(needed, _STEP_CAP, "monotonicity step enumeration")
@@ -244,8 +247,9 @@ def capacity_table(
     """The scheme read over its bounded residual domain: every vector ``v``
     of :func:`_residual_box`, in its order, maps to the capacity of group
     ``len(v)``. Like the box, it refuses a domain past the step cap before
-    it reads any entry, so every reader of a whole table, and every
-    monotonicity check of one, refuses rather than samples.
+    it reads any entry, and it refuses a negative ``bound``, so every
+    reader of a whole table, and every monotonicity check of one, refuses
+    rather than samples or reads an empty table.
     """
     box = _residual_box(len(targets), bound)
     return {vec: scheme.capacity(len(vec), vec, targets) for vec in box}
@@ -297,11 +301,10 @@ def check_monotonic(
     ``high = low + e_i``), scanning vectors in the order of
     :func:`_residual_box` (groups in order, then lexicographically) and
     coordinates left to right. Raises :class:`SearchCapExceededError`
-    rather than sampling when there are more than 2 000 000 steps to check:
-    the box refuses before :func:`capacity_table` reads an entry.
+    rather than sampling when there are more than 2 000 000 steps to check,
+    and :class:`InvalidInputError` on a negative ``bound``: the box refuses
+    both before :func:`capacity_table` reads an entry.
     """
-    if bound < 0:
-        raise InvalidInputError("bound must be non-negative")
     return _table_report(capacity_table(scheme, targets, bound), bound)
 
 

@@ -235,7 +235,8 @@ def is_more_flexible(first, second, targets: tuple[int, ...], bound: int) -> boo
     (``choice._residual_box``), so it raises
     :class:`SearchCapExceededError`, as :func:`check_monotonic` does,
     before it reads an entry when the box over ``[0, bound]`` spans more
-    than 2 000 000 unit steps."""
+    than 2 000 000 unit steps, and :class:`InvalidInputError` on a negative
+    ``bound``."""
     a = capacity_table(first, targets, bound)
     b = capacity_table(second, targets, bound)
     return a != b and all(a[vec] >= b[vec] for vec in a)
@@ -347,12 +348,12 @@ def improvement_chains(
     several contracts, a school over capacity) raises
     :class:`InvalidInputError`, as in
     :func:`~reservematch.verification.is_stable`, before any table is read:
-    the sides differ only in their schemes, so the rigid compile holds the
-    capacities.
+    the sides differ only in their schemes, so ``rigid`` holds the market's
+    contracts and capacities.
     """
     z = frozenset(z)
     compiled, pairs = _compiled_pair(rigid, flexible)
-    _require_allocation(compiled, z, True)
+    _require_allocation(rigid.contracts, z, {c.school: c.capacity for c in rigid.schools})
     working, changed = _changed_schools(compiled, pairs)
     if len(changed) != 1:
         raise InvalidInputError(f"expected exactly one school to change, got {list(changed)}")
@@ -567,8 +568,13 @@ def allocation_waste(instance: ProblemInstance, allocation: Iterable[Contract]) 
     counts as waste unless zeroing that group's residual would have reduced a
     later group's realized capacity, i.e. unless the vacancies were passed
     on. An artifact-level diagnostic, not a quantity from the model itself.
+    A set that is not an allocation of ``instance`` is refused with
+    :class:`InvalidInputError`, as by
+    :func:`~reservematch.verification.is_stable`.
     """
     allocation = frozenset(allocation)
+    capacities = {cfg.school: cfg.capacity for cfg in instance.schools}
+    _require_allocation(instance.contracts, allocation, capacities)
     total = 0
     for cfg in instance.schools:
         _, trace = dynamic_reserves_choice(allocation, cfg)

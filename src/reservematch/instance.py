@@ -40,9 +40,6 @@ class ProblemInstance:
     def contracts_of(self, student: str) -> frozenset:
         return frozenset(c for c in self.contracts if c.student == student)
 
-    def with_preferences(self, preferences: Mapping[str, PreferenceOrder]) -> "ProblemInstance":
-        return replace(self, preferences=dict(preferences))
-
     def with_school(self, config: SchoolConfig) -> "ProblemInstance":
         updated = tuple(config if s.school == config.school else s for s in self.schools)
         return replace(self, schools=updated)

@@ -8,23 +8,25 @@ set. Both run on the engine's masks, and both take the market as a
 ``ProblemInstance``, which they compile, or as a caller's ``Compiled``, so
 ``verify`` and ``audit`` check on the compile they already hold. The axiom
 checkers read a choice function's table over every subset of a contract
-pool and verify substitutability and the law of aggregate demand.
+pool and verify substitutability and the law of aggregate demand: one
+sweep of the table (``_first_failures``) names each axiom's first failing
+offer set, and a checker scans only that set for its counterexample.
 ``audit`` certifies the two axioms of each school's completion from its
 scheme, at any pool size (``instance._scheme_violations``, which proves
 them), and cross-checks the certificate on every pool of at most
 ``--max-contracts`` contracts, where a certified school that fails its
 table is an internal error. The cross-check builds one table, the
-completion's, and reads it in one sweep for substitutability and the law
-of aggregate demand (``_completion_axioms_hold``, which proves the rest):
-the completion that ``_tabulate`` builds completes the overall choice for
-every transfer scheme, and rejection irrelevance follows from the two
-axioms. The checkers read a :class:`ChoiceTable`, built once per choice
-function and pool, and the builders are exhaustive or they refuse, never
-sampled. A dynamic reserves school's table is built a group at a time:
-each group step runs once per distinct prefix of the blocks the groups so
-far read, rather than once per subset, and each choice is copied over the
-bits no group reads (``_tabulate``). That is also the engine's one
-completion choice: ``CompiledSchool.choose`` runs the overall choice only.
+completion's, and reads it in the same sweep (``_completion_axioms_hold``,
+which proves the rest): the completion that ``_tabulate`` builds
+completes the overall choice for every transfer scheme, and rejection
+irrelevance follows from the two axioms. The checkers read a
+:class:`ChoiceTable`, built once per choice function and pool, and the
+builders are exhaustive or they refuse, never sampled. A dynamic reserves
+school's table is built a group at a time: each group step runs once per
+distinct prefix of the blocks the groups so far read, rather than once per
+subset, and each choice is copied over the bits no group reads
+(``_tabulate``). That is also the engine's one completion choice:
+``CompiledSchool.choose`` runs the overall choice only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Mapping, Optional, Union
 
 from ._engine import Compiled, bits
 from .choice import SchoolConfig
@@ -94,12 +96,12 @@ def is_stable(y: Iterable[Contract], market: Union[ProblemInstance, Compiled]) -
     compile serves every school's search."""
     compiled = market if isinstance(market, Compiled) else Compiled.from_instance(market)
     y = frozenset(y)
-    _require_allocation(compiled, y, True)
+    names = tuple(compiled.school_index)
+    _require_allocation(compiled.index, y, dict(zip(names, (s.capacity for s in compiled.schools))))
     local, current = _held(compiled, y)
     acceptable, student_bit = compiled.acceptable, compiled.student_bit
     held_ci = sorted(current.values())
     bad = tuple(compiled.contracts[ci] for ci in held_ci if ci not in acceptable[student_bit[ci]])
-    names = tuple(compiled.school_index)
     mismatch = None
     for s, held in enumerate(local):
         chosen = compiled.schools[s].choose(held)[0]
@@ -173,7 +175,7 @@ def find_blocking_set(
     compiled = market if is_compiled else Compiled.from_instance(market)
     s = compiled.school_index[school]
     y = frozenset(y)
-    _require_allocation(compiled, y, False)
+    _require_allocation(compiled.index, y, {})
     local, current = _held(compiled, y)
     here, held = compiled.schools[s], local[s]
     chosen, residuals = here.choose(held)
@@ -195,23 +197,26 @@ def find_blocking_set(
     return None
 
 
-def _require_allocation(compiled: Compiled, y: frozenset, capacities: bool) -> None:
+def _require_allocation(
+    contracts: Container[Contract], y: frozenset, capacities: Mapping[str, int]
+) -> None:
     """Raise :class:`InvalidInputError` naming every way ``y`` is not an
-    allocation: contracts outside the market, students with several
-    contracts and, with ``capacities``, schools holding more contracts than
-    their capacity."""
+    allocation: contracts outside the market's ``contracts``, students with
+    several contracts and schools holding more contracts than their
+    capacity in ``capacities`` (school id -> capacity; empty to skip that
+    check). It reads no compile, so a caller that holds only a
+    ``ProblemInstance`` checks its contracts and schools as they are."""
     problems = []
-    stray = y.difference(compiled.index)
+    stray = y.difference(contracts)
     if stray:
         problems.append(f"unknown contracts {sorted(stray)}")
     doubled = sorted(s for s, n in Counter(c.student for c in y).items() if n > 1)
     if doubled:
         problems.append(f"students with several contracts: {doubled}")
-    if capacities:
-        loads = Counter(c.school for c in y)
-        for name, school in zip(compiled.school_index, compiled.schools):
-            if loads[name] > school.capacity:
-                problems.append(f"school {name} over capacity ({loads[name]} > {school.capacity})")
+    loads = Counter(c.school for c in y)
+    for name, capacity in capacities.items():
+        if loads[name] > capacity:
+            problems.append(f"school {name} over capacity ({loads[name]} > {capacity})")
     if problems:
         raise InvalidInputError("not an allocation: " + "; ".join(problems))
 
@@ -406,54 +411,162 @@ def check_substitutability(table: ChoiceTable) -> PropertyCheck:
     grows. Counterexample: (Y, z, z2) with z rejected from Y + z but chosen
     from Y + z + z2; the first such triple by offer set, then z, then z2.
 
-    A set fails exactly when one of its one-contract extensions chooses some
-    contract the set rejects, so each extension is tested against all the
-    rejected contracts at once; the first set that fails is scanned again a
-    rejected contract at a time for the counterexample."""
+    The first failing offer set is read from the one sweep of both axioms,
+    :func:`_first_failures`, and only that set is scanned, a rejected
+    contract and then an extension at a time, for the counterexample."""
+    mask = _first_failures(table.chosen)[0]
+    if mask is None:
+        return PropertyCheck(True)
     chosen, pool = table.chosen, table.pool
-    full = len(chosen) - 1
-    for mask, picked in enumerate(chosen):
-        rejected = mask & ~picked
-        if not rejected:
-            continue
-        free = full ^ mask
-        while free:
-            low = free & -free
-            if chosen[mask | low] & rejected:
-                break
-            free ^= low
-        else:
-            continue
-        for z in bits(rejected):
-            for extra in bits(full ^ mask):
-                if chosen[mask | 1 << extra] >> z & 1:
-                    y = table.subset(mask & ~(1 << z))
-                    return PropertyCheck(False, (y, pool[z], pool[extra]))
-    return PropertyCheck(True)
+    z, extra = next(
+        (z, extra)
+        for z in bits(mask & ~chosen[mask])
+        for extra in bits(len(chosen) - 1 ^ mask)
+        if chosen[mask | 1 << extra] >> z & 1
+    )
+    return PropertyCheck(False, (table.subset(mask & ~(1 << z)), pool[z], pool[extra]))
 
 
 def check_lad(table: ChoiceTable) -> PropertyCheck:
     """Law of aggregate demand: larger offer sets never yield fewer chosen
     contracts. Single-element extensions are checked, which covers every
-    nested pair by chaining. Counterexample: (Y, Y + z)."""
-    sizes = [picked.bit_count() for picked in table.chosen]
-    full = len(sizes) - 1
-    for mask, size in enumerate(sizes):
-        free = full ^ mask
-        while free:
-            low = free & -free
-            if sizes[mask | low] < size:
-                y = table.subset(mask)
-                return PropertyCheck(False, (y, y | {table.pool[low.bit_length() - 1]}))
-            free ^= low
-    return PropertyCheck(True)
+    nested pair by chaining. Counterexample: (Y, Y + z), the first by offer
+    set and then by z: the offer set is read from the one sweep of both
+    axioms, :func:`_first_failures`, and only its extensions are scanned."""
+    mask = _first_failures(table.chosen)[1]
+    if mask is None:
+        return PropertyCheck(True)
+    chosen, size = table.chosen, table.chosen[mask].bit_count()
+    z = next(z for z in bits(len(chosen) - 1 ^ mask) if chosen[mask | 1 << z].bit_count() < size)
+    y = table.subset(mask)
+    return PropertyCheck(False, (y, y | {table.pool[z]}))
 
 
-# The sweep of ``_completion_axioms_hold`` packs at most 2**_CHUNK_BITS offer
-# sets into one int, so that a 20-contract table is swept in ints of 16 KB.
+# The sweep of ``_first_failures`` packs at most 2**_CHUNK_BITS offer sets
+# into one int, so that a 20-contract table is swept in ints of 16 KB.
 _CHUNK_BITS = 12
 # the number of set bits of each byte value
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
+
+
+def _first_failures(chosen: tuple[int, ...]) -> tuple[Optional[int], Optional[int]]:
+    """The first offer set of a choice table that fails substitutability,
+    and the first that fails the law of aggregate demand (LAD), each as its
+    mask, or ``None`` when no set fails. ``chosen[m]`` is the mask chosen
+    from offer set ``m`` of an ``n``-contract pool, as in
+    :class:`ChoiceTable`. An extension ``m + j`` that chooses a contract
+    ``m`` rejects fails ``m`` for substitutability, and one that chooses
+    fewer contracts fails it for LAD. These are the tests behind the
+    counterexamples of :func:`check_substitutability` and :func:`check_lad`,
+    on every offer set ``m`` and every bit ``j`` not in it, so the sets are
+    theirs.
+
+    The sweep reads many offer sets per operation. It packs the table, in
+    chunks of ``F = 2**min(n, _CHUNK_BITS)`` offer sets, into ints of
+    aligned fields: field ``i`` of chunk ``a`` holds ``chosen[m]`` for
+    ``m = a*F + i`` in bits ``[i*w, (i+1)*w)``, where ``w`` is 8, 16 or 32,
+    the narrowest that holds ``n`` bits (``struct`` packs the fields
+    little-endian, so this holds on every host). So ``n`` is at most 32: a
+    table over more contracts would hold 2**33 choices and cannot be built.
+    The rejected sets ``m & ~chosen[m]`` are derived per chunk from its
+    packed indices, and each choice's size sits in an 8-bit field of a
+    second int: the popcount of each byte of the packed picks, read from a
+    table, summed over the bytes of its field. Extension bit ``j`` pairs
+    ``m`` with ``m | 1 << j`` for each ``m`` without bit ``j``.
+
+    - A bit below ``low = log2(F)`` pairs fields of one chunk ``2**j``
+      apart. Shifting the picks right by ``2**j`` whole fields puts
+      ``chosen[m | 1 << j]`` in field ``i``, and an AND with the rejected
+      sets and with a mask of the fields whose index lacks bit ``j`` is
+      nonzero exactly in the fields of the ``m`` that fail
+      substitutability. For those ``m``, ``i + 2**j < F``, so the partner
+      lies in the chunk, and the fields the mask drops may hold anything.
+    - A bit ``j >= low`` pairs chunk ``a`` with chunk ``a | 2**(j - low)``,
+      for each ``a`` without that bit, field for field, with no shift and
+      no mask.
+
+    LAD on the sizes is one subtraction, aligned as the picks are. A size
+    is at most ``n <= 32 < 128``, so setting the guard bit 128 of every
+    field of the partner sizes makes each field of the minuend at least 128
+    and at most 160, and each field of the subtrahend at most 32: no field
+    borrows from the next, the int subtraction is a subtraction per field,
+    and field ``i`` of the difference keeps its guard bit exactly when the
+    partner's size is at least ``m``'s. For a low bit the subtrahend is
+    ``m``'s sizes under the mask of 8-bit fields, so a field the mask drops
+    subtracts 0 and keeps its guard bit. So LAD fails in exactly the fields
+    whose guard bit is clear. Every ``m`` lacks every bit ``j`` not in it,
+    and each such pair is in exactly one chunk-and-bit test (the chunk of
+    ``m``, at bit ``j``), so the sweep tests every pair that the two checks
+    test, and no other.
+
+    Each test fails, if at all, in the field of ``m`` in ``m``'s own
+    chunk, so per chunk the failing fields of all its tests are ORed into
+    one int per axiom. Chunks run in offer-set order, so the lowest failing
+    field of the first chunk that fails an axiom is that axiom's first
+    failing offer set. The sweep stops once both axioms have failed, and a
+    chunk that fails neither does only the word operations of a sweep that
+    stops at the first failure.
+    """
+    n = (len(chosen) - 1).bit_length()
+    low = min(n, _CHUNK_BITS)
+    step = 1 << low
+    # fields of 8, 16 or 32 bits, the narrowest that holds a mask of the pool
+    wide = (n > 8) + (n > 16)
+    width, fmt = 8 << wide, f"<{step}{'BHI'[wide]}"
+    picks, sizes = [], []
+    for lo in range(0, len(chosen), step):
+        packed = struct.pack(fmt, *chosen[lo : lo + step])
+        picks.append(int.from_bytes(packed, "little"))
+        counts = packed.translate(_POPCOUNT)
+        if wide:
+            # each field's low byte gathers its bytes' counts: a byte sums at
+            # most four counts of at most 8, so none carries
+            total = int.from_bytes(counts, "little")
+            for r in range(wide):
+                total += total >> (8 << r)
+            counts = total.to_bytes(len(packed), "little")[:: 1 << wide]
+        sizes.append(int.from_bytes(counts, "little"))
+
+    def lacking(bits: int) -> tuple[list[int], int]:
+        """Per low bit ``j``, the fields of ``bits`` bits whose offer set
+        lacks ``j``, all ones; and the int with each field at 1. Before step
+        ``j``, ``ones`` is 1 in the first field of each run of ``2**(j+1)``,
+        and the subtraction fills the run's first ``2**j`` fields."""
+        masks, ones = [0] * low, 1
+        for j in reversed(range(low)):
+            masks[j] = (ones << (bits << j)) - ones
+            ones += ones << (bits << j)
+        return masks, ones
+
+    lacks, ones = lacking(width)
+    short, guard = (lacks, ones) if width == 8 else lacking(8)
+    guard <<= 7
+    index = int.from_bytes(struct.pack(fmt, *range(step)), "little")
+    sub = lad = None
+    for a, (pick, size) in enumerate(zip(picks, sizes)):
+        # field i: offer set a*F + i, less what it chooses
+        rejected = (index | a * step * ones) & ~pick
+        # the failing fields of this chunk, per axiom
+        bad_sub = bad_lad = 0
+        for j in range(low):
+            if fail := (pick >> (width << j)) & rejected & lacks[j]:
+                bad_sub |= fail
+            if (kept := ((size >> (8 << j) | guard) - (size & short[j])) & guard) != guard:
+                bad_lad |= kept ^ guard
+        for h in range(n - low):
+            if not a >> h & 1:
+                b = a | 1 << h
+                if fail := picks[b] & rejected:
+                    bad_sub |= fail
+                if (kept := ((sizes[b] | guard) - size) & guard) != guard:
+                    bad_lad |= kept ^ guard
+        if sub is None and bad_sub:
+            sub = a * step + ((bad_sub & -bad_sub).bit_length() - 1) // width
+        if lad is None and bad_lad:
+            lad = a * step + ((bad_lad & -bad_lad).bit_length() - 1) // 8
+        if sub is not None and lad is not None:
+            break
+    return sub, lad
 
 
 def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
@@ -462,49 +575,9 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     satisfies the law of aggregate demand (LAD). The caller bounds the pool.
     The completion is the one ``_tabulate`` builds, which completes the
     overall choice by construction (below), so only its table is built, and
-    it is read in one sweep over its one-contract extensions that stops at
-    the first failing extension bit: an extension ``m + j`` that chooses a
-    contract ``m`` rejected breaks substitutability, and one that chooses
-    fewer contracts breaks LAD. These are the tests ``check_substitutability``
-    and ``check_lad`` run on every offer set ``m`` and every bit ``j`` not in
-    it, so the verdict is theirs.
-
-    The sweep reads many offer sets per operation. It packs the table, in
-    chunks of ``F = 2**min(n, _CHUNK_BITS)`` offer sets of the ``n``-contract
-    pool, into ints of aligned fields: field ``i`` of chunk ``a`` holds
-    ``chosen[m]`` for ``m = a*F + i`` in bits ``[i*w, (i+1)*w)``, where ``w``
-    is 8, 16 or 32, the narrowest that holds ``n`` bits (``struct`` packs
-    the fields little-endian, so this holds on every host). The rejected
-    sets ``m ^ chosen[m]`` (``chosen[m]`` lies in ``m``) are derived per
-    chunk from its packed indices, and each choice's size sits in an 8-bit
-    field of a second int: the popcount of each byte of the packed picks,
-    read from a table, summed over the bytes of its field. Extension bit
-    ``j`` pairs ``m`` with ``m | 1 << j`` for each ``m`` without bit ``j``.
-
-    - A bit below ``low = log2(F)`` pairs fields of one chunk ``2**j``
-      apart. Shifting the picks right by ``2**j`` whole fields puts
-      ``chosen[m | 1 << j]`` in field ``i``, and an AND with the rejected
-      sets and with a mask of the fields whose index lacks bit ``j`` is
-      nonzero exactly when some such ``m`` fails substitutability. For those
-      ``m``, ``i + 2**j < F``, so the partner lies in the chunk, and the
-      fields the mask drops may hold anything.
-    - A bit ``j >= low`` pairs chunk ``a`` with chunk ``a | 2**(j - low)``,
-      for each ``a`` without that bit, field for field, with no shift and
-      no mask.
-
-    LAD on the sizes is one subtraction, aligned as the picks are. A size
-    is at most ``n <= 20 < 128``, so setting the guard bit 128 of every
-    field of the partner sizes makes each field of the minuend at least 128
-    and at most 148, and each field of the subtrahend at most 20: no field
-    borrows from the next, the int subtraction is a subtraction per field,
-    and field ``i`` of the difference keeps its guard bit exactly when the
-    partner's size is at least ``m``'s. For a low bit the subtrahend is
-    ``m``'s sizes under the mask of 8-bit fields, so a field the mask drops
-    subtracts 0 and keeps its guard bit. So LAD fails exactly when some
-    guard bit of the difference is clear. Every ``m`` lacks every bit ``j``
-    not in it, and each such pair is in exactly one chunk-and-bit test (the
-    chunk of ``m``, at bit ``j``), so the sweep tests every pair that the
-    two checks test, and no other.
+    it is read by the one sweep of both axioms, :func:`_first_failures`,
+    which :func:`check_substitutability` and :func:`check_lad` read too, so
+    the verdict is theirs.
 
     The completion completes the overall choice. The completion relation,
     which the tests' oracle checks table against table (the completion
@@ -546,53 +619,4 @@ def _completion_axioms_hold(compiled: Compiled, s: int) -> bool:
     ``Y + z`` by substitutability, so ``C(Y + z)`` is a subset of ``C(Y)``.
     LAD makes the two the same size, so they are equal.
     """
-    chosen = _tabulate(compiled, s, completion=True).chosen
-    n = (len(chosen) - 1).bit_length()
-    low = min(n, _CHUNK_BITS)
-    step = 1 << low
-    # fields of 8, 16 or 32 bits, the narrowest that holds a mask of the pool
-    wide = (n > 8) + (n > 16)
-    width, fmt = 8 << wide, f"<{step}{'BHI'[wide]}"
-    picks, sizes = [], []
-    for lo in range(0, len(chosen), step):
-        packed = struct.pack(fmt, *chosen[lo : lo + step])
-        picks.append(int.from_bytes(packed, "little"))
-        counts = packed.translate(_POPCOUNT)
-        if wide:
-            # each field's low byte gathers its bytes' counts: a byte sums at
-            # most four counts of at most 8, so none carries
-            total = int.from_bytes(counts, "little")
-            for r in range(wide):
-                total += total >> (8 << r)
-            counts = total.to_bytes(len(packed), "little")[:: 1 << wide]
-        sizes.append(int.from_bytes(counts, "little"))
-
-    def lacking(bits: int) -> tuple[list[int], int]:
-        """Per low bit ``j``, the fields of ``bits`` bits whose offer set
-        lacks ``j``, all ones; and the int with each field at 1. Before step
-        ``j``, ``ones`` is 1 in the first field of each run of ``2**(j+1)``,
-        and the subtraction fills the run's first ``2**j`` fields."""
-        masks, ones = [0] * low, 1
-        for j in reversed(range(low)):
-            masks[j] = (ones << (bits << j)) - ones
-            ones += ones << (bits << j)
-        return masks, ones
-
-    lacks, ones = lacking(width)
-    short, guard = (lacks, ones) if width == 8 else lacking(8)
-    guard <<= 7
-    index = int.from_bytes(struct.pack(fmt, *range(step)), "little")
-    for a, (pick, size) in enumerate(zip(picks, sizes)):
-        # field i: offer set a*F + i, less what it chooses
-        rejected = (index | a * step * ones) ^ pick
-        for j in range(low):
-            if (pick >> (width << j)) & rejected & lacks[j]:
-                return False
-            if ((size >> (8 << j) | guard) - (size & short[j])) & guard != guard:
-                return False
-        for h in range(n - low):
-            if not a >> h & 1:
-                b = a | 1 << h
-                if picks[b] & rejected or ((sizes[b] | guard) - size) & guard != guard:
-                    return False
-    return True
+    return _first_failures(_tabulate(compiled, s, completion=True).chosen) == (None, None)

@@ -274,8 +274,10 @@ def reference_completion_axioms(compiled: Compiled, max_contracts: int) -> tuple
     ``check_monotonic`` over ``[0, capacity]``, stepped even where a
     forward-sum shape certifies itself); whether every school whose pool is
     at most ``max_contracts`` passes all four checks on its tables (a
-    completion, IRC, substitutable, LAD), IRC scanned rather than read off
-    the other two; and how many schools those are."""
+    completion, IRC, substitutable, LAD), each by its pair scan below, IRC
+    scanned rather than read off the other two, and substitutability and
+    LAD not read from the library's sweep; and how many schools those
+    are."""
     certified, verdict, checked = True, True, 0
     for s, school in enumerate(compiled.schools):
         targets, capacity = school.targets, school.capacity
@@ -298,8 +300,8 @@ def reference_completion_axioms(compiled: Compiled, max_contracts: int) -> tuple
             verdict
             and check_completion(base, comp).holds
             and reference_irc(comp).holds
-            and rm.check_substitutability(comp).holds
-            and rm.check_lad(comp).holds
+            and reference_substitutability(comp).holds
+            and reference_lad(comp).holds
         )
     return certified, verdict, checked
 
@@ -557,9 +559,12 @@ def check_completion(base: rm.ChoiceTable, candidate: rm.ChoiceTable) -> Propert
 
 
 # The axiom checks a contract pair at a time, as the library first wrote
-# them. The library's word-level scans of substitutability and LAD must
-# return the same verdict and the same counterexample; IRC, which the
-# library reads off those two, has only this scan.
+# them. The library's one sweep of substitutability and LAD
+# (``verification._first_failures``), which both public checkers and
+# ``audit`` read, must find the same first failing offer set, and the
+# checkers the same counterexample; so the sweep is tested against these,
+# never against the checkers. IRC, which the library reads off those two,
+# has only this scan.
 
 
 def reference_irc(table: rm.ChoiceTable) -> PropertyCheck:

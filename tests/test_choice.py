@@ -92,6 +92,18 @@ def test_monotonicity_refuses_oversized_domains():
     assert err.value.cap == 2_000_000
 
 
+def test_a_negative_bound_is_refused_by_every_table_reader(ex1_config):
+    # the residual box refuses it, so no reader sees an empty table
+    scheme, targets = ex1_config.scheme, ex1_config.targets
+    for read in (
+        lambda: rm.capacity_table(scheme, targets, -1),
+        lambda: rm.is_more_flexible(scheme, scheme, targets, -1),
+        lambda: rm.check_monotonic(scheme, targets, -1),
+    ):
+        with pytest.raises(rm.InvalidInputError, match="bound must be non-negative"):
+            read()
+
+
 def test_chained_single_donor_schemes_are_certified():
     scheme = rm.ForwardSumScheme(((), (0,), (1,), (2,)))
     assert scheme.certified_monotone()

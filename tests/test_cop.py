@@ -18,9 +18,7 @@ from helpers import MANIPULABLE, certified, order_walk, reference_cop, take_back
 
 
 def test_nobody_acceptable_means_nobody_proposes(ex1):
-    empty = ex1.with_preferences(
-        {s: rm.PreferenceOrder(s, ()) for s in ex1.students}
-    )
+    empty = replace(ex1, preferences={s: rm.PreferenceOrder(s, ()) for s in ex1.students})
     result = rm.run_cop(empty, rm.default_proposal_order(empty))
     assert result.allocation == frozenset()
     assert result.steps == ()
@@ -29,7 +27,7 @@ def test_nobody_acceptable_means_nobody_proposes(ex1):
 def test_single_acceptable_contract_is_held_after_one_proposal(ex1, X):
     prefs = {s: rm.PreferenceOrder(s, ()) for s in ex1.students}
     prefs["k"] = rm.PreferenceOrder("k", (X.z3,))
-    solo = ex1.with_preferences(prefs)
+    solo = replace(ex1, preferences=prefs)
     result = rm.run_cop(solo, rm.default_proposal_order(solo))
     assert result.allocation == {X.z3}
     assert len(result.steps) == 1
@@ -177,7 +175,7 @@ def test_the_canonical_order_names_a_preference_fault(ex1, ranked, fault):
     prefs = dict(ex1.preferences)
     prefs["k"] = rm.PreferenceOrder("k", (rm.Contract(student, "s", privilege),))
     with pytest.raises(rm.ValidationError, match=f"student k: {fault}"):
-        rm.default_proposal_order(ex1.with_preferences(prefs))
+        rm.default_proposal_order(replace(ex1, preferences=prefs))
 
 
 def _brute_force_independent(compiled: Compiled, baseline: int) -> bool:

@@ -1345,7 +1345,7 @@ def test_cli_compare_against_the_rigid_baseline(capsys, tmp_path, ex1, X):
     prefs["k"] = rm.PreferenceOrder("k", (X.z3,))
     prefs["l"] = rm.PreferenceOrder("l", (X.w3,))
     market = tmp_path / "t3demand.instance"
-    rm.save_instance(ex1.with_preferences(prefs), market)
+    rm.save_instance(replace(ex1, preferences=prefs), market)
     out_path = tmp_path / "compare.json"
     code, out, _ = run_cli(capsys, "compare", str(market), "--out", str(out_path))
     assert code == 0

@@ -437,7 +437,7 @@ def _t3_market(ex1, X):
     prefs = {s: rm.PreferenceOrder(s, ()) for s in ex1.students}
     prefs["k"] = rm.PreferenceOrder("k", (X.z3,))
     prefs["l"] = rm.PreferenceOrder("l", (X.w3,))
-    return ex1.with_preferences(prefs)
+    return replace(ex1, preferences=prefs)
 
 
 def _lossy_pair(ex1, prefs):
@@ -452,7 +452,7 @@ def _lossy_pair(ex1, prefs):
     forgiven = dict(lossy)
     forgiven[(1, 0)] += 1
     flex_scheme = rm.TableScheme({2: {v: c for v, c in forgiven.items() if c != 0}})
-    base = ex1.with_preferences(prefs)
+    base = replace(ex1, preferences=prefs)
     return (
         base.with_school(replace(cfg, scheme=rigid_scheme)),
         base.with_school(replace(cfg, scheme=flex_scheme)),
@@ -885,3 +885,12 @@ def test_untransferred_vacancies_count_as_waste(ex1, X):
 
 def test_full_assignment_wastes_nothing(ex1):
     assert rm.allocation_waste(ex1, rm.run_cop_default(ex1)) == 0
+
+
+def test_waste_refuses_a_set_that_is_no_allocation(ex1, X):
+    # a contract outside the market; two students with two contracts each,
+    # at a school of capacity 2
+    with pytest.raises(rm.InvalidInputError, match="unknown contracts"):
+        rm.allocation_waste(ex1, {rm.Contract("zz", "s", "t1")})
+    with pytest.raises(rm.InvalidInputError, match="several contracts.*over capacity"):
+        rm.allocation_waste(ex1, {X.z2, X.z3, X.w1, X.w3})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,8 +123,6 @@ def test_validation_flags_unclaimed_privilege(ex1):
 
 
 def test_validation_flags_targets_exceeding_capacity(ex1, ex1_config):
-    from dataclasses import replace
-
     oversub = replace(ex1_config, targets=(1, 1, 1))  # capacity stays 2
     violations = rm.validate_instance(ex1.with_school(oversub))
     assert any("targets sum to 3" in v for v in violations)
@@ -130,14 +130,14 @@ def test_validation_flags_targets_exceeding_capacity(ex1, ex1_config):
 
 def test_validation_flags_missing_preferences(ex1):
     prefs = {s: p for s, p in ex1.preferences.items() if s != "l"}
-    broken = ex1.with_preferences(prefs)
+    broken = replace(ex1, preferences=prefs)
     assert any("no preference order" in v for v in rm.validate_instance(broken))
 
 
 def test_validation_flags_stray_preferences(ex1):
     prefs = dict(ex1.preferences)
     prefs["ghost"] = rm.PreferenceOrder("ghost", ())
-    broken = ex1.with_preferences(prefs)
+    broken = replace(ex1, preferences=prefs)
     assert any("unknown student ghost" in v for v in rm.validate_instance(broken))
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -34,14 +35,14 @@ from reservematch.verification import _tabulate
 
 
 def test_empty_outcome_is_stable_when_nothing_is_acceptable(ex1):
-    nobody = ex1.with_preferences({s: rm.PreferenceOrder(s, ()) for s in ex1.students})
+    nobody = replace(ex1, preferences={s: rm.PreferenceOrder(s, ()) for s in ex1.students})
     assert rm.is_stable(frozenset(), nobody).passed
 
 
 def test_unacceptable_assignment_fails_with_its_witness(ex1, X):
     prefs = dict(ex1.preferences)
     prefs["l"] = rm.PreferenceOrder("l", (X.w1,))  # w3 now unacceptable
-    inst = ex1.with_preferences(prefs)
+    inst = replace(ex1, preferences=prefs)
     report = rm.is_stable(frozenset({X.x1, X.w3}), inst)
     assert not report.passed
     assert X.w3 in report.unacceptable_assignments
@@ -89,7 +90,7 @@ def test_everyone_at_their_top_blocks_nothing(ex1, X):
         "k": rm.PreferenceOrder("k", ()),
         "l": rm.PreferenceOrder("l", ()),
     }
-    inst = ex1.with_preferences(prefs)
+    inst = replace(ex1, preferences=prefs)
     assert rm.find_blocking_set(top, "s", inst) is None
 
 
@@ -634,26 +635,46 @@ def test_the_tabulated_completion_completes_the_overall_choice(small_instances):
     assert differ >= 250 and non_monotone >= 750, (differ, non_monotone)
 
 
+def _reference_failures(table: rm.ChoiceTable, substitutability: bool = True) -> tuple:
+    """The first offer sets, as masks, at which the pair scans of
+    ``tests/helpers.py`` find substitutability and LAD failing: ``Y + z`` of
+    the counterexample ``(Y, z, z2)`` and ``Y`` of ``(Y, Y + z)``, or
+    ``None`` for an axiom that holds. Without ``substitutability`` that scan
+    is skipped and its entry is ``None``."""
+    index = {c: 1 << i for i, c in enumerate(table.pool)}
+    mask = lambda contracts: sum(map(index.__getitem__, contracts))
+    sub = reference_substitutability(table) if substitutability else rm.PropertyCheck(True)
+    lad = reference_lad(table)
+    return (
+        None if sub.holds else mask(sub.counterexample[0] | {sub.counterexample[1]}),
+        None if lad.holds else mask(lad.counterexample[0]),
+    )
+
+
 def test_audit_axiom_verdict_is_the_two_checks_on_random_schools():
-    # the verdict's one sweep gives the verdict of ``check_substitutability``
-    # and ``check_lad`` on the completion table, on schools that fail either
-    # axiom, or both, in many ways
+    # the one sweep of both axioms against the pair scans on the completion
+    # table: the same first failing offer set per axiom, and so the same
+    # verdict, on schools that fail either axiom, or both, in many ways
     rng = random.Random(4500)
     seen = Counter()
     for _ in range(1500):
         compiled = Compiled(_random_non_monotone_school(rng))
         comp = _tabulate(compiled, 0, completion=True)
-        axioms = (rm.check_substitutability(comp).holds, rm.check_lad(comp).holds)
+        failures = _reference_failures(comp)
+        assert verification._first_failures(comp.chosen) == failures, compiled
+        axioms = tuple(f is None for f in failures)
         assert verification._completion_axioms_hold(compiled, 0) == all(axioms), compiled
         seen[axioms] += 1
     assert min(seen[True, False], seen[False, True], seen[False, False]) >= 10, seen
 
 
 def test_audit_axiom_verdict_is_the_two_checks_at_every_pool_size():
-    # the word-level sweep against ``check_substitutability`` and ``check_lad``
-    # on completion tables of 0 to 20 contracts: many schools per size up to
-    # 12, where one chunk holds the table, and two per size from 13 to 16 and
-    # one from 17 on (for time), where chunks are also swept against chunks
+    # the one sweep against the pair scans on completion tables of 0 to 20
+    # contracts: many schools per size up to 12, where one chunk holds the
+    # table, and two per size from 13 to 16 and one from 17 on (for time),
+    # where chunks are also swept against chunks. LAD's scan runs at every
+    # size; substitutability's, O(2**n * n**2), up to 16 contracts (the
+    # 16-bit fields), and the planted failures below stand in for it above
     rng = random.Random(4700)
     seen = Counter()
     for n in range(21):
@@ -666,9 +687,12 @@ def test_audit_axiom_verdict_is_the_two_checks_at_every_pool_size():
             compiled = Compiled(market)
             assert compiled.school_of.count(0) == n
             comp = _tabulate(compiled, 0, completion=True)
-            axioms = (rm.check_substitutability(comp).holds, rm.check_lad(comp).holds)
-            assert verification._completion_axioms_hold(compiled, 0) == all(axioms), (n, market)
-            seen[n > verification._CHUNK_BITS, all(axioms)] += 1
+            sub, lad = verification._first_failures(comp.chosen)
+            failures = _reference_failures(comp, substitutability=n <= 16)
+            assert (sub if n <= 16 else None, lad) == failures, (n, market)
+            holds = verification._completion_axioms_hold(compiled, 0)
+            assert holds == (sub is None and lad is None), (n, market)
+            seen[n > verification._CHUNK_BITS, holds] += 1
     # large pools rarely fail at random: the planted failures below cover them
     assert seen[False, True] >= 200 and seen[False, False] >= 10, seen
     assert seen[True, True] >= 8 and seen[True, False] >= 1, seen
@@ -694,18 +718,24 @@ def _planted(n: int, bit: int, axiom: str) -> rm.ChoiceTable:
 
 
 @pytest.mark.parametrize("axiom", ["substitutability", "lad"])
-@pytest.mark.parametrize("n, bit", [(6, 0), (6, 5), (14, 0), (14, 12), (14, 13)])
+@pytest.mark.parametrize(
+    "n, bit", [(6, 0), (6, 5), (14, 0), (14, 12), (14, 13), (18, 0), (18, 17), (20, 0), (20, 19)]
+)
 def test_audit_axiom_verdict_finds_a_failure_at_any_one_extension_bit(monkeypatch, axiom, n, bit):
     # the first bit, the last (within one chunk at 6 contracts, swept chunk
-    # against chunk at 14), and the first at or above the chunk size
+    # against chunk from 14, in 32-bit fields from 18), and the first at or
+    # above the chunk size; the set of all but ``bit`` is the one failing
+    # offer set, so each checker's counterexample is known without a scan
     table = _planted(n, bit, axiom)
+    full, skip, other = (1 << n) - 1, 1 << bit, 1 << (bit == 0)
     sub, lad = rm.check_substitutability(table), rm.check_lad(table)
     if axiom == "substitutability":
-        assert lad.holds and not sub.holds and sub.counterexample[2] == table.pool[bit]
+        assert lad.holds and not sub.holds
+        witness = (table.subset(full ^ skip ^ other), table.pool[bit == 0], table.pool[bit])
+        assert sub.counterexample == witness
     else:
         assert sub.holds and not lad.holds
-        smaller, larger = lad.counterexample
-        assert larger - smaller == {table.pool[bit]}
+        assert lad.counterexample == (table.subset(full ^ skip), table.subset(full))
     monkeypatch.setattr(verification, "_tabulate", lambda compiled, s, completion: table)
     assert not verification._completion_axioms_hold(None, 0)
 
